@@ -296,6 +296,10 @@ def main(argv: list[str] | None = None) -> int:
         args = argparser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # exact values may exceed the interpreter's int-to-str digit limit
+    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -310,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -3,17 +3,18 @@
 Local search runs against the fixtures shipped with the package: standard
 b-files ("n a(n)" per line, '#' comment lines allowed) plus an index file
 mapping A-number to offset.  Remote search queries the public OEIS JSON
-endpoint; it is strictly opt-in at the CLI and never used by the tests.
+endpoint with the standard library's urllib, imported only when a remote
+search runs; it is strictly opt-in at the CLI, and the tests replace
+``urllib.request.urlopen`` instead of reaching the network.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
-
-import requests
 
 MIN_PREFIX = 4
 OEIS_SEARCH_URL = "https://oeis.org/search"
@@ -152,7 +153,7 @@ def search_local(
     return hits
 
 
-def search_remote(prefix: Sequence[int], timeout: float = 10.0, session=None) -> list[OeisHit]:
+def search_remote(prefix: Sequence[int], timeout: float = 10.0) -> list[OeisHit]:
     """Query the public OEIS JSON search endpoint with the prefix.
 
     Only the "number" and "data" fields of each result are consumed, so
@@ -160,22 +161,29 @@ def search_remote(prefix: Sequence[int], timeout: float = 10.0, session=None) ->
     contain the prefix contiguously are dropped.  Failures are never
     silent: timeout, transport and malformed-response errors are distinct.
     """
+    import urllib.request
+    from http.client import HTTPException
+    from urllib.error import HTTPError, URLError
+    from urllib.parse import urlencode
+
     needle = _checked_prefix(prefix)
-    http = session if session is not None else requests
+    query = urlencode({"q": ",".join(str(t) for t in needle), "fmt": "json"})
     try:
-        resp = http.get(
-            OEIS_SEARCH_URL,
-            params={"q": ",".join(str(t) for t in needle), "fmt": "json"},
-            timeout=timeout,
-        )
-    except requests.exceptions.Timeout as exc:
-        raise OeisTimeoutError(f"OEIS query timed out after {timeout}s") from exc
-    except requests.exceptions.RequestException as exc:
+        with urllib.request.urlopen(f"{OEIS_SEARCH_URL}?{query}", timeout=timeout) as resp:
+            status = resp.status
+            body = resp.read()
+    except HTTPError as exc:
+        raise OeisTransportError(f"OEIS returned HTTP status {exc.code}") from exc
+    except (TimeoutError, URLError) as exc:
+        if isinstance(exc, TimeoutError) or isinstance(exc.reason, TimeoutError):
+            raise OeisTimeoutError(f"OEIS query timed out after {timeout}s") from exc
         raise OeisTransportError(f"OEIS query failed: {exc}") from exc
-    if resp.status_code != 200:
-        raise OeisTransportError(f"OEIS returned HTTP status {resp.status_code}")
+    except (OSError, HTTPException) as exc:
+        raise OeisTransportError(f"OEIS query failed: {exc}") from exc
+    if status != 200:
+        raise OeisTransportError(f"OEIS returned HTTP status {status}")
     try:
-        payload = resp.json()
+        payload = json.loads(body)
     except ValueError as exc:
         raise OeisFormatError("OEIS response is not valid JSON") from exc
     if isinstance(payload, list):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import BETA, INV_SQRT5, Poly, QuadRat
+from .exact import INV_SQRT5, Poly, QuadRat
 from .fib import alpha_pow, fib, shift_coeffs
 
 
@@ -130,17 +130,11 @@ class FibExpr:
         const_e and alt_f of the expression itself.
         """
         q_alpha = Poly(())
-        q_beta = Poly(())
-        neg_inv_sqrt5 = QuadRat(0, Fraction(-1, 5))
         for t in self.terms:
             # p(n)*F(n-j) = p(n)*(alpha^{n-j} - beta^{n-j})/sqrt5; the beta
-            # multiplier is computed via its own power chain so conjugacy of
-            # the two polynomials is a cross-check, not a construction.
-            m_alpha = alpha_pow(-t.shift) * INV_SQRT5
-            m_beta = BETA ** (-t.shift) * neg_inv_sqrt5
-            q_alpha = q_alpha + t.poly * m_alpha
-            q_beta = q_beta + t.poly * m_beta
-        return BinetForm(q_alpha, q_beta)
+            # half is the Q(sqrt5)-conjugate of the alpha half.
+            q_alpha = q_alpha + t.poly * (alpha_pow(-t.shift) * INV_SQRT5)
+        return BinetForm(q_alpha, q_alpha.map_coeffs(QuadRat.conj))
 
     def same_sequence(self, other: "FibExpr") -> bool:
         """True iff both expressions agree at every integer index."""

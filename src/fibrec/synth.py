@@ -18,8 +18,8 @@ named a, b, c, ... in that order.
     3: (a*n^2+b*n+c)*F(n) + (d*n+e)*F(n-1)            params e, z=(z1..z4)
     4: (a*n+b)*F(n) + (c*n+d)*F(n-1) + e + f*(-1)^n   params w=(w0..w5)
 
-Families 1-3 use closed-form coefficient rows in the parameters
-z_i = w_i - F_{i-1}*w_0; family 4 goes through the general solver.
+All four are solved from their initial values by the general solver;
+families 1-3 give them as w_0 and z_i = w_i - F_{i-1}*w_0.
 """
 
 from __future__ import annotations
@@ -165,42 +165,6 @@ def symbolic_inverse(template: Template) -> Matrix:
     return [row[k:] for row in aug]
 
 
-# Closed-form coefficient rows for families 1-3, over (z_1, ..., z_k) with a
-# shared denominator; the trailing slot is the base parameter itself.
-_CLOSED_FORMS: dict[int, tuple[str, int, list[tuple[tuple[int, ...], int]]]] = {
-    1: (
-        "d",
-        3,
-        [
-            ((-1, -3, 2), 5),
-            ((6, 3, -2), 5),
-            ((-2, 4, -1), 5),
-        ],
-    ),
-    2: (
-        "f",
-        5,
-        [
-            ((-1, 3, 1, -3, 1), 10),
-            ((-5, -75, 15, 45, -17), 50),
-            ((30, 30, -10, -15, 6), 25),
-            ((3, -4, -3, 4, -1), 10),
-            ((-45, 80, 15, -40, 11), 50),
-        ],
-    ),
-    3: (
-        "e",
-        4,
-        [
-            ((2, -1, -2, 1), 10),
-            ((-56, -7, 66, -23), 50),
-            ((48, 6, -28, 9), 25),
-            ((-6, 18, -9, 2), 25),
-        ],
-    ),
-}
-
-
 def _int_params(name: str, vals: Sequence, want: int) -> list[int]:
     out = list(vals)
     if len(out) != want:
@@ -213,31 +177,30 @@ def _int_params(name: str, vals: Sequence, want: int) -> list[int]:
 
 def theorem_solution(which: int, *, d=None, e=None, f=None, z=None, w=None) -> SynthSolution:
     """Coefficients and expression for one of the four integer families."""
+    if which not in FAMILY_TEMPLATES:
+        raise ValueError(f"unknown family {which!r} (expected 1, 2, 3 or 4)")
+    template = FAMILY_TEMPLATES[which]
+    k = template.unknowns
     if which == 4:
         if any(p is not None for p in (d, e, f, z)):
             raise ValueError("family 4 takes only w=(w0..w5)")
         if w is None:
             raise ValueError("family 4 needs w=(w0..w5)")
-        return solve_template(LINEAR_FULL, _int_params("w", w, 6))
-    if which not in _CLOSED_FORMS:
-        raise ValueError(f"unknown family {which!r} (expected 1, 2, 3 or 4)")
+        return solve_template(template, _int_params("w", w, k))
     if w is not None:
         raise ValueError(f"family {which} does not take w")
-    base_name, n_z, rows = _CLOSED_FORMS[which]
-    base = {"d": d, "e": e, "f": f}[base_name]
-    extras = {k: v for k, v in {"d": d, "e": e, "f": f}.items() if k != base_name}
-    if any(v is not None for v in extras.values()):
+    # the trailing slot is the base parameter, which equals w_0
+    base_name = template.slot_names[-1]
+    named = {"d": d, "e": e, "f": f}
+    base = named.pop(base_name)
+    if any(v is not None for v in named.values()):
         raise ValueError(f"family {which} takes only {base_name} and z")
     if base is None or z is None:
-        raise ValueError(f"family {which} needs {base_name} and z=(z1..z{n_z})")
+        raise ValueError(f"family {which} needs {base_name} and z=(z1..z{k - 1})")
     if not isinstance(base, int):
         raise ValueError(f"{base_name} must be an integer, got {base!r}")
-    zs = _int_params("z", z, n_z)
-    coeffs = [
-        Fraction(sum(c * zi for c, zi in zip(row, zs)), den) for row, den in rows
-    ] + [Fraction(base)]
-    template = FAMILY_TEMPLATES[which]
-    return SynthSolution(template.expr_from(coeffs), dict(zip(template.slot_names, coeffs)))
+    zs = _int_params("z", z, k - 1)
+    return solve_template(template, [base] + [zi + fib(i) * base for i, zi in enumerate(zs)])
 
 
 def theorem_construct(which: int, *, d=None, e=None, f=None, z=None, w=None) -> FibExpr:

@@ -38,6 +38,29 @@ def test_eval_constant_rational(capsys):
     assert [line.split()[1] for line in out.strip().splitlines()] == ["1/2"] * 3
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+def test_exact_values_past_the_int_to_str_digit_limit(capsys):
+    # F(30000) has 6,270 digits, above the interpreter's default limit of 4,300
+    a, b = 0, 1
+    for _ in range(30000):
+        a, b = b, a + b
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", "30000", "--to", "30000")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"30000 {a}\n"
+        assert len(str(a)) == 6270
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, _, _ = run_cli(capsys, "rec", "F(n-30000)")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_eval_bad_range_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "F(n)", "--from", "3", "--to", "1")
     assert code == 2

@@ -1,7 +1,14 @@
-"""b-file parsing, bundled fixtures, local search, and fake-session remote search."""
+"""b-file parsing, bundled fixtures, local search, and remote search on a fake urlopen."""
+
+import http.client
+import json
+import subprocess
+import sys
+import urllib.error
+import urllib.request
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
-import requests
 
 from conftest import A010049 as A010049_EXPR
 from conftest import A054454 as A054454_EXPR
@@ -118,31 +125,52 @@ def test_search_local_rejects_short_prefixes():
         search_local([1, 1, 2])
 
 
+def test_import_loads_only_the_standard_library():
+    # the remote search imports urllib.request itself, only when it runs
+    code = (
+        "import sys; before = set(sys.modules); import fibrec; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "fibrec" in loaded
+    assert "urllib.request" not in loaded
+    outside = {
+        m for m in loaded if m.partition(".")[0] not in sys.stdlib_module_names | {"fibrec"}
+    }
+    assert outside == set()
+
+
 class _FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
+    def __init__(self, payload=None, status=200):
+        self.status = status
+        self.body = b"not json" if payload is None else json.dumps(payload).encode()
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+    def __enter__(self):
+        return self
 
+    def __exit__(self, *exc_info):
+        return False
 
-class _FakeSession:
-    def __init__(self, response=None, exc=None):
-        self.response = response
-        self.exc = exc
-        self.last_request = None
-
-    def get(self, url, params=None, timeout=None):
-        self.last_request = (url, params, timeout)
-        if self.exc is not None:
-            raise self.exc
-        return self.response
+    def read(self):
+        return self.body
 
 
-def test_search_remote_parses_hits():
+def _serve(monkeypatch, response=None, exc=None):
+    """Replace urlopen; the returned list collects the (url, timeout) of each call."""
+    sent = []
+
+    def fake_urlopen(url, timeout=None):
+        sent.append((url, timeout))
+        if exc is not None:
+            raise exc
+        return response
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return sent
+
+
+def test_search_remote_parses_hits(monkeypatch):
     payload = {
         "results": [
             {"number": 45, "data": "0,1,1,2,3,5,8,13,21"},
@@ -150,49 +178,61 @@ def test_search_remote_parses_hits():
         ],
         "count": 2,
     }
-    session = _FakeSession(response=_FakeResponse(payload=payload))
-    hits = search_remote([0, 1, 1, 2, 3, 5, 8], session=session)
+    sent = _serve(monkeypatch, _FakeResponse(payload))
+    hits = search_remote([0, 1, 1, 2, 3, 5, 8], timeout=3.0)
     assert hits == [
         OeisHit(OeisEntry("A000045", 0, (0, 1, 1, 2, 3, 5, 8, 13, 21)), 0)
     ]
-    url, params, timeout = session.last_request
-    assert params["q"] == "0,1,1,2,3,5,8"
-    assert params["fmt"] == "json"
+    [(url, timeout)] = sent
+    parts = urlsplit(url)
+    assert f"{parts.scheme}://{parts.netloc}{parts.path}" == "https://oeis.org/search"
+    assert parse_qs(parts.query) == {"q": ["0,1,1,2,3,5,8"], "fmt": ["json"]}
+    assert timeout == 3.0
 
 
-def test_search_remote_accepts_bare_list_payload():
-    payload = [{"number": 45, "data": "0,1,1,2,3,5,8"}]
-    session = _FakeSession(response=_FakeResponse(payload=payload))
-    assert len(search_remote([0, 1, 1, 2], session=session)) == 1
+def test_search_remote_accepts_bare_list_payload(monkeypatch):
+    _serve(monkeypatch, _FakeResponse([{"number": 45, "data": "0,1,1,2,3,5,8"}]))
+    assert len(search_remote([0, 1, 1, 2])) == 1
 
 
-def test_search_remote_empty_result_is_not_an_error():
-    session = _FakeSession(response=_FakeResponse(payload={"results": None, "count": 0}))
-    assert search_remote([1, 2, 3, 4], session=session) == []
+def test_search_remote_empty_result_is_not_an_error(monkeypatch):
+    _serve(monkeypatch, _FakeResponse({"results": None, "count": 0}))
+    assert search_remote([1, 2, 3, 4]) == []
 
 
-def test_search_remote_error_paths():
-    with pytest.raises(OeisTimeoutError):
-        search_remote([1, 2, 3, 4], session=_FakeSession(exc=requests.exceptions.Timeout()))
-    with pytest.raises(OeisTransportError):
-        search_remote(
-            [1, 2, 3, 4], session=_FakeSession(exc=requests.exceptions.ConnectionError())
-        )
-    with pytest.raises(OeisTransportError):
-        search_remote([1, 2, 3, 4], session=_FakeSession(response=_FakeResponse(500)))
-    with pytest.raises(OeisFormatError):
-        search_remote([1, 2, 3, 4], session=_FakeSession(response=_FakeResponse(200)))
-    with pytest.raises(OeisFormatError):
-        search_remote(
-            [1, 2, 3, 4],
-            session=_FakeSession(response=_FakeResponse(payload={"weird": True})),
-        )
-    with pytest.raises(OeisFormatError):
-        search_remote(
-            [1, 2, 3, 4],
-            session=_FakeSession(
-                response=_FakeResponse(payload={"results": [{"number": "x", "data": 3}]})
-            ),
-        )
+def test_search_remote_error_paths(monkeypatch):
+    raised = [
+        (TimeoutError("read timed out"), OeisTimeoutError),
+        (urllib.error.URLError(ConnectionRefusedError(111, "refused")), OeisTransportError),
+        (ConnectionResetError(104, "reset"), OeisTransportError),
+        (http.client.IncompleteRead(b"{"), OeisTransportError),
+        (
+            urllib.error.HTTPError("https://oeis.org/search", 500, "Server Error", {}, None),
+            OeisTransportError,
+        ),
+    ]
+    for exc, error in raised:
+        _serve(monkeypatch, exc=exc)
+        with pytest.raises(error):
+            search_remote([1, 2, 3, 4])
+    answered = [
+        (_FakeResponse({"count": 0}, status=203), OeisTransportError),
+        (_FakeResponse(None), OeisFormatError),
+        (_FakeResponse({"weird": True}), OeisFormatError),
+        (_FakeResponse({"results": [{"number": "x", "data": 3}]}), OeisFormatError),
+    ]
+    for response, error in answered:
+        _serve(monkeypatch, response)
+        with pytest.raises(error):
+            search_remote([1, 2, 3, 4])
+    sent = _serve(monkeypatch, _FakeResponse({"count": 0}))
     with pytest.raises(ValueError):
-        search_remote([1, 2, 3], session=_FakeSession())
+        search_remote([1, 2, 3])
+    assert sent == []
+
+
+def test_search_remote_wrapped_connect_timeout(monkeypatch):
+    # urlopen reports a timeout while connecting as URLError(reason=TimeoutError)
+    _serve(monkeypatch, exc=urllib.error.URLError(TimeoutError("connect timed out")))
+    with pytest.raises(OeisTimeoutError):
+        search_remote([1, 2, 3, 4])

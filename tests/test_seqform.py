@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 from conftest import A010049, QUAD_LIN, WALKS_W, rand_expr
 
-from fibrec import CanonForm, FibExpr, Poly, QuadRat, alpha_pow, fib
+from fibrec import BETA, CanonForm, FibExpr, Poly, QuadRat, alpha_pow, fib
 
 
 def test_evaluate_examples():
@@ -151,12 +151,23 @@ def test_binet_soundness():
             assert b.value_at(n) == QuadRat(fib_part, 0)
 
 
+def _q_beta_by_powers(e):
+    # independent of binet(): p(n)*F(n-j) contributes -p(n)*beta^(-j)/sqrt5
+    # to the coefficient of beta^n, with beta's powers taken directly
+    q = Poly(())
+    neg_inv_sqrt5 = QuadRat(0, F(-1, 5))
+    for t in e.terms:
+        q = q + t.poly * (BETA ** (-t.shift) * neg_inv_sqrt5)
+    return q
+
+
 def test_binet_conjugacy_and_equal_degrees():
     rng = random.Random(67)
     for _ in range(60):
         e = rand_expr(rng)
         b = e.binet()
-        assert b.q_beta == b.q_alpha.map_coeffs(QuadRat.conj)
+        assert b.q_beta == _q_beta_by_powers(e)
+        assert _q_beta_by_powers(e) == b.q_alpha.map_coeffs(QuadRat.conj)
         assert b.q_alpha.degree == b.q_beta.degree
 
 

@@ -22,6 +22,7 @@ from fibrec import (
     solve_template,
     symbolic_inverse,
     theorem_construct,
+    theorem_solution,
 )
 
 
@@ -266,6 +267,13 @@ def test_theorem_construct_matches_general_solver():
         via_rows = theorem_construct(3, e=base, z=tuple(z[:4]))
         via_solver = solve_template(QUAD_LINEAR, values[:5]).expr
         assert via_rows.same_sequence(via_solver)
+
+        # and coefficient for coefficient against the closed-form rows
+        for which, zs in ((1, z[:3]), (2, z), (3, z[:4])):
+            template = FAMILY_TEMPLATES[which]
+            want = [F(sum(c * zi for c, zi in zip(row, zs)), den) for row, den in _Z_ROWS[which]]
+            got = theorem_solution(which, **{template.slot_names[-1]: base}, z=tuple(zs))
+            assert got.coefficients == dict(zip(template.slot_names, want + [F(base)]))
 
 
 def test_synthesis_round_trip():
