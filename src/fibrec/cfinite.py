@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,57 +59,50 @@ class Recurrence:
         if count < 1:
             raise ValueError("count must be positive")
         m = self.order
-        window = [Fraction(v) for v in self.initial]
+        window = deque((Fraction(v) for v in self.initial), maxlen=m)
         out: list[Fraction] = []
         if direction == "forward":
             for _ in range(count):
-                nxt = sum(
-                    (c * window[m - k] for k, c in enumerate(self.coeffs, start=1)),
-                    Fraction(0),
-                )
-                if m:
-                    window = window[1:] + [nxt]
-                out.append(nxt)
+                out.append(self._combine(window))
+                window.append(out[-1])
         elif direction == "backward":
             if m < 1:
                 raise ValueError("backward extension needs order >= 1")
             tail = self.coeffs[-1]
             if tail not in (1, -1):
-                raise InvariantViolation(
-                    f"trailing recurrence coefficient {tail} is not a unit"
-                )
+                raise InvariantViolation(f"trailing recurrence coefficient {tail} is not a unit")
             for _ in range(count):
-                acc = sum(
-                    (self.coeffs[k - 1] * window[m - 1 - k] for k in range(1, m)),
-                    Fraction(0),
-                )
-                prev = (window[-1] - acc) / tail
-                window = [prev] + window[:-1]
-                out.append(prev)
+                # the newest value minus its other terms leaves tail*w_{oldest-1}
+                newest = window.pop()
+                out.append((newest - self._combine(window)) / tail)
+                window.appendleft(out[-1])
         else:
             raise ValueError(f"unknown direction {direction!r}")
         return out
+
+    def _combine(self, window: deque[Fraction]) -> Fraction:
+        """sum_k coeffs[k-1]*w_{n-k}, for a window ending in w_{n-1}."""
+        return sum((c * w for c, w in zip(self.coeffs, reversed(window))), Fraction(0))
 
     def holds_for(self, expr: FibExpr, lo: int, hi: int) -> bool:
         """Check w_n = sum_k coeffs[k-1]*w_{n-k} exactly for every n in [lo, hi]."""
         if lo > hi:
             raise ValueError("empty verification range")
-        for n in range(lo, hi + 1):
-            rhs = sum(
-                (c * expr.at(n - k) for k, c in enumerate(self.coeffs, start=1)),
-                Fraction(0),
-            )
-            if expr.at(n) != rhs:
+        window: deque[Fraction] = deque(maxlen=self.order)  # w_{n-m} .. w_{n-1}
+        for n, v in expr.canon().values(lo - self.order, hi):
+            if n >= lo and v != self._combine(window):
                 return False
+            window.append(v)
         return True
 
 
 def to_recurrence(expr: FibExpr) -> Recurrence:
     """Order, recurrence coefficients and initial values of an expression."""
-    cp = char_poly(expr.canon())
+    form = expr.canon()
+    cp = char_poly(form)
     m = cp.degree  # char_poly is never the zero polynomial
     coeffs = tuple(int(-cp.coeffs[m - k]) for k in range(1, m + 1))
-    initial = tuple(expr.at(n) for n in range(m))
+    initial = tuple(v for _, v in form.values(0, m - 1))
     return Recurrence(m, coeffs, cp, initial)
 
 

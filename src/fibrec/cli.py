@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .cfinite import to_recurrence
 from .decide import NonIntegral, is_integer_sequence
@@ -25,7 +26,7 @@ from .oeis import (
     search_remote,
 )
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
-from .parser import ParseError, format_expr, format_poly, parse
+from .parser import MAX_INDEX, ParseError, format_expr, format_poly, parse
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -37,21 +38,16 @@ EXIT_NETWORK = 4
 REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind=int) -> list:
+    """Comma-separated ints, or rationals when kind is Fraction."""
     try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def _fraction_list(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a comma-separated list of rationals, got {text!r}") from None
+        what = "integer list" if kind is int else "list of rationals"
+        raise ValueError(f"expected a comma-separated {what}, got {text!r}") from None
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _emit(args, payload: dict, lines: Iterable[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -62,16 +58,19 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 def _cmd_eval(args) -> int:
     if args.start > args.stop:
         raise ValueError("--from must be <= --to")
-    expr = parse(args.expr)
-    values = [(n, expr.at(n)) for n in range(args.start, args.stop + 1)]
+    if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
+        raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
+    values = parse(args.expr).canon().values(args.start, args.stop)
     payload = {
         "command": "eval",
         "expression": args.expr,
         "from": args.start,
         "to": args.stop,
-        "values": [{"n": n, "value": str(v)} for n, v in values],
     }
-    _emit(args, payload, [f"{n} {v}" for n, v in values])
+    if args.json:
+        payload["values"] = [{"n": n, "value": str(v)} for n, v in values]
+    # text output streams one line per value
+    _emit(args, payload, (f"{n} {v}" for n, v in values))
     return EXIT_OK
 
 
@@ -151,7 +150,7 @@ def _solution_output(args, command: str, extra: dict, solution) -> None:
 
 def _cmd_synth(args) -> int:
     template = Template(args.deg0, args.deg1, args.const, args.alt)
-    values = _fraction_list(args.values)
+    values = _number_list(args.values, Fraction)
     solution = solve_template(template, values)
     extra = {
         "template": {
@@ -172,9 +171,9 @@ def _cmd_theorem(args) -> int:
         if getattr(args, name) is not None:
             params[name] = getattr(args, name)
     if args.z is not None:
-        params["z"] = tuple(_int_list(args.z))
+        params["z"] = tuple(_number_list(args.z))
     if args.w is not None:
-        params["w"] = tuple(_int_list(args.w))
+        params["w"] = tuple(_number_list(args.w))
     solution = theorem_solution(args.which, **params)
     extra = {
         "which": args.which,
@@ -185,7 +184,7 @@ def _cmd_theorem(args) -> int:
 
 
 def _cmd_oeis(args) -> int:
-    prefix = _int_list(args.terms)
+    prefix = _number_list(args.terms)
     if args.remote:
         if os.environ.get(REMOTE_ENV, "").lower() not in ("1", "true", "yes"):
             raise ValueError(

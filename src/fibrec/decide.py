@@ -45,7 +45,4 @@ def brute_scan(expr: FibExpr, lo: int, hi: int) -> int | None:
     """First n in [lo, hi] (in scan order) whose value is not an integer."""
     if lo > hi:
         raise ValueError("empty scan range")
-    for n in range(lo, hi + 1):
-        if expr.at(n).denominator != 1:
-            return n
-    return None
+    return next((n for n, v in expr.canon().values(lo, hi) if v.denominator != 1), None)

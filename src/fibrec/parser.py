@@ -15,8 +15,8 @@ Grammar (EBNF; whitespace is insignificant everywhere):
 A trailing "/ natural" after a parenthesised polynomial divides every
 coefficient, so "(5n^2-43n+88)/50" reads the way it is written.  Implicit
 multiplication is allowed ("2n", "n/5*F(n-1)"); "^" may follow only "n"
-and the literal "(-1)", with exponents capped at MAX_EXPONENT (the
-polynomial representation is dense).  A term without an F(...) or (-1)^n
+and the literal "(-1)"; exponents are capped at MAX_EXPONENT (polynomials
+are dense) and F shifts at MAX_INDEX.  A term without an F(...) or (-1)^n
 factor must be constant (it lands in the expression's constant slot).
 Every rejection raises ParseError carrying the byte offset of the
 offending position.
@@ -46,6 +46,7 @@ _NAT = re.compile(r"[0-9]+")
 _PUNCT = "+-*/^()"
 
 MAX_EXPONENT = 1000
+MAX_INDEX = 10**7  # largest |shift| in F(n+-k); F(10^7) has about 2.1 million digits
 
 
 @dataclass(frozen=True)
@@ -139,29 +140,23 @@ class _Parser:
         return FibExpr.of(terms, const, alt)
 
     def term(self) -> tuple[str, int, Poly]:
-        kind = self.peek().kind
-        if kind == "F":
-            return "fib", self.fibref(), Poly((1,))
-        if kind == "alt":
-            self.take()
-            return "alt", 0, Poly((1,))
         start = self.peek().pos
-        coeff = self.coef()
-        kind = self.peek().kind
-        if kind == "*":
-            self.take()
-            kind = self.peek().kind
-            if kind == "F":
-                return "fib", self.fibref(), coeff
-            if kind == "alt":
+        starred = False
+        if self.peek().kind in ("F", "alt"):
+            coeff = Poly((1,))
+        else:
+            coeff = self.coef()
+            starred = self.peek().kind == "*"
+            if starred:
                 self.take()
-                return "alt", 0, self._constant(coeff, start, "(-1)^n")
-            raise ParseError("expected F(...) or (-1)^n after '*'", self.peek().pos)
+        kind = self.peek().kind
         if kind == "F":
             return "fib", self.fibref(), coeff
         if kind == "alt":
             self.take()
             return "alt", 0, self._constant(coeff, start, "(-1)^n")
+        if starred:
+            raise ParseError("expected F(...) or (-1)^n after '*'", self.peek().pos)
         return "const", 0, self._constant(coeff, start, None)
 
     @staticmethod
@@ -252,7 +247,11 @@ class _Parser:
         shift = 0
         if self.peek().kind in ("+", "-"):
             op = self.take()
+            pos = self.peek().pos
             off = self.natural("an integer offset inside F(n...)")
+            if off > MAX_INDEX:
+                # fast doubling on an absurd shift would not finish
+                raise ParseError(f"shift larger than {MAX_INDEX}", pos)
             shift = -off if op.kind == "+" else off
         self.expect(")", "')' closing F(")
         return shift

@@ -13,13 +13,18 @@ shift can be eliminated with the identity
 which reduces any expression to the canonical form
 P0(n)*F(n) + P1(n)*F(n-1) + e + f*(-1)^n.  Two expressions describe the
 same sequence exactly when their canonical forms are componentwise equal.
+
+Every value comes from ``CanonForm.values(lo, hi)``: over the common
+denominator of the form's coefficients, w_n is an integer combination of
+(F(n), F(n-1)), a pair that steps by one addition from a fast-doubling seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exact import INV_SQRT5, Poly, QuadRat
 from .fib import alpha_pow, fib, shift_coeffs
@@ -68,12 +73,7 @@ class FibExpr:
 
     def at(self, n: int) -> Fraction:
         """Exact value of the sequence at index n (any integer)."""
-        total = Fraction(self.const_e)
-        if self.alt_f:
-            total += self.alt_f if n % 2 == 0 else -self.alt_f
-        for t in self.terms:
-            total += t.poly(n) * fib(n - t.shift)
-        return total
+        return next(self.canon().values(n, n))[1]
 
     def __add__(self, other: "FibExpr") -> "FibExpr":
         if not isinstance(other, FibExpr):
@@ -170,6 +170,17 @@ class CanonForm:
 
     def to_expr(self) -> FibExpr:
         return FibExpr.of([(0, self.p0), (1, self.p1)], self.const_e, self.alt_f)
+
+    def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
+        """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
+        parts = self.p0.coeffs + self.p1.coeffs + (self.const_e, self.alt_f)
+        den = math.lcm(*(Fraction(c).denominator for c in parts))
+        q0, q1 = (p.map_coeffs(lambda c: int(c * den)) for p in (self.p0, self.p1))
+        e, f = int(self.const_e * den), int(self.alt_f * den)
+        fn, fn1 = fib(lo), fib(lo - 1)
+        for n in range(lo, hi + 1):
+            yield n, Fraction(q0(n) * fn + q1(n) * fn1 + (e - f if n % 2 else e + f), den)
+            fn, fn1 = fn + fn1, fn
 
 
 @dataclass(frozen=True)

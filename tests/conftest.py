@@ -5,9 +5,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from fibrec import FAMILY_TEMPLATES, FibExpr, Poly, solve_template, theorem_construct
+from fibrec import FAMILY_TEMPLATES, FibExpr, Poly, fib, solve_template, theorem_construct
 
 F = Fraction
+
+
+def ref_at(expr: FibExpr, n: int) -> Fraction:
+    """Reference value sum_i p_i(n)*F(n-j_i) + e + f*(-1)^n, term by term.
+
+    Independent of the canonical form: no shift identity and no stepping,
+    just one fast-doubling F per term, so tests can check the evaluator.
+    """
+    total = Fraction(expr.const_e)
+    total += expr.alt_f if n % 2 == 0 else -expr.alt_f
+    for t in expr.terms:
+        total += t.poly(n) * fib(n - t.shift)
+    return total
+
 
 # number of parts in all compositions of n+1 with no 1s:
 #   (2n+3)/5 * F(n) - n/5 * F(n-1)

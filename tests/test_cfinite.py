@@ -15,6 +15,7 @@ from conftest import (
     WALKS_W,
     rand_expr,
     rand_int_expr,
+    ref_at,
 )
 
 from fibrec import (
@@ -70,6 +71,17 @@ def test_verify_recurrence_examples():
     assert not corrupted.holds_for(A010049, 4, 10)
     with pytest.raises(ValueError):
         verify_recurrence(A010049, 10, 4)
+
+
+def test_holds_for_checks_every_index_of_the_window():
+    fib_rec = to_recurrence(FibExpr.of([(0, [1])]))  # w_n = w_{n-1} + w_{n-2}
+    rng = random.Random(3)
+    for _ in range(40):
+        e = rand_expr(rng)
+        lo = rng.randint(-30, 30)
+        expected = ref_at(e, lo) == ref_at(e, lo - 1) + ref_at(e, lo - 2)
+        assert fib_rec.holds_for(e, lo, lo) == expected
+        assert to_recurrence(e).holds_for(e, lo, lo)
 
 
 def test_verify_recurrence_all_examples():

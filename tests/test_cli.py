@@ -1,5 +1,6 @@
 """CLI behaviour: output shapes, exit codes, JSON documents."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -65,6 +66,77 @@ def test_eval_bad_range_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "F(n)", "--from", "3", "--to", "1")
     assert code == 2
     assert "--from" in err
+
+
+@pytest.fixture
+def no_fib(monkeypatch):
+    """Make every Fibonacci evaluation fail, so any work at all exits 1, not 2."""
+
+    def boom(n):
+        raise AssertionError(f"fib({n}) was called")
+
+    # the package re-exports the function fib, which hides the module fibrec.fib
+    for module in ("fibrec.fib", "fibrec.seqform"):
+        monkeypatch.setattr(importlib.import_module(module), "fib", boom)
+
+
+def test_huge_shift_is_rejected_before_any_work(capsys, no_fib):
+    code, out, err = run_cli(capsys, "eval", "F(n+99999999999999999999)", "--to", "0")
+    assert (code, out) == (2, "")
+    assert "shift larger than 10000000 (at offset 4)" in err
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--from", "99999999999999999999", "--to", "99999999999999999999"),
+        ("--from", "-10000001", "--to", "0"),
+        ("--from", "0", "--to", "10000001"),
+    ],
+)
+def test_huge_index_is_rejected_before_any_work(capsys, no_fib, bounds):
+    code, out, err = run_cli(capsys, "eval", "F(n)", *bounds)
+    assert (code, out) == (2, "")
+    assert "--from and --to must lie within +-10000000" in err
+
+
+def test_the_no_fib_fixture_catches_work(capsys, no_fib):
+    code, _, _ = run_cli(capsys, "eval", "F(n)", "--from", "-10000000", "--to", "-10000000")
+    assert code == 1
+
+
+def test_eval_text_output_streams(capsys, monkeypatch):
+    from fibrec.seqform import CanonForm
+
+    original = CanonForm.values
+
+    def two_then_fail(self, lo, hi):
+        values = original(self, lo, hi)
+        yield next(values)
+        yield next(values)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(CanonForm, "values", two_then_fail)
+    code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", "5", "--to", "9")
+    assert code == 1
+    assert out == "5 5\n6 8\n"  # printed before the window was finished
+    code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", "5", "--to", "9", "--json")
+    assert (code, out) == (1, "")
+
+
+def test_list_options_keep_their_error_texts(capsys):
+    code, _, err = run_cli(capsys, "synth", "--deg0", "1", "--values", "1,x")
+    assert code == 2
+    assert "expected a comma-separated list of rationals, got '1,x'" in err
+    code, _, err = run_cli(capsys, "synth", "--deg0", "1", "--values", "1,1/0")
+    assert code == 2
+    assert "expected a comma-separated list of rationals, got '1,1/0'" in err
+    code, _, err = run_cli(capsys, "theorem", "1", "--d", "1", "--z", "1,1/2,3")
+    assert code == 2
+    assert "expected a comma-separated integer list, got '1,1/2,3'" in err
+    code, _, err = run_cli(capsys, "oeis", "0,1,x")
+    assert code == 2
+    assert "expected a comma-separated integer list, got '0,1,x'" in err
 
 
 def test_parse_error_exit_code_and_offset(capsys):

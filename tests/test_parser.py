@@ -66,6 +66,16 @@ def test_parse_exponent_cap():
     assert info.value.offset == 2
 
 
+def test_parse_shift_cap():
+    # F(10^7) is large but finite; a larger shift is refused, not evaluated
+    assert parse("F(n-10000000)") == FibExpr.of([(10_000_000, [1])])
+    assert parse("F(n+10000000)") == FibExpr.of([(-10_000_000, [1])])
+    with pytest.raises(ParseError) as info:
+        parse("2*F(n-10000001)")
+    assert info.value.offset == 6
+    assert info.value.message == "shift larger than 10000000"
+
+
 @pytest.mark.parametrize(
     "bad,offset",
     [

@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction as F
 
-from conftest import A010049, QUAD_LIN, WALKS_W, rand_expr
+import pytest
+from conftest import A010049, QUAD_LIN, WALKS_W, rand_expr, rand_int_expr, ref_at
 
 from fibrec import BETA, CanonForm, FibExpr, Poly, QuadRat, alpha_pow, fib
 
@@ -50,7 +51,7 @@ def test_canonicalize_preserves_values():
         e = rand_expr(rng)
         back = e.canon().to_expr()
         for n in range(-30, 31):
-            assert e.at(n) == back.at(n)
+            assert ref_at(e, n) == ref_at(back, n)
 
 
 def test_canonical_form_is_faithful():
@@ -61,9 +62,62 @@ def test_canonical_form_is_faithful():
         degs = [d for d in (c1.fib_degree, c2.fib_degree) if d is not None]
         span = 2 * max(degs, default=0) + 4
         if c1 == c2:
-            assert all(e1.at(n) == e2.at(n) for n in range(span + 1))
+            assert all(ref_at(e1, n) == ref_at(e2, n) for n in range(span + 1))
         else:
-            assert any(e1.at(n) != e2.at(n) for n in range(span + 1))
+            assert any(ref_at(e1, n) != ref_at(e2, n) for n in range(span + 1))
+
+
+def _values_match_reference(e, lo, hi):
+    got = list(e.canon().values(lo, hi))
+    assert got == [(n, ref_at(e, n)) for n in range(lo, hi + 1)]
+
+
+def test_values_match_reference_on_random_windows():
+    rng = random.Random(43)
+    for _ in range(150):
+        e = rand_expr(rng, max_deg=4)
+        lo = rng.randint(-40, 10)
+        _values_match_reference(e, lo, lo + rng.randint(0, 40))  # crosses 0 often
+        lo = rng.randint(-300, -50)
+        _values_match_reference(e, lo, lo + rng.randint(0, 20))  # wholly negative
+        n = rng.randint(-60, 60)
+        _values_match_reference(e, n, n)
+        assert list(e.canon().values(n, n - 1)) == []
+        assert list(e.canon().values(5, -5)) == []
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        FibExpr.zero(),
+        FibExpr.of([], const=F(-7, 3)),
+        FibExpr.of([], alt=F(5, 2)),
+        FibExpr.of([], const=F(1, 2), alt=F(1, 2)),
+        FibExpr.of([(3, [F(1, 7)])]),
+        FibExpr.of([(-5, [0, 0, 2])], const=4, alt=-1),
+    ],
+    ids=["zero", "constant", "alternating", "const-and-alt", "one-shift", "integer"],
+)
+def test_values_match_reference_on_degenerate_forms(e):
+    _values_match_reference(e, -25, 25)
+    _values_match_reference(e, 0, 0)
+    _values_match_reference(e, -1, -1)
+
+
+def test_values_with_integer_coefficients():
+    rng = random.Random(44)
+    for _ in range(40):
+        e = rand_int_expr(rng, max_deg=3)  # common denominator 1
+        _values_match_reference(e, -30, 30)
+        assert all(v.denominator == 1 for _, v in e.canon().values(-30, 30))
+
+
+def test_at_matches_reference_far_out():
+    rng = random.Random(45)
+    exprs = [A010049, QUAD_LIN, WALKS_W] + [rand_expr(rng) for _ in range(5)]
+    for e in exprs:
+        for n in (10**5, -(10**5), 99_991, -77_777, 12_345):
+            assert e.at(n) == ref_at(e, n)
 
 
 def test_add_examples():
