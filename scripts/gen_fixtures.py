@@ -7,11 +7,15 @@ Run from the repository root:  python3 scripts/gen_fixtures.py
 from __future__ import annotations
 
 import pathlib
+import sys
 
-from fibrec import OeisEntry, fib, leonardo, render_bfile, theorem_construct
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))  # the checkout's fibrec, installed or not
+
+from fibrec import OeisEntry, fib, leonardo, render_bfile, theorem_construct  # noqa: E402
 
 LAST = 40
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "fibrec" / "fixtures"
+FIXTURES = SRC / "fibrec" / "fixtures"
 
 
 def first_terms(expr) -> tuple[int, ...]:

@@ -37,6 +37,10 @@ EXIT_NETWORK = 4
 
 REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 
+# Longest value the CLI will print.  Turning an int into text is quadratic
+# in CPython: 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
+MAX_DIGITS = 500_000
+
 
 def _number_list(text: str, kind=int) -> list:
     """Comma-separated ints, or rationals when kind is Fraction."""
@@ -49,7 +53,7 @@ def _number_list(text: str, kind=int) -> list:
 
 def _emit(args, payload: dict, lines: Iterable[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"command": args.command, **payload}, indent=2))
     else:
         for line in lines:
             print(line)
@@ -62,7 +66,6 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
     values = parse(args.expr).canon().values(args.start, args.stop)
     payload = {
-        "command": "eval",
         "expression": args.expr,
         "from": args.start,
         "to": args.stop,
@@ -77,7 +80,6 @@ def _cmd_eval(args) -> int:
 def _cmd_canon(args) -> int:
     form = parse(args.expr).canon()
     payload = {
-        "command": "canon",
         "expression": args.expr,
         "p0": [str(c) for c in form.p0.coeffs],
         "p1": [str(c) for c in form.p1.coeffs],
@@ -97,7 +99,6 @@ def _cmd_canon(args) -> int:
 def _cmd_rec(args) -> int:
     rec = to_recurrence(parse(args.expr))
     payload = {
-        "command": "rec",
         "expression": args.expr,
         "order": rec.order,
         "char_poly": [int(c) for c in rec.char_poly.coeffs],
@@ -118,7 +119,6 @@ def _cmd_check(args) -> int:
     verdict = is_integer_sequence(parse(args.expr))
     if isinstance(verdict, NonIntegral):
         payload = {
-            "command": "check",
             "expression": args.expr,
             "integral": False,
             "witness_n": verdict.witness_n,
@@ -127,7 +127,6 @@ def _cmd_check(args) -> int:
         _emit(args, payload, [f"NON-INTEGER witness: n={verdict.witness_n} value={verdict.value}"])
         return EXIT_NONINTEGER
     payload = {
-        "command": "check",
         "expression": args.expr,
         "integral": True,
         "certificate": list(verdict.certificate),
@@ -136,10 +135,9 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _solution_output(args, command: str, extra: dict, solution) -> None:
+def _solution_output(args, extra: dict, solution) -> None:
     text = format_expr(solution.expr)
     payload = {
-        "command": command,
         **extra,
         "coefficients": {k: str(v) for k, v in solution.coefficients.items()},
         "expression": text,
@@ -161,7 +159,7 @@ def _cmd_synth(args) -> int:
         },
         "values": [str(v) for v in values],
     }
-    _solution_output(args, "synth", extra, solution)
+    _solution_output(args, extra, solution)
     return EXIT_OK
 
 
@@ -179,7 +177,7 @@ def _cmd_theorem(args) -> int:
         "which": args.which,
         "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
     }
-    _solution_output(args, "theorem", extra, solution)
+    _solution_output(args, extra, solution)
     return EXIT_OK
 
 
@@ -196,7 +194,6 @@ def _cmd_oeis(args) -> int:
         hits = search_local(prefix)
         source = "local"
     payload = {
-        "command": "oeis",
         "prefix": prefix,
         "source": source,
         "hits": [
@@ -228,7 +225,7 @@ _ORACLES = {
 
 def _cmd_oracle(args) -> int:
     value = _ORACLES[args.kind](args.n)
-    payload = {"command": "oracle", "kind": args.kind, "n": args.n, "value": value}
+    payload = {"kind": args.kind, "n": args.n, "value": value}
     _emit(args, payload, [str(value)])
     return EXIT_OK
 
@@ -295,10 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         args = argparser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # exact values may exceed the interpreter's int-to-str digit limit
+    # the interpreter refuses a longer value before converting any of it
     old_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if old_limit is not None:
-        sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -308,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     except ValueError as exc:
+        if "for integer string conversion" in str(exc):
+            exc = f"a value has more than {MAX_DIGITS} digits"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive catch-all

@@ -177,13 +177,17 @@ class _Parser:
         else:
             coeff = self.polyterm()
         if self.peek().kind == "/":
-            self.take()
-            pos = self.peek().pos
-            den = self.natural("a denominator")
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            coeff = coeff * Fraction(1, den)
+            coeff = coeff * Fraction(1, self.denominator())
         return coeff
+
+    def denominator(self) -> int:
+        """Take '/' and the natural after it, which must not be zero."""
+        self.take()
+        pos = self.peek().pos
+        den = self.natural("a denominator")
+        if den == 0:
+            raise ParseError("zero denominator", pos)
+        return den
 
     def polysum(self) -> Poly:
         total = self.polyterm()
@@ -232,12 +236,7 @@ class _Parser:
     def rational(self) -> Fraction:
         num = self.natural("a number")
         if self.peek().kind == "/" and self.peek(1).kind == "nat":
-            self.take()
-            pos = self.peek().pos
-            den = self.natural("a denominator")
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return Fraction(num, den)
+            return Fraction(num, self.denominator())
         return Fraction(num)
 
     def fibref(self) -> int:
@@ -266,6 +265,14 @@ def _frac_text(q) -> str:
     return str(Fraction(q))
 
 
+def _join_signed(parts: list[str]) -> str:
+    """Join with ' + ', or with ' - ' before a part that starts with '-'."""
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
 def format_poly(p: Poly, var: str = "n") -> str:
     """Monomials in descending degree, joined with ' + ' / ' - '."""
     if not p:
@@ -286,10 +293,7 @@ def format_poly(p: Poly, var: str = "n") -> str:
             parts.append(f"-{base}")
         else:
             parts.append(f"{_frac_text(c)}*{base}")
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
+    return _join_signed(parts)
 
 
 def format_expr(expr: FibExpr) -> str:
@@ -315,9 +319,4 @@ def format_expr(expr: FibExpr) -> str:
         comps.append(_frac_text(expr.const_e))
     if expr.alt_f:
         comps.append(f"{_frac_text(expr.alt_f)}*(-1)^n")
-    if not comps:
-        return "0"
-    out = comps[0]
-    for comp in comps[1:]:
-        out += f" - {comp[1:]}" if comp.startswith("-") else f" + {comp}"
-    return out
+    return _join_signed(comps) if comps else "0"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exact import INV_SQRT5, Poly, QuadRat
+from .exact import ALPHA, INV_SQRT5, Poly, QuadRat
 from .fib import alpha_pow, fib, shift_coeffs
 
 
@@ -129,11 +129,10 @@ class FibExpr:
         The constant and alternating parts are not included; they live on
         const_e and alt_f of the expression itself.
         """
-        q_alpha = Poly(())
-        for t in self.terms:
-            # p(n)*F(n-j) = p(n)*(alpha^{n-j} - beta^{n-j})/sqrt5; the beta
-            # half is the Q(sqrt5)-conjugate of the alpha half.
-            q_alpha = q_alpha + t.poly * (alpha_pow(-t.shift) * INV_SQRT5)
+        # F(n) = (alpha^n - beta^n)/sqrt5, and alpha^(n-1) = alpha^n*(alpha - 1)
+        # since 1/alpha = alpha - 1; the beta half is the Q(sqrt5)-conjugate.
+        form = self.canon()
+        q_alpha = (form.p0 + form.p1 * (ALPHA - 1)) * INV_SQRT5
         return BinetForm(q_alpha, q_alpha.map_coeffs(QuadRat.conj))
 
     def same_sequence(self, other: "FibExpr") -> bool:

@@ -6,10 +6,11 @@ alternating terms.  The unknown coefficients then satisfy a square linear
 system whose row n states w_n = <basis values at n> . <unknowns>; it is
 solved exactly over the rationals with Gauss-Jordan elimination.
 
-Slot order is the reading order of the written-out expression: F(n)
-coefficients by descending degree, then F(n-1) coefficients by descending
-degree, then the constant, then the alternating coefficient.  Slots are
-named a, b, c, ... in that order.
+Slot order is defined once, by ``Template.slots``: the reading order of the
+written-out expression, that is F(n) coefficients by descending degree, then
+F(n-1) coefficients by descending degree, then the constant, then the
+alternating coefficient.  Slots are named a, b, c, ... in that order, and
+``unknowns``, ``basis_row`` and ``expr_from`` all read it.
 
 ``theorem_construct`` builds the four guaranteed-integer families:
 
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Poly
 from .fib import fib
 from .seqform import FibExpr
 
@@ -56,13 +56,20 @@ class Template:
             raise ValueError("template has no unknowns")
 
     @property
+    def slots(self) -> tuple[tuple[int, int], ...]:
+        """(part, power) of each unknown, in slot order.
+
+        Part 0 multiplies F(n), part 1 F(n-1), part 2 is the constant and
+        part 3 the alternating term; within a part, powers descend.
+        """
+        degrees = (self.deg_p0, self.deg_p1, 0 if self.has_const else None,
+                   0 if self.has_alt else None)
+        return tuple((part, p) for part, d in enumerate(degrees) if d is not None
+                     for p in range(d, -1, -1))
+
+    @property
     def unknowns(self) -> int:
-        k = 0
-        if self.deg_p0 is not None:
-            k += self.deg_p0 + 1
-        if self.deg_p1 is not None:
-            k += self.deg_p1 + 1
-        return k + int(self.has_const) + int(self.has_alt)
+        return len(self.slots)
 
     @property
     def slot_names(self) -> tuple[str, ...]:
@@ -70,38 +77,20 @@ class Template:
 
     def basis_row(self, n: int) -> list[Fraction]:
         """Multiplier of each unknown in w_n, in slot order."""
-        row: list[Fraction] = []
-        if self.deg_p0 is not None:
-            fn = fib(n)
-            row += [Fraction(n**p * fn) for p in range(self.deg_p0, -1, -1)]
-        if self.deg_p1 is not None:
-            fn1 = fib(n - 1)
-            row += [Fraction(n**p * fn1) for p in range(self.deg_p1, -1, -1)]
-        if self.has_const:
-            row.append(Fraction(1))
-        if self.has_alt:
-            row.append(Fraction(1 if n % 2 == 0 else -1))
-        return row
+        base = (fib(n), fib(n - 1), 1, -1 if n % 2 else 1)
+        return [Fraction(n**p * base[part]) for part, p in self.slots]
 
     def expr_from(self, coeffs: Sequence) -> FibExpr:
         """Assemble the expression whose slots carry the given coefficients."""
         vals = [Fraction(c) for c in coeffs]
         if len(vals) != self.unknowns:
             raise ValueError(f"expected {self.unknowns} coefficients, got {len(vals)}")
-        i = 0
-        terms = []
-        if self.deg_p0 is not None:
-            width = self.deg_p0 + 1
-            terms.append((0, Poly(tuple(reversed(vals[i : i + width])))))
-            i += width
-        if self.deg_p1 is not None:
-            width = self.deg_p1 + 1
-            terms.append((1, Poly(tuple(reversed(vals[i : i + width])))))
-            i += width
-        const = vals[i] if self.has_const else Fraction(0)
-        i += int(self.has_const)
-        alt = vals[i] if self.has_alt else Fraction(0)
-        return FibExpr.of(terms, const, alt)
+        parts: tuple[list[Fraction], ...] = ([], [], [], [])
+        for (part, _), c in zip(self.slots, vals):
+            parts[part].append(c)
+        # powers descend within a part, and FibExpr.of takes them ascending
+        p0, p1, const, alt = parts
+        return FibExpr.of([(0, p0[::-1]), (1, p1[::-1])], sum(const), sum(alt))
 
 
 LINEAR = Template(1, 1)

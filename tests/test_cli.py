@@ -62,6 +62,27 @@ def test_exact_values_past_the_int_to_str_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+def test_values_past_max_digits_are_refused(capsys, monkeypatch):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)  # the interpreter allows 0 or > 640
+    limit = sys.get_int_max_str_digits()
+    # F(10000) has 2,090 digits
+    for argv in (
+        ("eval", "F(n)", "--from", "10000", "--to", "10000"),
+        ("eval", "F(n)", "--from", "10000", "--to", "10000", "--json"),
+        ("rec", "F(n-10000)", "--json"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: a value has more than 1000 digits\n")
+        assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", "4000", "--to", "4000")
+    assert code == 0 and len(out) == len("4000 ") + 836 + 1
+
+
 def test_eval_bad_range_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "F(n)", "--from", "3", "--to", "1")
     assert code == 2

@@ -4,7 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import A010049, QUAD_LIN, WALKS_W, rand_expr, rand_int_expr, ref_at
+from conftest import (
+    A010049,
+    QUAD_LIN,
+    WALKS_W,
+    rand_expr,
+    rand_fraction,
+    rand_int_expr,
+    rand_poly,
+    ref_at,
+)
 
 from fibrec import BETA, CanonForm, FibExpr, Poly, QuadRat, alpha_pow, fib
 
@@ -195,12 +204,25 @@ def test_binet_examples():
     assert A010049.binet().q_beta.degree == 1
 
 
+def _far_exprs(rng, count):
+    """Expressions with shifts up to +-2000, the first reaching both ends."""
+    out = []
+    for i in range(count):
+        shifts = [-2000, 2000] if i == 0 else []
+        shifts += [rng.randint(-2000, 2000) for _ in range(rng.randint(1, 3))]
+        terms = [(j, rand_poly(rng)) for j in shifts]
+        out.append(FibExpr.of(terms, rand_fraction(rng), rand_fraction(rng)))
+    return out
+
+
 def test_binet_soundness():
     rng = random.Random(61)
     exprs = [A010049, QUAD_LIN, WALKS_W] + [rand_expr(rng) for _ in range(25)]
-    for e in exprs:
+    cases = [(e, range(-20, 21)) for e in exprs]
+    cases += [(e, [-500, 500] + rng.sample(range(-500, 501), 6)) for e in _far_exprs(rng, 8)]
+    for e, indices in cases:
         b = e.binet()
-        for n in range(-20, 21):
+        for n in indices:
             fib_part = e.at(n) - e.const_e - (e.alt_f if n % 2 == 0 else -e.alt_f)
             assert b.value_at(n) == QuadRat(fib_part, 0)
 
@@ -217,8 +239,7 @@ def _q_beta_by_powers(e):
 
 def test_binet_conjugacy_and_equal_degrees():
     rng = random.Random(67)
-    for _ in range(60):
-        e = rand_expr(rng)
+    for e in [rand_expr(rng) for _ in range(60)] + _far_exprs(rng, 10):
         b = e.binet()
         assert b.q_beta == _q_beta_by_powers(e)
         assert _q_beta_by_powers(e) == b.q_alpha.map_coeffs(QuadRat.conj)

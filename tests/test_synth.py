@@ -1,11 +1,12 @@
 """Template systems, exact solving, symbolic inverses, the four families."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import A010049, A129707, QUAD_LIN, WALKS_W
+from conftest import A010049, A129707, QUAD_LIN, WALKS_W, ref_at
 
 from fibrec import (
     FAMILY_TEMPLATES,
@@ -18,6 +19,7 @@ from fibrec import (
     Template,
     build_system,
     fib,
+    format_expr,
     is_integer_sequence,
     solve_template,
     symbolic_inverse,
@@ -45,16 +47,55 @@ def test_template_slot_bookkeeping():
     assert QUAD_LINEAR.unknowns == 5
     assert LINEAR_FULL.unknowns == 6
     assert Template(None, 0, has_const=True).unknowns == 2
+    assert LINEAR_FULL.slots == ((0, 1), (0, 0), (1, 1), (1, 0), (2, 0), (3, 0))
     with pytest.raises(ValueError):
         Template(None, None)
     with pytest.raises(ValueError):
         Template(-1, 0)
+    # shapes with no P0, or with only a constant or only an alternating term
+    assert format_expr(Template(None, 1).expr_from([2, F(-1, 3)])) == "(2*n - 1/3)*F(n-1)"
+    assert format_expr(Template(None, None, has_const=True).expr_from([F(-5, 2)])) == "-5/2"
+    assert format_expr(Template(None, None, has_alt=True).expr_from([3])) == "3*(-1)^n"
+    assert (
+        format_expr(Template(None, 0, True, True).expr_from([1, -1, 2]))
+        == "1*F(n-1) - 1 + 2*(-1)^n"
+    )
+    assert (
+        format_expr(Template(2, None, has_alt=True).expr_from([1, 0, -1, F(1, 2)]))
+        == "(n^2 - 1)*F(n) + 1/2*(-1)^n"
+    )
+    assert format_expr(Template(0, 2, True).expr_from([F(3, 7), 0, 0, 0, 0])) == "3/7*F(n)"
+
+
+def _reference_row(t, n):
+    # the slot order spelled out: F(n) powers descending, F(n-1) powers
+    # descending, the constant, the alternating term
+    row = []
+    for part, deg in ((0, t.deg_p0), (1, t.deg_p1)):
+        if deg is not None:
+            row += [n**p * fib(n - part) for p in range(deg, -1, -1)]
+    return row + [1] * t.has_const + [(-1) ** n] * t.has_alt
 
 
 def test_build_system_rows():
     assert build_system(LINEAR)[2] == [2, 1, 2, 1]
     assert build_system(QUADRATIC)[5] == [125, 25, 5, 75, 15, 3]
     assert build_system(LINEAR_FULL)[0] == [0, 0, 0, 1, 1, 1]
+    rng = random.Random(37)
+    degrees = (None, 0, 1, 2, 3, 4)
+    for d0, d1, const, alt in itertools.product(degrees, degrees, (False, True), (False, True)):
+        if d0 is None and d1 is None and not const and not alt:
+            continue
+        t = Template(d0, d1, const, alt)
+        k = t.unknowns
+        matrix = build_system(t)
+        assert matrix == [_reference_row(t, n) for n in range(k)]
+        # the expression built from c takes the values M @ c at n = 0..k-1
+        c = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in range(k)]
+        expr = t.expr_from(c)
+        assert [ref_at(expr, n) for n in range(k)] == [
+            sum(m * ci for m, ci in zip(row, c)) for row in matrix
+        ]
 
 
 def test_solve_reproduces_linear_example():
