@@ -35,6 +35,9 @@ EXIT_USAGE = 2
 EXIT_NONINTEGER = 3
 EXIT_NETWORK = 4
 
+# (exit code, JSON payload without "command", text lines); main prints one of them
+_Output = tuple[int, dict, Iterable[str]]
+
 REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 
 # Longest value the CLI will print.  Turning an int into text is quadratic
@@ -51,15 +54,7 @@ def _number_list(text: str, kind=int) -> list:
         raise ValueError(f"expected a comma-separated {what}, got {text!r}") from None
 
 
-def _emit(args, payload: dict, lines: Iterable[str]) -> None:
-    if args.json:
-        print(json.dumps({"command": args.command, **payload}, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> _Output:
     if args.start > args.stop:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
@@ -73,11 +68,10 @@ def _cmd_eval(args) -> int:
     if args.json:
         payload["values"] = [{"n": n, "value": str(v)} for n, v in values]
     # text output streams one line per value
-    _emit(args, payload, (f"{n} {v}" for n, v in values))
-    return EXIT_OK
+    return EXIT_OK, payload, (f"{n} {v}" for n, v in values)
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args) -> _Output:
     form = parse(args.expr).canon()
     payload = {
         "expression": args.expr,
@@ -92,11 +86,10 @@ def _cmd_canon(args) -> int:
         f"e  = {form.const_e}",
         f"f  = {form.alt_f}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_rec(args) -> int:
+def _cmd_rec(args) -> _Output:
     rec = to_recurrence(parse(args.expr))
     payload = {
         "expression": args.expr,
@@ -111,11 +104,10 @@ def _cmd_rec(args) -> int:
         f"coefficients: {', '.join(str(c) for c in rec.coeffs)}",
         f"initial values: {', '.join(str(v) for v in rec.initial)}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Output:
     verdict = is_integer_sequence(parse(args.expr))
     if isinstance(verdict, NonIntegral):
         payload = {
@@ -124,18 +116,18 @@ def _cmd_check(args) -> int:
             "witness_n": verdict.witness_n,
             "value": str(verdict.value),
         }
-        _emit(args, payload, [f"NON-INTEGER witness: n={verdict.witness_n} value={verdict.value}"])
-        return EXIT_NONINTEGER
+        line = f"NON-INTEGER witness: n={verdict.witness_n} value={verdict.value}"
+        return EXIT_NONINTEGER, payload, [line]
     payload = {
         "expression": args.expr,
         "integral": True,
         "certificate": list(verdict.certificate),
     }
-    _emit(args, payload, [f"INTEGER certificate: {', '.join(str(v) for v in verdict.certificate)}"])
-    return EXIT_OK
+    line = f"INTEGER certificate: {', '.join(str(v) for v in verdict.certificate)}"
+    return EXIT_OK, payload, [line]
 
 
-def _solution_output(args, extra: dict, solution) -> None:
+def _solution_output(extra: dict, solution) -> _Output:
     text = format_expr(solution.expr)
     payload = {
         **extra,
@@ -143,10 +135,10 @@ def _solution_output(args, extra: dict, solution) -> None:
         "expression": text,
     }
     lines = [text] + [f"{k} = {v}" for k, v in solution.coefficients.items()]
-    _emit(args, payload, lines)
+    return EXIT_OK, payload, lines
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> _Output:
     template = Template(args.deg0, args.deg1, args.const, args.alt)
     values = _number_list(args.values, Fraction)
     solution = solve_template(template, values)
@@ -159,11 +151,10 @@ def _cmd_synth(args) -> int:
         },
         "values": [str(v) for v in values],
     }
-    _solution_output(args, extra, solution)
-    return EXIT_OK
+    return _solution_output(extra, solution)
 
 
-def _cmd_theorem(args) -> int:
+def _cmd_theorem(args) -> _Output:
     params: dict[str, object] = {}
     for name in ("d", "e", "f"):
         if getattr(args, name) is not None:
@@ -177,11 +168,10 @@ def _cmd_theorem(args) -> int:
         "which": args.which,
         "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
     }
-    _solution_output(args, extra, solution)
-    return EXIT_OK
+    return _solution_output(extra, solution)
 
 
-def _cmd_oeis(args) -> int:
+def _cmd_oeis(args) -> _Output:
     prefix = _number_list(args.terms)
     if args.remote:
         if os.environ.get(REMOTE_ENV, "").lower() not in ("1", "true", "yes"):
@@ -212,8 +202,7 @@ def _cmd_oeis(args) -> int:
         ]
     else:
         lines = ["no matches"]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
 _ORACLES = {
@@ -223,11 +212,10 @@ _ORACLES = {
 }
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> _Output:
     value = _ORACLES[args.kind](args.n)
     payload = {"kind": args.kind, "n": args.n, "value": value}
-    _emit(args, payload, [str(value)])
-    return EXIT_OK
+    return EXIT_OK, payload, [str(value)]
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -297,7 +285,13 @@ def main(argv: list[str] | None = None) -> int:
     if old_limit is not None:
         sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps({"command": args.command, **payload}, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,22 +18,23 @@ multiplication is allowed ("2n", "n/5*F(n-1)"); "^" may follow only "n"
 and the literal "(-1)"; exponents are capped at MAX_EXPONENT (polynomials
 are dense) and F shifts at MAX_INDEX.  A term without an F(...) or (-1)^n
 factor must be constant (it lands in the expression's constant slot).
-Every rejection raises ParseError carrying the byte offset of the
-offending position.
+Every rejection raises ParseError carrying the offset of the offending
+position, counted in characters of the input string.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import Poly
 from .seqform import FibExpr
 
 
 class ParseError(ValueError):
-    """Rejection of an input string, with the byte offset of the problem."""
+    """Rejection of an input string, with the character offset of the problem."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -41,16 +42,18 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-_ALT = re.compile(r"\(\s*-\s*1\s*\)\s*\^\s*n")
-_NAT = re.compile(r"[0-9]+")
-_PUNCT = "+-*/^()"
-
 MAX_EXPONENT = 1000
 MAX_INDEX = 10**7  # largest |shift| in F(n+-k); F(10^7) has about 2.1 million digits
 
+# Alternatives are tried in order, so "(-1)^n" is one token before "(" is
+# one, and "bad" sees only a character that is not whitespace.  \s matches
+# what str.isspace() accepts; [0-9] is ASCII only.
+_TOKEN = re.compile(
+    r"\s+|(?P<alt>\(\s*-\s*1\s*\)\s*\^\s*n)|(?P<nat>[0-9]+)|(?P<sym>[nF+\-*/^()])|(?P<bad>.)"
+)
 
-@dataclass(frozen=True)
-class _Tok:
+
+class _Tok(NamedTuple):
     kind: str  # 'nat' 'n' 'F' 'alt' '+' '-' '*' '/' '^' '(' ')' 'end'
     text: str
     pos: int
@@ -58,31 +61,13 @@ class _Tok:
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _ALT.match(text, i)
-        if m:
-            toks.append(_Tok("alt", m.group(), i))
-            i = m.end()
-            continue
-        if "0" <= ch <= "9":
-            m = _NAT.match(text, i)
-            toks.append(_Tok("nat", m.group(), i))
-            i = m.end()
-            continue
-        if ch == "n" or ch == "F":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind is not None:  # None is a run of whitespace
+            tok = m.group()
+            toks.append(_Tok(tok if kind == "sym" else kind, tok, m.start()))
     toks.append(_Tok("end", "", len(text)))
     return toks
 
@@ -108,7 +93,12 @@ class _Parser:
         return self.take()
 
     def natural(self, what: str) -> int:
-        return int(self.expect("nat", what).text)
+        tok = self.expect("nat", what)
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int-to-str digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"a number has more than {limit} digits", tok.pos) from None
 
     # --- grammar productions -------------------------------------------
 
@@ -116,27 +106,23 @@ class _Parser:
         terms: list[tuple[int, Poly]] = []
         const = Fraction(0)
         alt = Fraction(0)
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.take().kind == "-" else 1
+        sep = self.peek()  # an optional sign before the first term
+        if sep.kind in ("+", "-"):
+            self.take()
         while True:
             tag, shift, coeff = self.term()
-            coeff = coeff * sign
+            coeff = coeff * (-1 if sep.kind == "-" else 1)
             if tag == "fib":
                 terms.append((shift, coeff))
             elif tag == "alt":
-                alt += coeff.coeffs[0] if coeff else Fraction(0)
+                alt += coeff(0)
             else:
-                const += coeff.coeffs[0] if coeff else Fraction(0)
-            nxt = self.take()
-            if nxt.kind == "end":
+                const += coeff(0)
+            sep = self.take()
+            if sep.kind == "end":
                 break
-            if nxt.kind == "+":
-                sign = 1
-            elif nxt.kind == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-' between terms", nxt.pos)
+            if sep.kind not in ("+", "-"):
+                raise ParseError("expected '+' or '-' between terms", sep.pos)
         return FibExpr.of(terms, const, alt)
 
     def term(self) -> tuple[str, int, Poly]:
@@ -198,21 +184,17 @@ class _Parser:
         return total
 
     def polyterm(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "-":
+        sign = 1
+        if self.peek().kind == "-":
             self.take()
-            if self.peek().kind == "n":
-                return self._monomial(Fraction(-1))
-            if self.peek().kind == "nat":
-                q = -self.rational()
-            else:
-                raise ParseError("expected a number or 'n' after '-'", self.peek().pos)
-        elif tok.kind == "nat":
-            q = self.rational()
-        elif tok.kind == "n":
-            return self._monomial(Fraction(1))
-        else:
-            raise ParseError("expected a coefficient", tok.pos)
+            sign = -1
+        tok = self.peek()
+        if tok.kind == "n":
+            return self._monomial(Fraction(sign))
+        if tok.kind != "nat":
+            what = "a number or 'n' after '-'" if sign < 0 else "a coefficient"
+            raise ParseError(f"expected {what}", tok.pos)
+        q = sign * self.rational()
         if self.peek().kind == "n":
             return self._monomial(q)
         if self.peek().kind == "*" and self.peek(1).kind == "n":
@@ -261,10 +243,6 @@ def parse(text: str) -> FibExpr:
     return _Parser(text).run()
 
 
-def _frac_text(q) -> str:
-    return str(Fraction(q))
-
-
 def _join_signed(parts: list[str]) -> str:
     """Join with ' + ', or with ' - ' before a part that starts with '-'."""
     out = parts[0]
@@ -282,9 +260,8 @@ def format_poly(p: Poly, var: str = "n") -> str:
         c = p.coeffs[deg]
         if not c:
             continue
-        c = Fraction(c)
         if deg == 0:
-            parts.append(_frac_text(c))
+            parts.append(str(c))
             continue
         base = var if deg == 1 else f"{var}^{deg}"
         if c == 1:
@@ -292,7 +269,7 @@ def format_poly(p: Poly, var: str = "n") -> str:
         elif c == -1:
             parts.append(f"-{base}")
         else:
-            parts.append(f"{_frac_text(c)}*{base}")
+            parts.append(f"{c}*{base}")
     return _join_signed(parts)
 
 
@@ -305,18 +282,13 @@ def format_expr(expr: FibExpr) -> str:
     """
     comps: list[str] = []
     for t in expr.terms:
-        if t.shift == 0:
-            ref = "F(n)"
-        elif t.shift > 0:
-            ref = f"F(n-{t.shift})"
-        else:
-            ref = f"F(n+{-t.shift})"
+        ref = f"F(n{-t.shift:+d})" if t.shift else "F(n)"
         if t.poly.degree == 0:
-            comps.append(f"{_frac_text(t.poly.coeffs[0])}*{ref}")
+            comps.append(f"{t.poly.coeffs[0]}*{ref}")
         else:
             comps.append(f"({format_poly(t.poly)})*{ref}")
     if expr.const_e:
-        comps.append(_frac_text(expr.const_e))
+        comps.append(str(expr.const_e))
     if expr.alt_f:
-        comps.append(f"{_frac_text(expr.alt_f)}*(-1)^n")
+        comps.append(f"{expr.alt_f}*(-1)^n")
     return _join_signed(comps) if comps else "0"

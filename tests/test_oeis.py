@@ -31,6 +31,7 @@ from fibrec import (
     search_local,
     search_remote,
 )
+from fibrec.cli import main
 
 
 def test_parse_bfile_skips_comments_and_blanks():
@@ -236,3 +237,19 @@ def test_search_remote_wrapped_connect_timeout(monkeypatch):
     _serve(monkeypatch, exc=urllib.error.URLError(TimeoutError("connect timed out")))
     with pytest.raises(OeisTimeoutError):
         search_remote([1, 2, 3, 4])
+
+
+def test_cli_remote_lookup_prints_hits(monkeypatch, capsys):
+    monkeypatch.setenv("FIBREC_OEIS_REMOTE", "1")
+    payload = {"results": [{"number": 45, "data": "0,1,1,2,3,5,8,13,21"}], "count": 1}
+    sent = _serve(monkeypatch, _FakeResponse(payload))
+    assert main(["oeis", "2,3,5,8", "--remote", "--timeout", "2.5"]) == 0
+    assert capsys.readouterr().out == "A000045 offset=0 match_start=3\n"
+    assert main(["oeis", "2,3,5,8", "--remote", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "oeis",
+        "prefix": [2, 3, 5, 8],
+        "source": "remote",
+        "hits": [{"a_number": "A000045", "offset": 0, "match_start": 3}],
+    }
+    assert [timeout for _, timeout in sent] == [2.5, 10.0]

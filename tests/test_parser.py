@@ -1,6 +1,7 @@
 """Expression-language parsing, printing, error offsets, fuzz totality."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -76,33 +77,67 @@ def test_parse_shift_cap():
     assert info.value.message == "shift larger than 10000000"
 
 
+_BAD_INPUTS = [
+    ("", 0, "expected a coefficient"),  # empty input: no term
+    # shift argument must be n +- integer
+    ("F(3)", 2, "expected 'n' as the F argument (shift must be n, n+k or n-k)"),
+    ("F(n", 3, "expected ')' closing F("),  # unterminated
+    ("F(n*2)", 3, "expected ')' closing F("),  # bad shift syntax
+    ("F n", 2, "expected '(' after F"),
+    ("F(n+)", 4, "expected an integer offset inside F(n...)"),
+    ("2*", 2, "expected F(...) or (-1)^n after '*'"),  # '*' must be followed by F or (-1)^n
+    ("2*3", 2, "expected F(...) or (-1)^n after '*'"),
+    # bare non-constant polynomial term
+    ("n + F(n)", 0, "a term without F(n...) must be constant"),
+    # non-constant coefficient on the alternating part
+    ("n*(-1)^n", 0, "the coefficient of (-1)^n must be constant"),
+    ("1/0", 2, "zero denominator"),
+    ("(n+1)/0*F(n)", 6, "zero denominator"),
+    ("1/n*F(n)", 2, "expected a denominator"),
+    ("(-)*F(n)", 2, "expected a number or 'n' after '-'"),
+    ("- -F(n)", 3, "expected a number or 'n' after '-'"),
+    # exponent must be a natural literal
+    ("n^-1*F(n)", 2, "expected a non-negative integer exponent"),
+    # '^' only on n and (-1)
+    ("(n+1)^2*F(n)", 5, "'^' may follow only 'n' or the literal '(-1)'"),
+    # not the alternating literal: stray '^' after a group
+    ("(-1)^2", 4, "'^' may follow only 'n' or the literal '(-1)'"),
+    # products are not in the language
+    ("F(n) * F(n)", 5, "expected '+' or '-' between terms"),
+    ("F(n) + @", 7, "unexpected character '@'"),  # unknown character
+    # offsets count characters, so non-ASCII whitespace counts once
+    ("\xa0@", 1, "unexpected character '@'"),
+    ("(2n+3", 5, "expected ')'"),  # unterminated group
+    ("F(n) F(n)", 5, "expected '+' or '-' between terms"),  # missing separator
+]
+
+
+# each case is named by its input and offset alone, so a reworded message keeps its name
 @pytest.mark.parametrize(
-    "bad,offset",
-    [
-        ("", 0),  # empty input: no term
-        ("F(3)", 2),  # shift argument must be n +- integer
-        ("F(n", 3),  # unterminated
-        ("F(n*2)", 3),  # bad shift syntax
-        ("2*", 2),  # '*' must be followed by F or (-1)^n
-        ("2*3", 2),
-        ("n + F(n)", 0),  # bare non-constant polynomial term
-        ("n*(-1)^n", 0),  # non-constant coefficient on the alternating part
-        ("1/0", 2),  # zero denominator
-        ("(n+1)/0*F(n)", 6),
-        ("n^-1*F(n)", 2),  # exponent must be a natural literal
-        ("(n+1)^2*F(n)", 5),  # '^' only on n and (-1)
-        ("(-1)^2", 4),  # not the alternating literal: stray '^' after a group
-        ("F(n) * F(n)", 5),  # products are not in the language
-        ("F(n) + @", 7),  # unknown character
-        ("(2n+3", 5),  # unterminated group
-        ("F(n) F(n)", 5),  # missing separator
-    ],
+    "bad,offset,message", _BAD_INPUTS, ids=[f"{bad}-{offset}" for bad, offset, _ in _BAD_INPUTS]
 )
-def test_parse_errors_carry_offsets(bad, offset):
+def test_parse_errors_carry_offsets(bad, offset, message):
     with pytest.raises(ParseError) as info:
         parse(bad)
     assert info.value.offset == offset
+    assert info.value.message == message
     assert 0 <= info.value.offset <= len(bad)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+def test_numbers_past_the_int_to_str_digit_limit_are_parse_errors():
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("the int-to-str digit limit is switched off")
+    digits = "1" * (limit + 1)
+    for text, offset in ((digits, 0), ("F(n-" + digits + ")", 4), ("n^" + digits, 2)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.offset == offset
+        assert info.value.message == f"a number has more than {limit} digits"
+    assert parse("1" * limit) == FibExpr.of([], const=int("1" * limit))
 
 
 def test_print_worked_examples():

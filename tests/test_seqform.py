@@ -137,6 +137,21 @@ def test_add_examples():
     assert (n_fn + (-1 * n_fn)).is_zero
 
 
+def test_subtract_negate_and_print():
+    rng = random.Random(53)
+    for _ in range(20):
+        e1, e2 = rand_expr(rng), rand_expr(rng)
+        diff = e1 - e2
+        for n in range(-6, 7):
+            assert diff.at(n) == e1.at(n) - e2.at(n)
+            assert (-e1).at(n) == -e1.at(n)
+    assert (A010049 - A010049).is_zero
+    assert -A010049 == A010049 * -1
+    assert str(A010049) == "(2/5*n + 3/5)*F(n) + (-1/5*n)*F(n-1)"
+    with pytest.raises(TypeError):
+        A010049 - 1
+
+
 def test_add_commutes_with_evaluate_and_canon():
     rng = random.Random(41)
     for _ in range(40):

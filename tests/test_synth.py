@@ -65,6 +65,8 @@ def test_template_slot_bookkeeping():
         == "(n^2 - 1)*F(n) + 1/2*(-1)^n"
     )
     assert format_expr(Template(0, 2, True).expr_from([F(3, 7), 0, 0, 0, 0])) == "3/7*F(n)"
+    with pytest.raises(ValueError, match="expected 4 coefficients, got 3"):
+        LINEAR.expr_from([1, 2, 3])
 
 
 def _reference_row(t, n):
@@ -287,6 +289,13 @@ def test_theorem_construct_validation():
         theorem_construct(4, w=(0, 1, 2, 6, 12, 26), d=1)
     with pytest.raises(ValueError):
         theorem_construct(2, f=F(1, 2), z=(0, 1, 4, 12, 31))
+    with pytest.raises(ValueError, match="z entries must be integers, got Fraction"):
+        theorem_construct(1, d=0, z=(1, F(1, 2), 3))
+    with pytest.raises(ValueError, match="family 4 needs w"):
+        theorem_construct(4)
+    for which, base in ((1, "d"), (2, "f"), (3, "e")):
+        with pytest.raises(ValueError, match=f"family {which} does not take w"):
+            theorem_construct(which, **{base: 0}, z=(1, 1, 3), w=(0, 1, 2, 6, 12, 26))
 
 
 def test_theorem_construct_matches_general_solver():
