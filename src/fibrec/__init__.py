@@ -13,7 +13,7 @@ against brute-force enumerators and bundled OEIS b-files.
 
 from .cfinite import InvariantViolation, Recurrence, char_poly, to_recurrence, verify_recurrence
 from .decide import Integral, NonIntegral, Verdict, brute_scan, is_integer_sequence
-from .exact import ALPHA, BETA, INV_SQRT5, SQRT5, Poly, QuadRat, poly
+from .exact import ALPHA, INV_SQRT5, Poly, QuadRat
 from .fib import alpha_pow, fib, shift_coeffs
 from .oeis import (
     OeisEntry,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA",
-    "BETA",
     "BinetForm",
     "CanonForm",
     "DegenerateTemplateError",
@@ -76,7 +75,6 @@ __all__ = [
     "QUADRATIC",
     "QuadRat",
     "Recurrence",
-    "SQRT5",
     "ShiftTerm",
     "SynthSolution",
     "Template",
@@ -96,7 +94,6 @@ __all__ = [
     "load_fixtures",
     "parse",
     "parse_bfile",
-    "poly",
     "render_bfile",
     "search_local",
     "search_remote",

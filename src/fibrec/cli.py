@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -43,6 +44,11 @@ REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 # Longest value the CLI will print.  Turning an int into text is quadratic
 # in CPython: 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
 MAX_DIGITS = 500_000
+
+# argparse reads a word that starts with "-" as an option unless it matches
+# this pattern.  Every option here but -h is "--name", so a list such as
+# "-1,2,3" or an expression such as "-F(n)" can be read as a value.
+_VALUE_MATCHER = re.compile(r"^-[^-]")
 
 
 def _number_list(text: str, kind=int) -> list:
@@ -228,6 +234,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     def command(name: str, help_text: str, func) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        # set after -h exists: an option that matched would turn the pattern off
+        p._negative_number_matcher = _VALUE_MATCHER
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         p.set_defaults(func=func)
         return p

@@ -2,7 +2,8 @@
 
 Rational numbers are ``fractions.Fraction`` throughout (always reduced,
 positive denominator, zero is 0/1).  ``QuadRat`` models r + s*sqrt(5) with
-rational components and just enough field arithmetic for golden-ratio work.
+rational components: the ring operations +, - and * plus conjugation, which
+is what splitting a sequence over alpha and beta needs; there is no division.
 ``Poly`` is a dense univariate polynomial that is generic in its coefficient
 type: int, Fraction and QuadRat all work because the only operations used
 are +, *, unary - and comparison with zero.
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class QuadRat:
-    """An element r + s*sqrt(5) of the field Q(sqrt(5)).
+    """An element r + s*sqrt(5) of Q(sqrt(5)), with ring operations only.
 
     Equality is componentwise (and accepts plain rationals, which embed as
     s = 0); the conjugate flips the sign of s, exchanging alpha and beta.
@@ -43,15 +44,6 @@ class QuadRat:
     def conj(self) -> "QuadRat":
         return QuadRat(self.r, -self.s)
 
-    def norm(self) -> Fraction:
-        return self.r * self.r - 5 * self.s * self.s
-
-    def inverse(self) -> "QuadRat":
-        if not self:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt(5))")
-        n = self.norm()
-        return QuadRat(self.r / n, -self.s / n)
-
     def __add__(self, other: object) -> "QuadRat":
         o = self._lift(other)
         if o is None:
@@ -69,12 +61,6 @@ class QuadRat:
             return NotImplemented
         return QuadRat(self.r - o.r, self.s - o.s)
 
-    def __rsub__(self, other: object) -> "QuadRat":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other: object) -> "QuadRat":
         o = self._lift(other)
         if o is None:
@@ -82,31 +68,6 @@ class QuadRat:
         return QuadRat(self.r * o.r + 5 * self.s * o.s, self.r * o.s + self.s * o.r)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "QuadRat":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "QuadRat":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int) -> "QuadRat":
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = QuadRat(Fraction(1))
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __bool__(self) -> bool:
         return bool(self.r or self.s)
@@ -131,10 +92,8 @@ class QuadRat:
         return f"{self.r} + {self.s}*sqrt(5)" if self.s > 0 else f"{self.r} - {-self.s}*sqrt(5)"
 
 
-SQRT5 = QuadRat(0, 1)
 INV_SQRT5 = QuadRat(0, Fraction(1, 5))
 ALPHA = QuadRat(Fraction(1, 2), Fraction(1, 2))
-BETA = ALPHA.conj()
 
 
 @dataclass(frozen=True)
@@ -158,10 +117,6 @@ class Poly:
     @property
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def lead(self):
-        return self.coeffs[-1] if self.coeffs else None
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -231,7 +186,3 @@ class Poly:
     def map_coeffs(self, fn: Callable) -> "Poly":
         return Poly(tuple(fn(c) for c in self.coeffs))
 
-
-def poly(coeffs: Iterable) -> Poly:
-    """Convenience constructor: poly([c0, c1, ...]) with ascending degree."""
-    return Poly(tuple(coeffs))

@@ -160,6 +160,48 @@ def test_list_options_keep_their_error_texts(capsys):
     assert "expected a comma-separated integer list, got '0,1,x'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, first_line",
+    [
+        pytest.param(
+            ("synth", "--deg0", "1", "--deg1", "1", "--values", "-1,2,3,4"), 0,
+            "(-4/5*n + 14/5)*F(n) + (7/5*n - 1)*F(n-1)", id="synth-values",
+        ),
+        pytest.param(
+            ("theorem", "1", "--d", "0", "--z", "-1,1,3"), 0,
+            "(4/5*n - 9/5)*F(n) + (3/5*n)*F(n-1)", id="theorem-z",
+        ),
+        pytest.param(
+            ("theorem", "4", "--w", "-1,1,2,6,12,26"), 0,
+            "(1/5*n - 1/5)*F(n) + (7/5*n)*F(n-1) - 1*(-1)^n", id="theorem-w",
+        ),
+        pytest.param(("oeis", "-1,1,-2,3"), 0, "no matches", id="oeis-terms"),
+        pytest.param(("eval", "-F(n)", "--from", "3", "--to", "3"), 0, "3 -2", id="eval-expr"),
+        pytest.param(
+            ("check", "-n/2*F(n)"), 3, "NON-INTEGER witness: n=1 value=-1/2", id="check-expr"
+        ),
+        pytest.param(("eval", "F(n)", "--from", "-2", "--to", "-2"), 0, "-2 -1", id="eval-from"),
+    ],
+)
+def test_values_may_start_with_a_minus(capsys, argv, code, first_line):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert out.splitlines()[0] == first_line
+
+
+def test_options_are_still_options(capsys):
+    code, out, err = run_cli(capsys, "synth", "--deg0", "1", "--values", "--json")
+    assert (code, out) == (2, "")
+    assert "argument --values: expected one argument" in err
+    code, out, err = run_cli(capsys, "eval", "F(n)", "-x")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: -x" in err
+    for argv in (("eval", "-h"), ("synth", "-h"), ("-h",)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: fibrec")
+
+
 def test_parse_error_exit_code_and_offset(capsys):
     code, _, err = run_cli(capsys, "eval", "F(q)", "--from", "0", "--to", "1")
     assert code == 2
@@ -285,6 +327,9 @@ def test_oracle_cap_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "inversions", "26")
     assert code == 2
     assert "capped" in err
+    code, out, err = run_cli(capsys, "oracle", "leonardo", "100001")
+    assert (code, out) == (2, "")
+    assert "capped at n <= 100000" in err
 
 
 def test_eval_json_schema(capsys):

@@ -1,0 +1,28 @@
+"""The package namespace: every public name is exported once and resolves."""
+
+import types
+
+import fibrec
+
+
+def test_all_is_unique_and_resolves():
+    assert len(set(fibrec.__all__)) == len(fibrec.__all__)
+    for name in fibrec.__all__:
+        assert hasattr(fibrec, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from fibrec import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(fibrec.__all__)
+
+
+def test_no_public_name_is_left_out_of_all():
+    # an import kept in __init__.py after its name left __all__ would show here
+    public = {
+        name
+        for name, value in vars(fibrec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(fibrec.__all__)

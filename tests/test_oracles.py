@@ -76,4 +76,7 @@ def test_enumerators_reject_bad_inputs():
             fn(26)
     with pytest.raises(ValueError):
         leonardo(-1)
-    leonardo(40)  # the plain recurrence is not capped
+    # the plain recurrence is capped much higher, where its time grows as n^2
+    assert leonardo(100_000) == 2 * fib(100_000) + 2 * fib(99_999) - 1
+    with pytest.raises(ValueError, match="capped at n <= 100000"):
+        leonardo(100_001)

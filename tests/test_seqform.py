@@ -15,7 +15,7 @@ from conftest import (
     ref_at,
 )
 
-from fibrec import BETA, CanonForm, FibExpr, Poly, QuadRat, alpha_pow, fib
+from fibrec import ALPHA, CanonForm, FibExpr, Poly, QuadRat, alpha_pow, fib
 
 
 def test_evaluate_examples():
@@ -242,13 +242,26 @@ def test_binet_soundness():
             assert b.value_at(n) == QuadRat(fib_part, 0)
 
 
+def _beta_pow(k):
+    """beta^k by square-and-multiply, with beta^-1 = -alpha."""
+    base = QuadRat(F(1, 2), F(-1, 2)) if k >= 0 else -ALPHA
+    out = QuadRat(1)
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
 def _q_beta_by_powers(e):
     # independent of binet(): p(n)*F(n-j) contributes -p(n)*beta^(-j)/sqrt5
     # to the coefficient of beta^n, with beta's powers taken directly
     q = Poly(())
     neg_inv_sqrt5 = QuadRat(0, F(-1, 5))
     for t in e.terms:
-        q = q + t.poly * (BETA ** (-t.shift) * neg_inv_sqrt5)
+        q = q + t.poly * (_beta_pow(-t.shift) * neg_inv_sqrt5)
     return q
 
 
