@@ -12,7 +12,7 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))  # the checkout's fibrec, installed or not
 
-from fibrec import OeisEntry, fib, leonardo, render_bfile, theorem_construct  # noqa: E402
+from fibrec import OeisEntry, fib, leonardo, render_bfile, theorem_solution  # noqa: E402
 
 LAST = 40
 FIXTURES = SRC / "fibrec" / "fixtures"
@@ -23,9 +23,9 @@ def first_terms(expr) -> tuple[int, ...]:
 
 
 def main() -> None:
-    a010049 = theorem_construct(1, d=0, z=(1, 1, 3))
-    a129707 = theorem_construct(2, f=0, z=(0, 1, 4, 12, 31))
-    a054454 = theorem_construct(4, w=(0, 1, 2, 6, 12, 26)).shifted(1)
+    a010049 = theorem_solution(1, d=0, z=(1, 1, 3)).expr
+    a129707 = theorem_solution(2, f=0, z=(0, 1, 4, 12, 31)).expr
+    a054454 = theorem_solution(4, w=(0, 1, 2, 6, 12, 26)).expr.shifted(1)
 
     entries = [
         (
@@ -62,14 +62,10 @@ def main() -> None:
     ]
 
     FIXTURES.mkdir(parents=True, exist_ok=True)
-    index_lines = ["# bundled fixtures: A-number and offset, one per line"]
     for entry, comments in entries:
         path = FIXTURES / f"b{entry.a_number[1:]}.txt"
         path.write_text(render_bfile(entry, comments))
-        index_lines.append(f"{entry.a_number} {entry.offset}")
         print(f"wrote {path} ({len(entry.terms)} terms)")
-    (FIXTURES / "index.txt").write_text("\n".join(index_lines) + "\n")
-    print(f"wrote {FIXTURES / 'index.txt'}")
 
 
 if __name__ == "__main__":

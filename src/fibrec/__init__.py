@@ -11,7 +11,7 @@ parses/prints a small text language for them, and cross-checks everything
 against brute-force enumerators and bundled OEIS b-files.
 """
 
-from .cfinite import InvariantViolation, Recurrence, char_poly, to_recurrence, verify_recurrence
+from .cfinite import InvariantViolation, Recurrence, char_poly, to_recurrence
 from .decide import Integral, NonIntegral, Verdict, brute_scan, is_integer_sequence
 from .exact import ALPHA, INV_SQRT5, Poly, QuadRat
 from .fib import alpha_pow, fib, shift_coeffs
@@ -44,7 +44,6 @@ from .synth import (
     build_system,
     solve_template,
     symbolic_inverse,
-    theorem_construct,
     theorem_solution,
 )
 
@@ -100,8 +99,6 @@ __all__ = [
     "shift_coeffs",
     "solve_template",
     "symbolic_inverse",
-    "theorem_construct",
     "theorem_solution",
     "to_recurrence",
-    "verify_recurrence",
 ]

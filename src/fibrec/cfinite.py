@@ -39,15 +39,22 @@ def char_poly(form: CanonForm) -> Poly:
 class Recurrence:
     """w_n = coeffs[0]*w_{n-1} + ... + coeffs[m-1]*w_{n-m}, with w_0..w_{m-1}.
 
-    coeffs are the negated non-leading coefficients of the monic char_poly;
-    its constant coefficient is always +-1 for nonzero sequences, which is
-    what makes backward extension (and the integrality decision) exact.
+    order and coeffs are read off the monic char_poly: its degree, and its
+    negated non-leading coefficients.  Its constant coefficient is always
+    +-1 for nonzero sequences, which is what makes backward extension (and
+    the integrality decision) exact.
     """
 
-    order: int
-    coeffs: tuple[int, ...]
     char_poly: Poly
     initial: tuple[Fraction, ...]
+
+    @property
+    def order(self) -> int:
+        return self.char_poly.degree  # char_poly is never the zero polynomial
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(int(-c) for c in reversed(self.char_poly.coeffs[:-1]))
 
     def extend(self, count: int, direction: str = "forward") -> list[Fraction]:
         """Next values past the initial segment, forward or backward.
@@ -58,54 +65,48 @@ class Recurrence:
         """
         if count < 1:
             raise ValueError("count must be positive")
-        m = self.order
+        m, coeffs = self.order, self.coeffs
         window = deque((Fraction(v) for v in self.initial), maxlen=m)
         out: list[Fraction] = []
         if direction == "forward":
             for _ in range(count):
-                out.append(self._combine(window))
+                out.append(_combine(coeffs, window))
                 window.append(out[-1])
         elif direction == "backward":
             if m < 1:
                 raise ValueError("backward extension needs order >= 1")
-            tail = self.coeffs[-1]
+            tail = coeffs[-1]
             if tail not in (1, -1):
                 raise InvariantViolation(f"trailing recurrence coefficient {tail} is not a unit")
             for _ in range(count):
                 # the newest value minus its other terms leaves tail*w_{oldest-1}
                 newest = window.pop()
-                out.append((newest - self._combine(window)) / tail)
+                out.append((newest - _combine(coeffs, window)) / tail)
                 window.appendleft(out[-1])
         else:
             raise ValueError(f"unknown direction {direction!r}")
         return out
 
-    def _combine(self, window: deque[Fraction]) -> Fraction:
-        """sum_k coeffs[k-1]*w_{n-k}, for a window ending in w_{n-1}."""
-        return sum((c * w for c, w in zip(self.coeffs, reversed(window))), Fraction(0))
-
     def holds_for(self, expr: FibExpr, lo: int, hi: int) -> bool:
         """Check w_n = sum_k coeffs[k-1]*w_{n-k} exactly for every n in [lo, hi]."""
         if lo > hi:
             raise ValueError("empty verification range")
-        window: deque[Fraction] = deque(maxlen=self.order)  # w_{n-m} .. w_{n-1}
-        for n, v in expr.canon().values(lo - self.order, hi):
-            if n >= lo and v != self._combine(window):
+        m, coeffs = self.order, self.coeffs
+        window: deque[Fraction] = deque(maxlen=m)  # w_{n-m} .. w_{n-1}
+        for n, v in expr.canon().values(lo - m, hi):
+            if n >= lo and v != _combine(coeffs, window):
                 return False
             window.append(v)
         return True
 
 
+def _combine(coeffs: tuple[int, ...], window: deque[Fraction]) -> Fraction:
+    """sum_k coeffs[k-1]*w_{n-k}, for a window ending in w_{n-1}."""
+    return sum((c * w for c, w in zip(coeffs, reversed(window))), Fraction(0))
+
+
 def to_recurrence(expr: FibExpr) -> Recurrence:
-    """Order, recurrence coefficients and initial values of an expression."""
+    """Characteristic polynomial and initial values of an expression."""
     form = expr.canon()
     cp = char_poly(form)
-    m = cp.degree  # char_poly is never the zero polynomial
-    coeffs = tuple(int(-cp.coeffs[m - k]) for k in range(1, m + 1))
-    initial = tuple(v for _, v in form.values(0, m - 1))
-    return Recurrence(m, coeffs, cp, initial)
-
-
-def verify_recurrence(expr: FibExpr, lo: int, hi: int) -> bool:
-    """Derive the recurrence of expr and check it on [lo, hi] by evaluation."""
-    return to_recurrence(expr).holds_for(expr, lo, hi)
+    return Recurrence(cp, tuple(v for _, v in form.values(0, cp.degree - 1)))

@@ -5,6 +5,8 @@ subcommand accepts --json for a single machine-readable document on stdout.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
+A reader that closes stdout early (`fibrec eval ... | head -1`) is not an
+error: fibrec stops writing, prints nothing on stderr and exits 0.
 """
 
 from __future__ import annotations
@@ -19,15 +21,9 @@ from typing import Iterable
 
 from .cfinite import to_recurrence
 from .decide import NonIntegral, is_integer_sequence
-from .oeis import (
-    OeisFormatError,
-    OeisTimeoutError,
-    OeisTransportError,
-    search_local,
-    search_remote,
-)
+from .oeis import OeisLookupError, search_local, search_remote
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
-from .parser import MAX_INDEX, ParseError, format_expr, format_poly, parse
+from .parser import MAX_INDEX, format_expr, format_poly, parse
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -289,9 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # the interpreter refuses a longer value before converting any of it
-    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if old_limit is not None:
-        sys.set_int_max_str_digits(MAX_DIGITS)
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         code, payload, lines = args.func(args)
         if args.json:
@@ -299,11 +294,15 @@ def main(argv: list[str] | None = None) -> int:
         else:
             for line in lines:
                 print(line)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OeisTimeoutError, OeisTransportError, OeisFormatError) as exc:
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    except OeisLookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     except ValueError as exc:
@@ -315,8 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
-        if old_limit is not None:
-            sys.set_int_max_str_digits(old_limit)
+        sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

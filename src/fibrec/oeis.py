@@ -1,11 +1,12 @@
 """Match sequence prefixes against OEIS: bundled b-files first, HTTP opt-in.
 
 Local search runs against the fixtures shipped with the package: standard
-b-files ("n a(n)" per line, '#' comment lines allowed) plus an index file
-mapping A-number to offset.  Remote search queries the public OEIS JSON
-endpoint with the standard library's urllib, imported only when a remote
-search runs; it is strictly opt-in at the CLI, and the tests replace
-``urllib.request.urlopen`` instead of reaching the network.
+b-files ("n a(n)" per line, '#' comment lines allowed).  The file name
+bNNNNNN.txt gives the A-number and the first index gives the offset.
+Remote search queries the public OEIS JSON endpoint with the standard
+library's urllib, imported only when a remote search runs; it is strictly
+opt-in at the CLI, and the tests replace ``urllib.request.urlopen``
+instead of reaching the network.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 MIN_PREFIX = 4
 OEIS_SEARCH_URL = "https://oeis.org/search"
@@ -95,24 +96,14 @@ def render_bfile(entry: OeisEntry, comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fixture_text(name: str) -> str:
-    return (resources.files(__package__) / "fixtures" / name).read_text()
-
-
 def load_fixtures() -> dict[str, OeisEntry]:
-    """Bundled entries keyed by A-number, as listed in fixtures/index.txt."""
+    """Bundled entries keyed by A-number, one per fixtures/b*.txt in name order."""
+    fixtures = resources.files(__package__) / "fixtures"
     out: dict[str, OeisEntry] = {}
-    for line in _fixture_text("index.txt").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        a_number, offset = line.split()
-        entry = entry_from_bfile(a_number, _fixture_text(f"b{a_number[1:]}.txt"))
-        if entry.offset != int(offset):
-            raise ValueError(
-                f"{a_number}: index offset {offset} != b-file start {entry.offset}"
-            )
-        out[a_number] = entry
+    for path in sorted(fixtures.iterdir(), key=lambda p: p.name):
+        if path.name.startswith("b") and path.name.endswith(".txt"):
+            entry = entry_from_bfile(f"A{path.name[1:-4]}", path.read_text())
+            out[entry.a_number] = entry
     return out
 
 
@@ -131,22 +122,17 @@ def _checked_prefix(prefix: Sequence[int]) -> tuple[int, ...]:
 
 
 def search_local(
-    prefix: Sequence[int],
-    entries: Iterable[OeisEntry] | Mapping[str, OeisEntry] | None = None,
+    prefix: Sequence[int], entries: Iterable[OeisEntry] | None = None
 ) -> list[OeisHit]:
-    """All fixture entries containing the prefix as a contiguous run.
+    """All entries (the bundled fixtures by default) holding the prefix as a contiguous run.
 
     Results are ordered by A-number; an empty list means no match.
     """
     needle = _checked_prefix(prefix)
     if entries is None:
-        pool: Iterable[OeisEntry] = load_fixtures().values()
-    elif isinstance(entries, Mapping):
-        pool = entries.values()
-    else:
-        pool = entries
+        entries = load_fixtures().values()
     hits = []
-    for entry in sorted(pool, key=lambda e: e.a_number):
+    for entry in sorted(entries, key=lambda e: e.a_number):
         start = _find_run(entry.terms, needle)
         if start is not None:
             hits.append(OeisHit(entry, start))

@@ -17,7 +17,7 @@ def _check(n: int, cap: int = MAX_ENUM) -> None:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > cap:
-        raise ValueError(f"enumeration capped at n <= {cap}")
+        raise ValueError(f"oracle capped at n <= {cap}")
 
 
 def compositions_parts_count(n: int) -> int:

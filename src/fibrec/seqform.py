@@ -63,14 +63,6 @@ class FibExpr:
         kept = tuple(ShiftTerm(s, q) for s, q in sorted(acc.items()) if q)
         return FibExpr(kept, Fraction(const), Fraction(alt))
 
-    @staticmethod
-    def zero() -> "FibExpr":
-        return FibExpr()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms and not self.const_e and not self.alt_f
-
     def at(self, n: int) -> Fraction:
         """Exact value of the sequence at index n (any integer)."""
         return next(self.canon().values(n, n))[1]
@@ -166,9 +158,6 @@ class CanonForm:
         if d1 is None:
             return d0
         return max(d0, d1)
-
-    def to_expr(self) -> FibExpr:
-        return FibExpr.of([(0, self.p0), (1, self.p1)], self.const_e, self.alt_f)
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""

@@ -12,7 +12,7 @@ F(n-1) coefficients by descending degree, then the constant, then the
 alternating coefficient.  Slots are named a, b, c, ... in that order, and
 ``unknowns``, ``basis_row`` and ``expr_from`` all read it.
 
-``theorem_construct`` builds the four guaranteed-integer families:
+``theorem_solution`` builds the four guaranteed-integer families:
 
     1: (a*n+b)*F(n) + (c*n+d)*F(n-1)                  params d, z=(z1..z3)
     2: (a*n^2+b*n+c)*F(n) + (d*n^2+e*n+f)*F(n-1)      params f, z=(z1..z5)
@@ -165,7 +165,7 @@ def _int_params(name: str, vals: Sequence, want: int) -> list[int]:
 
 
 def theorem_solution(which: int, *, d=None, e=None, f=None, z=None, w=None) -> SynthSolution:
-    """Coefficients and expression for one of the four integer families."""
+    """Coefficients and expression of a family instance; integer params make it integral."""
     if which not in FAMILY_TEMPLATES:
         raise ValueError(f"unknown family {which!r} (expected 1, 2, 3 or 4)")
     template = FAMILY_TEMPLATES[which]
@@ -190,8 +190,3 @@ def theorem_solution(which: int, *, d=None, e=None, f=None, z=None, w=None) -> S
         raise ValueError(f"{base_name} must be an integer, got {base!r}")
     zs = _int_params("z", z, k - 1)
     return solve_template(template, [base] + [zi + fib(i) * base for i, zi in enumerate(zs)])
-
-
-def theorem_construct(which: int, *, d=None, e=None, f=None, z=None, w=None) -> FibExpr:
-    """Expression for a family instance; integer params make it integer-valued."""
-    return theorem_solution(which, d=d, e=e, f=f, z=z, w=w).expr

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from fibrec import FAMILY_TEMPLATES, FibExpr, Poly, fib, solve_template, theorem_construct
+from fibrec import FAMILY_TEMPLATES, FibExpr, Poly, fib, solve_template, theorem_solution
 
 F = Fraction
 
@@ -100,12 +100,12 @@ def rand_family_instance(rng: random.Random, span: int = 30) -> FibExpr:
     which = rng.randint(1, 4)
     pick = lambda: rng.randint(-span, span)
     if which == 1:
-        return theorem_construct(1, d=pick(), z=(pick(), pick(), pick()))
+        return theorem_solution(1, d=pick(), z=(pick(), pick(), pick())).expr
     if which == 2:
-        return theorem_construct(2, f=pick(), z=tuple(pick() for _ in range(5)))
+        return theorem_solution(2, f=pick(), z=tuple(pick() for _ in range(5))).expr
     if which == 3:
-        return theorem_construct(3, e=pick(), z=tuple(pick() for _ in range(4)))
-    return theorem_construct(4, w=tuple(pick() for _ in range(6)))
+        return theorem_solution(3, e=pick(), z=tuple(pick() for _ in range(4))).expr
+    return theorem_solution(4, w=tuple(pick() for _ in range(6))).expr
 
 
 def rand_perturbed_instance(rng: random.Random) -> FibExpr:

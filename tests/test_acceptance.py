@@ -43,7 +43,7 @@ from fibrec import (
     search_local,
     solve_template,
     symbolic_inverse,
-    theorem_construct,
+    theorem_solution,
     to_recurrence,
 )
 
@@ -205,7 +205,7 @@ def test_07_combinatorial_oracles():
 
 def test_08_walks_and_leonardo():
     with criterion(8, "shift-by-one matches the walks formula; Leonardo identity"):
-        constructed = theorem_construct(4, w=(0, 1, 2, 6, 12, 26))
+        constructed = theorem_solution(4, w=(0, 1, 2, 6, 12, 26)).expr
         assert constructed.shifted(1).same_sequence(parse(A054454_TEXT))
         assert constructed.shifted(1).same_sequence(A054454)
 

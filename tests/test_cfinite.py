@@ -25,7 +25,6 @@ from fibrec import (
     Recurrence,
     char_poly,
     to_recurrence,
-    verify_recurrence,
 )
 
 QUARTIC = Poly((1, 2, -1, -2, 1))  # (x^2-x-1)^2
@@ -43,7 +42,7 @@ def test_char_poly_examples():
 
 
 def test_char_poly_minimality_at_spectral_level():
-    assert char_poly(FibExpr.zero().canon()) == Poly((1,))
+    assert char_poly(FibExpr().canon()) == Poly((1,))
     assert char_poly(FibExpr.of([], const=F(1, 2)).canon()) == Poly((-1, 1))
     assert char_poly(FibExpr.of([], alt=3).canon()) == Poly((1, 1))
     assert char_poly(FibExpr.of([], const=1, alt=1).canon()) == Poly((-1, 0, 1))
@@ -60,17 +59,18 @@ def test_to_recurrence_examples():
     assert to_recurrence(A129707).coeffs == (3, 0, -5, 0, 3, 1)
     assert to_recurrence(QUAD_LIN).coeffs == (3, 0, -5, 0, 3, 1)
 
-    zero = to_recurrence(FibExpr.zero())
+    zero = to_recurrence(FibExpr())
     assert (zero.order, zero.coeffs, zero.initial) == (0, (), ())
 
 
 def test_verify_recurrence_examples():
-    assert verify_recurrence(A010049, 4, 40)
-    assert verify_recurrence(A054454, 6, 40)
-    corrupted = dataclasses.replace(to_recurrence(A010049), coeffs=(3, 1, -2, -1))
+    assert to_recurrence(A010049).holds_for(A010049, 4, 40)
+    assert to_recurrence(A054454).holds_for(A054454, 6, 40)
+    corrupted = dataclasses.replace(to_recurrence(A010049), char_poly=Poly((1, 2, -1, -3, 1)))
+    assert corrupted.coeffs == (3, 1, -2, -1)
     assert not corrupted.holds_for(A010049, 4, 10)
     with pytest.raises(ValueError):
-        verify_recurrence(A010049, 10, 4)
+        to_recurrence(A010049).holds_for(A010049, 10, 4)
 
 
 def test_holds_for_checks_every_index_of_the_window():
@@ -102,7 +102,7 @@ def test_extend_backward_fibonacci():
 
 
 def test_extend_zero_sequence_forward():
-    assert to_recurrence(FibExpr.zero()).extend(3) == [0, 0, 0]
+    assert to_recurrence(FibExpr()).extend(3) == [0, 0, 0]
 
 
 def test_extend_argument_validation():
@@ -112,11 +112,12 @@ def test_extend_argument_validation():
     with pytest.raises(ValueError):
         rec.extend(2, "sideways")
     with pytest.raises(ValueError):
-        to_recurrence(FibExpr.zero()).extend(1, "backward")
+        to_recurrence(FibExpr()).extend(1, "backward")
 
 
 def test_extend_backward_requires_unit_trailing_coefficient():
-    bogus = Recurrence(1, (2,), Poly((-2, 1)), (F(1),))
+    bogus = Recurrence(Poly((-2, 1)), (F(1),))  # w_n = 2*w_{n-1}
+    assert (bogus.order, bogus.coeffs) == (1, (2,))
     with pytest.raises(InvariantViolation):
         bogus.extend(1, "backward")
 

@@ -39,9 +39,6 @@ def test_eval_constant_rational(capsys):
     assert [line.split()[1] for line in out.strip().splitlines()] == ["1/2"] * 3
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
-)
 def test_exact_values_past_the_int_to_str_digit_limit(capsys):
     # F(30000) has 6,270 digits, above the interpreter's default limit of 4,300
     a, b = 0, 1
@@ -62,9 +59,6 @@ def test_exact_values_past_the_int_to_str_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
-)
 def test_values_past_max_digits_are_refused(capsys, monkeypatch):
     import fibrec.cli
 
@@ -360,6 +354,21 @@ def test_check_json_schema(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_closed_pipe_is_not_an_error():
+    # the reader takes one line and closes its end while eval is still streaming
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibrec", "eval", "F(n)", "--to", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert (first, err) == (b"0 0\n", b"")
 
 
 def test_module_entry_point_subprocess():

@@ -13,7 +13,7 @@ from fibrec import FibExpr, Integral, NonIntegral, brute_scan, is_integer_sequen
 def test_integral_examples():
     assert is_integer_sequence(A010049) == Integral((0, 1, 1, 3))
     assert is_integer_sequence(QUAD_LIN) == Integral((1, 1, 2, 2, 4, 7))
-    assert is_integer_sequence(FibExpr.zero()) == Integral(())
+    assert is_integer_sequence(FibExpr()) == Integral(())
 
 
 def test_non_integral_example():
@@ -33,7 +33,7 @@ def test_witness_is_least_non_negative():
 def test_brute_scan_examples():
     assert brute_scan(A010049, -40, 40) is None
     assert brute_scan(FibExpr.of([(0, [0, F(1, 2)])]), -10, 10) == -7
-    assert brute_scan(FibExpr.zero(), -5, 5) is None
+    assert brute_scan(FibExpr(), -5, 5) is None
     with pytest.raises(ValueError):
         brute_scan(A010049, 4, 2)
 

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import pathlib
 import subprocess
 import sys
 import urllib.error
@@ -10,6 +11,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+import fibrec
 from conftest import A010049 as A010049_EXPR
 from conftest import A054454 as A054454_EXPR
 from conftest import A129707 as A129707_EXPR
@@ -74,6 +76,16 @@ def test_fixtures_load_and_round_trip():
         assert entry.a_number == a_number
         again = entry_from_bfile(a_number, render_bfile(entry, comments=("round trip",)))
         assert again == entry
+
+
+def test_load_fixtures_reads_each_bfile():
+    fixtures = load_fixtures()
+    assert list(fixtures) == ["A000045", "A001595", "A010049", "A054454", "A129707"]
+    folder = pathlib.Path(fibrec.__file__).parent / "fixtures"
+    for a_number, entry in fixtures.items():
+        pairs = parse_bfile((folder / f"b{a_number[1:]}.txt").read_text())
+        assert pairs[0][0] == 0
+        assert entry == OeisEntry(a_number, 0, tuple(v for _, v in pairs))
 
 
 def test_fixture_terms_match_their_formulas():

@@ -33,7 +33,7 @@ def test_parse_constants_and_alternating():
 
 def test_parse_merges_duplicate_shifts():
     assert parse("F(n) + 2*F(n)") == FibExpr.of([(0, [3])])
-    assert parse("n*F(n) - n*F(n)") == FibExpr.zero()
+    assert parse("n*F(n) - n*F(n)") == FibExpr()
 
 
 def test_parse_is_whitespace_insensitive():
@@ -143,7 +143,7 @@ def test_numbers_past_the_int_to_str_digit_limit_are_parse_errors():
 def test_print_worked_examples():
     assert format_expr(A010049) == "(2/5*n + 3/5)*F(n) + (-1/5*n)*F(n-1)"
     assert format_expr(QUAD_LIN) == "(1/10*n^2 - 43/50*n + 44/25)*F(n) + (7/25*n + 1)*F(n-1)"
-    assert format_expr(FibExpr.zero()) == "0"
+    assert format_expr(FibExpr()) == "0"
 
 
 def test_print_component_shapes():

@@ -23,7 +23,6 @@ from fibrec import (
     is_integer_sequence,
     solve_template,
     symbolic_inverse,
-    theorem_construct,
     theorem_solution,
 )
 
@@ -268,34 +267,34 @@ def test_full_linear_rows_against_worked_example():
 
 
 def test_theorem_construct_examples():
-    assert theorem_construct(1, d=0, z=(1, 1, 3)) == A010049
-    assert theorem_construct(2, f=0, z=(0, 1, 4, 12, 31)) == A129707
-    assert theorem_construct(3, e=1, z=(1, 1, 1, 2)) == QUAD_LIN
-    assert theorem_construct(4, w=(0, 1, 2, 6, 12, 26)) == WALKS_W
+    assert theorem_solution(1, d=0, z=(1, 1, 3)).expr == A010049
+    assert theorem_solution(2, f=0, z=(0, 1, 4, 12, 31)).expr == A129707
+    assert theorem_solution(3, e=1, z=(1, 1, 1, 2)).expr == QUAD_LIN
+    assert theorem_solution(4, w=(0, 1, 2, 6, 12, 26)).expr == WALKS_W
 
 
 def test_theorem_construct_validation():
     with pytest.raises(ValueError):
-        theorem_construct(5, d=0, z=(1, 1, 3))
+        theorem_solution(5, d=0, z=(1, 1, 3))
     with pytest.raises(ValueError):
-        theorem_construct(1, z=(1, 1, 3))
+        theorem_solution(1, z=(1, 1, 3))
     with pytest.raises(ValueError):
-        theorem_construct(1, d=0, z=(1, 1))
+        theorem_solution(1, d=0, z=(1, 1))
     with pytest.raises(ValueError):
-        theorem_construct(1, d=0, e=0, z=(1, 1, 3))
+        theorem_solution(1, d=0, e=0, z=(1, 1, 3))
     with pytest.raises(ValueError):
-        theorem_construct(4, w=(0, 1, 2, 6, 12))
+        theorem_solution(4, w=(0, 1, 2, 6, 12))
     with pytest.raises(ValueError):
-        theorem_construct(4, w=(0, 1, 2, 6, 12, 26), d=1)
+        theorem_solution(4, w=(0, 1, 2, 6, 12, 26), d=1)
     with pytest.raises(ValueError):
-        theorem_construct(2, f=F(1, 2), z=(0, 1, 4, 12, 31))
+        theorem_solution(2, f=F(1, 2), z=(0, 1, 4, 12, 31))
     with pytest.raises(ValueError, match="z entries must be integers, got Fraction"):
-        theorem_construct(1, d=0, z=(1, F(1, 2), 3))
+        theorem_solution(1, d=0, z=(1, F(1, 2), 3))
     with pytest.raises(ValueError, match="family 4 needs w"):
-        theorem_construct(4)
+        theorem_solution(4)
     for which, base in ((1, "d"), (2, "f"), (3, "e")):
         with pytest.raises(ValueError, match=f"family {which} does not take w"):
-            theorem_construct(which, **{base: 0}, z=(1, 1, 3), w=(0, 1, 2, 6, 12, 26))
+            theorem_solution(which, **{base: 0}, z=(1, 1, 3), w=(0, 1, 2, 6, 12, 26))
 
 
 def test_theorem_construct_matches_general_solver():
@@ -306,15 +305,15 @@ def test_theorem_construct_matches_general_solver():
         w0 = base
         values = [w0] + [z[i - 1] + fib(i - 1) * w0 for i in range(1, 6)]
 
-        via_rows = theorem_construct(2, f=base, z=tuple(z))
+        via_rows = theorem_solution(2, f=base, z=tuple(z)).expr
         via_solver = solve_template(QUADRATIC, values).expr
         assert via_rows.same_sequence(via_solver)
 
-        via_rows = theorem_construct(1, d=base, z=tuple(z[:3]))
+        via_rows = theorem_solution(1, d=base, z=tuple(z[:3])).expr
         via_solver = solve_template(LINEAR, values[:4]).expr
         assert via_rows.same_sequence(via_solver)
 
-        via_rows = theorem_construct(3, e=base, z=tuple(z[:4]))
+        via_rows = theorem_solution(3, e=base, z=tuple(z[:4])).expr
         via_solver = solve_template(QUAD_LINEAR, values[:5]).expr
         assert via_rows.same_sequence(via_solver)
 
