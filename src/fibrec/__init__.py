@@ -34,10 +34,6 @@ from .parser import ParseError, format_expr, format_poly, parse
 from .seqform import BinetForm, CanonForm, FibExpr, ShiftTerm
 from .synth import (
     FAMILY_TEMPLATES,
-    LINEAR,
-    LINEAR_FULL,
-    QUAD_LINEAR,
-    QUADRATIC,
     DegenerateTemplateError,
     SynthSolution,
     Template,
@@ -59,8 +55,6 @@ __all__ = [
     "INV_SQRT5",
     "Integral",
     "InvariantViolation",
-    "LINEAR",
-    "LINEAR_FULL",
     "NonIntegral",
     "OeisEntry",
     "OeisFormatError",
@@ -70,8 +64,6 @@ __all__ = [
     "OeisTransportError",
     "ParseError",
     "Poly",
-    "QUAD_LINEAR",
-    "QUADRATIC",
     "QuadRat",
     "Recurrence",
     "ShiftTerm",

@@ -1,10 +1,16 @@
-"""Characteristic polynomials and integer recurrences for canonical forms."""
+"""Characteristic polynomials and integer recurrences for canonical forms.
+
+One stepping loop, ``_steps``, gives every recurrence value: ``extend`` in
+both directions and ``holds_for`` read it.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .exact import Poly
 from .seqform import CanonForm, FibExpr
@@ -59,50 +65,44 @@ class Recurrence:
     def extend(self, count: int, direction: str = "forward") -> list[Fraction]:
         """Next values past the initial segment, forward or backward.
 
-        forward: w_m ... w_{m+count-1}; backward: w_{-1} ... w_{-count},
-        obtained by solving for the trailing term (exact because the
-        trailing coefficient is a unit).
+        forward: w_m ... w_{m+count-1}; backward: w_{-1} ... w_{-count}, the
+        forward values of the reflected recurrence: x^m*p(1/x) over its
+        leading coefficient (a unit, so it stays integral), started from the
+        initial values reversed.
         """
         if count < 1:
             raise ValueError("count must be positive")
-        m, coeffs = self.order, self.coeffs
-        window = deque((Fraction(v) for v in self.initial), maxlen=m)
-        out: list[Fraction] = []
-        if direction == "forward":
-            for _ in range(count):
-                out.append(_combine(coeffs, window))
-                window.append(out[-1])
-        elif direction == "backward":
-            if m < 1:
+        if direction == "backward":
+            if self.order < 1:
                 raise ValueError("backward extension needs order >= 1")
-            tail = coeffs[-1]
+            tail = self.coeffs[-1]
             if tail not in (1, -1):
                 raise InvariantViolation(f"trailing recurrence coefficient {tail} is not a unit")
-            for _ in range(count):
-                # the newest value minus its other terms leaves tail*w_{oldest-1}
-                newest = window.pop()
-                out.append((newest - _combine(coeffs, window)) / tail)
-                window.appendleft(out[-1])
-        else:
+            # x^m*p(1/x) = 1 - c_1*x - ... - c_m*x^m; dividing by the unit -c_m multiplies by it
+            reflected = Poly((1, *(-c for c in self.coeffs))) * -tail
+            return Recurrence(reflected, self.initial[::-1]).extend(count)
+        if direction != "forward":
             raise ValueError(f"unknown direction {direction!r}")
-        return out
+        return list(islice(_steps(self.coeffs, self.initial), count))
 
     def holds_for(self, expr: FibExpr, lo: int, hi: int) -> bool:
         """Check w_n = sum_k coeffs[k-1]*w_{n-k} exactly for every n in [lo, hi]."""
         if lo > hi:
             raise ValueError("empty verification range")
-        m, coeffs = self.order, self.coeffs
-        window: deque[Fraction] = deque(maxlen=m)  # w_{n-m} .. w_{n-1}
-        for n, v in expr.canon().values(lo - m, hi):
-            if n >= lo and v != _combine(coeffs, window):
-                return False
-            window.append(v)
-        return True
+        # seed the steps with w_{lo-m}..w_{lo-1}, read before zip takes w_lo on;
+        # each step then predicts w_n from true values up to the first mismatch
+        values = (v for _, v in expr.canon().values(lo - self.order, hi))
+        steps = _steps(self.coeffs, tuple(islice(values, self.order)))
+        return all(v == w for v, w in zip(values, steps))
 
 
-def _combine(coeffs: tuple[int, ...], window: deque[Fraction]) -> Fraction:
-    """sum_k coeffs[k-1]*w_{n-k}, for a window ending in w_{n-1}."""
-    return sum((c * w for c, w in zip(coeffs, reversed(window))), Fraction(0))
+def _steps(coeffs: tuple[int, ...], initial: Iterable) -> Iterator[Fraction]:
+    """w_m, w_{m+1}, ... of w_n = sum_k coeffs[k-1]*w_{n-k}, from w_0..w_{m-1}."""
+    window = deque(map(Fraction, initial), maxlen=len(coeffs))  # w_{n-m} .. w_{n-1}
+    while True:
+        w = sum((c * v for c, v in zip(coeffs, reversed(window))), Fraction(0))
+        window.append(w)
+        yield w
 
 
 def to_recurrence(expr: FibExpr) -> Recurrence:

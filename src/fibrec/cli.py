@@ -12,6 +12,7 @@ error: fibrec stops writing, prints nothing on stderr and exits 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -36,6 +37,8 @@ EXIT_NETWORK = 4
 _Output = tuple[int, dict, Iterable[str]]
 
 REMOTE_ENV = "FIBREC_OEIS_REMOTE"
+# Longest --timeout (a day): 0 makes the socket non-blocking, inf overflows it.
+_MAX_TIMEOUT = 86_400
 
 # Longest value the CLI will print.  Turning an int into text is quadratic
 # in CPython: 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
@@ -144,15 +147,7 @@ def _cmd_synth(args) -> _Output:
     template = Template(args.deg0, args.deg1, args.const, args.alt)
     values = _number_list(args.values, Fraction)
     solution = solve_template(template, values)
-    extra = {
-        "template": {
-            "deg_p0": template.deg_p0,
-            "deg_p1": template.deg_p1,
-            "has_const": template.has_const,
-            "has_alt": template.has_alt,
-        },
-        "values": [str(v) for v in values],
-    }
+    extra = {"template": dataclasses.asdict(template), "values": [str(v) for v in values]}
     return _solution_output(extra, solution)
 
 
@@ -174,6 +169,8 @@ def _cmd_theorem(args) -> _Output:
 
 
 def _cmd_oeis(args) -> _Output:
+    if not 0 < args.timeout <= _MAX_TIMEOUT:  # also false for nan
+        raise ValueError(f"--timeout must be more than 0 and at most {_MAX_TIMEOUT} seconds")
     prefix = _number_list(args.terms)
     if args.remote:
         if os.environ.get(REMOTE_ENV, "").lower() not in ("1", "true", "yes"):

@@ -84,13 +84,6 @@ class QuadRat:
     def __repr__(self) -> str:
         return f"QuadRat({self.r}, {self.s})"
 
-    def __str__(self) -> str:
-        if not self.s:
-            return str(self.r)
-        if not self.r:
-            return f"{self.s}*sqrt(5)"
-        return f"{self.r} + {self.s}*sqrt(5)" if self.s > 0 else f"{self.r} - {-self.s}*sqrt(5)"
-
 
 INV_SQRT5 = QuadRat(0, Fraction(1, 5))
 ALPHA = QuadRat(Fraction(1, 2), Fraction(1, 2))

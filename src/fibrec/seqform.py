@@ -127,15 +127,6 @@ class FibExpr:
         q_alpha = (form.p0 + form.p1 * (ALPHA - 1)) * INV_SQRT5
         return BinetForm(q_alpha, q_alpha.map_coeffs(QuadRat.conj))
 
-    def same_sequence(self, other: "FibExpr") -> bool:
-        """True iff both expressions agree at every integer index."""
-        return self.canon() == other.canon()
-
-    def __str__(self) -> str:
-        from .parser import format_expr
-
-        return format_expr(self)
-
 
 @dataclass(frozen=True)
 class CanonForm:

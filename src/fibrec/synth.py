@@ -56,20 +56,25 @@ class Template:
             raise ValueError("template has no unknowns")
 
     @property
+    def _degrees(self) -> tuple[int | None, ...]:
+        """Degree of each part, None when absent; see slots for the parts."""
+        return (self.deg_p0, self.deg_p1, 0 if self.has_const else None,
+                0 if self.has_alt else None)
+
+    @property
     def slots(self) -> tuple[tuple[int, int], ...]:
         """(part, power) of each unknown, in slot order.
 
         Part 0 multiplies F(n), part 1 F(n-1), part 2 is the constant and
         part 3 the alternating term; within a part, powers descend.
         """
-        degrees = (self.deg_p0, self.deg_p1, 0 if self.has_const else None,
-                   0 if self.has_alt else None)
-        return tuple((part, p) for part, d in enumerate(degrees) if d is not None
+        return tuple((part, p) for part, d in enumerate(self._degrees) if d is not None
                      for p in range(d, -1, -1))
 
     @property
     def unknowns(self) -> int:
-        return len(self.slots)
+        # counted, not listed: a huge degree must fail the value-count check at once
+        return sum(d + 1 for d in self._degrees if d is not None)
 
     @property
     def slot_names(self) -> tuple[str, ...]:
@@ -93,12 +98,12 @@ class Template:
         return FibExpr.of([(0, p0[::-1]), (1, p1[::-1])], sum(const), sum(alt))
 
 
-LINEAR = Template(1, 1)
-QUADRATIC = Template(2, 2)
-QUAD_LINEAR = Template(2, 1)
-LINEAR_FULL = Template(1, 1, has_const=True, has_alt=True)
-
-FAMILY_TEMPLATES = {1: LINEAR, 2: QUADRATIC, 3: QUAD_LINEAR, 4: LINEAR_FULL}
+FAMILY_TEMPLATES = {
+    1: Template(1, 1),
+    2: Template(2, 2),
+    3: Template(2, 1),
+    4: Template(1, 1, has_const=True, has_alt=True),
+}
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from fibrec import (
     Poly,
     Recurrence,
     char_poly,
+    parse,
     to_recurrence,
 )
 
@@ -99,6 +100,11 @@ def test_extend_backward_fibonacci():
     rec = to_recurrence(FibExpr.of([(0, [1])]))
     assert rec.initial == (0, 1)
     assert rec.extend(4, "backward") == [1, -1, 2, -3]
+    # order 1: x - 1 and x + 1 are their own reflections
+    for text, initial, backward in (("3", (3,), [3, 3, 3]), ("2*(-1)^n", (2,), [-2, 2, -2])):
+        rec = to_recurrence(parse(text))
+        assert rec.initial == initial
+        assert rec.extend(3, "backward") == backward
 
 
 def test_extend_zero_sequence_forward():

@@ -115,6 +115,13 @@ def test_huge_index_is_rejected_before_any_work(capsys, no_fib, bounds):
     assert "--from and --to must lie within +-10000000" in err
 
 
+def test_huge_template_is_rejected_before_any_work(capsys, no_fib):
+    # listing the 10**12 + 1 unknowns would exhaust memory before the count check
+    code, out, err = run_cli(capsys, "synth", "--deg0", "1000000000000", "--values", "1")
+    assert (code, out) == (2, "")
+    assert "template needs 1000000000001 values, got 1" in err
+
+
 def test_the_no_fib_fixture_catches_work(capsys, no_fib):
     code, _, _ = run_cli(capsys, "eval", "F(n)", "--from", "-10000000", "--to", "-10000000")
     assert code == 1
@@ -309,6 +316,21 @@ def test_oeis_network_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "oeis", "0,1,1,2", "--remote")
     assert code == 4
     assert "no route" in err
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e10"])
+def test_oeis_timeout_out_of_range_is_usage_error(capsys, monkeypatch, timeout):
+    from fibrec import cli as cli_module
+
+    monkeypatch.setenv("FIBREC_OEIS_REMOTE", "1")
+
+    def never(prefix, timeout):
+        raise AssertionError("search_remote was called")
+
+    monkeypatch.setattr(cli_module, "search_remote", never)
+    code, out, err = run_cli(capsys, "oeis", "0,1,1,2", "--remote", "--timeout", timeout)
+    assert (code, out) == (2, "")
+    assert "--timeout must be more than 0 and at most 86400 seconds" in err
 
 
 def test_oracle_commands(capsys):

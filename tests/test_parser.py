@@ -166,7 +166,7 @@ def test_round_trip_500_random_expressions():
         e = rand_expr(rng)
         back = parse(format_expr(e))
         assert back == e
-        assert back.same_sequence(e)
+        assert back.canon() == e.canon()
 
 
 def test_fuzz_totality_printable():

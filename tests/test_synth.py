@@ -1,5 +1,6 @@
 """Template systems, exact solving, symbolic inverses, the four families."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -10,10 +11,6 @@ from conftest import A010049, A129707, QUAD_LIN, WALKS_W, ref_at
 
 from fibrec import (
     FAMILY_TEMPLATES,
-    LINEAR,
-    LINEAR_FULL,
-    QUAD_LINEAR,
-    QUADRATIC,
     DegenerateTemplateError,
     Integral,
     Template,
@@ -40,13 +37,16 @@ def _identity(k):
 
 
 def test_template_slot_bookkeeping():
-    assert LINEAR.unknowns == 4
-    assert LINEAR.slot_names == ("a", "b", "c", "d")
-    assert QUADRATIC.unknowns == 6
-    assert QUAD_LINEAR.unknowns == 5
-    assert LINEAR_FULL.unknowns == 6
+    assert FAMILY_TEMPLATES[1].unknowns == 4
+    assert FAMILY_TEMPLATES[1].slot_names == ("a", "b", "c", "d")
+    assert FAMILY_TEMPLATES[2].unknowns == 6
+    assert FAMILY_TEMPLATES[3].unknowns == 5
+    assert FAMILY_TEMPLATES[4].unknowns == 6
     assert Template(None, 0, has_const=True).unknowns == 2
-    assert LINEAR_FULL.slots == ((0, 1), (0, 0), (1, 1), (1, 0), (2, 0), (3, 0))
+    assert FAMILY_TEMPLATES[4].slots == ((0, 1), (0, 0), (1, 1), (1, 0), (2, 0), (3, 0))
+    assert [dataclasses.astuple(t) for t in FAMILY_TEMPLATES.values()] == [
+        (1, 1, False, False), (2, 2, False, False), (2, 1, False, False), (1, 1, True, True)
+    ]
     with pytest.raises(ValueError):
         Template(None, None)
     with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ def test_template_slot_bookkeeping():
     )
     assert format_expr(Template(0, 2, True).expr_from([F(3, 7), 0, 0, 0, 0])) == "3/7*F(n)"
     with pytest.raises(ValueError, match="expected 4 coefficients, got 3"):
-        LINEAR.expr_from([1, 2, 3])
+        FAMILY_TEMPLATES[1].expr_from([1, 2, 3])
 
 
 def _reference_row(t, n):
@@ -79,9 +79,9 @@ def _reference_row(t, n):
 
 
 def test_build_system_rows():
-    assert build_system(LINEAR)[2] == [2, 1, 2, 1]
-    assert build_system(QUADRATIC)[5] == [125, 25, 5, 75, 15, 3]
-    assert build_system(LINEAR_FULL)[0] == [0, 0, 0, 1, 1, 1]
+    assert build_system(FAMILY_TEMPLATES[1])[2] == [2, 1, 2, 1]
+    assert build_system(FAMILY_TEMPLATES[2])[5] == [125, 25, 5, 75, 15, 3]
+    assert build_system(FAMILY_TEMPLATES[4])[0] == [0, 0, 0, 1, 1, 1]
     rng = random.Random(37)
     degrees = (None, 0, 1, 2, 3, 4)
     for d0, d1, const, alt in itertools.product(degrees, degrees, (False, True), (False, True)):
@@ -100,14 +100,14 @@ def test_build_system_rows():
 
 
 def test_solve_reproduces_linear_example():
-    sol = solve_template(LINEAR, [0, 1, 1, 3])
+    sol = solve_template(FAMILY_TEMPLATES[1], [0, 1, 1, 3])
     assert sol.coefficients == {"a": F(2, 5), "b": F(3, 5), "c": F(-1, 5), "d": 0}
     assert sol.expr == A010049
 
 
 def test_solve_reproduces_quadratic_example():
     # family-2 parameters f=0, z=(0,1,4,12,31) give w = (0, 0, 1, 4, 12, 31)
-    sol = solve_template(QUADRATIC, [0, 0, 1, 4, 12, 31])
+    sol = solve_template(FAMILY_TEMPLATES[2], [0, 0, 1, 4, 12, 31])
     assert sol.coefficients == {
         "a": F(1, 5),
         "b": F(-1, 25),
@@ -120,7 +120,7 @@ def test_solve_reproduces_quadratic_example():
 
 
 def test_solve_reproduces_quad_linear_example():
-    sol = solve_template(QUAD_LINEAR, [1, 1, 2, 2, 4])
+    sol = solve_template(FAMILY_TEMPLATES[3], [1, 1, 2, 2, 4])
     assert sol.coefficients == {
         "a": F(1, 10),
         "b": F(-43, 50),
@@ -132,7 +132,7 @@ def test_solve_reproduces_quad_linear_example():
 
 
 def test_solve_reproduces_full_linear_example():
-    sol = solve_template(LINEAR_FULL, [0, 1, 2, 6, 12, 26])
+    sol = solve_template(FAMILY_TEMPLATES[4], [0, 1, 2, 6, 12, 26])
     assert sol.coefficients == {
         "a": F(4, 5),
         "b": F(-4, 5),
@@ -146,7 +146,12 @@ def test_solve_reproduces_full_linear_example():
 
 def test_solve_rejects_wrong_value_count():
     with pytest.raises(ValueError):
-        solve_template(LINEAR, [1, 2, 3])
+        solve_template(FAMILY_TEMPLATES[1], [1, 2, 3])
+    # counted, not listed, so a huge template fails here at once
+    huge = Template(10**12, 10**12, has_const=True)
+    assert huge.unknowns == 2 * 10**12 + 3
+    with pytest.raises(ValueError, match="template needs 2000000000003 values, got 1"):
+        solve_template(huge, [1])
 
 
 def test_degenerate_template_is_reported():
@@ -225,7 +230,7 @@ def _as_row(ints, den):
 
 
 def test_full_linear_printed_c_and_d_rows_are_wrong():
-    inv = symbolic_inverse(LINEAR_FULL)
+    inv = symbolic_inverse(FAMILY_TEMPLATES[4])
     printed = [_as_row(*row) for row in _T4_PRINTED]
 
     # a, b, e, f as printed agree with the true inverse
@@ -243,7 +248,7 @@ def test_full_linear_printed_c_and_d_rows_are_wrong():
     assert [printed[3][j] - inv[3][j] for j in range(6)] == [0, 4, 0, 0, 0, 0]
 
     # the printed matrix is not an inverse of the system; the derived one is
-    m = build_system(LINEAR_FULL)
+    m = build_system(FAMILY_TEMPLATES[4])
     assert _matmul(printed, m) != _identity(6)
     assert _matmul(inv, m) == _identity(6)
 
@@ -306,16 +311,16 @@ def test_theorem_construct_matches_general_solver():
         values = [w0] + [z[i - 1] + fib(i - 1) * w0 for i in range(1, 6)]
 
         via_rows = theorem_solution(2, f=base, z=tuple(z)).expr
-        via_solver = solve_template(QUADRATIC, values).expr
-        assert via_rows.same_sequence(via_solver)
+        via_solver = solve_template(FAMILY_TEMPLATES[2], values).expr
+        assert via_rows.canon() == via_solver.canon()
 
         via_rows = theorem_solution(1, d=base, z=tuple(z[:3])).expr
-        via_solver = solve_template(LINEAR, values[:4]).expr
-        assert via_rows.same_sequence(via_solver)
+        via_solver = solve_template(FAMILY_TEMPLATES[1], values[:4]).expr
+        assert via_rows.canon() == via_solver.canon()
 
         via_rows = theorem_solution(3, e=base, z=tuple(z[:4])).expr
-        via_solver = solve_template(QUAD_LINEAR, values[:5]).expr
-        assert via_rows.same_sequence(via_solver)
+        via_solver = solve_template(FAMILY_TEMPLATES[3], values[:5]).expr
+        assert via_rows.canon() == via_solver.canon()
 
         # and coefficient for coefficient against the closed-form rows
         for which, zs in ((1, z[:3]), (2, z), (3, z[:4])):
