@@ -3,8 +3,10 @@
 A ``Template`` fixes the shape of the target expression: the degrees of the
 F(n) and F(n-1) coefficient polynomials, plus optional constant and
 alternating terms.  The unknown coefficients then satisfy a square linear
-system whose row n states w_n = <basis values at n> . <unknowns>; it is
-solved exactly over the rationals with Gauss-Jordan elimination.
+system whose row n states w_n = <basis values at n> . <unknowns>.  Its
+entries n^p*F(n-part) are integers, so it is solved by fraction-free
+Gauss-Jordan elimination (Bareiss 1968) in integers, with the values'
+common denominator cleared first and one exact division at the end.
 
 Slot order is defined once, by ``Template.slots``: the reading order of the
 written-out expression, that is F(n) coefficients by descending degree, then
@@ -27,12 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .fib import fib
 from .seqform import FibExpr
-
-Matrix = list[list[Fraction]]
 
 
 class DegenerateTemplateError(ValueError):
@@ -80,10 +81,10 @@ class Template:
     def slot_names(self) -> tuple[str, ...]:
         return tuple(chr(ord("a") + i) for i in range(self.unknowns))
 
-    def basis_row(self, n: int) -> list[Fraction]:
+    def basis_row(self, n: int) -> list[int]:
         """Multiplier of each unknown in w_n, in slot order."""
         base = (fib(n), fib(n - 1), 1, -1 if n % 2 else 1)
-        return [Fraction(n**p * base[part]) for part, p in self.slots]
+        return [n**p * base[part] for part, p in self.slots]
 
     def expr_from(self, coeffs: Sequence) -> FibExpr:
         """Assemble the expression whose slots carry the given coefficients."""
@@ -114,26 +115,36 @@ class SynthSolution:
     coefficients: dict[str, Fraction]
 
 
-def build_system(template: Template) -> Matrix:
+def build_system(template: Template) -> list[list[int]]:
     """k x k matrix M with M[n][slot] = multiplier of that slot in w_n."""
     return [template.basis_row(n) for n in range(template.unknowns)]
 
 
-def _eliminate(aug: Matrix, width: int) -> None:
-    # Gauss-Jordan on the left width columns, in place.  Pivot choice is the
-    # first nonzero entry top-down: deterministic, and magnitude is
+def _eliminate(aug: list[list[int]], width: int) -> int:
+    """Fraction-free Gauss-Jordan on the left width columns, in place.
+
+    Returns the last pivot, the determinant of that block up to sign.  On
+    return every row r carries that pivot in column r, and the rest of the
+    block is zero; the other columns hold that pivot times the block's
+    inverse applied to them.
+    """
+    # Bareiss's one-step update: the previous pivot divides p*v - f*w exactly,
+    # because every entry is then a minor of the original rows.  Pivot choice
+    # is the first nonzero entry top-down: deterministic, and magnitude is
     # irrelevant under exact arithmetic.
+    prev = 1
     for col in range(width):
         piv = next((r for r in range(col, len(aug)) if aug[r][col]), None)
         if piv is None:
             raise DegenerateTemplateError("the template's linear system is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
         for r in range(len(aug)):
-            if r != col and aug[r][col]:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+                aug[r] = [(p * v - f * w) // prev for v, w in zip(aug[r], aug[col])]
+        prev = p
+    return prev
 
 
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
@@ -142,21 +153,20 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
     k = template.unknowns
     if len(vals) != k:
         raise ValueError(f"template needs {k} values, got {len(vals)}")
-    aug = [row + [v] for row, v in zip(build_system(template), vals)]
-    _eliminate(aug, k)
-    coeffs = [aug[r][k] for r in range(k)]
+    den = lcm(*(v.denominator for v in vals))
+    aug = [row + [v.numerator * (den // v.denominator)]
+           for row, v in zip(build_system(template), vals)]
+    scale = _eliminate(aug, k) * den
+    coeffs = [Fraction(row[k], scale) for row in aug]
     return SynthSolution(template.expr_from(coeffs), dict(zip(template.slot_names, coeffs)))
 
 
-def symbolic_inverse(template: Template) -> Matrix:
+def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     """Exact inverse of build_system: maps (w_0..w_{k-1}) to the slot vector."""
     k = template.unknowns
-    aug = [
-        row + [Fraction(int(i == j)) for j in range(k)]
-        for i, row in enumerate(build_system(template))
-    ]
-    _eliminate(aug, k)
-    return [row[k:] for row in aug]
+    aug = [row + [int(i == j) for j in range(k)] for i, row in enumerate(build_system(template))]
+    det = _eliminate(aug, k)
+    return [[Fraction(v, det) for v in row[k:]] for row in aug]
 
 
 def _int_params(name: str, vals: Sequence, want: int) -> list[int]:

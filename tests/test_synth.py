@@ -78,25 +78,115 @@ def _reference_row(t, n):
     return row + [1] * t.has_const + [(-1) ** n] * t.has_alt
 
 
+# every shape with degrees None/0..4, the constant and the alternating term
+# each present or absent: 143 shapes
+_SMALL_DEGREES = (None, 0, 1, 2, 3, 4)
+_SMALL_SHAPES = [
+    shape
+    for shape in itertools.product(_SMALL_DEGREES, _SMALL_DEGREES, (False, True), (False, True))
+    if shape != (None, None, False, False)
+]
+
+
 def test_build_system_rows():
     assert build_system(FAMILY_TEMPLATES[1])[2] == [2, 1, 2, 1]
     assert build_system(FAMILY_TEMPLATES[2])[5] == [125, 25, 5, 75, 15, 3]
     assert build_system(FAMILY_TEMPLATES[4])[0] == [0, 0, 0, 1, 1, 1]
     rng = random.Random(37)
-    degrees = (None, 0, 1, 2, 3, 4)
-    for d0, d1, const, alt in itertools.product(degrees, degrees, (False, True), (False, True)):
-        if d0 is None and d1 is None and not const and not alt:
-            continue
-        t = Template(d0, d1, const, alt)
+    assert len(_SMALL_SHAPES) == 143
+    for shape in _SMALL_SHAPES:
+        t = Template(*shape)
         k = t.unknowns
         matrix = build_system(t)
         assert matrix == [_reference_row(t, n) for n in range(k)]
+        assert all(type(m) is int for row in matrix for m in row)
         # the expression built from c takes the values M @ c at n = 0..k-1
         c = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in range(k)]
         expr = t.expr_from(c)
         assert [ref_at(expr, n) for n in range(k)] == [
             sum(m * ci for m, ci in zip(row, c)) for row in matrix
         ]
+
+
+def _reference_solve(t, values):
+    """Gauss-Jordan over Fraction on the spelled-out rows: the reference solver."""
+    k = t.unknowns
+    aug = [[F(m) for m in _reference_row(t, n)] + [F(v)] for n, v in enumerate(values)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
+        if piv is None:
+            raise DegenerateTemplateError("the template's linear system is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[k] for row in aug]
+
+
+def _assert_matches_reference(t, values):
+    """solve_template gives the reference's coefficients, or both find t singular."""
+    try:
+        want = _reference_solve(t, values)
+    except DegenerateTemplateError as exc:
+        for call in (lambda: solve_template(t, values), lambda: symbolic_inverse(t)):
+            with pytest.raises(DegenerateTemplateError, match=f"^{exc}$"):
+                call()
+        return False
+    got = list(solve_template(t, values).coefficients.values())
+    assert got == want
+    assert all(type(c) is F for c in got)
+    return True
+
+
+def _mixed_values(rng, k):
+    # integers and fractions with denominators 2, 3 and 7, of both signs
+    return [rng.choice((1, -1)) * F(rng.randint(0, 40), rng.choice((1, 2, 3, 7))) for _ in range(k)]
+
+
+def test_solve_matches_reference_on_small_shapes():
+    rng = random.Random(41)
+    solved = 0
+    for shape in _SMALL_SHAPES:
+        t = Template(*shape)
+        if t.deg_p0 is not None:
+            # F(0) = 0 heads the P0 columns, so row 0 cannot be the first pivot
+            assert build_system(t)[0][0] == 0
+        solved += _assert_matches_reference(t, _mixed_values(rng, t.unknowns))
+    # e.g. (0, None): a lone constant on F(n) is invisible at n = 0
+    assert 0 < solved < len(_SMALL_SHAPES)
+
+
+def test_solve_matches_reference_on_large_shapes():
+    rng = random.Random(43)
+    degrees = (None,) + tuple(range(17))
+    shapes = set()
+    while len(shapes) < 50:
+        shape = (rng.choice(degrees), rng.choice(degrees), rng.random() < 0.5, rng.random() < 0.5)
+        if shape[:2] != (None, None) and 20 <= Template(*shape).unknowns <= 34:
+            shapes.add(shape)
+    for shape in sorted(shapes, key=repr):
+        t = Template(*shape)
+        values = _mixed_values(rng, t.unknowns) if rng.random() < 0.5 else [
+            rng.randint(-1000, 1000) for _ in range(t.unknowns)
+        ]
+        _assert_matches_reference(t, values)
+    # the largest singular shapes of degree <= 16: a lone F(n) or F(n-1) part
+    for shape in ((16, None, False, False), (None, 16, False, False)):
+        assert not _assert_matches_reference(Template(*shape), list(range(17)))
+
+
+def test_solve_with_mixed_denominators():
+    values = [F(1, 2), F(-1, 3), F(1, 7), 10, -3, F(-5, 2)]
+    sol = solve_template(FAMILY_TEMPLATES[4], values)
+    assert list(sol.coefficients.values()) == _reference_solve(FAMILY_TEMPLATES[4], values)
+    assert [ref_at(sol.expr, n) for n in range(6)] == values
+    # values given as strings and as negative fractions read the same
+    assert solve_template(FAMILY_TEMPLATES[1], ["1/2", "-1/3", F(-1, 7), -10]) == solve_template(
+        FAMILY_TEMPLATES[1], [F(1, 2), F(-1, 3), F(-1, 7), -10]
+    )
 
 
 def test_solve_reproduces_linear_example():
@@ -168,6 +258,11 @@ def test_symbolic_inverse_is_exact_inverse():
         inv = symbolic_inverse(template)
         assert _matmul(inv, m) == _identity(template.unknowns)
         assert _matmul(m, inv) == _identity(template.unknowns)
+    big = Template(15, 15, has_const=True, has_alt=True)
+    assert big.unknowns == 34
+    inv = symbolic_inverse(big)
+    assert all(type(v) is F for row in inv for v in row)
+    assert _matmul(inv, build_system(big)) == _identity(34)
 
 
 # closed-form coefficient rows over z_i (shared denominator per row), where
@@ -328,6 +423,24 @@ def test_theorem_construct_matches_general_solver():
             want = [F(sum(c * zi for c, zi in zip(row, zs)), den) for row, den in _Z_ROWS[which]]
             got = theorem_solution(which, **{template.slot_names[-1]: base}, z=tuple(zs))
             assert got.coefficients == dict(zip(template.slot_names, want + [F(base)]))
+
+
+def test_theorem_solution_matches_reference():
+    rng = random.Random(127)
+    for which, template in FAMILY_TEMPLATES.items():
+        k = template.unknowns
+        for _ in range(200):
+            params = [rng.randint(-50, 50) for _ in range(k)]
+            if which == 4:
+                got = theorem_solution(4, w=tuple(params))
+                values = params
+            else:
+                base, z = params[0], params[1:]
+                got = theorem_solution(which, **{template.slot_names[-1]: base}, z=tuple(z))
+                values = [base] + [zi + fib(i - 1) * base for i, zi in enumerate(z, start=1)]
+            coeffs = list(got.coefficients.values())
+            assert coeffs == _reference_solve(template, values)
+            assert all(type(c) is F for c in coeffs)
 
 
 def test_synthesis_round_trip():
