@@ -2,6 +2,8 @@
 
 Subcommands: eval, canon, rec, check, synth, theorem, oeis, oracle.  Every
 subcommand accepts --json for a single machine-readable document on stdout.
+Each command returns its answer values, not their text; main renders only
+the view it prints, so each printed value becomes text once.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
@@ -18,7 +20,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cfinite import to_recurrence
 from .decide import NonIntegral, is_integer_sequence
@@ -33,8 +35,10 @@ EXIT_USAGE = 2
 EXIT_NONINTEGER = 3
 EXIT_NETWORK = 4
 
-# (exit code, JSON payload without "command", text lines); main prints one of them
-_Output = tuple[int, dict, Iterable[str]]
+# (exit code, JSON payload without "command", text lines on demand).  Commands
+# return answer values, not text: main writes the payload as JSON, each Fraction
+# as its str, or else calls for the text lines, so a value becomes text once.
+_Output = tuple[int, dict, Callable[[], Iterable[str]]]
 
 REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 # Longest --timeout (a day): 0 makes the socket non-blocking, inf overflows it.
@@ -71,27 +75,27 @@ def _cmd_eval(args) -> _Output:
         "to": args.stop,
     }
     if args.json:
-        payload["values"] = [{"n": n, "value": str(v)} for n, v in values]
+        payload["values"] = [{"n": n, "value": v} for n, v in values]
     # text output streams one line per value
-    return EXIT_OK, payload, (f"{n} {v}" for n, v in values)
+    return EXIT_OK, payload, lambda: (f"{n} {v}" for n, v in values)
 
 
 def _cmd_canon(args) -> _Output:
     form = parse(args.expr).canon()
     payload = {
         "expression": args.expr,
-        "p0": [str(c) for c in form.p0.coeffs],
-        "p1": [str(c) for c in form.p1.coeffs],
-        "e": str(form.const_e),
-        "f": str(form.alt_f),
+        # a coefficient may be an int, which JSON must still write as "1"
+        "p0": [Fraction(c) for c in form.p0.coeffs],
+        "p1": [Fraction(c) for c in form.p1.coeffs],
+        "e": form.const_e,
+        "f": form.alt_f,
     }
-    lines = [
+    return EXIT_OK, payload, lambda: [
         f"P0 = {format_poly(form.p0)}",
         f"P1 = {format_poly(form.p1)}",
         f"e  = {form.const_e}",
         f"f  = {form.alt_f}",
     ]
-    return EXIT_OK, payload, lines
 
 
 def _cmd_rec(args) -> _Output:
@@ -100,16 +104,15 @@ def _cmd_rec(args) -> _Output:
         "expression": args.expr,
         "order": rec.order,
         "char_poly": [int(c) for c in rec.char_poly.coeffs],
-        "coefficients": list(rec.coeffs),
-        "initial": [str(v) for v in rec.initial],
+        "coefficients": rec.coeffs,
+        "initial": rec.initial,
     }
-    lines = [
+    return EXIT_OK, payload, lambda: [
         f"order: {rec.order}",
         f"characteristic polynomial: {format_poly(rec.char_poly, var='x')}",
-        f"coefficients: {', '.join(str(c) for c in rec.coeffs)}",
-        f"initial values: {', '.join(str(v) for v in rec.initial)}",
+        f"coefficients: {', '.join(map(str, rec.coeffs))}",
+        f"initial values: {', '.join(map(str, rec.initial))}",
     ]
-    return EXIT_OK, payload, lines
 
 
 def _cmd_check(args) -> _Output:
@@ -119,35 +122,30 @@ def _cmd_check(args) -> _Output:
             "expression": args.expr,
             "integral": False,
             "witness_n": verdict.witness_n,
-            "value": str(verdict.value),
+            "value": verdict.value,
         }
-        line = f"NON-INTEGER witness: n={verdict.witness_n} value={verdict.value}"
-        return EXIT_NONINTEGER, payload, [line]
-    payload = {
-        "expression": args.expr,
-        "integral": True,
-        "certificate": list(verdict.certificate),
-    }
-    line = f"INTEGER certificate: {', '.join(str(v) for v in verdict.certificate)}"
-    return EXIT_OK, payload, [line]
+        return EXIT_NONINTEGER, payload, lambda: [
+            f"NON-INTEGER witness: n={verdict.witness_n} value={verdict.value}"
+        ]
+    payload = {"expression": args.expr, "integral": True, "certificate": verdict.certificate}
+    return EXIT_OK, payload, lambda: [
+        f"INTEGER certificate: {', '.join(map(str, verdict.certificate))}"
+    ]
 
 
 def _solution_output(extra: dict, solution) -> _Output:
     text = format_expr(solution.expr)
-    payload = {
-        **extra,
-        "coefficients": {k: str(v) for k, v in solution.coefficients.items()},
-        "expression": text,
-    }
-    lines = [text] + [f"{k} = {v}" for k, v in solution.coefficients.items()]
-    return EXIT_OK, payload, lines
+    payload = {**extra, "coefficients": solution.coefficients, "expression": text}
+    return EXIT_OK, payload, lambda: [
+        text, *(f"{k} = {v}" for k, v in solution.coefficients.items())
+    ]
 
 
 def _cmd_synth(args) -> _Output:
     template = Template(args.deg0, args.deg1, args.const, args.alt)
     values = _number_list(args.values, Fraction)
     solution = solve_template(template, values)
-    extra = {"template": dataclasses.asdict(template), "values": [str(v) for v in values]}
+    extra = {"template": dataclasses.asdict(template), "values": values}
     return _solution_output(extra, solution)
 
 
@@ -161,11 +159,7 @@ def _cmd_theorem(args) -> _Output:
     if args.w is not None:
         params["w"] = tuple(_number_list(args.w))
     solution = theorem_solution(args.which, **params)
-    extra = {
-        "which": args.which,
-        "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
-    }
-    return _solution_output(extra, solution)
+    return _solution_output({"which": args.which, "params": params}, solution)
 
 
 def _cmd_oeis(args) -> _Output:
@@ -194,14 +188,10 @@ def _cmd_oeis(args) -> _Output:
             for h in hits
         ],
     }
-    if hits:
-        lines = [
-            f"{h.entry.a_number} offset={h.entry.offset} match_start={h.match_start}"
-            for h in hits
-        ]
-    else:
-        lines = ["no matches"]
-    return EXIT_OK, payload, lines
+    return EXIT_OK, payload, lambda: [
+        f"{h.entry.a_number} offset={h.entry.offset} match_start={h.match_start}"
+        for h in hits
+    ] or ["no matches"]
 
 
 _ORACLES = {
@@ -214,7 +204,7 @@ _ORACLES = {
 def _cmd_oracle(args) -> _Output:
     value = _ORACLES[args.kind](args.n)
     payload = {"kind": args.kind, "n": args.n, "value": value}
-    return EXIT_OK, payload, [str(value)]
+    return EXIT_OK, payload, lambda: [str(value)]
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -287,9 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.json:
-            print(json.dumps({"command": args.command, **payload}, indent=2))
+            print(json.dumps({"command": args.command, **payload}, indent=2, default=str))
         else:
-            for line in lines:
+            for line in lines():
                 print(line)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code

@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -408,3 +409,125 @@ def test_module_entry_point_subprocess():
         "3",
         "5",
     ]
+
+
+_WORKED = "(2n+3)/5*F(n) - n/5*F(n-1)"
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        pytest.param(
+            ("canon", "F(n)"),
+            {"command": "canon", "expression": "F(n)", "p0": ["1"], "p1": [], "e": "0", "f": "0"},
+            id="canon",
+        ),
+        pytest.param(
+            ("rec", _WORKED),
+            {
+                "command": "rec",
+                "expression": _WORKED,
+                "order": 4,
+                "char_poly": [1, 2, -1, -2, 1],
+                "coefficients": [2, 1, -2, -1],
+                "initial": ["0", "1", "1", "3"],
+            },
+            id="rec",
+        ),
+        pytest.param(
+            ("check", _WORKED),
+            {
+                "command": "check",
+                "expression": _WORKED,
+                "integral": True,
+                "certificate": [0, 1, 1, 3],
+            },
+            id="check",
+        ),
+        pytest.param(
+            ("eval", "n/3*F(n)", "--from", "-1", "--to", "1"),
+            {
+                "command": "eval",
+                "expression": "n/3*F(n)",
+                "from": -1,
+                "to": 1,
+                "values": [
+                    {"n": -1, "value": "-1/3"},
+                    {"n": 0, "value": "0"},
+                    {"n": 1, "value": "1/3"},
+                ],
+            },
+            id="eval",
+        ),
+        pytest.param(
+            ("oracle", "leonardo", "5"),
+            {"command": "oracle", "kind": "leonardo", "n": 5, "value": 15},
+            id="oracle",
+        ),
+        pytest.param(
+            ("oeis", "0,1,1,2"),
+            {
+                "command": "oeis",
+                "prefix": [0, 1, 1, 2],
+                "source": "local",
+                "hits": [{"a_number": "A000045", "offset": 0, "match_start": 0}],
+            },
+            id="oeis",
+        ),
+        pytest.param(
+            ("synth", "--deg1", "0", "--values", "1/2"),
+            {
+                "command": "synth",
+                "template": {"deg_p0": None, "deg_p1": 0, "has_const": False, "has_alt": False},
+                "values": ["1/2"],
+                "coefficients": {"a": "1/2"},
+                "expression": "1/2*F(n-1)",
+            },
+            id="synth",
+        ),
+        pytest.param(
+            ("theorem", "1", "--d", "0", "--z", "1,1,3"),
+            {
+                "command": "theorem",
+                "which": 1,
+                "params": {"d": 0, "z": [1, 1, 3]},
+                "coefficients": {"a": "2/5", "b": "3/5", "c": "-1/5", "d": "0"},
+                "expression": "(2/5*n + 3/5)*F(n) + (-1/5*n)*F(n-1)",
+            },
+            id="theorem",
+        ),
+    ],
+)
+def test_json_documents_are_pinned(capsys, argv, doc):
+    # compared as text, so key order and value types (1 against "1" or true) count
+    assert run_cli(capsys, *argv, "--json") == (0, json.dumps(doc, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, conversions",
+    [
+        (("rec", _WORKED), 4),  # the initial values 0, 1, 1, 3
+        (("rec", _WORKED, "--json"), 4),
+        (("canon", _WORKED), 5),  # 2/5, 3/5 and -1/5 in the polynomials, e, f
+        (("canon", _WORKED, "--json"), 6),  # the zero coefficient of P1 is listed too
+    ],
+    ids=["rec", "rec-json", "canon", "canon-json"],
+)
+def test_each_printed_rational_becomes_text_once(capsys, monkeypatch, argv, conversions):
+    calls = []
+    to_text, to_format = Fraction.__str__, Fraction.__format__
+
+    def counting(self):
+        calls.append(self)
+        return to_text(self)
+
+    def formatting(self, spec):
+        return str(self) if not spec else to_format(self, spec)
+
+    # an f-string calls __format__ with an empty spec, object's before 3.12 and
+    # Fraction's own after; either way send it to __str__, so each counts once
+    monkeypatch.setattr(Fraction, "__str__", counting)
+    monkeypatch.setattr(Fraction, "__format__", formatting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == conversions

@@ -112,6 +112,24 @@ def test_quadrat_mixed_scalar_arithmetic():
     assert not QuadRat(0, 0)
 
 
+def test_quadrat_hash_agrees_with_equality():
+    # QuadRat(r) == r, so the two must hash alike and collapse in a set
+    for r in (0, 1, -7, F(1, 2), F(-22, 7), F(10**30 + 1, 3)):
+        assert QuadRat(r) == r and QuadRat(r, 0) == F(r)
+        assert hash(QuadRat(r)) == hash(r) == hash(F(r))
+        assert len({QuadRat(r, 0), F(r)}) == 1
+        assert {F(r): "rational"}[QuadRat(r)] == "rational"
+        assert len({QuadRat(r, 1), F(r)}) == 2
+    assert len({QuadRat(1, 2), QuadRat(F(2, 2), F(4, 2)), QuadRat(1, -2)}) == 2
+    assert hash(ALPHA) == hash(QuadRat(F(1, 2), F(1, 2)))
+
+
+def test_quadrat_repr():
+    assert repr(QuadRat(0)) == "QuadRat(0, 0)"
+    assert repr(ALPHA) == "QuadRat(1/2, 1/2)"
+    assert repr(QuadRat(-3, F(-2, 6))) == "QuadRat(-3, -1/3)"
+
+
 def test_fraction_chains_stay_reduced():
     # fuzz the Rational invariants: gcd(|num|, den) = 1 and den >= 1 persist
     rng = random.Random(17)

@@ -68,6 +68,18 @@ def test_template_slot_bookkeeping():
         FAMILY_TEMPLATES[1].expr_from([1, 2, 3])
 
 
+# renaming the slots waits for a benchmark change: bench/workloads.py::check_synth
+# requires these names for up to 34 unknowns
+@pytest.mark.xfail(
+    strict=True,
+    reason="slot i is named chr(ord('a') + i): names 27 on are '{', '|', '}', '~', '\\x7f', ...",
+)
+def test_slot_names_are_identifiers():
+    names = Template(15, 15, True, True).slot_names
+    assert len(names) == 34
+    assert all(name.isidentifier() for name in names)
+
+
 def _reference_row(t, n):
     # the slot order spelled out: F(n) powers descending, F(n-1) powers
     # descending, the constant, the alternating term
