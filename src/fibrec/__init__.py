@@ -12,9 +12,9 @@ against brute-force enumerators and bundled OEIS b-files.
 """
 
 from .cfinite import InvariantViolation, Recurrence, char_poly, to_recurrence
-from .decide import Integral, NonIntegral, Verdict, brute_scan, is_integer_sequence
-from .exact import ALPHA, INV_SQRT5, Poly, QuadRat
-from .fib import alpha_pow, fib, shift_coeffs
+from .decide import Integral, NonIntegral, Verdict, is_integer_sequence
+from .exact import Poly
+from .fib import fib, shift_coeffs
 from .oeis import (
     OeisEntry,
     OeisFormatError,
@@ -31,7 +31,7 @@ from .oeis import (
 )
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import ParseError, format_expr, format_poly, parse
-from .seqform import BinetForm, CanonForm, FibExpr, ShiftTerm
+from .seqform import CanonForm, FibExpr, ShiftTerm
 from .synth import (
     FAMILY_TEMPLATES,
     DegenerateTemplateError,
@@ -46,13 +46,10 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA",
-    "BinetForm",
     "CanonForm",
     "DegenerateTemplateError",
     "FAMILY_TEMPLATES",
     "FibExpr",
-    "INV_SQRT5",
     "Integral",
     "InvariantViolation",
     "NonIntegral",
@@ -64,14 +61,11 @@ __all__ = [
     "OeisTransportError",
     "ParseError",
     "Poly",
-    "QuadRat",
     "Recurrence",
     "ShiftTerm",
     "SynthSolution",
     "Template",
     "Verdict",
-    "alpha_pow",
-    "brute_scan",
     "build_system",
     "char_poly",
     "compositions_parts_count",

@@ -39,10 +39,3 @@ def is_integer_sequence(expr: FibExpr) -> Verdict:
         if v.denominator != 1:
             return NonIntegral(n, v)
     return Integral(tuple(int(v) for v in rec.initial))
-
-
-def brute_scan(expr: FibExpr, lo: int, hi: int) -> int | None:
-    """First n in [lo, hi] (in scan order) whose value is not an integer."""
-    if lo > hi:
-        raise ValueError("empty scan range")
-    return next((n for n, v in expr.canon().values(lo, hi) if v.denominator != 1), None)

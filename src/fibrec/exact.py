@@ -1,12 +1,8 @@
-"""Exact arithmetic kernel: rationals, Q(sqrt(5)) elements, dense polynomials.
+"""Exact arithmetic kernel: rationals and dense polynomials.
 
 Rational numbers are ``fractions.Fraction`` throughout (always reduced,
-positive denominator, zero is 0/1).  ``QuadRat`` models r + s*sqrt(5) with
-rational components: the ring operations +, - and * plus conjugation, which
-is what splitting a sequence over alpha and beta needs; there is no division.
-``Poly`` is a dense univariate polynomial that is generic in its coefficient
-type: int, Fraction and QuadRat all work because the only operations used
-are +, *, unary - and comparison with zero.
+positive denominator, zero is 0/1).  ``Poly`` is a dense univariate
+polynomial whose coefficients are ``int`` or ``Fraction``.
 
 No floating point appears anywhere; every operation is exact.
 """
@@ -14,79 +10,7 @@ No floating point appears anywhere; every operation is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class QuadRat:
-    """An element r + s*sqrt(5) of Q(sqrt(5)), with ring operations only.
-
-    Equality is componentwise (and accepts plain rationals, which embed as
-    s = 0); the conjugate flips the sign of s, exchanging alpha and beta.
-    """
-
-    r: Fraction
-    s: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "s", Fraction(self.s))
-
-    @staticmethod
-    def _lift(x: object) -> "QuadRat | None":
-        if isinstance(x, QuadRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadRat(Fraction(x))
-        return None
-
-    def conj(self) -> "QuadRat":
-        return QuadRat(self.r, -self.s)
-
-    def __add__(self, other: object) -> "QuadRat":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadRat(self.r + o.r, self.s + o.s)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadRat":
-        return QuadRat(-self.r, -self.s)
-
-    def __sub__(self, other: object) -> "QuadRat":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadRat(self.r - o.r, self.s - o.s)
-
-    def __mul__(self, other: object) -> "QuadRat":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadRat(self.r * o.r + 5 * self.s * o.s, self.r * o.s + self.s * o.r)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self.r or self.s)
-
-    def __eq__(self, other: object) -> bool:
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.r == o.r and self.s == o.s
-
-    def __hash__(self) -> int:
-        return hash(self.r) if not self.s else hash((self.r, self.s))
-
-    def __repr__(self) -> str:
-        return f"QuadRat({self.r}, {self.s})"
-
-
-INV_SQRT5 = QuadRat(0, Fraction(1, 5))
-ALPHA = QuadRat(Fraction(1, 2), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -178,4 +102,3 @@ class Poly:
 
     def map_coeffs(self, fn: Callable) -> "Poly":
         return Poly(tuple(fn(c) for c in self.coeffs))
-

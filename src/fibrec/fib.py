@@ -1,10 +1,10 @@
-"""Fibonacci numbers over all integer indices, plus index-shift helpers."""
+"""Fibonacci numbers over all integer indices, plus index-shift helpers.
+
+Everything here is int arithmetic.  Callers scale these ints by ``Poly``
+coefficients, which are ``int`` or ``Fraction``; nothing leaves the rationals.
+"""
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from .exact import QuadRat
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
@@ -36,9 +36,3 @@ def shift_coeffs(j: int) -> tuple[int, int]:
     """
     sign = -1 if j % 2 else 1
     return sign * fib(j - 1), -sign * fib(j)
-
-
-def alpha_pow(n: int) -> QuadRat:
-    """alpha**n computed exactly as F_n*alpha + F_{n-1}; beta**n is its conjugate."""
-    fn = fib(n)
-    return QuadRat(Fraction(fn, 2) + fib(n - 1), Fraction(fn, 2))

@@ -4,9 +4,9 @@ A ``FibExpr`` is a finite formal sum
 
     sum_i  p_i(n) * F(n - j_i)  +  e  +  f * (-1)**n
 
-with Fraction-coefficient polynomials p_i, integer shifts j_i (negative
-shifts, i.e. F(n+k), are first class) and rational constants e, f.  Every
-shift can be eliminated with the identity
+with polynomials p_i (``Poly`` with int or Fraction coefficients), integer
+shifts j_i (negative shifts, i.e. F(n+k), are first class) and rational
+constants e, f.  Every shift can be eliminated with the identity
 
     F(n-j) = ((-1)^j F_{j-1}) * F(n) + ((-1)^(j+1) F_j) * F(n-1),
 
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exact import ALPHA, INV_SQRT5, Poly, QuadRat
-from .fib import alpha_pow, fib, shift_coeffs
+from .exact import Poly
+from .fib import fib, shift_coeffs
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,6 @@ class FibExpr:
             p1 = p1 + t.poly * c_f1
         return CanonForm(p0, p1, self.const_e, self.alt_f)
 
-    def binet(self) -> "BinetForm":
-        """Split the Fibonacci part over the roots alpha and beta.
-
-        The constant and alternating parts are not included; they live on
-        const_e and alt_f of the expression itself.
-        """
-        # F(n) = (alpha^n - beta^n)/sqrt5, and alpha^(n-1) = alpha^n*(alpha - 1)
-        # since 1/alpha = alpha - 1; the beta half is the Q(sqrt5)-conjugate.
-        form = self.canon()
-        q_alpha = (form.p0 + form.p1 * (ALPHA - 1)) * INV_SQRT5
-        return BinetForm(q_alpha, q_alpha.map_coeffs(QuadRat.conj))
-
 
 @dataclass(frozen=True)
 class CanonForm:
@@ -160,26 +148,3 @@ class CanonForm:
         for n in range(lo, hi + 1):
             yield n, Fraction(q0(n) * fn + q1(n) * fn1 + (e - f if n % 2 else e + f), den)
             fn, fn1 = fn + fn1, fn
-
-
-@dataclass(frozen=True)
-class BinetForm:
-    """Fibonacci part written as q_alpha(n)*alpha^n + q_beta(n)*beta^n.
-
-    The sign convention puts a plus between the two halves, so that for
-    rational input q_beta is the componentwise Q(sqrt(5))-conjugate of
-    q_alpha; the two therefore always share the same degree.
-    """
-
-    q_alpha: Poly
-    q_beta: Poly
-
-    @property
-    def degree(self) -> int | None:
-        """Common degree of the two coefficient polynomials (None if zero)."""
-        return self.q_alpha.degree
-
-    def value_at(self, n: int) -> QuadRat:
-        """q_alpha(n)*alpha^n + q_beta(n)*beta^n, exactly in Q(sqrt(5))."""
-        a = alpha_pow(n)
-        return self.q_alpha(n) * a + self.q_beta(n) * a.conj()

@@ -23,6 +23,15 @@ def ref_at(expr: FibExpr, n: int) -> Fraction:
     return total
 
 
+def brute_scan(expr: FibExpr, lo: int, hi: int) -> int | None:
+    """First n in lo..hi whose ref_at value is not an integer (None if all are).
+
+    Reads ref_at, not CanonForm.values, so it checks the integrality
+    verdict against an evaluator that shares no code with it.
+    """
+    return next((n for n in range(lo, hi + 1) if ref_at(expr, n).denominator != 1), None)
+
+
 # number of parts in all compositions of n+1 with no 1s:
 #   (2n+3)/5 * F(n) - n/5 * F(n-1)
 A010049 = FibExpr.of([(0, [F(3, 5), F(2, 5)]), (1, [0, F(-1, 5)])])

@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+from binet_oracle import QuadRat, binet, conj_poly, degree, fib_part_at
 from conftest import (
     A010049,
     A054454,
@@ -17,6 +18,7 @@ from conftest import (
     EXAMPLE_EXPRS,
     QUAD_LIN,
     WALKS_W,
+    brute_scan,
     rand_expr,
     rand_family_instance,
     rand_perturbed_instance,
@@ -26,8 +28,6 @@ from fibrec import (
     FAMILY_TEMPLATES,
     Integral,
     Poly,
-    QuadRat,
-    brute_scan,
     build_system,
     compositions_parts_count,
     fib,
@@ -229,14 +229,14 @@ def test_10_randomized_properties():
 
         for _ in range(200):
             expr = rand_expr(rng)
-            b = expr.binet()
-            assert b.q_beta == b.q_alpha.map_coeffs(QuadRat.conj)
-            assert b.q_alpha.degree == b.q_beta.degree  # d_alpha = d_beta
+            split = q_alpha, q_beta = binet(expr)
+            assert q_beta == conj_poly(q_alpha)
+            assert degree(q_alpha) == degree(q_beta)  # d_alpha = d_beta
             for n in range(-8, 9):
                 fib_part = expr.at(n) - expr.const_e - (
                     expr.alt_f if n % 2 == 0 else -expr.alt_f
                 )
-                assert b.value_at(n) == QuadRat(fib_part, 0)
+                assert fib_part_at(split, n) == QuadRat(fib_part, 0)
 
         for _ in range(500):
             expr = rand_expr(rng)

@@ -1,8 +1,8 @@
-"""Fibonacci indexing, shift-identity coefficients, exact alpha powers."""
+"""Fibonacci indexing, shift-identity coefficients, and fib against alpha powers."""
 
-from fractions import Fraction as F
+from binet_oracle import ALPHA, BETA, QuadRat, root_pow
 
-from fibrec import ALPHA, QuadRat, alpha_pow, fib, shift_coeffs
+from fibrec import fib, shift_coeffs
 
 
 def naive_fib_table(lo: int, hi: int) -> dict[int, int]:
@@ -60,23 +60,19 @@ def test_shift_identity_property():
             assert fib(n - j) == c_f * fib(n) + c_f1 * fib(n - 1)
 
 
-def test_alpha_pow_examples():
-    assert alpha_pow(0) == 1
-    assert alpha_pow(1) == ALPHA
-    assert alpha_pow(5) == QuadRat(F(11, 2), F(5, 2))
-    assert alpha_pow(-1) == QuadRat(F(-1, 2), F(1, 2))
-
-
 def test_alpha_pow_multiplicativity():
-    powers = {n: alpha_pow(n) for n in range(-20, 21)}
-    for m in range(-20, 21):
-        for n in range(-20, 21):
-            if -20 <= m + n <= 20:
-                assert powers[m] * powers[n] == powers[m + n]
+    for root in (ALPHA, BETA):
+        powers = {n: root_pow(root, n) for n in range(-20, 21)}
+        for m in range(-20, 21):
+            for n in range(-20, 21):
+                if -20 <= m + n <= 20:
+                    assert powers[m] * powers[n] == powers[m + n]
 
 
 def test_alpha_pow_binet_difference():
-    # alpha^n - beta^n has no rational part and carries exactly F_n * sqrt(5)
-    for n in range(-30, 31):
-        a = alpha_pow(n)
-        assert a - a.conj() == QuadRat(0, fib(n))
+    # alpha^n - beta^n has no rational part and carries exactly F_n * sqrt(5);
+    # both powers come from square-and-multiply, so fib() is checked, not used
+    for n in list(range(-30, 31)) + [-1001, 1000, 4097]:
+        a = root_pow(ALPHA, n)
+        assert a.conj() == root_pow(BETA, n)
+        assert a - root_pow(BETA, n) == QuadRat(0, fib(n))

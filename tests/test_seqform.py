@@ -1,9 +1,15 @@
-"""FibExpr evaluation, canonicalization, closure ops, Binet decomposition."""
+"""FibExpr evaluation, canonicalization and closure ops.
+
+Values are checked against two evaluators that share no code with
+``CanonForm.values``: ``conftest.ref_at`` (one fib() per term) and the
+Binet split of ``binet_oracle`` (powers of alpha and beta in Q(sqrt(5))).
+"""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from binet_oracle import QuadRat, binet, conj_poly, degree, fib_part_at
 from conftest import (
     A010049,
     QUAD_LIN,
@@ -15,7 +21,7 @@ from conftest import (
     ref_at,
 )
 
-from fibrec import ALPHA, CanonForm, FibExpr, Poly, QuadRat, alpha_pow, fib, format_expr
+from fibrec import CanonForm, FibExpr, Poly, format_expr
 
 
 def test_evaluate_examples():
@@ -212,16 +218,16 @@ def test_shift_index_alternating_sign():
 
 
 def test_binet_examples():
-    b = FibExpr.of([(0, [1])]).binet()
-    assert b.q_alpha == Poly((QuadRat(0, F(1, 5)),))
-    assert b.q_beta == Poly((QuadRat(0, F(-1, 5)),))
+    q_alpha, q_beta = binet(FibExpr.of([(0, [1])]))
+    assert q_alpha == (QuadRat(0, F(1, 5)),)
+    assert q_beta == (QuadRat(0, F(-1, 5)),)
 
-    b = FibExpr.of([(1, [1])]).binet()
-    assert b.q_alpha == Poly((QuadRat(F(1, 2), F(-1, 10)),))
-    assert b.q_beta == Poly((QuadRat(F(1, 2), F(1, 10)),))
+    q_alpha, q_beta = binet(FibExpr.of([(1, [1])]))
+    assert q_alpha == (QuadRat(F(1, 2), F(-1, 10)),)
+    assert q_beta == (QuadRat(F(1, 2), F(1, 10)),)
 
-    assert A010049.binet().degree == 1
-    assert A010049.binet().q_beta.degree == 1
+    q_alpha, q_beta = binet(A010049)
+    assert degree(q_alpha) == degree(q_beta) == 1
 
 
 def _far_exprs(rng, count):
@@ -241,45 +247,23 @@ def test_binet_soundness():
     cases = [(e, range(-20, 21)) for e in exprs]
     cases += [(e, [-500, 500] + rng.sample(range(-500, 501), 6)) for e in _far_exprs(rng, 8)]
     for e, indices in cases:
-        b = e.binet()
+        split = binet(e)
         for n in indices:
             fib_part = e.at(n) - e.const_e - (e.alt_f if n % 2 == 0 else -e.alt_f)
-            assert b.value_at(n) == QuadRat(fib_part, 0)
-
-
-def _beta_pow(k):
-    """beta^k by square-and-multiply, with beta^-1 = -alpha."""
-    base = QuadRat(F(1, 2), F(-1, 2)) if k >= 0 else -ALPHA
-    out = QuadRat(1)
-    k = abs(k)
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
-
-
-def _q_beta_by_powers(e):
-    # independent of binet(): p(n)*F(n-j) contributes -p(n)*beta^(-j)/sqrt5
-    # to the coefficient of beta^n, with beta's powers taken directly
-    q = Poly(())
-    neg_inv_sqrt5 = QuadRat(0, F(-1, 5))
-    for t in e.terms:
-        q = q + t.poly * (_beta_pow(-t.shift) * neg_inv_sqrt5)
-    return q
+            assert fib_part_at(split, n) == QuadRat(fib_part, 0)
 
 
 def test_binet_conjugacy_and_equal_degrees():
     rng = random.Random(67)
     for e in [rand_expr(rng) for _ in range(60)] + _far_exprs(rng, 10):
-        b = e.binet()
-        assert b.q_beta == _q_beta_by_powers(e)
-        assert _q_beta_by_powers(e) == b.q_alpha.map_coeffs(QuadRat.conj)
-        assert b.q_alpha.degree == b.q_beta.degree
+        q_alpha, q_beta = binet(e)
+        assert q_beta == conj_poly(q_alpha)
+        assert degree(q_alpha) == degree(q_beta)
 
 
 def test_binet_degree_law():
+    # q_alpha = (P0 + P1/alpha)/sqrt(5), and 1/alpha is irrational, so the
+    # leading terms of P0 and P1 cannot cancel: deg q_alpha = max(deg P0, deg P1)
     rng = random.Random(71)
     checked = 0
     while checked < 40:
@@ -287,7 +271,7 @@ def test_binet_degree_law():
         c = e.canon()
         if c.fib_degree is None:
             continue
-        assert e.binet().degree == c.fib_degree
+        assert degree(binet(e)[0]) == c.fib_degree
         checked += 1
 
 
@@ -295,7 +279,7 @@ def test_binet_invariant_under_canonicalization():
     rng = random.Random(73)
     for _ in range(25):
         e = rand_expr(rng)
-        assert e.binet() == _from_canon(e.canon()).binet()
+        assert binet(e) == binet(_from_canon(e.canon()))
 
 
 def test_same_sequence_examples():
