@@ -11,7 +11,7 @@ parses/prints a small text language for them, and cross-checks everything
 against brute-force enumerators and bundled OEIS b-files.
 """
 
-from .cfinite import InvariantViolation, Recurrence, char_poly, to_recurrence
+from .cfinite import Recurrence, char_poly, to_recurrence
 from .decide import Integral, NonIntegral, Verdict, is_integer_sequence
 from .exact import Poly
 from .fib import fib, shift_coeffs
@@ -51,7 +51,6 @@ __all__ = [
     "FAMILY_TEMPLATES",
     "FibExpr",
     "Integral",
-    "InvariantViolation",
     "NonIntegral",
     "OeisEntry",
     "OeisFormatError",

@@ -48,6 +48,11 @@ _MAX_TIMEOUT = 86_400
 # in CPython: 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
 MAX_DIGITS = 500_000
 
+# Most digits that `eval --json` may hold: its document is written whole, so
+# every value sits in memory at once.  F(n) has about 0.209*|n| digits (log10
+# of the golden ratio); 20 million, F(0)..F(13800), take about 1 s and 75 MB.
+MAX_JSON_DIGITS = 20_000_000
+
 # argparse reads a word that starts with "-" as an option unless it matches
 # this pattern.  Every option here but -h is "--name", so a list such as
 # "-1,2,3" or an expression such as "-F(n)" can be read as a value.
@@ -63,11 +68,24 @@ def _number_list(text: str, kind=int) -> list:
         raise ValueError(f"expected a comma-separated {what}, got {text!r}") from None
 
 
+def _abs_sum(lo: int, hi: int) -> int:
+    """The sum of |n| over n = lo..hi, in closed form."""
+    tri = lambda k: k * (k + 1) // 2 if k > 0 else 0  # 1 + 2 + ... + k
+    return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
+
+
 def _cmd_eval(args) -> _Output:
     if args.start > args.stop:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
+    if args.json:
+        digits = round(0.209 * _abs_sum(args.start, args.stop))
+        if digits > MAX_JSON_DIGITS:
+            raise ValueError(
+                f"--json would hold about {digits} digits at once, more than "
+                f"{MAX_JSON_DIGITS}; the text output streams"
+            )
     values = parse(args.expr).canon().values(args.start, args.stop)
     payload = {
         "expression": args.expr,

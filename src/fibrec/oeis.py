@@ -97,13 +97,20 @@ def render_bfile(entry: OeisEntry, comments: Sequence[str] = ()) -> str:
 
 
 def load_fixtures() -> dict[str, OeisEntry]:
-    """Bundled entries keyed by A-number, one per fixtures/b*.txt in name order."""
+    """Bundled entries keyed by A-number, one per fixtures/b*.txt in name order.
+
+    Raises FileNotFoundError naming the directory when it is missing or
+    holds no b-file, as in an installation that lost its package data.
+    """
     fixtures = resources.files(__package__) / "fixtures"
+    names = sorted(p.name for p in fixtures.iterdir()) if fixtures.is_dir() else []
+    names = [name for name in names if name.startswith("b") and name.endswith(".txt")]
+    if not names:
+        raise FileNotFoundError(f"no OEIS b-files (b*.txt) in {fixtures}")
     out: dict[str, OeisEntry] = {}
-    for path in sorted(fixtures.iterdir(), key=lambda p: p.name):
-        if path.name.startswith("b") and path.name.endswith(".txt"):
-            entry = entry_from_bfile(f"A{path.name[1:-4]}", path.read_text())
-            out[entry.a_number] = entry
+    for name in names:
+        entry = entry_from_bfile(f"A{name[1:-4]}", (fixtures / name).read_text())
+        out[entry.a_number] = entry
     return out
 
 

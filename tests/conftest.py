@@ -32,6 +32,20 @@ def brute_scan(expr: FibExpr, lo: int, hi: int) -> int | None:
     return next((n for n in range(lo, hi + 1) if ref_at(expr, n).denominator != 1), None)
 
 
+def assert_recurrence_holds(rec, expr: FibExpr, lo: int, hi: int) -> None:
+    """Assert that rec describes expr: w_0..w_{m-1} and each w_n on lo..hi.
+
+    Checks w_n = sum_k coeffs[k-1]*w_{n-k} on ref_at values, not on
+    CanonForm.values, which gave rec.initial; a negative lo checks the
+    recurrence backward too.
+    """
+    w = {n: ref_at(expr, n) for n in range(min(lo - rec.order, 0), max(hi, rec.order) + 1)}
+    assert rec.initial == tuple(w[n] for n in range(rec.order))
+    for n in range(lo, hi + 1):
+        predicted = sum(c * w[n - k] for k, c in enumerate(rec.coeffs, start=1))
+        assert w[n] == predicted, f"the recurrence fails at n={n}"
+
+
 # number of parts in all compositions of n+1 with no 1s:
 #   (2n+3)/5 * F(n) - n/5 * F(n-1)
 A010049 = FibExpr.of([(0, [F(3, 5), F(2, 5)]), (1, [0, F(-1, 5)])])

@@ -18,6 +18,7 @@ from conftest import (
     EXAMPLE_EXPRS,
     QUAD_LIN,
     WALKS_W,
+    assert_recurrence_holds,
     brute_scan,
     rand_expr,
     rand_family_instance,
@@ -81,7 +82,7 @@ def test_03_recurrence_derivation():
         assert to_recurrence(WALKS_W).order == 6
         for name, expr in EXAMPLE_EXPRS.items():
             rec = to_recurrence(expr)
-            assert rec.holds_for(expr, rec.order, 40), name
+            assert_recurrence_holds(rec, expr, -40, 40)
 
 
 def test_04_theorem_reproduction():

@@ -1,4 +1,4 @@
-"""Characteristic polynomials, recurrence derivation, verification, extension."""
+"""Characteristic polynomials and recurrence derivation, checked against ref_at."""
 
 import dataclasses
 import random
@@ -13,17 +13,20 @@ from conftest import (
     EXAMPLE_EXPRS,
     QUAD_LIN,
     WALKS_W,
+    assert_recurrence_holds,
+    brute_scan,
     rand_expr,
+    rand_family_instance,
     rand_int_expr,
     ref_at,
 )
 
 from fibrec import (
     FibExpr,
-    InvariantViolation,
+    Integral,
     Poly,
-    Recurrence,
     char_poly,
+    is_integer_sequence,
     parse,
     to_recurrence,
 )
@@ -65,67 +68,44 @@ def test_to_recurrence_examples():
 
 
 def test_verify_recurrence_examples():
-    assert to_recurrence(A010049).holds_for(A010049, 4, 40)
-    assert to_recurrence(A054454).holds_for(A054454, 6, 40)
+    assert_recurrence_holds(to_recurrence(A010049), A010049, -40, 40)
+    assert_recurrence_holds(to_recurrence(A054454), A054454, -40, 40)
     corrupted = dataclasses.replace(to_recurrence(A010049), char_poly=Poly((1, 2, -1, -3, 1)))
     assert corrupted.coeffs == (3, 1, -2, -1)
-    assert not corrupted.holds_for(A010049, 4, 10)
-    with pytest.raises(ValueError):
-        to_recurrence(A010049).holds_for(A010049, 10, 4)
-
-
-def test_holds_for_checks_every_index_of_the_window():
-    fib_rec = to_recurrence(FibExpr.of([(0, [1])]))  # w_n = w_{n-1} + w_{n-2}
-    rng = random.Random(3)
-    for _ in range(40):
-        e = rand_expr(rng)
-        lo = rng.randint(-30, 30)
-        expected = ref_at(e, lo) == ref_at(e, lo - 1) + ref_at(e, lo - 2)
-        assert fib_rec.holds_for(e, lo, lo) == expected
-        assert to_recurrence(e).holds_for(e, lo, lo)
+    with pytest.raises(AssertionError, match="fails at n=4"):
+        assert_recurrence_holds(corrupted, A010049, 4, 10)
+    with pytest.raises(AssertionError):
+        assert_recurrence_holds(corrupted, A010049, -40, -1)
 
 
 def test_verify_recurrence_all_examples():
-    for name, expr in EXAMPLE_EXPRS.items():
-        rec = to_recurrence(expr)
-        assert rec.holds_for(expr, rec.order, 40), name
+    for expr in EXAMPLE_EXPRS.values():
+        assert_recurrence_holds(to_recurrence(expr), expr, -40, 40)
+
+
+def _window(expr: FibExpr, lo: int, hi: int) -> list:
+    return [v for _, v in expr.canon().values(lo, hi)]
 
 
 def test_extend_forward_examples():
-    assert to_recurrence(A010049).extend(3) == [5, 10, 18]
-    assert to_recurrence(QUAD_LIN).extend(5) == [15, 32, 69, 146, 303]
+    # the values just past the initial segment w_0..w_{m-1}
+    assert _window(A010049, 4, 6) == [5, 10, 18]
+    assert _window(QUAD_LIN, 6, 10) == [15, 32, 69, 146, 303]
 
 
 def test_extend_backward_fibonacci():
-    rec = to_recurrence(FibExpr.of([(0, [1])]))
-    assert rec.initial == (0, 1)
-    assert rec.extend(4, "backward") == [1, -1, 2, -3]
-    # order 1: x - 1 and x + 1 are their own reflections
+    e = FibExpr.of([(0, [1])])
+    assert to_recurrence(e).initial == (0, 1)
+    assert _window(e, -4, -1)[::-1] == [1, -1, 2, -3]  # w_-1 .. w_-4
+    # order 1: a constant (x - 1) and an alternating sequence (x + 1)
     for text, initial, backward in (("3", (3,), [3, 3, 3]), ("2*(-1)^n", (2,), [-2, 2, -2])):
-        rec = to_recurrence(parse(text))
-        assert rec.initial == initial
-        assert rec.extend(3, "backward") == backward
+        e = parse(text)
+        assert to_recurrence(e).initial == initial
+        assert _window(e, -3, -1)[::-1] == backward
 
 
 def test_extend_zero_sequence_forward():
-    assert to_recurrence(FibExpr()).extend(3) == [0, 0, 0]
-
-
-def test_extend_argument_validation():
-    rec = to_recurrence(A010049)
-    with pytest.raises(ValueError):
-        rec.extend(0)
-    with pytest.raises(ValueError):
-        rec.extend(2, "sideways")
-    with pytest.raises(ValueError):
-        to_recurrence(FibExpr()).extend(1, "backward")
-
-
-def test_extend_backward_requires_unit_trailing_coefficient():
-    bogus = Recurrence(Poly((-2, 1)), (F(1),))  # w_n = 2*w_{n-1}
-    assert (bogus.order, bogus.coeffs) == (1, (2,))
-    with pytest.raises(InvariantViolation):
-        bogus.extend(1, "backward")
+    assert _window(FibExpr(), 0, 2) == [0, 0, 0]
 
 
 def test_extend_matches_evaluation_both_directions():
@@ -133,11 +113,8 @@ def test_extend_matches_evaluation_both_directions():
     for _ in range(25):
         e = rand_expr(rng)
         rec = to_recurrence(e)
-        fwd = rec.extend(10, "forward")
-        assert fwd == [e.at(n) for n in range(rec.order, rec.order + 10)]
-        if rec.order >= 1:
-            bwd = rec.extend(10, "backward")
-            assert bwd == [e.at(-n) for n in range(1, 11)]
+        assert_recurrence_holds(rec, e, -10, rec.order + 9)
+        assert _window(e, -10, rec.order + 9) == [ref_at(e, n) for n in range(-10, rec.order + 10)]
 
 
 def test_order_law():
@@ -163,13 +140,11 @@ def test_constant_term_is_a_unit():
 
 
 def test_integer_initials_propagate_both_ways():
+    # the unit trailing coefficient carries integer initials to every index of Z
     rng = random.Random(97)
-    for _ in range(20):
-        e = rand_int_expr(rng)
-        rec = to_recurrence(e)
-        assert all(v.denominator == 1 for v in rec.initial)
-        for v in rec.extend(100, "forward"):
-            assert v.denominator == 1
-        if rec.order >= 1:
-            for v in rec.extend(100, "backward"):
-                assert v.denominator == 1
+    ints = [rand_int_expr(rng) for _ in range(20)]
+    assert all(isinstance(is_integer_sequence(e), Integral) for e in ints)
+    families = [rand_family_instance(rng) for _ in range(20)]  # rational coefficients
+    for e in ints + families + [rand_expr(rng) for _ in range(40)]:
+        if isinstance(is_integer_sequence(e), Integral):
+            assert brute_scan(e, -100, 100) is None

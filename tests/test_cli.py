@@ -147,6 +147,30 @@ def test_eval_text_output_streams(capsys, monkeypatch):
     assert (code, out) == (1, "")
 
 
+def test_eval_json_window_is_bounded_before_any_work(capsys, no_fib):
+    # F(0)..F(100000) hold about 10^9 digits, and --json holds them all at once
+    code, out, err = run_cli(capsys, "eval", "F(n)", "--to", "100000", "--json")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --json would hold about 1045010450 digits at once, "
+        "more than 20000000; the text output streams\n"
+    )
+    # the text view streams, so it starts work (exit 1 under no_fib) on the same window
+    code, _, _ = run_cli(capsys, "eval", "F(n)", "--to", "100000")
+    assert code == 1
+
+
+def test_eval_json_budget_sums_every_index_in_closed_form(capsys, monkeypatch, no_fib):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_JSON_DIGITS", 100)
+    for lo, hi in ((0, 30), (-30, 0), (-20, 20), (0, 31), (-31, 0), (-23, 22), (5, 32)):
+        estimate = 0.209 * sum(abs(n) for n in range(lo, hi + 1))
+        code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", str(lo), "--to", str(hi), "--json")
+        # refused windows exit 2 with nothing printed; accepted ones reach fib (exit 1)
+        assert (code, out) == ((2, "") if estimate > 100 else (1, "")), (lo, hi)
+
+
 def test_list_options_keep_their_error_texts(capsys):
     code, _, err = run_cli(capsys, "synth", "--deg0", "1", "--values", "1,x")
     assert code == 2

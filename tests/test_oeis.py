@@ -104,6 +104,22 @@ def test_fixture_terms_match_their_formulas():
     )
 
 
+@pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
+def test_missing_fixtures_are_named(monkeypatch, capsys, tmp_path, make_dir):
+    folder = tmp_path / "fixtures"
+    if make_dir:
+        folder.mkdir()
+        (folder / "README.txt").write_text("not a b-file\n")
+    monkeypatch.setattr(fibrec.oeis.resources, "files", lambda package: tmp_path)
+    with pytest.raises(FileNotFoundError) as info:
+        load_fixtures()
+    assert str(info.value) == f"no OEIS b-files (b*.txt) in {folder}"
+    assert main(["oeis", "0,1,1,2,3,5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(folder) in err
+
+
 def test_search_local_examples():
     hits = search_local([1, 1, 3, 5, 9, 15])
     assert [h.entry.a_number for h in hits] == ["A001595"]
