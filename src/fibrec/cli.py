@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -27,6 +28,7 @@ from .decide import NonIntegral, is_integer_sequence
 from .oeis import OeisLookupError, search_local, search_remote
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import MAX_INDEX, format_expr, format_poly, parse
+from .seqform import FibExpr
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -48,9 +50,10 @@ _MAX_TIMEOUT = 86_400
 # in CPython: 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
 MAX_DIGITS = 500_000
 
-# Most digits that `eval --json` may hold: its document is written whole, so
-# every value sits in memory at once.  F(n) has about 0.209*|n| digits (log10
-# of the golden ratio); 20 million, F(0)..F(13800), take about 1 s and 75 MB.
+# Most digits that `eval --json` may hold, or the initial values of `rec` and
+# `check`: the JSON document is written whole, and the initial values are all
+# computed before any is printed, so every value sits in memory at once.
+# 20 million digits, F(0)..F(13800), take about 1 s and 75 MB.
 MAX_JSON_DIGITS = 20_000_000
 
 # argparse reads a word that starts with "-" as an option unless it matches
@@ -74,19 +77,62 @@ def _abs_sum(lo: int, hi: int) -> int:
     return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
 
 
+def _log10_above(k: int) -> float:
+    """An upper bound on log10(k) for an int k >= 1, exact at 1; read off the
+    bit length, so a 500,000-digit int never becomes a float."""
+    return (k - 1).bit_length() * math.log10(2)
+
+
+def _estimated_digits(expr: FibExpr, lo: int, hi: int) -> int:
+    """About how many digits w_lo..w_hi print with, read off the parsed expression.
+
+    Over the coefficients' common denominator L, with M the sum of their
+    numerators' magnitudes over L, D the largest degree and J the largest
+    |shift|, |L*w_n| <= M * max(|lo|, |hi|, 2)^D * phi^(|n| + J), and the
+    denominator of w_n divides L.  log10(phi) is about 0.209.  No Fibonacci
+    number is computed, and every term but 0.209*|n| is 0 for F(n).
+    """
+    coeffs = [Fraction(c) for t in expr.terms for c in t.poly.coeffs]
+    coeffs += [expr.const_e, expr.alt_f]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    mag = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    degree = max((t.poly.degree for t in expr.terms), default=0)
+    shift = max((abs(t.shift) for t in expr.terms), default=0)
+    per_value = (0.209 * shift + degree * math.log10(max(abs(lo), abs(hi), 2))
+                 + _log10_above(max(mag, 1)) + _log10_above(den))
+    return round(0.209 * _abs_sum(lo, hi) + (hi - lo + 1) * per_value)
+
+
+def _parse_for_recurrence(text: str) -> FibExpr:
+    """Parse an expression for `rec` or `check`, refusing it before any
+    Fibonacci work when its initial values would pass MAX_JSON_DIGITS."""
+    expr = parse(text)
+    degree = max((t.poly.degree for t in expr.terms), default=None)
+    # an upper bound on the order: the terms may cancel in the canonical form
+    order = (0 if degree is None else 2 * (degree + 1)) + bool(expr.const_e) + bool(expr.alt_f)
+    digits = _estimated_digits(expr, 0, order - 1)
+    if digits > MAX_JSON_DIGITS:
+        raise ValueError(
+            f"up to {order} initial values would hold about {digits} digits, "
+            f"more than {MAX_JSON_DIGITS}"
+        )
+    return expr
+
+
 def _cmd_eval(args) -> _Output:
     if args.start > args.stop:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
+    expr = parse(args.expr)
     if args.json:
-        digits = round(0.209 * _abs_sum(args.start, args.stop))
+        digits = _estimated_digits(expr, args.start, args.stop)
         if digits > MAX_JSON_DIGITS:
             raise ValueError(
                 f"--json would hold about {digits} digits at once, more than "
                 f"{MAX_JSON_DIGITS}; the text output streams"
             )
-    values = parse(args.expr).canon().values(args.start, args.stop)
+    values = expr.canon().values(args.start, args.stop)
     payload = {
         "expression": args.expr,
         "from": args.start,
@@ -117,7 +163,7 @@ def _cmd_canon(args) -> _Output:
 
 
 def _cmd_rec(args) -> _Output:
-    rec = to_recurrence(parse(args.expr))
+    rec = to_recurrence(_parse_for_recurrence(args.expr))
     payload = {
         "expression": args.expr,
         "order": rec.order,
@@ -134,7 +180,7 @@ def _cmd_rec(args) -> _Output:
 
 
 def _cmd_check(args) -> _Output:
-    verdict = is_integer_sequence(parse(args.expr))
+    verdict = is_integer_sequence(_parse_for_recurrence(args.expr))
     if isinstance(verdict, NonIntegral):
         payload = {
             "expression": args.expr,

@@ -10,7 +10,6 @@ No floating point appears anywhere; every operation is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,3 @@ class Poly:
         for c in reversed(self.coeffs):
             shifted = shifted * step + Poly((c,))
         return shifted
-
-    def map_coeffs(self, fn: Callable) -> "Poly":
-        return Poly(tuple(fn(c) for c in self.coeffs))

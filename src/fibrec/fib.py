@@ -1,38 +1,38 @@
-"""Fibonacci numbers over all integer indices, plus index-shift helpers.
+"""Fibonacci numbers over all integer indices, and the shift identity's coefficients.
 
-Everything here is int arithmetic.  Callers scale these ints by ``Poly``
+Everything here is int arithmetic: ``fib`` reads ``fib_pair``, and
+``shift_coeffs`` reads ``fib``.  Callers scale these ints by ``Poly``
 coefficients, which are ``int`` or ``Fraction``; nothing leaves the rationals.
 """
 
 from __future__ import annotations
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    # fast doubling: (F_n, F_{n+1}) for n >= 0
+def fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) for any integer n: the one fast-doubling loop, and the
+    one place a negative index is mapped, by F(-m) = (-1)^(m+1) * F(m)."""
     a, b = 0, 1
-    for bit in bin(n)[2:]:
+    # fast doubling to (F(m), F(m+1)), with m = -n-1 below zero
+    for bit in bin(n if n >= 0 else -n - 1)[2:]:
         c = a * (2 * b - a)
         d = a * a + b * b
         if bit == "0":
             a, b = c, d
         else:
             a, b = d, c + d
-    return a, b
+    if n >= 0:
+        return a, b
+    return (b, -a) if n % 2 else (-b, a)
 
 
 def fib(n: int) -> int:
-    """F_n for any integer n, with F_{-n} = (-1)^(n+1) * F_n."""
-    if n >= 0:
-        return _fib_pair(n)[0]
-    v = _fib_pair(-n)[0]
-    return v if n % 2 else -v
+    """F(n) for any integer n."""
+    return fib_pair(n)[0]
 
 
 def shift_coeffs(j: int) -> tuple[int, int]:
-    """Integers (cF, cF1) with F_{n-j} = cF*F_n + cF1*F_{n-1} for every n.
+    """Integers (cF, cF1) with F(n-j) = cF*F(n) + cF1*F(n-1) for every n and j.
 
-    cF = (-1)^j * F_{j-1} and cF1 = (-1)^(j+1) * F_j; valid for negative j
-    as well, through the negative-index rule baked into fib().
+    They are F(1-j) and F(-j), by the addition formula.
     """
-    sign = -1 if j % 2 else 1
-    return sign * fib(j - 1), -sign * fib(j)
+    return fib(1 - j), fib(-j)

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MIN_PREFIX = 4
 OEIS_SEARCH_URL = "https://oeis.org/search"
@@ -128,18 +128,15 @@ def _checked_prefix(prefix: Sequence[int]) -> tuple[int, ...]:
     return needle
 
 
-def search_local(
-    prefix: Sequence[int], entries: Iterable[OeisEntry] | None = None
-) -> list[OeisHit]:
-    """All entries (the bundled fixtures by default) holding the prefix as a contiguous run.
+def search_local(prefix: Sequence[int]) -> list[OeisHit]:
+    """All bundled entries holding the prefix as a contiguous run.
 
-    Results are ordered by A-number; an empty list means no match.
+    Results are ordered by A-number, the order of load_fixtures; an empty
+    list means no match.
     """
     needle = _checked_prefix(prefix)
-    if entries is None:
-        entries = load_fixtures().values()
     hits = []
-    for entry in sorted(entries, key=lambda e: e.a_number):
+    for entry in load_fixtures().values():
         start = _find_run(entry.terms, needle)
         if start is not None:
             hits.append(OeisHit(entry, start))

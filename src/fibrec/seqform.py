@@ -8,7 +8,7 @@ with polynomials p_i (``Poly`` with int or Fraction coefficients), integer
 shifts j_i (negative shifts, i.e. F(n+k), are first class) and rational
 constants e, f.  Every shift can be eliminated with the identity
 
-    F(n-j) = ((-1)^j F_{j-1}) * F(n) + ((-1)^(j+1) F_j) * F(n-1),
+    F(n-j) = F(1-j) * F(n) + F(-j) * F(n-1),
 
 which reduces any expression to the canonical form
 P0(n)*F(n) + P1(n)*F(n-1) + e + f*(-1)^n.  Two expressions describe the
@@ -16,7 +16,7 @@ same sequence exactly when their canonical forms are componentwise equal.
 
 Every value comes from ``CanonForm.values(lo, hi)``: over the common
 denominator of the form's coefficients, w_n is an integer combination of
-(F(n), F(n-1)), a pair that steps by one addition from a fast-doubling seed.
+(F(n), F(n-1)), a pair that steps by one addition from one ``fib_pair`` seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .exact import Poly
-from .fib import fib, shift_coeffs
+from .fib import fib_pair, shift_coeffs
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,9 @@ class CanonForm:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
         parts = self.p0.coeffs + self.p1.coeffs + (self.const_e, self.alt_f)
         den = math.lcm(*(Fraction(c).denominator for c in parts))
-        q0, q1 = (p.map_coeffs(lambda c: int(c * den)) for p in (self.p0, self.p1))
+        q0, q1 = (Poly(tuple(int(c * den) for c in p.coeffs)) for p in (self.p0, self.p1))
         e, f = int(self.const_e * den), int(self.alt_f * den)
-        fn, fn1 = fib(lo), fib(lo - 1)
+        fn1, fn = fib_pair(lo - 1)
         for n in range(lo, hi + 1):
             yield n, Fraction(q0(n) * fn + q1(n) * fn1 + (e - f if n % 2 else e + f), den)
             fn, fn1 = fn + fn1, fn

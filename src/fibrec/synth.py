@@ -4,7 +4,8 @@ A ``Template`` fixes the shape of the target expression: the degrees of the
 F(n) and F(n-1) coefficient polynomials, plus optional constant and
 alternating terms.  The unknown coefficients then satisfy a square linear
 system whose row n states w_n = <basis values at n> . <unknowns>.  Its
-entries n^p*F(n-part) are integers, so it is solved by fraction-free
+entries n^p*F(n-part) are integers (``build_system`` steps (F(n-1), F(n))
+from (1, 0), one addition per row), so it is solved by fraction-free
 Gauss-Jordan elimination (Bareiss 1968) in integers, with the values'
 common denominator cleared first and one exact division at the end.
 
@@ -12,7 +13,7 @@ Slot order is defined once, by ``Template.slots``: the reading order of the
 written-out expression, that is F(n) coefficients by descending degree, then
 F(n-1) coefficients by descending degree, then the constant, then the
 alternating coefficient.  Slots are named a, b, c, ... in that order, and
-``unknowns``, ``basis_row`` and ``expr_from`` all read it.
+``unknowns``, ``build_system`` and ``expr_from`` all read it.
 
 ``theorem_solution`` builds the four guaranteed-integer families:
 
@@ -81,11 +82,6 @@ class Template:
     def slot_names(self) -> tuple[str, ...]:
         return tuple(chr(ord("a") + i) for i in range(self.unknowns))
 
-    def basis_row(self, n: int) -> list[int]:
-        """Multiplier of each unknown in w_n, in slot order."""
-        base = (fib(n), fib(n - 1), 1, -1 if n % 2 else 1)
-        return [n**p * base[part] for part, p in self.slots]
-
     def expr_from(self, coeffs: Sequence) -> FibExpr:
         """Assemble the expression whose slots carry the given coefficients."""
         vals = [Fraction(c) for c in coeffs]
@@ -117,7 +113,13 @@ class SynthSolution:
 
 def build_system(template: Template) -> list[list[int]]:
     """k x k matrix M with M[n][slot] = multiplier of that slot in w_n."""
-    return [template.basis_row(n) for n in range(template.unknowns)]
+    rows = []
+    fn1, fn = 1, 0  # (F(n-1), F(n)) at n = 0
+    for n in range(template.unknowns):
+        base = (fn, fn1, 1, -1 if n % 2 else 1)
+        rows.append([n**p * base[part] for part, p in template.slots])
+        fn1, fn = fn, fn + fn1
+    return rows
 
 
 def _eliminate(aug: list[list[int]], width: int) -> int:

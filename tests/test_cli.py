@@ -2,14 +2,16 @@
 
 import importlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from conftest import rand_fraction
 
-from fibrec import parse
-from fibrec.cli import main
+from fibrec import FibExpr, Poly, parse
+from fibrec.cli import _estimated_digits, main
 
 
 def run_cli(capsys, *argv):
@@ -89,11 +91,11 @@ def no_fib(monkeypatch):
     """Make every Fibonacci evaluation fail, so any work at all exits 1, not 2."""
 
     def boom(n):
-        raise AssertionError(f"fib({n}) was called")
+        raise AssertionError(f"fib_pair({n}) was called")
 
     # the package re-exports the function fib, which hides the module fibrec.fib
     for module in ("fibrec.fib", "fibrec.seqform"):
-        monkeypatch.setattr(importlib.import_module(module), "fib", boom)
+        monkeypatch.setattr(importlib.import_module(module), "fib_pair", boom)
 
 
 def test_huge_shift_is_rejected_before_any_work(capsys, no_fib):
@@ -169,6 +171,40 @@ def test_eval_json_budget_sums_every_index_in_closed_form(capsys, monkeypatch, n
         code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", str(lo), "--to", str(hi), "--json")
         # refused windows exit 2 with nothing printed; accepted ones reach fib (exit 1)
         assert (code, out) == ((2, "") if estimate > 100 else (1, "")), (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "F(n-1000000)", "--to", "100", "--json"),
+        ("rec", "n^1000*F(n-1000000)"),
+        ("rec", "n^1000*F(n-1000000)", "--json"),
+        ("check", "n^1000*F(n-1000000)"),
+        ("check", "n^1000*F(n-1000000)", "--json"),
+    ],
+)
+def test_shifts_and_degrees_count_in_the_digit_budget(capsys, no_fib, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "more than 20000000" in err
+
+
+def test_digit_estimate_is_never_far_below_the_printed_digits():
+    rng = random.Random(13)
+    for _ in range(250):
+        terms = [
+            (rng.randint(-300, 300) if rng.random() < 0.3 else rng.randint(-6, 6),
+             Poly(tuple(rand_fraction(rng, 10**rng.randint(0, 6), (1, 3, 7, 10, 10**9))
+                        for _ in range(rng.randint(1, 7)))))
+            for _ in range(rng.randint(0, 3))
+        ]
+        const = rand_fraction(rng) if rng.random() < 0.5 else 0
+        alt = rand_fraction(rng) if rng.random() < 0.5 else 0
+        expr = FibExpr.of(terms, const, alt)
+        lo = rng.randint(-400, 400)
+        hi = lo + rng.randint(0, 40)
+        printed = sum(ch.isdigit() for _, v in expr.canon().values(lo, hi) for ch in str(v))
+        assert _estimated_digits(expr, lo, hi) >= printed - 2 * (hi - lo + 1), (expr, lo, hi)
 
 
 def test_list_options_keep_their_error_texts(capsys):

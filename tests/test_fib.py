@@ -3,6 +3,7 @@
 from binet_oracle import ALPHA, BETA, QuadRat, root_pow
 
 from fibrec import fib, shift_coeffs
+from fibrec.fib import fib_pair
 
 
 def naive_fib_table(lo: int, hi: int) -> dict[int, int]:
@@ -27,6 +28,18 @@ def test_fib_matches_naive_recurrence():
     table = naive_fib_table(-50, 50)
     for n in range(-50, 51):
         assert fib(n) == table[n]
+
+
+def test_fib_pair_matches_naive_recurrence():
+    table = naive_fib_table(-300, 301)
+    for n in range(-300, 301):
+        assert fib_pair(n) == (table[n], table[n + 1])
+
+
+def test_fib_pair_matches_alpha_powers():
+    # alpha^n = (L(n) + F(n)*sqrt(5))/2, by square-and-multiply, not fast doubling
+    for n in (-4097, -1001, -1000, 1000, 1001, 4097):
+        assert fib_pair(n) == (2 * root_pow(ALPHA, n).s, 2 * root_pow(ALPHA, n + 1).s)
 
 
 def test_fib_recurrence_property():

@@ -139,12 +139,13 @@ def test_search_local_mid_sequence_match():
     assert entry.terms[hits[0].match_start : hits[0].match_start + 4] == (5, 8, 13, 21)
 
 
-def test_search_local_is_sorted_by_a_number():
-    entries = [
-        OeisEntry("A999999", 0, (1, 2, 3, 4, 5)),
-        OeisEntry("A000001", 0, (0, 1, 2, 3, 4, 5)),
-    ]
-    hits = search_local([2, 3, 4, 5], entries)
+def test_search_local_is_sorted_by_a_number(monkeypatch, tmp_path):
+    folder = tmp_path / "fixtures"
+    folder.mkdir()
+    (folder / "b999999.txt").write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")
+    (folder / "b000001.txt").write_text("0 0\n1 1\n2 2\n3 3\n4 4\n5 5\n")
+    monkeypatch.setattr(fibrec.oeis.resources, "files", lambda package: tmp_path)
+    hits = search_local([2, 3, 4, 5])
     assert [h.entry.a_number for h in hits] == ["A000001", "A999999"]
     assert [h.match_start for h in hits] == [2, 1]
 
