@@ -1,6 +1,14 @@
 """Characteristic polynomials and integer recurrences for canonical forms.
 
 A ``Recurrence`` only holds values; ``CanonForm.values`` evaluates the sequence.
+
+``char_poly`` is one integer power (Kronecker substitution): it evaluates
+x^2-x-1 at x = 2^B, raises that int to the power k = D+1, multiplies in
+x-1 and x+1 at the same point, and reads the coefficients back as signed
+base-2^B digits.  Every coefficient of the product is at most the product of
+the factors' absolute coefficient sums, 3^k * 2^([e!=0] + [f!=0]) <= 3^k * 4,
+so B >= bit_length(3^k) + 3 (about 1.585k + 3 bits), rounded up to whole
+bytes, leaves a sign bit to spare and no digit overflows into the next.
 """
 
 from __future__ import annotations
@@ -20,15 +28,23 @@ def char_poly(form: CanonForm) -> Poly:
     (x^2-x-1)^(D+1) with D = max(deg P0, deg P1), left out when both vanish;
     times x-1 when e != 0 and x+1 when f != 0.  The zero sequence gets 1.
     """
-    out = Poly((1,))
     d = form.fib_degree
-    if d is not None:
-        out = out * FIB_CHAR ** (d + 1)
-    if form.const_e:
-        out = out * Poly((-1, 1))
-    if form.alt_f:
-        out = out * Poly((1, 1))
-    return out
+    k = 0 if d is None else d + 1
+    e, f = bool(form.const_e), bool(form.alt_f)
+    # digits of B bits, whole bytes, hold any |c| <= 3^k * 2^(e+f) with a sign bit
+    size = ((3**k).bit_length() + 10) // 8
+    width = 8 * size
+    x = 1 << width
+    value = pow(x * x - x - 1, k) * (x - 1 if e else 1) * (x + 1 if f else 1)
+    count = 2 * k + e + f + 1
+    # the bias 2^(B-1) on every digit leaves each one in [0, 2^B): no borrows
+    bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * count, "little")
+    packed = (value + bias).to_bytes(size * count, "little")
+    half = 1 << (width - 1)
+    return Poly(tuple(
+        int.from_bytes(packed[i:i + size], "little") - half
+        for i in range(0, size * count, size)
+    ))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,9 @@ MAX_DIGITS = 500_000
 
 # Most digits that `eval --json` may hold, or the initial values of `rec` and
 # `check`: the JSON document is written whole, and the initial values are all
-# computed before any is printed, so every value sits in memory at once.
+# computed before any is printed, so every value sits in memory at once.  The
+# initial-value estimate also bounds the canonical form that `canon` prints and
+# that `eval` computes before its first value.
 # 20 million digits, F(0)..F(13800), take about 1 s and 75 MB.
 MAX_JSON_DIGITS = 20_000_000
 
@@ -103,9 +105,15 @@ def _estimated_digits(expr: FibExpr, lo: int, hi: int) -> int:
     return round(0.209 * _abs_sum(lo, hi) + (hi - lo + 1) * per_value)
 
 
-def _parse_for_recurrence(text: str) -> FibExpr:
-    """Parse an expression for `rec` or `check`, refusing it before any
-    Fibonacci work when its initial values would pass MAX_JSON_DIGITS."""
+def _parse_bounded(text: str) -> FibExpr:
+    """Parse an expression, refusing it before any Fibonacci work when its
+    initial values would pass MAX_JSON_DIGITS.
+
+    Every command that canonicalizes (`eval`, `canon`, `rec`, `check`) parses
+    through here.  The estimate covers 2(D+1) values, each with the digits of
+    the largest shift, so it also bounds the 2(D+1) coefficients of the
+    canonical form, each a coefficient times a Fibonacci number of the shift.
+    """
     expr = parse(text)
     degree = max((t.poly.degree for t in expr.terms), default=None)
     # an upper bound on the order: the terms may cancel in the canonical form
@@ -124,7 +132,7 @@ def _cmd_eval(args) -> _Output:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
-    expr = parse(args.expr)
+    expr = _parse_bounded(args.expr)
     if args.json:
         digits = _estimated_digits(expr, args.start, args.stop)
         if digits > MAX_JSON_DIGITS:
@@ -145,7 +153,7 @@ def _cmd_eval(args) -> _Output:
 
 
 def _cmd_canon(args) -> _Output:
-    form = parse(args.expr).canon()
+    form = _parse_bounded(args.expr).canon()
     payload = {
         "expression": args.expr,
         # a coefficient may be an int, which JSON must still write as "1"
@@ -163,7 +171,7 @@ def _cmd_canon(args) -> _Output:
 
 
 def _cmd_rec(args) -> _Output:
-    rec = to_recurrence(_parse_for_recurrence(args.expr))
+    rec = to_recurrence(_parse_bounded(args.expr))
     payload = {
         "expression": args.expr,
         "order": rec.order,
@@ -180,7 +188,7 @@ def _cmd_rec(args) -> _Output:
 
 
 def _cmd_check(args) -> _Output:
-    verdict = is_integer_sequence(_parse_for_recurrence(args.expr))
+    verdict = is_integer_sequence(_parse_bounded(args.expr))
     if isinstance(verdict, NonIntegral):
         payload = {
             "expression": args.expr,

@@ -3,6 +3,13 @@
 Everything here is int arithmetic: ``fib`` reads ``fib_pair``, and
 ``shift_coeffs`` reads ``fib``.  Callers scale these ints by ``Poly``
 coefficients, which are ``int`` or ``Fraction``; nothing leaves the rationals.
+
+``fib_pair`` doubles with two squarings per bit of the index (Takahashi 2000;
+GMP's ``mpz_fib2_ui``), walking (F(k-1), F(k)) over the prefixes k of its bits:
+
+    F(2k+1) = 4*F(k)^2 - F(k-1)^2 + 2*(-1)^k
+    F(2k-1) = F(k)^2 + F(k-1)^2
+    F(2k)   = F(2k+1) - F(2k-1)
 """
 
 from __future__ import annotations
@@ -11,15 +18,16 @@ from __future__ import annotations
 def fib_pair(n: int) -> tuple[int, int]:
     """(F(n), F(n+1)) for any integer n: the one fast-doubling loop, and the
     one place a negative index is mapped, by F(-m) = (-1)^(m+1) * F(m)."""
-    a, b = 0, 1
-    # fast doubling to (F(m), F(m+1)), with m = -n-1 below zero
-    for bit in bin(n if n >= 0 else -n - 1)[2:]:
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        if bit == "0":
-            a, b = c, d
+    m = n if n >= 0 else -n - 1
+    a, b, sign = 1, 0, 2  # (F(k-1), F(k)) and 2*(-1)^k, from k = 0
+    for bit in bin(m)[2:]:
+        aa, bb = a * a, b * b
+        up, down = 4 * bb - aa + sign, aa + bb  # F(2k+1), F(2k-1)
+        if bit == "1":
+            a, b, sign = up - down, up, -2
         else:
-            a, b = d, c + d
+            a, b, sign = down, up - down, 2
+    a, b = b, a + b  # (F(m), F(m+1))
     if n >= 0:
         return a, b
     return (b, -a) if n % 2 else (-b, a)

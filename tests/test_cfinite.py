@@ -22,6 +22,7 @@ from conftest import (
 )
 
 from fibrec import (
+    CanonForm,
     FibExpr,
     Integral,
     Poly,
@@ -30,6 +31,7 @@ from fibrec import (
     parse,
     to_recurrence,
 )
+from fibrec.cfinite import FIB_CHAR
 
 QUARTIC = Poly((1, 2, -1, -2, 1))  # (x^2-x-1)^2
 SEXTIC = Poly((-1, -3, 0, 5, 0, -3, 1))  # (x^2-x-1)^3
@@ -43,6 +45,27 @@ def test_char_poly_examples():
     full = char_poly(WALKS_W.canon())
     assert full.degree == 6
     assert full == QUARTIC * Poly((-1, 1)) * Poly((1, 1))
+
+
+def test_char_poly_matches_schoolbook_power():
+    # char_poly packs the power into one int; the reference is Poly.__mul__,
+    # stepped by one factor x^2-x-1 per degree and checked against Poly.__pow__
+    # at a few degrees.  Its digit width crosses every byte boundary up to D = 300.
+    factors = {
+        (e, f): Poly((-1, 1) if e else (1,)) * Poly((1, 1) if f else (1,))
+        for e in (0, 1) for f in (0, 1)
+    }
+    power = Poly((1,))
+    for d in [None, *range(301)]:
+        if d is not None:
+            power = power * FIB_CHAR
+            if d in (0, 1, 2, 7, 63, 64, 127, 300):
+                assert power == FIB_CHAR ** (d + 1)
+        p0 = Poly(()) if d is None else Poly((0,) * d + (F(1, 3),))
+        for (e, f), factor in factors.items():
+            got = char_poly(CanonForm(p0, Poly(()), F(e, 7), F(-f, 2)))
+            assert got == power * factor, (d, e, f)
+            assert all(type(c) is int for c in got.coeffs)
 
 
 def test_char_poly_minimality_at_spectral_level():

@@ -181,6 +181,10 @@ def test_eval_json_budget_sums_every_index_in_closed_form(capsys, monkeypatch, n
         ("rec", "n^1000*F(n-1000000)", "--json"),
         ("check", "n^1000*F(n-1000000)"),
         ("check", "n^1000*F(n-1000000)", "--json"),
+        # the canonical form has 2002 coefficients of about 209,000 digits each
+        ("canon", "n^1000*F(n-1000000)"),
+        ("canon", "n^1000*F(n-1000000)", "--json"),
+        ("eval", "n^1000*F(n-1000000)", "--to", "0"),
     ],
 )
 def test_shifts_and_degrees_count_in_the_digit_budget(capsys, no_fib, argv):

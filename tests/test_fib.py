@@ -36,10 +36,27 @@ def test_fib_pair_matches_naive_recurrence():
         assert fib_pair(n) == (table[n], table[n + 1])
 
 
+def _bit_boundary_indices():
+    # the doubling loop branches on each bit of |n| (of -n-1 below zero)
+    for k in range(19):
+        for m in (2**k - 1, 2**k, 2**k + 1):
+            yield from (m, -m)
+    for bits in range(2, 19):
+        alternating = int("10" * (bits // 2) + "1" * (bits % 2), 2)
+        yield from (alternating, -alternating, alternating >> 1, -(alternating >> 1))
+
+
 def test_fib_pair_matches_alpha_powers():
     # alpha^n = (L(n) + F(n)*sqrt(5))/2, by square-and-multiply, not fast doubling
-    for n in (-4097, -1001, -1000, 1000, 1001, 4097):
-        assert fib_pair(n) == (2 * root_pow(ALPHA, n).s, 2 * root_pow(ALPHA, n + 1).s)
+    for n in {-4097, -1001, -1000, 1000, 1001, 4097, *_bit_boundary_indices()}:
+        assert fib_pair(n) == (2 * root_pow(ALPHA, n).s, 2 * root_pow(ALPHA, n + 1).s), n
+
+
+def test_fib_pair_cassini_at_far_indices():
+    for n in (-200_000, -199_999, 199_999, 200_000):
+        prev, now = fib_pair(n - 1)
+        assert fib_pair(n)[0] == now
+        assert prev * fib_pair(n)[1] - now * now == (-1) ** (n % 2), n
 
 
 def test_fib_recurrence_property():
