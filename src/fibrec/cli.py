@@ -3,7 +3,8 @@
 Subcommands: eval, canon, rec, check, synth, theorem, oeis, oracle.  Every
 subcommand accepts --json for a single machine-readable document on stdout.
 Each command returns its answer values, not their text; main renders only
-the view it prints, so each printed value becomes text once.
+the view it prints, so each printed value becomes text once.  `eval` hands
+main its values already rendered, one at a time, from Decimals.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
@@ -15,20 +16,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
+import functools
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .cfinite import to_recurrence
 from .decide import NonIntegral, is_integer_sequence
+from .exact import Poly
+from .fib import fib_pair
 from .oeis import OeisLookupError, search_local, search_remote
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import MAX_INDEX, format_expr, format_poly, parse
-from .seqform import FibExpr
+from .seqform import CanonForm, FibExpr, _numerators
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -46,8 +51,10 @@ REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 # Longest --timeout (a day): 0 makes the socket non-blocking, inf overflows it.
 _MAX_TIMEOUT = 86_400
 
-# Longest value the CLI will print.  Turning an int into text is quadratic
-# in CPython: 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
+# Longest value the CLI will print, in every view.  `eval` steps and renders
+# its values as Decimals, in time near linear in their length, but the other
+# commands print ints, which CPython turns into text in quadratic time:
+# 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
 MAX_DIGITS = 500_000
 
 # Most digits that `eval --json` may hold, or the initial values of `rec` and
@@ -105,7 +112,7 @@ def _estimated_digits(expr: FibExpr, lo: int, hi: int) -> int:
     return round(0.209 * _abs_sum(lo, hi) + (hi - lo + 1) * per_value)
 
 
-def _parse_bounded(text: str) -> FibExpr:
+def _parse_bounded(text: str, holding: str) -> FibExpr:
     """Parse an expression, refusing it before any Fibonacci work when its
     initial values would pass MAX_JSON_DIGITS.
 
@@ -113,6 +120,7 @@ def _parse_bounded(text: str) -> FibExpr:
     through here.  The estimate covers 2(D+1) values, each with the digits of
     the largest shift, so it also bounds the 2(D+1) coefficients of the
     canonical form, each a coefficient times a Fibonacci number of the shift.
+    `holding` names what the command would hold, with {} for that count.
     """
     expr = parse(text)
     degree = max((t.poly.degree for t in expr.terms), default=None)
@@ -121,10 +129,97 @@ def _parse_bounded(text: str) -> FibExpr:
     digits = _estimated_digits(expr, 0, order - 1)
     if digits > MAX_JSON_DIGITS:
         raise ValueError(
-            f"up to {order} initial values would hold about {digits} digits, "
+            f"{holding.format(order)} would hold about {digits} digits, "
             f"more than {MAX_JSON_DIGITS}"
         )
     return expr
+
+
+# Decimal arithmetic in which any rounding raises instead of dropping a digit.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
+
+# Decimal(int) converts an int of at most this many bits faster than
+# splitting it further, and a coefficient that short stays an int.
+_SPLIT_BITS = 1024
+
+
+def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    """x as an equal Decimal, in time near that of one multiply; run it in an
+    exact context such as _EXACT.
+
+    Decimal(int), like str(int), takes time quadratic in the length of x (3.7 s
+    for F(2,000,000), against 0.14 s here; CPython 3.11, 2-core VM).  Here x of w
+    bits splits into hi*2^h + lo with h = w//2, and each half converts in turn
+    (Brent and Zimmermann, Modern Computer Arithmetic, 1.7; CPython 3.12's
+    _pylong.int_to_decimal).  `powers` holds each 2^h for the next operand.
+    """
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            half = w // 2
+            powers[w] = (decimal.Decimal(1 << w) if w <= _SPLIT_BITS
+                         else power(half) * power(w - half))
+        return powers[w]
+
+    def split(x: int, w: int) -> decimal.Decimal:
+        if w <= _SPLIT_BITS:
+            return decimal.Decimal(x)
+        half = w // 2
+        hi = x >> half
+        return split(x - (hi << half), half) + split(hi, w - half) * power(half)
+
+    return -split(-x, (-x).bit_length()) if x < 0 else split(x, x.bit_length())
+
+
+def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[tuple[int, str]]:
+    """Yield (n, str(w_n)) for n = lo..hi, each written as str(Fraction) would.
+
+    The numerators L*w_n step as Decimals, which add, multiply and become text
+    in time near linear in their length.  A value whose reduced numerator has
+    more than MAX_DIGITS digits is refused, as str refuses its int.
+    """
+    den, q0, q1, e, f = form._scaled()
+    seed = fib_pair(lo - 1)
+    operands = (den, *q0.coeffs, *q1.coeffs, e, f, *seed)
+    if max(x.bit_length() for x in operands) > MAX_DIGITS * math.log2(10):
+        # An operand past MAX_DIGITS digits is too long to print.  Converting it
+        # is wasted when the values are too (F(n) at n = 10^7), and when they
+        # cancel to short ones (F(n-k) at n = k) ints reach them without it.
+        for n, num in _numerators(q0, q1, e, f, seed, lo, hi):
+            yield n, str(Fraction(num, den))
+        return
+    powers: dict[int, decimal.Decimal] = {}
+    with decimal.localcontext(_EXACT) as exact:  # a copy, this window's own
+        # The seed steps as Decimals.  A short coefficient stays an int, which
+        # Decimal arithmetic takes exactly and Horner's rule runs faster on.
+        dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x, powers)
+        steps = _numerators(Poly(tuple(map(dec, q0.coeffs))), Poly(tuple(map(dec, q1.coeffs))),
+                            dec(e), dec(f), tuple(_to_decimal(x, powers) for x in seed), lo, hi)
+        big_den = dec(den)
+    while True:
+        # The context is left before each yield, so the caller never runs in
+        # it; switched by hand, as localcontext would copy it at every value.
+        outer = decimal.getcontext()
+        decimal.setcontext(exact)
+        try:
+            step = next(steps, None)
+            if step is None:
+                return
+            n, num = step
+            d = den
+            if not num:  # "0", never the "-0" that Decimal can hold
+                text = "0"
+            else:
+                g = math.gcd(int(num % big_den), den) if den > 1 else 1
+                if g > 1:
+                    num, d = num // g, den // g
+                if num.adjusted() >= MAX_DIGITS:
+                    raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+                text = str(num) if d == 1 else f"{num!s}/{d}"
+        finally:
+            decimal.setcontext(outer)
+        yield n, text
 
 
 def _cmd_eval(args) -> _Output:
@@ -132,7 +227,7 @@ def _cmd_eval(args) -> _Output:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
-    expr = _parse_bounded(args.expr)
+    expr = _parse_bounded(args.expr, "up to {} coefficients computed before the first value")
     if args.json:
         digits = _estimated_digits(expr, args.start, args.stop)
         if digits > MAX_JSON_DIGITS:
@@ -140,7 +235,7 @@ def _cmd_eval(args) -> _Output:
                 f"--json would hold about {digits} digits at once, more than "
                 f"{MAX_JSON_DIGITS}; the text output streams"
             )
-    values = expr.canon().values(args.start, args.stop)
+    values = _rendered(expr.canon(), args.start, args.stop)
     payload = {
         "expression": args.expr,
         "from": args.start,
@@ -153,7 +248,7 @@ def _cmd_eval(args) -> _Output:
 
 
 def _cmd_canon(args) -> _Output:
-    form = _parse_bounded(args.expr).canon()
+    form = _parse_bounded(args.expr, "up to {} coefficients of the canonical form").canon()
     payload = {
         "expression": args.expr,
         # a coefficient may be an int, which JSON must still write as "1"
@@ -171,7 +266,7 @@ def _cmd_canon(args) -> _Output:
 
 
 def _cmd_rec(args) -> _Output:
-    rec = to_recurrence(_parse_bounded(args.expr))
+    rec = to_recurrence(_parse_bounded(args.expr, "up to {} initial values"))
     payload = {
         "expression": args.expr,
         "order": rec.order,
@@ -188,7 +283,7 @@ def _cmd_rec(args) -> _Output:
 
 
 def _cmd_check(args) -> _Output:
-    verdict = is_integer_sequence(_parse_bounded(args.expr))
+    verdict = is_integer_sequence(_parse_bounded(args.expr, "up to {} initial values"))
     if isinstance(verdict, NonIntegral):
         payload = {
             "expression": args.expr,
@@ -279,6 +374,7 @@ def _cmd_oracle(args) -> _Output:
     return EXIT_OK, payload, lambda: [str(value)]
 
 
+@functools.cache  # built at the first main call, not at import
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="fibrec",

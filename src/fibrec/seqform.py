@@ -14,9 +14,10 @@ which reduces any expression to the canonical form
 P0(n)*F(n) + P1(n)*F(n-1) + e + f*(-1)^n.  Two expressions describe the
 same sequence exactly when their canonical forms are componentwise equal.
 
-Every value comes from ``CanonForm.values(lo, hi)``: over the common
-denominator of the form's coefficients, w_n is an integer combination of
-(F(n), F(n-1)), a pair that steps by one addition from one ``fib_pair`` seed.
+Every value comes from one loop, ``_numerators``: over the common denominator
+of the form's coefficients, w_n is an integer combination of (F(n), F(n-1)),
+a pair that steps by one addition from one ``fib_pair`` seed.
+``CanonForm.values(lo, hi)`` runs it on ints.
 """
 
 from __future__ import annotations
@@ -138,13 +139,29 @@ class CanonForm:
             return d0
         return max(d0, d1)
 
-    def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
-        """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
+    def _scaled(self) -> tuple[int, Poly, Poly, int, int]:
+        """(L, L*P0, L*P1, L*e, L*f), with L the common denominator of the
+        form's coefficients, so every part is an int."""
         parts = self.p0.coeffs + self.p1.coeffs + (self.const_e, self.alt_f)
         den = math.lcm(*(Fraction(c).denominator for c in parts))
         q0, q1 = (Poly(tuple(int(c * den) for c in p.coeffs)) for p in (self.p0, self.p1))
-        e, f = int(self.const_e * den), int(self.alt_f * den)
-        fn1, fn = fib_pair(lo - 1)
-        for n in range(lo, hi + 1):
-            yield n, Fraction(q0(n) * fn + q1(n) * fn1 + (e - f if n % 2 else e + f), den)
-            fn, fn1 = fn + fn1, fn
+        return den, q0, q1, int(self.const_e * den), int(self.alt_f * den)
+
+    def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
+        """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
+        den, q0, q1, e, f = self._scaled()
+        for n, num in _numerators(q0, q1, e, f, fib_pair(lo - 1), lo, hi):
+            yield n, Fraction(num, den)
+
+
+def _numerators(q0: Poly, q1: Poly, e, f, seed, lo: int, hi: int) -> Iterator[tuple]:
+    """Yield (n, L*w_n) for n = lo..hi: the one evaluation loop.
+
+    (q0, q1, e, f) is a form scaled by L (``CanonForm._scaled``) and seed is
+    (F(lo-1), F(lo)).  The loop works in the number type it is given: ints
+    for ``CanonForm.values``, a Decimal seed for the values the CLI prints.
+    """
+    fn1, fn = seed
+    for n in range(lo, hi + 1):
+        yield n, q0(n) * fn + q1(n) * fn1 + (e - f if n % 2 else e + f)
+        fn, fn1 = fn + fn1, fn

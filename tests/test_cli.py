@@ -94,7 +94,7 @@ def no_fib(monkeypatch):
         raise AssertionError(f"fib_pair({n}) was called")
 
     # the package re-exports the function fib, which hides the module fibrec.fib
-    for module in ("fibrec.fib", "fibrec.seqform"):
+    for module in ("fibrec.fib", "fibrec.seqform", "fibrec.cli"):
         monkeypatch.setattr(importlib.import_module(module), "fib_pair", boom)
 
 
@@ -131,17 +131,17 @@ def test_the_no_fib_fixture_catches_work(capsys, no_fib):
 
 
 def test_eval_text_output_streams(capsys, monkeypatch):
-    from fibrec.seqform import CanonForm
+    import fibrec.cli
 
-    original = CanonForm.values
+    original = fibrec.cli._numerators  # the loop that both views read
 
-    def two_then_fail(self, lo, hi):
-        values = original(self, lo, hi)
+    def two_then_fail(*args):
+        values = original(*args)
         yield next(values)
         yield next(values)
         raise RuntimeError("stop")
 
-    monkeypatch.setattr(CanonForm, "values", two_then_fail)
+    monkeypatch.setattr(fibrec.cli, "_numerators", two_then_fail)
     code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", "5", "--to", "9")
     assert code == 1
     assert out == "5 5\n6 8\n"  # printed before the window was finished
@@ -191,6 +191,23 @@ def test_shifts_and_degrees_count_in_the_digit_budget(capsys, no_fib, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "more than 20000000" in err
+
+
+@pytest.mark.parametrize(
+    "command, holding",
+    [
+        ("rec", "initial values"),
+        ("check", "initial values"),
+        ("canon", "coefficients of the canonical form"),
+        ("eval", "coefficients computed before the first value"),
+    ],
+)
+def test_each_budget_refusal_names_what_its_command_holds(capsys, no_fib, command, holding):
+    code, out, err = run_cli(capsys, command, "n^1000*F(n-1000000)")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: up to 2002 {holding} would hold about 425445724 digits, more than 20000000\n"
+    )
 
 
 def test_digit_estimate_is_never_far_below_the_printed_digits():
