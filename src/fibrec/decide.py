@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfinite import to_recurrence
+from .cfinite import char_poly
 from .seqform import FibExpr
 
 
@@ -33,9 +33,13 @@ def is_integer_sequence(expr: FibExpr) -> Verdict:
     The derived recurrence is monic with unit trailing coefficient, so an
     integer initial segment w_0..w_{m-1} propagates to every integer index
     in both directions; checking those m values is a complete decision.
+    They are stepped one at a time, and the scan stops at the least
+    non-integer index, so a witness at n costs n + 1 values, not m.
     """
-    rec = to_recurrence(expr)
-    for n, v in enumerate(rec.initial):
+    form = expr.canon()
+    certificate = []
+    for n, v in form.values(0, char_poly(form).degree - 1):
         if v.denominator != 1:
             return NonIntegral(n, v)
-    return Integral(tuple(int(v) for v in rec.initial))
+        certificate.append(v.numerator)
+    return Integral(tuple(certificate))

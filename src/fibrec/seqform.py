@@ -18,6 +18,11 @@ Every value comes from one loop, ``_numerators``: over the common denominator
 of the form's coefficients, w_n is an integer combination of (F(n), F(n-1)),
 a pair that steps by one addition from one ``fib_pair`` seed.
 ``CanonForm.values(lo, hi)`` runs it on ints.
+
+An expression is canonicalized once: ``FibExpr.canon`` keeps its form, and
+``CanonForm._scaled`` its cleared denominators, in the instance ``__dict__``.
+Neither memo is a field, so ``==``, ``hash`` and ``repr`` do not see it; both
+classes are frozen, so a memo never goes stale.
 """
 
 from __future__ import annotations
@@ -107,14 +112,22 @@ class FibExpr:
         )
 
     def canon(self) -> "CanonForm":
-        """Collapse every shift onto the F(n), F(n-1) basis."""
+        """Collapse every shift onto the F(n), F(n-1) basis.
+
+        Computed once per expression and kept in its ``__dict__``; the memo
+        is not a field, so it takes no part in equality, hashing or repr.
+        """
+        form = self.__dict__.get("_canon_memo")
+        if form is not None:
+            return form
         p0 = Poly(())
         p1 = Poly(())
         for t in self.terms:
             c_f, c_f1 = shift_coeffs(t.shift)
             p0 = p0 + t.poly * c_f
             p1 = p1 + t.poly * c_f1
-        return CanonForm(p0, p1, self.const_e, self.alt_f)
+        form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
+        return form
 
 
 @dataclass(frozen=True)
@@ -141,11 +154,17 @@ class CanonForm:
 
     def _scaled(self) -> tuple[int, Poly, Poly, int, int]:
         """(L, L*P0, L*P1, L*e, L*f), with L the common denominator of the
-        form's coefficients, so every part is an int."""
+        form's coefficients, so every part is an int.  Computed once per
+        form, like ``FibExpr.canon``."""
+        scaled = self.__dict__.get("_scaled_memo")
+        if scaled is not None:
+            return scaled
         parts = self.p0.coeffs + self.p1.coeffs + (self.const_e, self.alt_f)
         den = math.lcm(*(Fraction(c).denominator for c in parts))
         q0, q1 = (Poly(tuple(int(c * den) for c in p.coeffs)) for p in (self.p0, self.p1))
-        return den, q0, q1, int(self.const_e * den), int(self.alt_f * den)
+        scaled = self.__dict__["_scaled_memo"] = (
+            den, q0, q1, int(self.const_e * den), int(self.alt_f * den))
+        return scaled
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""

@@ -27,6 +27,7 @@ from fibrec import (
     Integral,
     Poly,
     char_poly,
+    format_expr,
     is_integer_sequence,
     parse,
     to_recurrence,
@@ -75,6 +76,24 @@ def test_char_poly_minimality_at_spectral_level():
     assert char_poly(FibExpr.of([], const=1, alt=1).canon()) == Poly((-1, 0, 1))
     # no (x-1)/(x+1) factors when e/f vanish
     assert char_poly(FibExpr.of([(0, [1])]).canon()) == Poly((-1, -1, 1))
+
+
+def test_char_poly_is_minimal_by_hankel_rank():
+    # a recurrence of order k leaves every Hankel matrix (w_{i+j}) of rank
+    # <= k, so rank m on the (m+1)x(m+1) one says that no recurrence is
+    # shorter than char_poly's, and rank < m+1 agrees that it is one
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(113)
+    exprs = [*EXAMPLE_EXPRS.values(), FibExpr(), FibExpr.of([], const=2, alt=F(1, 3))]
+    exprs += [rand_expr(rng, max_deg=3) for _ in range(15)]
+    exprs += [rand_int_expr(rng, max_deg=3) for _ in range(10)]
+    exprs += [rand_family_instance(rng) for _ in range(5)]
+    for e in exprs:
+        m = to_recurrence(e).order
+        w = [ref_at(e, n) for n in range(2 * m + 1)]
+        w = [sympy.Rational(v.numerator, v.denominator) for v in w]
+        hankel = sympy.Matrix(m + 1, m + 1, lambda i, j: w[i + j])
+        assert hankel.rank() == m, format_expr(e)
 
 
 def test_to_recurrence_examples():

@@ -3,9 +3,19 @@
 import random
 from fractions import Fraction as F
 
-from conftest import A010049, QUAD_LIN, brute_scan, rand_family_instance, rand_perturbed_instance
+from conftest import (
+    A010049,
+    EXAMPLE_EXPRS,
+    QUAD_LIN,
+    brute_scan,
+    rand_expr,
+    rand_family_instance,
+    rand_int_expr,
+    rand_perturbed_instance,
+)
 
-from fibrec import FibExpr, Integral, NonIntegral, is_integer_sequence
+from fibrec import FibExpr, Integral, NonIntegral, is_integer_sequence, parse, to_recurrence
+from fibrec import seqform
 
 
 def test_integral_examples():
@@ -60,3 +70,48 @@ def test_decision_agrees_with_brute_scan():
         verdict = is_integer_sequence(e)
         witness = brute_scan(e, -40, 40)
         assert isinstance(verdict, Integral) == (witness is None)
+
+
+def _reference_verdict(expr: FibExpr):
+    """The full-window scan: derive every initial value, then look for a non-integer."""
+    rec = to_recurrence(expr)
+    for n, v in enumerate(rec.initial):
+        if v.denominator != 1:
+            return NonIntegral(n, v)
+    return Integral(tuple(int(v) for v in rec.initial))
+
+
+def _assert_same_verdict(expr: FibExpr):
+    got, want = is_integer_sequence(expr), _reference_verdict(expr)
+    assert type(got) is type(want)
+    assert got == want  # witness_n and value, or the certificate
+    if isinstance(got, Integral):
+        assert all(type(c) is int for c in got.certificate)
+
+
+def test_verdict_matches_full_window_scan():
+    rng = random.Random(109)
+    generators = (rand_expr, rand_int_expr, rand_family_instance, rand_perturbed_instance)
+    for i in range(400):
+        _assert_same_verdict(generators[i % 4](rng))
+    for expr in EXAMPLE_EXPRS.values():
+        _assert_same_verdict(expr)
+    _assert_same_verdict(FibExpr())
+    assert is_integer_sequence(FibExpr()) == Integral(())
+
+
+def test_verdict_stops_at_its_witness(monkeypatch):
+    # m = 2002 initial values, but w_1 = F(19999)/3 + 1 is already no integer
+    stepped = []
+    numerators = seqform._numerators
+
+    def counting(*args):
+        for item in numerators(*args):
+            stepped.append(item[0])
+            yield item
+
+    monkeypatch.setattr(seqform, "_numerators", counting)
+    verdict = is_integer_sequence(parse("n^1000/3*F(n-20000)+n^1000*F(n)"))
+    assert isinstance(verdict, NonIntegral)
+    assert verdict.witness_n == 1
+    assert len(stepped) <= verdict.witness_n + 1

@@ -21,7 +21,7 @@ from conftest import (
     ref_at,
 )
 
-from fibrec import CanonForm, FibExpr, Poly, format_expr
+from fibrec import CanonForm, FibExpr, Poly, format_expr, parse
 
 
 def test_evaluate_examples():
@@ -291,3 +291,37 @@ def test_same_sequence_examples():
 
     telescoped = FibExpr.of([(0, [0, -1]), (1, [0, 1]), (2, [0, 1])])
     assert telescoped.canon() == FibExpr().canon()
+
+
+def _fresh(e: FibExpr) -> FibExpr:
+    """An equal expression built from the fields alone, so nothing is memoized."""
+    return FibExpr(e.terms, e.const_e, e.alt_f)
+
+
+def test_canon_memo_is_invisible():
+    text = "(2n+3)/5*F(n) - n/5*F(n-1) + 1/2*F(n+7) + 3 - 1/4*(-1)^n"
+    e = parse(text)
+    form = e.canon()
+    assert e.canon() is form
+    assert form._scaled() is form._scaled()
+    fresh = parse(text)
+    assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+    assert form == fresh.canon() and hash(form) == hash(fresh.canon())
+    assert repr(form) == repr(fresh.canon())
+
+
+def test_derived_expressions_do_not_inherit_a_memo():
+    rng = random.Random(61)
+    for _ in range(40):
+        e, g = rand_expr(rng), rand_expr(rng)
+        ce, cg = e.canon(), g.canon()  # memoize both before deriving
+        k = rng.randint(-6, 6)
+        rebuilt = FibExpr.of([(t.shift, t.poly) for t in e.terms], e.const_e, e.alt_f)
+        for derived in (e + g, e * 3, -e, e.shifted(k), rebuilt):
+            assert derived.canon() == _fresh(derived).canon()
+        assert (e + g).canon() == CanonForm(ce.p0 + cg.p0, ce.p1 + cg.p1,
+                                            ce.const_e + cg.const_e, ce.alt_f + cg.alt_f)
+        assert (e * 3).canon() == CanonForm(ce.p0 * 3, ce.p1 * 3, ce.const_e * 3, ce.alt_f * 3)
+        assert (-e).canon() == CanonForm(ce.p0 * -1, ce.p1 * -1, -ce.const_e, -ce.alt_f)
+        assert rebuilt.canon() == ce and rebuilt.canon() is not ce
+        assert all(e.shifted(k).at(n) == ref_at(e, n + k) for n in range(-4, 5))
