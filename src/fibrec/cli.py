@@ -179,23 +179,27 @@ def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[tuple[int, str]]:
     in time near linear in their length.  A value whose reduced numerator has
     more than MAX_DIGITS digits is refused, as str refuses its int.
     """
-    den, q0, q1, e, f = form._scaled()
+    den, q0, q1, e, f, far = form._scaled()
     seed = fib_pair(lo - 1)
-    operands = (den, *q0.coeffs, *q1.coeffs, e, f, *seed)
+    operands = (den, *q0.coeffs, *q1.coeffs, e, f, *seed,
+                *(x for c, d, r in far for x in (c, d, *r.coeffs)))
     if max(x.bit_length() for x in operands) > MAX_DIGITS * math.log2(10):
         # An operand past MAX_DIGITS digits is too long to print.  Converting it
         # is wasted when the values are too (F(n) at n = 10^7), and when they
         # cancel to short ones (F(n-k) at n = k) ints reach them without it.
-        for n, num in _numerators(q0, q1, e, f, seed, lo, hi):
+        for n, num in _numerators(q0, q1, e, f, far, seed, lo, hi):
             yield n, str(Fraction(num, den))
         return
     powers: dict[int, decimal.Decimal] = {}
     with decimal.localcontext(_EXACT) as exact:  # a copy, this window's own
-        # The seed steps as Decimals.  A short coefficient stays an int, which
-        # Decimal arithmetic takes exactly and Horner's rule runs faster on.
+        # The seed steps as Decimals, and each far term's two shift coefficients
+        # become Decimals once.  A short number stays an int, which Decimal
+        # arithmetic takes exactly and Horner's rule runs faster on.
         dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x, powers)
-        steps = _numerators(Poly(tuple(map(dec, q0.coeffs))), Poly(tuple(map(dec, q1.coeffs))),
-                            dec(e), dec(f), tuple(_to_decimal(x, powers) for x in seed), lo, hi)
+        dec_poly = lambda p: Poly(tuple(map(dec, p.coeffs)))
+        steps = _numerators(dec_poly(q0), dec_poly(q1), dec(e), dec(f),
+                            tuple((dec(c), dec(d), dec_poly(r)) for c, d, r in far),
+                            tuple(_to_decimal(x, powers) for x in seed), lo, hi)
         big_den = dec(den)
     while True:
         # The context is left before each yield, so the caller never runs in

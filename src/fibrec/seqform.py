@@ -19,10 +19,21 @@ of the form's coefficients, w_n is an integer combination of (F(n), F(n-1)),
 a pair that steps by one addition from one ``fib_pair`` seed.
 ``CanonForm.values(lo, hi)`` runs it on ints.
 
+Folding a shift j into P0 and P1 multiplies each coefficient of its
+polynomial by F(1-j) or F(-j), about 0.209*|j| digits each, and Horner's rule
+would carry those digits through each of its steps at every index.  So
+``FibExpr.canon`` splits the terms by those two numbers.  A *folded* term, one
+whose F(1-j) and F(-j) are both below 2**30 in magnitude (shifts -43..44),
+joins the polynomials that Horner's rule evaluates.  A *far* term stays apart
+as (F(1-j), F(-j), p): the loop evaluates p(n) on its own short coefficients
+and multiplies that by the two long numbers, once each per index.  P0 and P1,
+the form's fields, still sum every term.
+
 An expression is canonicalized once: ``FibExpr.canon`` keeps its form, and
-``CanonForm._scaled`` its cleared denominators, in the instance ``__dict__``.
-Neither memo is a field, so ``==``, ``hash`` and ``repr`` do not see it; both
-classes are frozen, so a memo never goes stale.
+the form keeps its split into folded and far terms and ``CanonForm._scaled``
+its cleared denominators, in the instance ``__dict__``.  No memo is a field,
+so ``==``, ``hash`` and ``repr`` do not see it; both classes are frozen, so a
+memo never goes stale.  A form built directly, with no split, has no far terms.
 """
 
 from __future__ import annotations
@@ -34,6 +45,10 @@ from typing import Iterable, Iterator
 
 from .exact import Poly
 from .fib import fib_pair, shift_coeffs
+
+# A term folds into the Horner polynomials when both of its shift coefficients
+# are below this in magnitude, so that each fits in one int digit.
+_FOLD_BOUND = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -116,17 +131,25 @@ class FibExpr:
 
         Computed once per expression and kept in its ``__dict__``; the memo
         is not a field, so it takes no part in equality, hashing or repr.
+        When a term is far, the form keeps its split into the folded terms'
+        polynomials and the far terms (F(1-j), F(-j), p) in a memo of its own.
         """
         form = self.__dict__.get("_canon_memo")
         if form is not None:
             return form
-        p0 = Poly(())
-        p1 = Poly(())
+        p0 = p1 = folded0 = folded1 = Poly(())
+        far = []
         for t in self.terms:
             c_f, c_f1 = shift_coeffs(t.shift)
-            p0 = p0 + t.poly * c_f
-            p1 = p1 + t.poly * c_f1
+            part0, part1 = t.poly * c_f, t.poly * c_f1
+            p0, p1 = p0 + part0, p1 + part1
+            if abs(c_f) < _FOLD_BOUND and abs(c_f1) < _FOLD_BOUND:
+                folded0, folded1 = folded0 + part0, folded1 + part1
+            else:
+                far.append((c_f, c_f1, t.poly))
         form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
+        if far:
+            form.__dict__["_split_memo"] = (folded0, folded1, tuple(far))
         return form
 
 
@@ -152,35 +175,51 @@ class CanonForm:
             return d0
         return max(d0, d1)
 
-    def _scaled(self) -> tuple[int, Poly, Poly, int, int]:
-        """(L, L*P0, L*P1, L*e, L*f), with L the common denominator of the
-        form's coefficients, so every part is an int.  Computed once per
-        form, like ``FibExpr.canon``."""
+    def _scaled(self) -> tuple[int, Poly, Poly, int, int, tuple]:
+        """(L, L*Q0, L*Q1, L*e, L*f, far), with every part an int.
+
+        Q0 and Q1 are the folded terms' polynomials: P0 and P1 themselves
+        unless ``FibExpr.canon`` split off far terms.  far holds one
+        (F(1-j), F(-j), L*p) per far term, and L is the common denominator of
+        the coefficients of Q0, Q1, every far p, e and f.  Computed once per
+        form, like ``FibExpr.canon``.
+        """
         scaled = self.__dict__.get("_scaled_memo")
         if scaled is not None:
             return scaled
-        parts = self.p0.coeffs + self.p1.coeffs + (self.const_e, self.alt_f)
+        q0, q1, far = self.__dict__.get("_split_memo", (self.p0, self.p1, ()))
+        parts = [c for p in (q0, q1, *(p for _, _, p in far)) for c in p.coeffs]
+        parts += (self.const_e, self.alt_f)
         den = math.lcm(*(Fraction(c).denominator for c in parts))
-        q0, q1 = (Poly(tuple(int(c * den) for c in p.coeffs)) for p in (self.p0, self.p1))
+        times_den = lambda p: Poly(tuple(int(c * den) for c in p.coeffs))
         scaled = self.__dict__["_scaled_memo"] = (
-            den, q0, q1, int(self.const_e * den), int(self.alt_f * den))
+            den, times_den(q0), times_den(q1), int(self.const_e * den),
+            int(self.alt_f * den), tuple((c, d, times_den(p)) for c, d, p in far))
         return scaled
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
-        den, q0, q1, e, f = self._scaled()
-        for n, num in _numerators(q0, q1, e, f, fib_pair(lo - 1), lo, hi):
+        den, q0, q1, e, f, far = self._scaled()
+        for n, num in _numerators(q0, q1, e, f, far, fib_pair(lo - 1), lo, hi):
             yield n, Fraction(num, den)
 
 
-def _numerators(q0: Poly, q1: Poly, e, f, seed, lo: int, hi: int) -> Iterator[tuple]:
+def _numerators(q0: Poly, q1: Poly, e, f, far, seed, lo: int, hi: int) -> Iterator[tuple]:
     """Yield (n, L*w_n) for n = lo..hi: the one evaluation loop.
 
-    (q0, q1, e, f) is a form scaled by L (``CanonForm._scaled``) and seed is
-    (F(lo-1), F(lo)).  The loop works in the number type it is given: ints
-    for ``CanonForm.values``, a Decimal seed for the values the CLI prints.
+    (q0, q1, e, f, far) is a form scaled by L (``CanonForm._scaled``) and seed
+    is (F(lo-1), F(lo)).  At each n the loop runs Horner's rule on q0, q1 and
+    the short polynomial r of each far term (c, d, r), and takes
+    (q0(n) + sum c*r(n)) * F(n) + (q1(n) + sum d*r(n)) * F(n-1) + e + f*(-1)^n;
+    with no far terms the inner loop is empty.  It works in the number type
+    it is given: ints for ``CanonForm.values``, a Decimal seed for the values
+    the CLI prints.
     """
     fn1, fn = seed
     for n in range(lo, hi + 1):
-        yield n, q0(n) * fn + q1(n) * fn1 + (e - f if n % 2 else e + f)
+        a, b = q0(n), q1(n)
+        for c, d, r in far:
+            rn = r(n)
+            a, b = a + c * rn, b + d * rn
+        yield n, a * fn + b * fn1 + (e - f if n % 2 else e + f)
         fn, fn1 = fn + fn1, fn

@@ -11,7 +11,7 @@ import sys
 from decimal import Decimal, Inexact, localcontext
 
 import pytest
-from conftest import rand_expr, rand_int_expr
+from conftest import rand_expr, rand_int_expr, ref_at
 
 import fibrec.cli as cli
 from fibrec import fib, format_expr, parse
@@ -90,6 +90,38 @@ def test_zeros_and_reducible_denominators(capsys, text, lo, hi):
 @pytest.mark.parametrize("lo", [-2010, -5, 1995, 4000])
 def test_far_shifts_render_as_fractions(capsys, text, lo):
     assert_window_matches(capsys, text, lo, lo + 15)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "F(n+44) - n*F(n-45)",  # just past the fold bound on both sides
+        "n/3*F(n+43) + (n^2-1)/4*F(n-44) + 1/2",  # just inside it
+        "(2n+1)/6*F(n-1000) + n*F(n+1) - 1/3*(-1)^n",
+        "n^3/5*F(n-20000) + (2n-1)/3*F(n+15000) + 7/2",
+    ],
+)
+@pytest.mark.parametrize("lo", [-20_010, -3, 0, 19_995])
+def test_far_terms_render_as_fractions(capsys, text, lo):
+    # against a reference that shares no code with the loop: one fib() per term
+    code, out, err = run_cli(capsys, "eval", text, "--from", str(lo), "--to", str(lo + 9))
+    assert (code, err) == (0, "")
+    e = parse(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cli.MAX_DIGITS)  # as the CLI does: some values pass 4,300 digits
+    try:
+        expected = "".join(f"{n} {ref_at(e, n)}\n" for n in range(lo, lo + 10))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected
+
+
+def test_far_shift_coefficients_convert_once(capsys, conversions):
+    # F(-2999) and F(-3000) have 627 digits: Decimals, converted once per window
+    code, out, err = run_cli(capsys, "eval", "n*F(n-3000) + 1/2", "--from", "0", "--to", "30")
+    assert (code, err) == (0, "")
+    assert out == expected_lines("n*F(n-3000) + 1/2", 0, 30)
+    assert conversions.count(fib(-2999)) == conversions.count(fib(-3000)) == 1
 
 
 def test_to_decimal_equals_decimal_of_int():

@@ -21,7 +21,7 @@ from conftest import (
     ref_at,
 )
 
-from fibrec import CanonForm, FibExpr, Poly, format_expr, parse
+from fibrec import CanonForm, FibExpr, Poly, format_expr, parse, shift_coeffs
 
 
 def test_evaluate_examples():
@@ -299,15 +299,21 @@ def _fresh(e: FibExpr) -> FibExpr:
 
 
 def test_canon_memo_is_invisible():
-    text = "(2n+3)/5*F(n) - n/5*F(n-1) + 1/2*F(n+7) + 3 - 1/4*(-1)^n"
-    e = parse(text)
-    form = e.canon()
-    assert e.canon() is form
-    assert form._scaled() is form._scaled()
-    fresh = parse(text)
-    assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
-    assert form == fresh.canon() and hash(form) == hash(fresh.canon())
-    assert repr(form) == repr(fresh.canon())
+    texts = [
+        "(2n+3)/5*F(n) - n/5*F(n-1) + 1/2*F(n+7) + 3 - 1/4*(-1)^n",
+        "(2n+3)/5*F(n) - n/5*F(n-1000) + 1/2*F(n+45) + 3 - 1/4*(-1)^n",  # two far terms
+    ]
+    for text in texts:
+        e = parse(text)
+        form = e.canon()
+        assert e.canon() is form
+        assert form._scaled() is form._scaled()
+        fresh = parse(text)
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+        assert form == fresh.canon() and hash(form) == hash(fresh.canon())
+        assert repr(form) == repr(fresh.canon())
+        built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # no split memo
+        assert form == built and hash(form) == hash(built) and repr(form) == repr(built)
 
 
 def test_derived_expressions_do_not_inherit_a_memo():
@@ -325,3 +331,61 @@ def test_derived_expressions_do_not_inherit_a_memo():
         assert (-e).canon() == CanonForm(ce.p0 * -1, ce.p1 * -1, -ce.const_e, -ce.alt_f)
         assert rebuilt.canon() == ce and rebuilt.canon() is not ce
         assert all(e.shifted(k).at(n) == ref_at(e, n + k) for n in range(-4, 5))
+
+
+# Shifts on both sides of the fold bound (F(1-j) and F(-j) below 2**30 in
+# magnitude for j = -43..44) and far ones, some beside folded terms.
+_FAR_CASES = [
+    ("F(n+44)", True),
+    ("F(n+43)", False),
+    ("n*F(n-44)", False),
+    ("n*F(n-45)", True),
+    ("(n^2-1)/4*F(n+44) + n/3*F(n-45) - F(n+43) + 2/7 - 1/3*(-1)^n", True),
+    ("3/7*n*F(n-1000) + F(n+1) - 1", True),
+    ("(n+1)/2*F(n+1000) - n/2*F(n-1000) + (n^2+5)/3*F(n-7)", True),
+    ("n^3/5*F(n-20000) + (2n-1)/3*F(n+15000) + 1/2*(-1)^n", True),
+    ("(n^2+n)/6*F(n+20000) + n*F(n-19999) + F(n)", True),
+]
+
+
+def _has_far_terms(e: FibExpr) -> bool:
+    return bool(e.canon()._scaled()[5])
+
+
+@pytest.mark.parametrize("text, far", _FAR_CASES)
+@pytest.mark.parametrize("lo", [-20_050, -7, 0, 19_990, 123_456])
+def test_far_terms_give_the_values_of_a_fresh_form(text, far, lo):
+    e = parse(text)
+    assert _has_far_terms(e) == far
+    form = e.canon()
+    fresh = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # no split: all folded
+    assert not fresh._scaled()[5]
+    hi = lo + 12
+    got = list(form.values(lo, hi))
+    assert got == list(fresh.values(lo, hi))
+    assert got == [(n, ref_at(e, n)) for n in range(lo, hi + 1)]
+
+
+def test_the_fold_bound_falls_between_44_and_45():
+    for j in range(-60, 61):
+        assert _has_far_terms(FibExpr.of([(j, [F(1, 3), 1])])) == (not -43 <= j <= 44), j
+
+
+def test_small_shifts_have_no_far_terms():
+    rng = random.Random(79)
+    exprs = [A010049, QUAD_LIN, WALKS_W] + [rand_expr(rng, max_deg=4) for _ in range(200)]
+    exprs += [FibExpr.of([(-6, [0, 0, 0, 0, 0, 1]), (6, [F(-2, 3)]), (k, [0, 1])])
+              for k in range(-6, 7)]
+    for e in exprs:
+        assert all(abs(t.shift) <= 6 for t in e.terms)
+        assert not _has_far_terms(e)
+
+
+def test_a_far_shift_keeps_horner_coefficients_short():
+    # folded into P0 and P1, every coefficient would be about F(20000), 13,879 bits
+    form = parse("n^120*F(n-20000)").canon()
+    assert min(abs(int(c)).bit_length() for c in form.p0.coeffs + form.p1.coeffs if c) > 13_000
+    den, q0, q1, e, f, far = form._scaled()
+    polys = [q0, q1] + [r for _, _, r in far]
+    assert len(far) == 1 and far[0][:2] == shift_coeffs(20000)
+    assert max(abs(c).bit_length() for p in polys for c in p.coeffs) <= 64
