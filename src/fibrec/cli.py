@@ -57,6 +57,11 @@ _MAX_TIMEOUT = 86_400
 # 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
 MAX_DIGITS = 500_000
 
+# The decimal exponent of a rational written as Fraction reads it, such as
+# "-1.5e+3".  Fraction builds 10**exponent before anything can refuse the
+# value, in time that grows about 40-fold per decade: 1e10000000 takes 12 s.
+_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)\s*\Z")
+
 # Most digits that `eval --json` may hold, or the initial values of `rec` and
 # `check`: the JSON document is written whole, and the initial values are all
 # computed before any is printed, so every value sits in memory at once.  The
@@ -73,8 +78,15 @@ _VALUE_MATCHER = re.compile(r"^-[^-]")
 
 def _number_list(text: str, kind=int) -> list:
     """Comma-separated ints, or rationals when kind is Fraction."""
+    parts = text.split(",")
+    if kind is Fraction:
+        for part in parts:
+            exponent = _EXPONENT.match(part)
+            digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+            if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
+                raise ValueError(f"a value has more than {MAX_DIGITS} digits")
     try:
-        return [kind(part) for part in text.split(",")]
+        return [kind(part) for part in parts]
     except (ValueError, ZeroDivisionError):
         what = "integer list" if kind is int else "list of rationals"
         raise ValueError(f"expected a comma-separated {what}, got {text!r}") from None

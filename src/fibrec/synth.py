@@ -5,9 +5,17 @@ F(n) and F(n-1) coefficient polynomials, plus optional constant and
 alternating terms.  The unknown coefficients then satisfy a square linear
 system whose row n states w_n = <basis values at n> . <unknowns>.  Its
 entries n^p*F(n-part) are integers (``build_system`` steps (F(n-1), F(n))
-from (1, 0), one addition per row), so it is solved by fraction-free
-Gauss-Jordan elimination (Bareiss 1968) in integers, with the values'
-common denominator cleared first and one exact division at the end.
+from (1, 0), one addition per row).
+
+The solver works on the same system in the binomial basis: each column
+n^p*F(n-part) becomes C(n, p)*F(n-part).  Since n^p = sum_i S(p, i)*i!*C(n, i),
+the two matrices differ by a triangular factor with p! on its diagonal, so
+the binomial one has the same rank and far shorter minors.  With the values'
+common denominator cleared, it is solved in integers by fraction-free
+forward elimination (Bareiss 1968) and fraction-free back substitution
+(Nakos, Turner and Williams 1997).  The solution goes back to monomial
+coefficients once per part, by an integer Horner pass over falling
+factorials, and each coefficient becomes one ``Fraction``.
 
 Slot order is defined once, by ``Template.slots``: the reading order of the
 written-out expression, that is F(n) coefficients by descending degree, then
@@ -30,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from operator import mul
 from typing import Sequence
 
 from .fib import fib
@@ -111,42 +120,92 @@ class SynthSolution:
     coefficients: dict[str, Fraction]
 
 
-def build_system(template: Template) -> list[list[int]]:
-    """k x k matrix M with M[n][slot] = multiplier of that slot in w_n."""
+def _rows(template: Template, column) -> list[list[int]]:
+    """Rows n = 0..k-1 with column(n, p) * base[part] in each slot (part, p)."""
+    slots = template.slots
     rows = []
     fn1, fn = 1, 0  # (F(n-1), F(n)) at n = 0
     for n in range(template.unknowns):
         base = (fn, fn1, 1, -1 if n % 2 else 1)
-        rows.append([n**p * base[part] for part, p in template.slots])
+        rows.append([column(n, p) * base[part] for part, p in slots])
         fn1, fn = fn, fn + fn1
     return rows
 
 
-def _eliminate(aug: list[list[int]], width: int) -> int:
-    """Fraction-free Gauss-Jordan on the left width columns, in place.
+def build_system(template: Template) -> list[list[int]]:
+    """k x k matrix M with M[n][slot] = multiplier of that slot in w_n."""
+    return _rows(template, pow)
 
-    Returns the last pivot, the determinant of that block up to sign.  On
-    return every row r carries that pivot in column r, and the rest of the
-    block is zero; the other columns hold that pivot times the block's
-    inverse applied to them.
+
+def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Solve the left width x width block of aug against each later column.
+
+    Fraction-free forward elimination, then fraction-free back substitution,
+    all in integers.  Returns (det, xs): det is the block's determinant up to
+    sign, and xs has one row per unknown i holding det*x_i for each
+    right-hand column, an integer by Cramer's rule.  Consumes aug.  The
+    solvers pass the system in the binomial basis and take xs back to
+    monomial coefficients with ``_to_monomial``.
     """
-    # Bareiss's one-step update: the previous pivot divides p*v - f*w exactly,
-    # because every entry is then a minor of the original rows.  Pivot choice
-    # is the first nonzero entry top-down: deterministic, and magnitude is
-    # irrelevant under exact arithmetic.
+    # Forward elimination (Bareiss 1968): the previous pivot divides p*v - f*w
+    # exactly, because every entry is then a minor of the original rows.  Only
+    # the rows below the pivot change, and only right of it, so row i ends as
+    # U[i][i:] followed by its right-hand sides.  Pivot choice is the first
+    # nonzero entry top-down: deterministic, and magnitude is irrelevant under
+    # exact arithmetic.
     prev = 1
     for col in range(width):
-        piv = next((r for r in range(col, len(aug)) if aug[r][col]), None)
-        if piv is None:
+        for piv in range(col, width):
+            if aug[piv][0]:
+                break
+        else:
             raise DegenerateTemplateError("the template's linear system is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        for r in range(len(aug)):
-            if r != col:
-                f = aug[r][col]
-                aug[r] = [(p * v - f * w) // prev for v, w in zip(aug[r], aug[col])]
+        p, *head = aug[col]
+        for r in range(col + 1, width):
+            f, *row = aug[r]
+            if f:
+                aug[r] = [(p * v - f * w) // prev for v, w in zip(row, head)]
+            else:  # common in the binomial basis: C(n, p) = 0 for n < p
+                aug[r] = [p * v // prev for v in row]
         prev = p
-    return prev
+    # Fraction-free back substitution (Nakos, Turner and Williams 1997): with
+    # x'_j = det*x_j, x'_i = (det*b_i - sum_{j>i} U[i][j]*x'_j) / U[i][i], and
+    # the division is exact because x'_i is an integer.
+    xs = [[] for _ in range(len(aug[-1]) - 1)]  # one per column, x'_{k-1} first
+    for i in range(width - 1, -1, -1):
+        row = aug[i]
+        u = row[width - 1 - i:0:-1]  # U[i][k-1], ..., U[i][i+1]
+        for x, b in zip(xs, row[width - i:]):
+            x.append((prev * b - sum(map(mul, u, x))) // row[0])
+    return prev, list(zip(*xs))[::-1]
+
+
+def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]]:
+    """Take solved rows from the C(n, p) basis to the n^p basis.
+
+    ys has one row per slot, its C(n, p) coefficient for each right-hand
+    column.  Returns (row, s) per slot, where row/s holds the slot's n^p
+    coefficients and s = d! for the slot's part of degree d.  Each part takes
+    one integer Horner pass over the falling factorials
+    n(n-1)..(n-p+1) = p!*C(n, p), with coefficient p scaled by d!/p!.
+    """
+    out = []
+    rows = iter(ys)
+    for d in template._degrees:
+        if d is None:
+            continue
+        acc, scale = [next(rows)], 1  # powers descend
+        for i in range(d - 1, 0, -1):
+            scale *= i + 1  # d!/i!
+            # acc*(n - i) + scale*y_i: the leading coefficient stays, each
+            # other one loses i times the one above it
+            acc = [acc[0], *([a - i * b for a, b in zip(r, s)] for r, s in zip(acc[1:], acc)),
+                   [scale * y - i * b for y, b in zip(next(rows), acc[-1])]]
+        if d:  # the last factor is n itself: a shift, then d!*y_0
+            acc.append([scale * y for y in next(rows)])
+        out += [(row, scale) for row in acc]
+    return out
 
 
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
@@ -157,18 +216,18 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
         raise ValueError(f"template needs {k} values, got {len(vals)}")
     den = lcm(*(v.denominator for v in vals))
     aug = [row + [v.numerator * (den // v.denominator)]
-           for row, v in zip(build_system(template), vals)]
-    scale = _eliminate(aug, k) * den
-    coeffs = [Fraction(row[k], scale) for row in aug]
+           for row, v in zip(_rows(template, comb), vals)]
+    det, ys = _eliminate(aug, k)
+    coeffs = [Fraction(x, scale * det * den) for (x,), scale in _to_monomial(template, ys)]
     return SynthSolution(template.expr_from(coeffs), dict(zip(template.slot_names, coeffs)))
 
 
 def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     """Exact inverse of build_system: maps (w_0..w_{k-1}) to the slot vector."""
     k = template.unknowns
-    aug = [row + [int(i == j) for j in range(k)] for i, row in enumerate(build_system(template))]
-    det = _eliminate(aug, k)
-    return [[Fraction(v, det) for v in row[k:]] for row in aug]
+    aug = [row + [0] * i + [1] + [0] * (k - 1 - i) for i, row in enumerate(_rows(template, comb))]
+    det, ys = _eliminate(aug, k)
+    return [[Fraction(x, scale * det) for x in row] for row, scale in _to_monomial(template, ys)]
 
 
 def _int_params(name: str, vals: Sequence, want: int) -> list[int]:

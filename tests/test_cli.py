@@ -5,13 +5,14 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from conftest import rand_fraction
 
 from fibrec import FibExpr, Poly, parse
-from fibrec.cli import _estimated_digits, main
+from fibrec.cli import MAX_DIGITS, _estimated_digits, _number_list, main
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +355,29 @@ def test_synth_command(capsys):
     doc = json.loads(out)
     assert doc["coefficients"] == {"a": "2/5", "b": "3/5", "c": "-1/5", "d": "0"}
     assert doc["expression"] == "(2/5*n + 3/5)*F(n) + (-1/5*n)*F(n-1)"
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1e-10000000"])
+def test_synth_refuses_a_huge_exponent_before_building_the_value(capsys, value):
+    # Fraction alone takes about 12 s to build 10**10000000
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "synth", "--deg0", "0", "--values", value)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a value has more than {MAX_DIGITS} digits\n"
+
+
+def test_value_exponent_bound():
+    assert _number_list("1.5e3, -2E-0_2,3/4", Fraction) == [1500, Fraction(-1, 50), Fraction(3, 4)]
+    assert _number_list(f"1e{MAX_DIGITS}", Fraction) == [10**MAX_DIGITS]
+    assert _number_list(f"1e-000{MAX_DIGITS}", Fraction) == [Fraction(1, 10**MAX_DIGITS)]
+    too_long = (f"1e{MAX_DIGITS + 1}", f" -.5E-{MAX_DIGITS + 1} ", "2,1e1_000_000", "1e" + "9" * 10**6)
+    for text in too_long:
+        with pytest.raises(ValueError, match=f"^a value has more than {MAX_DIGITS} digits$"):
+            _number_list(text, Fraction)
+    # not a number at all, whatever its tail
+    with pytest.raises(ValueError, match="expected a comma-separated list of rationals"):
+        _number_list("x1e99999999", Fraction)
 
 
 def test_synth_round_trips_through_parse(capsys):

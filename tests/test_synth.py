@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -22,6 +24,7 @@ from fibrec import (
     symbolic_inverse,
     theorem_solution,
 )
+from fibrec.synth import _eliminate, _to_monomial
 
 
 def _matmul(a, b):
@@ -188,6 +191,85 @@ def test_solve_matches_reference_on_large_shapes():
     # the largest singular shapes of degree <= 16: a lone F(n) or F(n-1) part
     for shape in ((16, None, False, False), (None, 16, False, False)):
         assert not _assert_matches_reference(Template(*shape), list(range(17)))
+
+
+def _integer_rows(rows):
+    """Each row of Fractions as (integer row, common denominator)."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for c in row))
+        out.append(([c.numerator * (den // c.denominator) for c in row], den))
+    return out
+
+
+def _large_shapes(rng, count, lo, hi):
+    """count distinct shapes with both polynomials and lo..hi unknowns."""
+    shapes = []
+    while len(shapes) < count:
+        d0, d1 = rng.randint(0, hi), rng.randint(0, hi)
+        shape = (d0, d1, rng.random() < 0.5, rng.random() < 0.5)
+        if lo <= Template(*shape).unknowns <= hi and shape not in shapes:
+            shapes.append(shape)
+    return shapes
+
+
+def test_solve_satisfies_monomial_system_on_larger_shapes():
+    # k = 35..104, past what the reference solver can check quickly: the
+    # monomial system from build_system is the oracle
+    rng = random.Random(53)
+    for shape in [(50, 50, True, True)] + _large_shapes(rng, 5, 35, 103):
+        t = Template(*shape)
+        values = _mixed_values(rng, t.unknowns)
+        coeffs = list(solve_template(t, values).coefficients.values())
+        assert all(type(c) is F for c in coeffs)
+        ((ints, den),) = _integer_rows([coeffs])
+        assert [F(sum(map(operator.mul, row, ints)), den) for row in build_system(t)] == values
+
+
+def test_symbolic_inverse_inverts_monomial_system_on_larger_shapes():
+    rng = random.Random(59)
+    for shape in _large_shapes(rng, 3, 35, 52):
+        t = Template(*shape)
+        k = t.unknowns
+        columns = list(zip(*build_system(t)))
+        for i, (ints, den) in enumerate(_integer_rows(symbolic_inverse(t))):
+            assert [sum(map(operator.mul, ints, col)) for col in columns] == [
+                den * (i == j) for j in range(k)
+            ]
+
+
+def test_binomial_to_monomial_conversion():
+    # one part of degree d; the rows are the unit vectors e_p, so column p
+    # must come back as the n^q coefficients of C(n, p), times d!
+    for d in range(21):
+        unit = [[int(q == p) for p in range(d + 1)] for q in range(d, -1, -1)]
+        out = _to_monomial(Template(d), unit)
+        fact = math.factorial(d)
+        assert {scale for _, scale in out} == {fact}
+        for p in range(d + 1):
+            coeffs = [row[p] for row, _ in out]  # powers d..0
+            for n in range(d + 1):
+                assert sum(c * n ** (d - q) for q, c in enumerate(coeffs)) == fact * math.comb(n, p)
+
+
+def test_eliminate_divides_exactly_on_small_shapes():
+    # forward elimination and back substitution on the monomial system, two
+    # right-hand columns at once; a floor division that was not exact would
+    # show as a wrong solution
+    rng = random.Random(61)
+    for shape in _SMALL_SHAPES:
+        t = Template(*shape)
+        k = t.unknowns
+        rhs = [[rng.randint(-40, 40) for _ in range(k)] for _ in range(2)]
+        aug = [row + list(b) for row, *b in zip(build_system(t), *rhs)]
+        try:
+            want = [_reference_solve(t, b) for b in rhs]
+        except DegenerateTemplateError as exc:
+            with pytest.raises(DegenerateTemplateError, match=f"^{exc}$"):
+                _eliminate(aug, k)
+            continue
+        det, xs = _eliminate(aug, k)
+        assert [[F(row[c], det) for row in xs] for c in range(2)] == want
 
 
 def test_solve_with_mixed_denominators():
