@@ -1,6 +1,9 @@
 """Characteristic polynomials and integer recurrences for canonical forms.
 
 A ``Recurrence`` only holds values; ``CanonForm.values`` evaluates the sequence.
+The initial window w_0..w_{m-1} is stepped once per form: ``to_recurrence``
+and the integrality verdict (``decide``) both read it through
+``_initial_window``, which keeps the finished window on the form.
 
 ``char_poly`` is one integer power (Kronecker substitution): it evaluates
 x^2-x-1 at x = 2^B, raises that int to the power k = D+1, multiplies in
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import Poly
 from .seqform import CanonForm, FibExpr
@@ -69,8 +73,33 @@ class Recurrence:
         return tuple(int(-c) for c in reversed(self.char_poly.coeffs[:-1]))
 
 
-def to_recurrence(expr: FibExpr) -> Recurrence:
-    """Characteristic polynomial and initial values of an expression."""
-    form = expr.canon()
+def _initial_window(form: CanonForm) -> Iterator[tuple[int, Fraction]]:
+    """Yield (n, w_n) for n = 0..order-1, stepping each form's window once.
+
+    A scan that reaches the end keeps Recurrence(char_poly, values) in the
+    form's ``__dict__``, beside its ``_scaled_memo`` and, like it, not a field;
+    later scans read the values from there.  A scan stopped early, such as an
+    integrality verdict at its witness, keeps nothing.
+    """
+    rec = form.__dict__.get("_window_memo")
+    if rec is not None:
+        yield from enumerate(rec.initial)
+        return
     cp = char_poly(form)
-    return Recurrence(cp, tuple(v for _, v in form.values(0, cp.degree - 1)))
+    initial = []
+    for n, v in form.values(0, cp.degree - 1):
+        initial.append(v)
+        yield n, v
+    form.__dict__["_window_memo"] = Recurrence(cp, tuple(initial))
+
+
+def to_recurrence(expr: FibExpr) -> Recurrence:
+    """Characteristic polynomial and initial values of an expression.
+
+    Derived once per canonical form (``_initial_window``); a second call
+    returns the same Recurrence.
+    """
+    form = expr.canon()
+    for _ in _initial_window(form):
+        pass
+    return form.__dict__["_window_memo"]

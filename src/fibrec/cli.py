@@ -316,7 +316,25 @@ def _cmd_check(args) -> _Output:
     ]
 
 
+def _longer_than_max_digits(x: int) -> bool:
+    """Whether |x| has more than MAX_DIGITS digits, without writing it out.
+
+    The bit length decides, except at the one bit length that 10**MAX_DIGITS
+    has itself: there |x| is compared with that power.
+    """
+    below = math.floor(MAX_DIGITS * math.log2(10))  # 2**below <= 10**MAX_DIGITS
+    bits = x.bit_length()
+    if bits != below + 1:
+        return bits > below
+    return abs(x) >= 10**MAX_DIGITS
+
+
 def _solution_output(extra: dict, solution) -> _Output:
+    # str refuses such a coefficient only after converting it, which takes
+    # seconds at MAX_DIGITS (quadratic time), so refuse it by its length first
+    for c in solution.coefficients.values():
+        if _longer_than_max_digits(c.numerator) or _longer_than_max_digits(c.denominator):
+            raise ValueError(f"a value has more than {MAX_DIGITS} digits")
     text = format_expr(solution.expr)
     payload = {**extra, "coefficients": solution.coefficients, "expression": text}
     return EXIT_OK, payload, lambda: [

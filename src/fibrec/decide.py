@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfinite import char_poly
+from .cfinite import _initial_window
 from .seqform import FibExpr
 
 
@@ -34,11 +34,12 @@ def is_integer_sequence(expr: FibExpr) -> Verdict:
     integer initial segment w_0..w_{m-1} propagates to every integer index
     in both directions; checking those m values is a complete decision.
     They are stepped one at a time, and the scan stops at the least
-    non-integer index, so a witness at n costs n + 1 values, not m.
+    non-integer index, so a witness at n costs n + 1 values, not m.  The
+    window is the one ``to_recurrence`` derives: after either has run to the
+    end, the other steps no value.
     """
-    form = expr.canon()
     certificate = []
-    for n, v in form.values(0, char_poly(form).degree - 1):
+    for n, v in _initial_window(expr.canon()):
         if v.denominator != 1:
             return NonIntegral(n, v)
         certificate.append(v.numerator)

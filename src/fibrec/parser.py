@@ -68,7 +68,9 @@ def _tokenize(text: str) -> list[_Tok]:
         if kind is not None:  # None is a run of whitespace
             tok = m.group()
             toks.append(_Tok(tok if kind == "sym" else kind, tok, m.start()))
-    toks.append(_Tok("end", "", len(text)))
+    # two end tokens: peek(1) at the last token reads the second, so peek
+    # needs no bounds check (take never moves past the first)
+    toks += [_Tok("end", "", len(text))] * 2
     return toks
 
 
@@ -78,7 +80,7 @@ class _Parser:
         self.i = 0
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def take(self) -> _Tok:
         tok = self.toks[self.i]
@@ -111,7 +113,8 @@ class _Parser:
             self.take()
         while True:
             tag, shift, coeff = self.term()
-            coeff = coeff * (-1 if sep.kind == "-" else 1)
+            if sep.kind == "-":
+                coeff = -coeff
             if tag == "fib":
                 terms.append((shift, coeff))
             elif tag == "alt":
@@ -161,7 +164,8 @@ class _Parser:
             if self.peek().kind == "^":
                 raise ParseError("'^' may follow only 'n' or the literal '(-1)'", self.peek().pos)
         else:
-            coeff = self.polyterm()
+            power, q = self.polyterm()
+            coeff = Poly((0,) * power + (q,))
         if self.peek().kind == "/":
             coeff = coeff * Fraction(1, self.denominator())
         return coeff
@@ -176,33 +180,53 @@ class _Parser:
         return den
 
     def polysum(self) -> Poly:
-        total = self.polyterm()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            nxt = self.polyterm()
-            total = total + nxt if op.kind == "+" else total - nxt
-        return total
+        """The sum of the polyterms, adding one coefficient per term.
 
-    def polyterm(self) -> Poly:
+        The list holds what adding each monomial as a Poly would: a Fraction
+        at every power that a term reached, int 0 at the others, and never a
+        zero on top, so a cancelled top power and the zeros below it drop.
+        """
+        coeffs: list = []
         sign = 1
-        if self.peek().kind == "-":
+        while True:
+            power, q = self.polyterm(sign)
+            if not q:  # a zero monomial is the zero Poly, which adds nothing
+                pass
+            elif power >= len(coeffs):
+                coeffs += [0] * (power - len(coeffs))
+                coeffs.append(q)
+            elif not coeffs[power]:  # 0 + q is q, a Fraction either way
+                coeffs[power] = q
+            else:
+                coeffs[power] += q
+                while coeffs and not coeffs[-1]:
+                    coeffs.pop()
+            if self.peek().kind not in ("+", "-"):
+                return Poly(coeffs)
+            sign = -1 if self.take().kind == "-" else 1
+
+    def polyterm(self, sign: int = 1) -> tuple[int, Fraction]:
+        """(power, coefficient) of one monomial, its coefficient times sign."""
+        negated = self.peek().kind == "-"
+        if negated:
             self.take()
-            sign = -1
+            sign = -sign
         tok = self.peek()
         if tok.kind == "n":
-            return self._monomial(Fraction(sign))
+            return self._power(), Fraction(sign)
         if tok.kind != "nat":
-            what = "a number or 'n' after '-'" if sign < 0 else "a coefficient"
+            what = "a number or 'n' after '-'" if negated else "a coefficient"
             raise ParseError(f"expected {what}", tok.pos)
-        q = sign * self.rational()
+        q = self.rational(sign)
         if self.peek().kind == "n":
-            return self._monomial(q)
+            return self._power(), q
         if self.peek().kind == "*" and self.peek(1).kind == "n":
             self.take()
-            return self._monomial(q)
-        return Poly((q,))
+            return self._power(), q
+        return 0, q
 
-    def _monomial(self, coeff: Fraction) -> Poly:
+    def _power(self) -> int:
+        """Take 'n' and an optional '^' exponent; return the power."""
         self.expect("n", "'n'")
         power = 1
         if self.peek().kind == "^":
@@ -213,10 +237,10 @@ class _Parser:
                 # polynomials are dense; an absurd exponent would allocate
                 # that many coefficients
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
-        return Poly((0,) * power + (coeff,))
+        return power
 
-    def rational(self) -> Fraction:
-        num = self.natural("a number")
+    def rational(self, sign: int) -> Fraction:
+        num = sign * self.natural("a number")
         if self.peek().kind == "/" and self.peek(1).kind == "nat":
             return Fraction(num, self.denominator())
         return Fraction(num)

@@ -31,9 +31,10 @@ the form's fields, still sum every term.
 
 An expression is canonicalized once: ``FibExpr.canon`` keeps its form, and
 the form keeps its split into folded and far terms and ``CanonForm._scaled``
-its cleared denominators, in the instance ``__dict__``.  No memo is a field,
-so ``==``, ``hash`` and ``repr`` do not see it; both classes are frozen, so a
-memo never goes stale.  A form built directly, with no split, has no far terms.
+its cleared denominators, in the instance ``__dict__``; ``cfinite`` keeps the
+form's stepped initial window there too.  No memo is a field, so ``==``,
+``hash`` and ``repr`` do not see it; both classes are frozen, so a memo never
+goes stale.  A form built directly, with no split, has no far terms.
 """
 
 from __future__ import annotations
@@ -190,11 +191,13 @@ class CanonForm:
         q0, q1, far = self.__dict__.get("_split_memo", (self.p0, self.p1, ()))
         parts = [c for p in (q0, q1, *(p for _, _, p in far)) for c in p.coeffs]
         parts += (self.const_e, self.alt_f)
-        den = math.lcm(*(Fraction(c).denominator for c in parts))
-        times_den = lambda p: Poly(tuple(int(c * den) for c in p.coeffs))
+        den = math.lcm(*(c.denominator for c in parts))
+        # c*den as an int, without building the Fraction product
+        times_den = lambda c: c.numerator * (den // c.denominator)
+        poly_times_den = lambda p: Poly(tuple(map(times_den, p.coeffs)))
         scaled = self.__dict__["_scaled_memo"] = (
-            den, times_den(q0), times_den(q1), int(self.const_e * den),
-            int(self.alt_f * den), tuple((c, d, times_den(p)) for c, d, p in far))
+            den, poly_times_den(q0), poly_times_den(q1), times_den(self.const_e),
+            times_den(self.alt_f), tuple((c, d, poly_times_den(p)) for c, d, p in far))
         return scaled
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:

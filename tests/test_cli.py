@@ -367,6 +367,30 @@ def test_synth_refuses_a_huge_exponent_before_building_the_value(capsys, value):
     assert err == f"error: a value has more than {MAX_DIGITS} digits\n"
 
 
+def test_synth_refuses_a_coefficient_past_max_digits_before_printing_it(capsys):
+    # writing the 500,001-digit coefficient out, only to have it refused, takes seconds
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "synth", "--deg1", "0", "--values", f"1e{MAX_DIGITS}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a value has more than {MAX_DIGITS} digits\n"
+
+
+def test_synth_coefficients_at_max_digits_print(capsys, monkeypatch):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)
+    # 10**1000 - 1 and 10**1000 have the same bit length; only the first fits
+    for value, fits in (("9" * 1000, True), ("1e1000", False), ("1/" + "9" * 1000, True),
+                        ("1e-1000", False), ("-" + "9" * 1000, True), ("-1e1000", False)):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run_cli(capsys, "synth", "--deg1", "0", "--values", value, *json_flag)
+            if fits:
+                assert (code, err) == (0, "") and out
+            else:
+                assert (code, out, err) == (2, "", "error: a value has more than 1000 digits\n")
+
+
 def test_value_exponent_bound():
     assert _number_list("1.5e3, -2E-0_2,3/4", Fraction) == [1500, Fraction(-1, 50), Fraction(3, 4)]
     assert _number_list(f"1e{MAX_DIGITS}", Fraction) == [10**MAX_DIGITS]

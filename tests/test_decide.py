@@ -12,10 +12,11 @@ from conftest import (
     rand_family_instance,
     rand_int_expr,
     rand_perturbed_instance,
+    ref_at,
 )
 
 from fibrec import FibExpr, Integral, NonIntegral, is_integer_sequence, parse, to_recurrence
-from fibrec import seqform
+from fibrec import CanonForm, seqform
 
 
 def test_integral_examples():
@@ -100,8 +101,8 @@ def test_verdict_matches_full_window_scan():
     assert is_integer_sequence(FibExpr()) == Integral(())
 
 
-def test_verdict_stops_at_its_witness(monkeypatch):
-    # m = 2002 initial values, but w_1 = F(19999)/3 + 1 is already no integer
+def _counted_steps(monkeypatch) -> list:
+    """The indices seqform._numerators steps from here on, in order."""
     stepped = []
     numerators = seqform._numerators
 
@@ -111,7 +112,72 @@ def test_verdict_stops_at_its_witness(monkeypatch):
             yield item
 
     monkeypatch.setattr(seqform, "_numerators", counting)
+    return stepped
+
+
+def test_verdict_stops_at_its_witness(monkeypatch):
+    # m = 2002 initial values, but w_1 = F(19999)/3 + 1 is already no integer
+    stepped = _counted_steps(monkeypatch)
     verdict = is_integer_sequence(parse("n^1000/3*F(n-20000)+n^1000*F(n)"))
     assert isinstance(verdict, NonIntegral)
     assert verdict.witness_n == 1
     assert len(stepped) <= verdict.witness_n + 1
+
+
+_INTEGRAL_TEXTS = (
+    "(2n+3)/5*F(n) - n/5*F(n-1)",
+    "(5n^2-43n+88)/50*F(n) + (14n+50)/50*F(n-1)",
+    "n^3*F(n-1000) + 2*F(n+3) + 5 - 3*(-1)^n",  # a far term, e and f
+    "0",
+)
+
+
+def _assert_form_unchanged(expr: FibExpr):
+    form = expr.canon()
+    built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # no memo at all
+    assert form == built and hash(form) == hash(built) and repr(form) == repr(built)
+
+
+def test_recurrence_and_verdict_step_one_window(monkeypatch):
+    stepped = _counted_steps(monkeypatch)
+    for text in _INTEGRAL_TEXTS:
+        for verdict_first in (False, True):
+            e = parse(text)
+            stepped.clear()
+            if verdict_first:
+                verdict, rec = is_integer_sequence(e), to_recurrence(e)
+            else:
+                rec, verdict = to_recurrence(e), is_integer_sequence(e)
+            assert stepped == list(range(rec.order)), text
+            assert isinstance(verdict, Integral)
+            assert verdict.certificate == rec.initial
+            assert all(type(c) is int for c in verdict.certificate)
+            again = to_recurrence(e)
+            assert again is rec and again.initial is rec.initial
+            assert is_integer_sequence(e) == verdict
+            assert stepped == list(range(rec.order))  # nothing stepped again
+            _assert_form_unchanged(e)
+
+
+def test_a_verdict_at_its_witness_leaves_the_window_whole(monkeypatch):
+    stepped = _counted_steps(monkeypatch)
+    for text, witness in (("(n^3+1)/2*F(n) + F(n-2)", 2), ("n^4/3*F(n-70) + n^4*F(n+2) + 1/2", 0)):
+        e = parse(text)
+        stepped.clear()
+        verdict = is_integer_sequence(e)
+        assert isinstance(verdict, NonIntegral) and verdict.witness_n == witness
+        assert stepped == list(range(witness + 1))
+        rec = to_recurrence(e)  # the partial scan kept nothing: all m values now
+        assert stepped[witness + 1:] == list(range(rec.order))
+        assert rec == _reference_recurrence(text)
+        assert rec.initial[witness] == verdict.value
+        assert is_integer_sequence(e) == verdict
+        _assert_form_unchanged(e)
+
+
+def _reference_recurrence(text: str):
+    """The recurrence of a fresh parse, from values computed one index at a time."""
+    fresh = parse(text)
+    rec = to_recurrence(fresh)
+    assert rec.initial == tuple(ref_at(fresh, n) for n in range(rec.order))
+    return rec

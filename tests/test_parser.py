@@ -95,6 +95,10 @@ _BAD_INPUTS = [
     ("(n+1)/0*F(n)", 6, "zero denominator"),
     ("1/n*F(n)", 2, "expected a denominator"),
     ("(-)*F(n)", 2, "expected a number or 'n' after '-'"),
+    # the '+' or '-' between polynomial terms is not the next term's own sign
+    ("(n - )*F(n)", 5, "expected a coefficient"),
+    ("(3 - *n)*F(n)", 5, "expected a coefficient"),
+    ("(n + -)*F(n)", 6, "expected a number or 'n' after '-'"),
     ("- -F(n)", 3, "expected a number or 'n' after '-'"),
     # exponent must be a natural literal
     ("n^-1*F(n)", 2, "expected a non-negative integer exponent"),
@@ -158,6 +162,47 @@ def test_print_component_shapes():
 def test_format_poly_var():
     assert format_poly(Poly((1, 2, -1, -2, 1)), var="x") == "x^4 - 2*x^3 - x^2 + 2*x + 1"
     assert format_poly(Poly(())) == "0"
+
+
+def _monomial_text(rng, q: F, power: int) -> str:
+    """One polyterm for q*n^power, in one of the spellings the grammar allows."""
+    sign = "-" if q < 0 else ""
+    num = f"{abs(q.numerator)}" + (f"/{q.denominator}" if q.denominator > 1 else "")
+    if power == 0:
+        return sign + num
+    var = "n" if power == 1 and rng.random() < 0.5 else f"n^{power}"
+    if abs(q) == 1 and rng.random() < 0.5:
+        return sign + var
+    return f"{sign}{num}{rng.choice(('', '*'))}{var}"
+
+
+def test_polysum_matches_monomial_poly_sums():
+    # The parser adds one coefficient per term; summing each monomial as a
+    # Poly is the reference, coefficient types included (int 0 where no term
+    # landed, a Fraction where one did, even one that cancelled below the top).
+    rng = random.Random(139)
+    for _ in range(600):
+        top = rng.randint(0, 8)
+        terms = []
+        for _ in range(rng.randint(1, 10)):
+            power = rng.choice((top, rng.randint(0, top)))
+            q = F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+            if terms and rng.random() < 0.3:  # cancel an earlier term exactly
+                _, q, power = rng.choice(terms)
+                terms.append(("-", q, power))
+            else:
+                terms.append((rng.choice("+-"), q, power))
+        text = _monomial_text(rng, terms[0][1], terms[0][2])
+        expected = Poly((0,) * terms[0][2] + (terms[0][1],))
+        if terms[0][0] == "-":
+            text = "-" + text if not text.startswith("-") else text[1:]
+            expected = Poly(()) - expected
+        for op, q, power in terms[1:]:
+            text += f" {op} {_monomial_text(rng, q, power)}"
+            mono = Poly((0,) * power + (q,))
+            expected = expected + mono if op == "+" else expected - mono
+        got = parse(f"({text})*F(n)")
+        assert repr(got) == repr(FibExpr.of([(0, expected)])), text
 
 
 def test_round_trip_500_random_expressions():
