@@ -29,10 +29,6 @@ class Poly:
         while c and not c[-1]:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-        # Horner's rule takes one multiply per coefficient.  When most are
-        # zero, evaluation steps over each run of zeros with one power of n
-        # instead; chosen here, once per polynomial, and not a field.
-        object.__setattr__(self, "_steps", _sparse_steps(c) if 2 * c.count(0) > len(c) else None)
 
     @property
     def degree(self) -> int | None:
@@ -42,18 +38,10 @@ class Poly:
         return bool(self.coeffs)
 
     def __call__(self, n):
-        """Evaluate at n by Horner's rule (exact for any exact scalar n).
-
-        A mostly-zero polynomial skips its zero coefficients, so a Fraction
-        zero among int coefficients does not make the value a Fraction.
-        """
+        """Evaluate at n by Horner's rule (exact for any exact scalar n)."""
         acc = 0
-        if self._steps is None:
-            for c in reversed(self.coeffs):
-                acc = acc * n + c
-        else:
-            for gap, c in self._steps:
-                acc = acc * n**gap + c
+        for c in reversed(self.coeffs):
+            acc = acc * n + c
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -110,20 +98,3 @@ class Poly:
         for c in reversed(self.coeffs):
             shifted = shifted * step + Poly((c,))
         return shifted
-
-
-def _sparse_steps(coeffs: tuple) -> tuple:
-    """Horner's steps (gap, c) over the nonzero coefficients, highest first.
-
-    acc = acc * n**gap + c at each step gives p(n): gap is the distance down
-    from the previous nonzero power, and the last step, (lowest power, 0),
-    multiplies in the power of n that every term shares.
-    """
-    steps = []
-    prev = None
-    for p in range(len(coeffs) - 1, -1, -1):
-        if coeffs[p]:
-            steps.append((0 if prev is None else prev - p, coeffs[p]))
-            prev = p
-    steps.append((prev, 0))
-    return tuple(steps)

@@ -190,17 +190,16 @@ class _Parser:
         sign = 1
         while True:
             power, q = self.polyterm(sign)
-            if not q:  # a zero monomial is the zero Poly, which adds nothing
-                pass
-            elif power >= len(coeffs):
-                coeffs += [0] * (power - len(coeffs))
-                coeffs.append(q)
-            elif not coeffs[power]:  # 0 + q is q, a Fraction either way
-                coeffs[power] = q
-            else:
-                coeffs[power] += q
-                while coeffs and not coeffs[-1]:
-                    coeffs.pop()
+            if q:  # a zero monomial is the zero Poly, which adds nothing
+                if power >= len(coeffs):
+                    coeffs += [0] * (power - len(coeffs))
+                    coeffs.append(q)
+                elif not coeffs[power]:  # 0 + q is q, a Fraction either way
+                    coeffs[power] = q
+                else:
+                    coeffs[power] += q
+                    while coeffs and not coeffs[-1]:
+                        coeffs.pop()
             if self.peek().kind not in ("+", "-"):
                 return Poly(coeffs)
             sign = -1 if self.take().kind == "-" else 1
