@@ -4,7 +4,8 @@ Subcommands: eval, canon, rec, check, synth, theorem, oeis, oracle.  Every
 subcommand accepts --json for a single machine-readable document on stdout.
 Each command returns its answer values, not their text; main renders only
 the view it prints, so each printed value becomes text once.  `eval` hands
-main its values already rendered, one at a time, from Decimals.
+main its values already rendered from Decimals, in blocks of about 64 KiB of
+text, and main writes each block with one print.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
@@ -155,6 +156,10 @@ _EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 # splitting it further, and a coefficient that short stays an int.
 _SPLIT_BITS = 1024
 
+# About how much text `eval` renders between two switches into the exact
+# context, and main writes at once.
+_BLOCK_CHARS = 1 << 16
+
 
 def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
     """x as an equal Decimal, in time near that of one multiply; run it in an
@@ -184,12 +189,16 @@ def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
     return -split(-x, (-x).bit_length()) if x < 0 else split(x, x.bit_length())
 
 
-def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[tuple[int, str]]:
-    """Yield (n, str(w_n)) for n = lo..hi, each written as str(Fraction) would.
+def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str]]]:
+    """Yield (n, str(w_n)) for n = lo..hi in blocks, each value written as
+    str(Fraction) would.  A block ends with the value that brings its text to
+    _BLOCK_CHARS, so no value is split; the int path yields one value a block.
 
     The numerators L*w_n step as Decimals, which add, multiply and become text
     in time near linear in their length.  A value whose reduced numerator has
-    more than MAX_DIGITS digits is refused, as str refuses its int.
+    more than MAX_DIGITS digits is refused, as str refuses its int.  When a
+    value fails, the values before it are yielded first, so a reader sees the
+    same lines as if each value were yielded alone.
     """
     den, q0, q1, e, f, far = form._scaled()
     seed = fib_pair(lo - 1)
@@ -200,7 +209,7 @@ def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[tuple[int, str]]:
         # is wasted when the values are too (F(n) at n = 10^7), and when they
         # cancel to short ones (F(n-k) at n = k) ints reach them without it.
         for n, num in _numerators(q0, q1, e, f, far, seed, lo, hi):
-            yield n, str(Fraction(num, den))
+            yield [(n, str(Fraction(num, den)))]
         return
     powers: dict[int, decimal.Decimal] = {}
     with decimal.localcontext(_EXACT) as exact:  # a copy, this window's own
@@ -214,28 +223,38 @@ def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[tuple[int, str]]:
                             tuple(_to_decimal(x, powers) for x in seed), lo, hi)
         big_den = dec(den)
     while True:
+        block: list[tuple[int, str]] = []
+        size, error = 0, None
         # The context is left before each yield, so the caller never runs in
-        # it; switched by hand, as localcontext would copy it at every value.
+        # it; switched by hand, as localcontext would copy it at every block.
         outer = decimal.getcontext()
         decimal.setcontext(exact)
         try:
-            step = next(steps, None)
-            if step is None:
-                return
-            n, num = step
-            d = den
-            if not num:  # "0", never the "-0" that Decimal can hold
-                text = "0"
-            else:
-                g = math.gcd(int(num % big_den), den) if den > 1 else 1
-                if g > 1:
-                    num, d = num // g, den // g
-                if num.adjusted() >= MAX_DIGITS:
-                    raise ValueError(f"a value has more than {MAX_DIGITS} digits")
-                text = str(num) if d == 1 else f"{num!s}/{d}"
+            for n, num in steps:
+                d = den
+                if not num:  # "0", never the "-0" that Decimal can hold
+                    text = "0"
+                else:
+                    g = math.gcd(int(num % big_den), den) if den > 1 else 1
+                    if g > 1:
+                        num, d = num // g, den // g
+                    if num.adjusted() >= MAX_DIGITS:
+                        raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+                    text = str(num) if d == 1 else f"{num!s}/{d}"
+                block.append((n, text))
+                size += len(text)
+                if size >= _BLOCK_CHARS:
+                    break
+        except Exception as exc:  # raised again once the values before it are out
+            error = exc
         finally:
             decimal.setcontext(outer)
-        yield n, text
+        if block:
+            yield block
+        if error is not None:
+            raise error
+        if size < _BLOCK_CHARS:  # the window ended inside this block
+            return
 
 
 def _cmd_eval(args) -> _Output:
@@ -258,9 +277,10 @@ def _cmd_eval(args) -> _Output:
         "to": args.stop,
     }
     if args.json:
-        payload["values"] = [{"n": n, "value": v} for n, v in values]
-    # text output streams one line per value
-    return EXIT_OK, payload, lambda: (f"{n} {v}" for n, v in values)
+        payload["values"] = [{"n": n, "value": v} for block in values for n, v in block]
+    # text output streams, one line per value and one print per block
+    return EXIT_OK, payload, lambda: ("\n".join([f"{n} {v}" for n, v in block])
+                                      for block in values)
 
 
 def _cmd_canon(args) -> _Output:

@@ -45,11 +45,12 @@ class ParseError(ValueError):
 MAX_EXPONENT = 1000
 MAX_INDEX = 10**7  # largest |shift| in F(n+-k); F(10^7) has about 2.1 million digits
 
-# Alternatives are tried in order, so "(-1)^n" is one token before "(" is
-# one, and "bad" sees only a character that is not whitespace.  \s matches
-# what str.isspace() accepts; [0-9] is ASCII only.
+# Each match skips the whitespace before its token.  Alternatives are tried
+# in order, so "(-1)^n" is one token before "(" is one, and "bad" is any other
+# character that is not whitespace.  \s matches what str.isspace() accepts;
+# [0-9] is ASCII only.
 _TOKEN = re.compile(
-    r"\s+|(?P<alt>\(\s*-\s*1\s*\)\s*\^\s*n)|(?P<nat>[0-9]+)|(?P<sym>[nF+\-*/^()])|(?P<bad>.)"
+    r"\s*(?:(?P<alt>\(\s*-\s*1\s*\)\s*\^\s*n)|(?P<nat>[0-9]+)|(?P<sym>[nF+\-*/^()])|(?P<bad>\S))"
 )
 
 
@@ -63,11 +64,11 @@ def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        tok = m.group(kind)
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        if kind is not None:  # None is a run of whitespace
-            tok = m.group()
-            toks.append(_Tok(tok if kind == "sym" else kind, tok, m.start()))
+            raise ParseError(f"unexpected character {tok!r}", m.start(kind))
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple defines
+        toks.append(tuple.__new__(_Tok, (tok if kind == "sym" else kind, tok, m.start(kind))))
     # two end tokens: peek(1) at the last token reads the second, so peek
     # needs no bounds check (take never moves past the first)
     toks += [_Tok("end", "", len(text))] * 2

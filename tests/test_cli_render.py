@@ -5,6 +5,8 @@ Each printed window is checked against ``CanonForm.values`` written with
 conversion is checked against ``Decimal(int)``.
 """
 
+import itertools
+import json
 import random
 import subprocess
 import sys
@@ -185,6 +187,7 @@ def test_printable_operands_step_decimals(capsys, max_digits_1000, conversions):
         ("-F(n) + 1/3", 4775, 4795),
         # at n = 4770 the reduced numerator 477*F(n) has 1,000 digits, L*w_n 1,001
         ("n/10*F(n)", 4760, 4780),
+        ("1/3*F(n)", 0, 4800),  # refused at n = 4787, about 36 blocks of text in
     ],
 )
 def test_the_digit_cap_falls_where_str_refuses(capsys, max_digits_1000, text, lo, hi):
@@ -207,6 +210,54 @@ def test_the_digit_cap_falls_where_str_refuses(capsys, max_digits_1000, text, lo
         code, out, err = run_cli(capsys, "eval", text, "--from", str(lo), "--to", str(hi), *view)
         assert (code, err) == (2, "error: a value has more than 1000 digits\n")
         assert out == ("" if view else "".join(expected))
+
+
+def values_as_text(text: str, lo: int, hi: int) -> list[tuple[int, str]]:
+    """(n, str(w_n)) from CanonForm.values, str allowed the CLI's digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cli.MAX_DIGITS)
+    try:
+        return [(n, str(v)) for n, v in parse(text).canon().values(lo, hi)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "text, lo, hi",
+    [
+        ("(2n+3)/5*F(n) - n/5*F(n-1)", -3000, 3000),  # about 29 blocks of text
+        ("F(n) + 1/3", 320_000, 320_002),  # each value is longer than a block
+    ],
+)
+def test_blocks_join_to_the_values_line_by_line(capsys, text, lo, hi):
+    expected = values_as_text(text, lo, hi)
+    blocks = list(cli._rendered(parse(text).canon(), lo, hi))
+    assert [pair for block in blocks for pair in block] == expected
+    assert len(blocks) >= 3
+    for block in blocks[:-1]:  # each is cut at the value that fills it
+        sizes = [len(v) for _, v in block]
+        assert sum(sizes[:-1]) < cli._BLOCK_CHARS <= sum(sizes)
+    argv = ["eval", text, "--from", str(lo), "--to", str(hi)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{n} {v}" for n, v in expected]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == [{"n": n, "value": v} for n, v in expected]
+
+
+def test_a_failure_past_the_first_block_prints_the_lines_before_it(capsys, monkeypatch):
+    original = cli._numerators  # the loop that both views read
+
+    def fail_after_1500(*args):
+        yield from itertools.islice(original(*args), 1500)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "_numerators", fail_after_1500)
+    code, out, err = run_cli(capsys, "eval", "F(n)", "--to", "3000")
+    assert (code, err) == (1, "internal error: RuntimeError('stop')\n")
+    assert out == "".join(f"{n} {v}\n" for n, v in values_as_text("F(n)", 0, 1499))
+    assert len(out) > 3 * 2**16  # more text than three blocks hold
 
 
 def test_a_value_past_max_digits_is_refused_unconverted(capsys, max_digits_1000, conversions):
