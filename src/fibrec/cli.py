@@ -52,10 +52,11 @@ REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 # Longest --timeout (a day): 0 makes the socket non-blocking, inf overflows it.
 _MAX_TIMEOUT = 86_400
 
-# Longest value the CLI will print, in every view.  `eval` steps and renders
-# its values as Decimals, in time near linear in their length, but the other
-# commands print ints, which CPython turns into text in quadratic time:
-# 500,000 digits take about 4 s, F(10^7)'s 2.1 million about a minute.
+# Longest value the CLI will print, in every view.  `eval` doubles its Fibonacci
+# numbers, steps and renders its values as Decimals, in time near linear in
+# their length, so it refuses F(10^7) in about 0.5 s.  The other commands print
+# ints, which CPython turns into text in quadratic time: 500,000 digits take
+# about 4 s, F(10^7)'s 2.1 million about a minute.
 MAX_DIGITS = 500_000
 
 # The decimal exponent of a rational written as Fraction reads it, such as
@@ -192,7 +193,7 @@ def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
 def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str]]]:
     """Yield (n, str(w_n)) for n = lo..hi in blocks, each value written as
     str(Fraction) would.  A block ends with the value that brings its text to
-    _BLOCK_CHARS, so no value is split; the int path yields one value a block.
+    _BLOCK_CHARS, so no value is split.
 
     The numerators L*w_n step as Decimals, which add, multiply and become text
     in time near linear in their length.  A value whose reduced numerator has
@@ -201,26 +202,19 @@ def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str
     same lines as if each value were yielded alone.
     """
     den, q0, q1, e, f, far = form._scaled()
-    seed = fib_pair(lo - 1)
-    operands = (den, *q0.coeffs, *q1.coeffs, e, f, *seed,
-                *(x for c, d, r in far for x in (c, d, *r.coeffs)))
-    if max(x.bit_length() for x in operands) > MAX_DIGITS * math.log2(10):
-        # An operand past MAX_DIGITS digits is too long to print.  Converting it
-        # is wasted when the values are too (F(n) at n = 10^7), and when they
-        # cancel to short ones (F(n-k) at n = k) ints reach them without it.
-        for n, num in _numerators(q0, q1, e, f, far, seed, lo, hi):
-            yield [(n, str(Fraction(num, den)))]
-        return
     powers: dict[int, decimal.Decimal] = {}
+    one = decimal.Decimal(1)
     with decimal.localcontext(_EXACT) as exact:  # a copy, this window's own
-        # The seed steps as Decimals, and each far term's two shift coefficients
-        # become Decimals once.  A short number stays an int, which Decimal
+        # Every Fibonacci number doubles as a Decimal: the seed (F(lo-1), F(lo))
+        # and each far term's (F(1-j), F(-j)).  Only L and the long coefficients
+        # of the input convert; a short one stays an int, which Decimal
         # arithmetic takes exactly and Horner's rule runs faster on.
         dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x, powers)
         dec_poly = lambda p: Poly(tuple(map(dec, p.coeffs)))
+        far_pair = lambda j: fib_pair(-j, one)[::-1]  # (F(1-j), F(-j))
         steps = _numerators(dec_poly(q0), dec_poly(q1), dec(e), dec(f),
-                            tuple((dec(c), dec(d), dec_poly(r)) for c, d, r in far),
-                            tuple(_to_decimal(x, powers) for x in seed), lo, hi)
+                            tuple((j, *far_pair(j), dec_poly(r)) for j, _, _, r in far),
+                            fib_pair(lo - 1, one), lo, hi)
         big_den = dec(den)
     while True:
         block: list[tuple[int, str]] = []

@@ -1,8 +1,11 @@
 """Fibonacci numbers over all integer indices, and the shift identity's coefficients.
 
-Everything here is int arithmetic: ``fib`` reads ``fib_pair``, and
-``shift_coeffs`` reads ``fib``.  Callers scale these ints by ``Poly``
-coefficients, which are ``int`` or ``Fraction``; nothing leaves the rationals.
+``fib`` reads ``fib_pair``, and ``shift_coeffs`` reads ``fib``; both return
+ints, which callers scale by ``Poly`` coefficients (``int`` or ``Fraction``),
+so the library never leaves the rationals.  ``fib_pair`` works in the type of
+its ``one``: the CLI passes ``Decimal(1)`` under an exact context, so the
+numbers it prints are never long ints, which CPython turns into text in
+quadratic time.
 
 ``fib_pair`` doubles with two squarings per bit of the index (Takahashi 2000;
 GMP's ``mpz_fib2_ui``), walking (F(k-1), F(k)) over the prefixes k of its bits:
@@ -15,11 +18,12 @@ GMP's ``mpz_fib2_ui``), walking (F(k-1), F(k)) over the prefixes k of its bits:
 from __future__ import annotations
 
 
-def fib_pair(n: int) -> tuple[int, int]:
-    """(F(n), F(n+1)) for any integer n: the one fast-doubling loop, and the
-    one place a negative index is mapped, by F(-m) = (-1)^(m+1) * F(m)."""
+def fib_pair(n: int, one=1) -> tuple:
+    """(F(n), F(n+1)) for any integer n, in the type of `one`: the one
+    fast-doubling loop, and the one place a negative index is mapped, by
+    F(-m) = (-1)^(m+1) * F(m).  A Decimal `one` needs an exact context."""
     m = n if n >= 0 else -n - 1
-    a, b, sign = 1, 0, 2  # (F(k-1), F(k)) and 2*(-1)^k, from k = 0
+    a, b, sign = one, one - one, 2  # (F(k-1), F(k)) and 2*(-1)^k, from k = 0
     for bit in bin(m)[2:]:
         aa, bb = a * a, b * b
         up, down = 4 * bb - aa + sign, aa + bb  # F(2k+1), F(2k-1)

@@ -17,7 +17,7 @@ same sequence exactly when their canonical forms are componentwise equal.
 Every value comes from one loop, ``_numerators``: over the common denominator
 of the form's coefficients, w_n is an integer combination of (F(n), F(n-1)),
 a pair that steps by one addition from one ``fib_pair`` seed.
-``CanonForm.values(lo, hi)`` runs it on ints.
+``CanonForm.values(lo, hi)`` runs it on ints, and the CLI on Decimals.
 
 Folding a shift j into P0 and P1 multiplies each coefficient of its
 polynomial by F(1-j) or F(-j), about 0.209*|j| digits each, and Horner's rule
@@ -25,9 +25,9 @@ would carry those digits through each of its steps at every index.  So
 ``FibExpr.canon`` splits the terms by those two numbers.  A *folded* term, one
 whose F(1-j) and F(-j) are both below 2**30 in magnitude (shifts -43..44),
 joins the polynomials that Horner's rule evaluates.  A *far* term stays apart
-as (F(1-j), F(-j), p): the loop evaluates p(n) on its own short coefficients
-and multiplies that by the two long numbers, once each per index.  P0 and P1,
-the form's fields, still sum every term.
+as (j, F(1-j), F(-j), p): the loop evaluates p(n) on its own short
+coefficients and multiplies that by the two long numbers, once each per index
+(the CLI doubles them as Decimals from j).  P0 and P1 still sum every term.
 
 An expression is canonicalized once: ``FibExpr.canon`` keeps its form, and
 the form keeps its split into folded and far terms and ``CanonForm._scaled``
@@ -133,7 +133,7 @@ class FibExpr:
         Computed once per expression and kept in its ``__dict__``; the memo
         is not a field, so it takes no part in equality, hashing or repr.
         When a term is far, the form keeps its split into the folded terms'
-        polynomials and the far terms (F(1-j), F(-j), p) in a memo of its own.
+        polynomials and the far terms (j, F(1-j), F(-j), p) in a memo of its own.
         """
         form = self.__dict__.get("_canon_memo")
         if form is not None:
@@ -147,7 +147,7 @@ class FibExpr:
             if abs(c_f) < _FOLD_BOUND and abs(c_f1) < _FOLD_BOUND:
                 folded0, folded1 = folded0 + part0, folded1 + part1
             else:
-                far.append((c_f, c_f1, t.poly))
+                far.append((t.shift, c_f, c_f1, t.poly))
         form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
         if far:
             form.__dict__["_split_memo"] = (folded0, folded1, tuple(far))
@@ -181,15 +181,15 @@ class CanonForm:
 
         Q0 and Q1 are the folded terms' polynomials: P0 and P1 themselves
         unless ``FibExpr.canon`` split off far terms.  far holds one
-        (F(1-j), F(-j), L*p) per far term, and L is the common denominator of
-        the coefficients of Q0, Q1, every far p, e and f.  Computed once per
+        (j, F(1-j), F(-j), L*p) per far term, and L is the common denominator
+        of the coefficients of Q0, Q1, every far p, e and f.  Computed once per
         form, like ``FibExpr.canon``.
         """
         scaled = self.__dict__.get("_scaled_memo")
         if scaled is not None:
             return scaled
         q0, q1, far = self.__dict__.get("_split_memo", (self.p0, self.p1, ()))
-        parts = [c for p in (q0, q1, *(p for _, _, p in far)) for c in p.coeffs]
+        parts = [c for p in (q0, q1, *(p for *_, p in far)) for c in p.coeffs]
         parts += (self.const_e, self.alt_f)
         den = math.lcm(*(c.denominator for c in parts))
         # c*den as an int, without building the Fraction product
@@ -197,7 +197,7 @@ class CanonForm:
         poly_times_den = lambda p: Poly(tuple(map(times_den, p.coeffs)))
         scaled = self.__dict__["_scaled_memo"] = (
             den, poly_times_den(q0), poly_times_den(q1), times_den(self.const_e),
-            times_den(self.alt_f), tuple((c, d, poly_times_den(p)) for c, d, p in far))
+            times_den(self.alt_f), tuple((j, c, d, poly_times_den(p)) for j, c, d, p in far))
         return scaled
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
@@ -212,16 +212,16 @@ def _numerators(q0: Poly, q1: Poly, e, f, far, seed, lo: int, hi: int) -> Iterat
 
     (q0, q1, e, f, far) is a form scaled by L (``CanonForm._scaled``) and seed
     is (F(lo-1), F(lo)).  At each n the loop runs Horner's rule on q0, q1 and
-    the short polynomial r of each far term (c, d, r), and takes
+    the short polynomial r of each far term (j, c, d, r), and takes
     (q0(n) + sum c*r(n)) * F(n) + (q1(n) + sum d*r(n)) * F(n-1) + e + f*(-1)^n;
     with no far terms the inner loop is empty.  It works in the number type
-    it is given: ints for ``CanonForm.values``, a Decimal seed for the values
-    the CLI prints.
+    it is given: ints for ``CanonForm.values``, and for the values the CLI
+    prints, a seed and far pairs that ``fib_pair`` doubled as Decimals.
     """
     fn1, fn = seed
     for n in range(lo, hi + 1):
         a, b = q0(n), q1(n)
-        for c, d, r in far:
+        for _, c, d, r in far:
             rn = r(n)
             a, b = a + c * rn, b + d * rn
         yield n, a * fn + b * fn1 + (e - f if n % 2 else e + f)

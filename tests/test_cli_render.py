@@ -118,12 +118,18 @@ def test_far_terms_render_as_fractions(capsys, text, lo):
     assert out == expected
 
 
-def test_far_shift_coefficients_convert_once(capsys, conversions):
-    # F(-2999) and F(-3000) have 627 digits: Decimals, converted once per window
+def test_far_shift_coefficients_double_as_decimals(capsys, conversions):
+    # F(-2999) and F(-3000) have 627 digits: doubled as Decimals, never converted
     code, out, err = run_cli(capsys, "eval", "n*F(n-3000) + 1/2", "--from", "0", "--to", "30")
     assert (code, err) == (0, "")
     assert out == expected_lines("n*F(n-3000) + 1/2", 0, 30)
-    assert conversions.count(fib(-2999)) == conversions.count(fib(-3000)) == 1
+    assert conversions == []
+    # a long coefficient from the input text is the one number that converts
+    text = f"{10**700}*n*F(n-3000) + 1/2"
+    code, out, err = run_cli(capsys, "eval", text, "--from", "0", "--to", "30")
+    assert (code, err) == (0, "")
+    assert out == expected_lines(text, 0, 30)
+    assert conversions == [2 * 10**700]
 
 
 def test_to_decimal_equals_decimal_of_int():
@@ -164,8 +170,9 @@ def conversions(monkeypatch):
     return seen
 
 
-def test_an_operand_past_max_digits_steps_ints(capsys, max_digits_1000, conversions):
-    # F(5000) has 1,045 digits; the values F(n - 5000) near n = 5000 are small
+def test_an_operand_past_max_digits_is_never_converted(capsys, max_digits_1000, conversions):
+    # F(5000) has 1,045 digits; the values F(n - 5000) near n = 5000 are small,
+    # and the operands F(-5000), F(-4999), F(4999), F(5000) double as Decimals
     code, out, err = run_cli(capsys, "eval", "F(n-5000)", "--from", "5000", "--to", "5000")
     assert (code, out, err) == (0, "5000 0\n", "")
     assert conversions == []
@@ -177,7 +184,7 @@ def test_printable_operands_step_decimals(capsys, max_digits_1000, conversions):
     lines = out.splitlines()
     assert [len(line.split()[1]) for line in lines] == [836, 836]
     assert out == expected_lines("F(n)", 4000, 4001)
-    assert fib(3999) in conversions and fib(4000) in conversions
+    assert conversions == []  # the seed F(3999), F(4000) doubles as Decimals
 
 
 @pytest.mark.parametrize(

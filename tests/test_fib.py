@@ -1,7 +1,10 @@
 """Fibonacci indexing, shift-identity coefficients, and fib against alpha powers."""
 
+from decimal import Decimal, Inexact, Rounded, localcontext
+
 from binet_oracle import ALPHA, BETA, QuadRat, root_pow
 
+import fibrec.cli as cli
 from fibrec import fib, shift_coeffs
 from fibrec.fib import fib_pair
 
@@ -57,6 +60,19 @@ def test_fib_pair_cassini_at_far_indices():
         prev, now = fib_pair(n - 1)
         assert fib_pair(n)[0] == now
         assert prev * fib_pair(n)[1] - now * now == (-1) ** (n % 2), n
+
+
+def test_fib_pair_doubles_exactly_in_decimals():
+    # the CLI's context, in which any rounding raises Inexact or Rounded
+    indices = {*range(-2000, 2001), 10**5, -(10**5)}
+    for k in range(18):
+        indices |= {2**k - 1, 2**k + 1, -(2**k - 1), -(2**k + 1)}
+    with localcontext(cli._EXACT) as exact:
+        for n in sorted(indices):
+            # the same digits and sign, exponent 0, and a zero is never -0
+            got = [x.as_tuple() for x in fib_pair(n, Decimal(1))]
+            assert got == [Decimal(x).as_tuple() for x in fib_pair(n)], n
+        assert not (exact.flags[Inexact] or exact.flags[Rounded])
 
 
 def test_fib_recurrence_property():

@@ -386,6 +386,6 @@ def test_a_far_shift_keeps_horner_coefficients_short():
     form = parse("n^120*F(n-20000)").canon()
     assert min(abs(int(c)).bit_length() for c in form.p0.coeffs + form.p1.coeffs if c) > 13_000
     den, q0, q1, e, f, far = form._scaled()
-    polys = [q0, q1] + [r for _, _, r in far]
-    assert len(far) == 1 and far[0][:2] == shift_coeffs(20000)
+    polys = [q0, q1] + [r for *_, r in far]
+    assert len(far) == 1 and far[0][:3] == (20000, *shift_coeffs(20000))
     assert max(abs(c).bit_length() for p in polys for c in p.coeffs) <= 64
