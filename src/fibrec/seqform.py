@@ -17,17 +17,26 @@ same sequence exactly when their canonical forms are componentwise equal.
 Every value comes from one loop, ``_numerators``: over the common denominator
 of the form's coefficients, w_n is an integer combination of (F(n), F(n-1)),
 a pair that steps by one addition from one ``fib_pair`` seed.
-``CanonForm.values(lo, hi)`` runs it on ints, and the CLI on Decimals.
+``CanonForm.values(lo, hi)`` runs it on ints, and the CLI on Decimals.  The
+polynomials are read at consecutive n, so a window longer than 4*(deg + 1)
+values tabulates each one by forward differences, deg additions per index
+(``_tabulated``); a single value and a shorter window, which covers every
+initial window of the polynomial that sets a form's order, keep Horner's
+rule.  Below that length the difference table's deg+1 Horner values and
+deg*(deg+1)/2 subtractions cost more than they save, and the integrality
+verdict, which stops at its first non-integer value, would compute values it
+never reads.
 
 Folding a shift j into P0 and P1 multiplies each coefficient of its
 polynomial by F(1-j) or F(-j), about 0.209*|j| digits each, and Horner's rule
-would carry those digits through each of its steps at every index.  So
-``FibExpr.canon`` splits the terms by those two numbers.  A *folded* term, one
-whose F(1-j) and F(-j) are both below 2**30 in magnitude (shifts -43..44),
-joins the polynomials that Horner's rule evaluates.  A *far* term stays apart
-as (j, F(1-j), F(-j), p): the loop evaluates p(n) on its own short
-coefficients and multiplies that by the two long numbers, once each per index
-(the CLI doubles them as Decimals from j).  P0 and P1 still sum every term.
+or a difference table would carry those digits through each of its steps at
+every index.  So ``FibExpr.canon`` splits the terms by those two numbers.  A
+*folded* term, one whose F(1-j) and F(-j) are both below 2**30 in magnitude
+(shifts -43..44), joins the polynomials Q0 and Q1 that the loop evaluates.  A
+*far* term stays apart as (j, F(1-j), F(-j), p): the loop evaluates p(n) on
+its own short coefficients and multiplies that by the two long numbers, once
+each per index (the CLI doubles them as Decimals from j).  P0 and P1 still
+sum every term.
 
 An expression is canonicalized once: ``FibExpr.canon`` keeps its form, and
 the form keeps its split into folded and far terms and ``CanonForm._scaled``
@@ -42,12 +51,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, cycle, islice, repeat, tee
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from .exact import Poly
 from .fib import fib_pair, shift_coeffs
 
-# A term folds into the Horner polynomials when both of its shift coefficients
+# A term folds into the polynomials Q0 and Q1 when both of its shift coefficients
 # are below this in magnitude, so that each fits in one int digit.
 _FOLD_BOUND = 1 << 30
 
@@ -207,22 +218,60 @@ class CanonForm:
             yield n, Fraction(num, den)
 
 
+def _tabulated(p: Poly, lo: int, count: int) -> Iterator:
+    """Yield p(lo), ..., p(lo+count-1) in the number type of p's coefficients.
+
+    A window of at most 4*(deg p + 1) values runs Horner's rule lazily at each
+    index, so a single value or a scan that stops early evaluates no more than
+    it reads.  A longer one evaluates its first deg+1 values by Horner, takes
+    the leading edge Δ^k p(lo), k = 0..deg, of their difference triangle, and
+    tabulates the rest by forward differences (Knuth, TAOCP vol. 2, 4.6.4):
+    deg nested running sums over the constant Δ^deg p, so each index costs deg
+    additions, all of them in C.
+    """
+    deg = p.degree
+    if deg is None:
+        return repeat(0, count)
+    if count <= 4 * (deg + 1):
+        return map(p, range(lo, lo + count))
+    row = list(map(p, range(lo, lo + deg + 1)))
+    edge = []
+    while row:
+        edge.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    steps = repeat(edge.pop())
+    while edge:
+        steps = accumulate(steps, initial=edge.pop())
+    return islice(steps, count)
+
+
 def _numerators(q0: Poly, q1: Poly, e, f, far, seed, lo: int, hi: int) -> Iterator[tuple]:
     """Yield (n, L*w_n) for n = lo..hi: the one evaluation loop.
 
     (q0, q1, e, f, far) is a form scaled by L (``CanonForm._scaled``) and seed
-    is (F(lo-1), F(lo)).  At each n the loop runs Horner's rule on q0, q1 and
-    the short polynomial r of each far term (j, c, d, r), and takes
-    (q0(n) + sum c*r(n)) * F(n) + (q1(n) + sum d*r(n)) * F(n-1) + e + f*(-1)^n;
-    with no far terms the inner loop is empty.  It works in the number type
-    it is given: ints for ``CanonForm.values``, and for the values the CLI
-    prints, a seed and far pairs that ``fib_pair`` doubled as Decimals.
+    is (F(lo-1), F(lo)).  Over the far terms (j, c, d, r), the loop takes
+    (q0(n) + sum c*r(n)) * F(n) + (q1(n) + sum d*r(n)) * F(n-1) + e + f*(-1)^n,
+    reading every polynomial's values from ``_tabulated``; the two sums fold
+    into the q0 and q1 columns by ``map``.  A window longer than 4*(deg + 1)
+    values tabulates a polynomial by forward differences, deg additions per
+    index; a single value (``FibExpr.at``) and a shorter window keep Horner's
+    rule.  The switch sits there because a table costs deg+1 Horner values and
+    deg*(deg+1)/2 subtractions before it saves anything, and because every
+    initial window, at most 2*(D+1) + 2 values, then stays lazy for the
+    polynomial of degree D that sets the form's order: the integrality verdict
+    computes no value past its witness.  The loop works in the number type it
+    is given: ints for ``CanonForm.values``, and for the values the CLI
+    prints, a seed and far pairs that ``fib_pair`` doubled as Decimals, run in
+    the CLI's exact context.
     """
     fn1, fn = seed
-    for n in range(lo, hi + 1):
-        a, b = q0(n), q1(n)
-        for _, c, d, r in far:
-            rn = r(n)
-            a, b = a + c * rn, b + d * rn
-        yield n, a * fn + b * fn1 + (e - f if n % 2 else e + f)
+    count = max(hi - lo + 1, 0)
+    a_col, b_col = _tabulated(q0, lo, count), _tabulated(q1, lo, count)
+    for _, c, d, r in far:  # each column adds c*r(n) or d*r(n), in C
+        r0, r1 = tee(_tabulated(r, lo, count))
+        a_col = map(add, a_col, map(mul, repeat(c), r0))
+        b_col = map(add, b_col, map(mul, repeat(d), r1))
+    ef = cycle((e - f, e + f) if lo % 2 else (e + f, e - f))  # e + f*(-1)^n
+    for n, a, b, const in zip(range(lo, hi + 1), a_col, b_col, ef):
+        yield n, a * fn + b * fn1 + const
         fn, fn1 = fn + fn1, fn

@@ -292,3 +292,21 @@ def test_importing_the_cli_builds_no_parser():
     code = "import fibrec.cli as c; print(c._build_argparser.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+def test_long_coefficients_step_as_decimal_differences(capsys, conversions):
+    # 10^400 passes _SPLIT_BITS, so Q0 = 10^400*n^2 + 1 steps its differences as
+    # Decimals in the exact context, where any rounding would raise
+    text, lo, hi = f"({10**400}*n^2+1)/3*F(n) + n*F(n-50)", -20, 600
+    expected = values_as_text(text, lo, hi)
+    blocks = list(cli._rendered(parse(text).canon(), lo, hi))
+    assert len(blocks) >= 3
+    assert [pair for block in blocks for pair in block] == expected
+    assert conversions == [10**400]
+    argv = ["eval", text, "--from", str(lo), "--to", str(hi)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{n} {v}" for n, v in expected]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == [{"n": n, "value": v} for n, v in expected]

@@ -6,12 +6,14 @@ Binet split of ``binet_oracle`` (powers of alpha and beta in Q(sqrt(5))).
 """
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 from binet_oracle import QuadRat, binet, conj_poly, degree, fib_part_at
 from conftest import (
     A010049,
+    DENOMS,
     QUAD_LIN,
     WALKS_W,
     rand_expr,
@@ -21,7 +23,18 @@ from conftest import (
     ref_at,
 )
 
-from fibrec import CanonForm, FibExpr, Poly, format_expr, parse, shift_coeffs
+import fibrec.cli as cli
+from fibrec import (
+    CanonForm,
+    FibExpr,
+    NonIntegral,
+    Poly,
+    format_expr,
+    is_integer_sequence,
+    parse,
+    shift_coeffs,
+)
+from fibrec.seqform import _tabulated
 
 
 def test_evaluate_examples():
@@ -389,3 +402,106 @@ def test_a_far_shift_keeps_horner_coefficients_short():
     polys = [q0, q1] + [r for *_, r in far]
     assert len(far) == 1 and far[0][:3] == (20000, *shift_coeffs(20000))
     assert max(abs(c).bit_length() for p in polys for c in p.coeffs) <= 64
+
+
+def _tabulation_windows(rng, width):
+    """(lo, count) pairs for a polynomial of deg + 1 = width: counts 0 and 1,
+    both sides of the switch at 4*width and the switch itself, up to 15*width."""
+    switch = 4 * width
+    counts = {0, 1, switch - 1, switch, switch + 1, 15 * width}
+    counts |= {rng.randint(0, 15 * width) for _ in range(4)}
+    windows = [(rng.randint(-500, 500), count) for count in sorted(counts)]
+    return windows + [(-500, 15 * width), (500 - 15 * width, 15 * width)]
+
+
+@pytest.mark.parametrize("as_decimal", [False, True], ids=["int", "decimal"])
+@pytest.mark.parametrize("deg", [None, *range(13)])
+def test_tabulated_matches_horner(deg, as_decimal):
+    # Decimals get long coefficients, as cli._rendered hands the loop, and the
+    # exact context, where any rounding raises
+    rng = random.Random(1000 * (1 + as_decimal) + (deg or 0))
+    bound = 10**400 if as_decimal else 10**6
+    ints = [rng.randint(-bound, bound) for _ in range(0 if deg is None else deg + 1)]
+    if ints:
+        ints[-1] = ints[-1] or 1
+    exact = Poly(tuple(ints))
+    assert exact.degree == deg
+    with localcontext(cli._EXACT):
+        p = Poly(tuple(map(Decimal, ints))) if as_decimal else exact
+        for lo, count in _tabulation_windows(rng, 1 if deg is None else deg + 1):
+            got = list(_tabulated(p, lo, count))
+            assert got == [p(n) for n in range(lo, lo + count)], (lo, count)
+            assert got == [exact(n) for n in range(lo, lo + count)], (lo, count)
+            kinds = (Decimal, int) if as_decimal else (int,)  # the zero polynomial gives int 0
+            assert all(type(v) in kinds for v in got)
+            assert all(v.as_tuple().exponent == 0 for v in got if isinstance(v, Decimal))
+
+
+def _nonzero_fraction(rng):
+    return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(DENOMS))
+
+
+def test_long_windows_match_reference():
+    # 100-400 values: every polynomial of degree <= 6 is tabulated by differences
+    rng = random.Random(89)
+    for i in range(16):
+        terms = [(rng.randint(-43, 44), rand_poly(rng, max_deg=6))
+                 for _ in range(rng.randint(1, 3))]
+        if i % 4:  # far terms beside the folded ones, on both sides
+            terms += [(rng.choice((-1, 1)) * rng.randint(45, 3000), rand_poly(rng, max_deg=5))
+                      for _ in range(rng.randint(1, 2))]
+        e = FibExpr.of(terms, _nonzero_fraction(rng), _nonzero_fraction(rng))
+        assert _has_far_terms(e) == (i % 4 != 0)
+        lo = rng.randint(-700, 300)
+        _values_match_reference(e, lo, lo + rng.randint(99, 399))
+
+
+@pytest.fixture
+def horner_calls(monkeypatch):
+    """Record (polynomial, n) for every Poly.__call__."""
+    calls = []
+    horner = Poly.__call__
+
+    def counting(self, n):
+        calls.append((self, n))
+        return horner(self, n)
+
+    monkeypatch.setattr(Poly, "__call__", counting)
+    return calls
+
+
+def test_a_verdict_builds_no_difference_table(horner_calls):
+    verdict = is_integer_sequence(parse("n^1000/3*F(n-20000)+n^1000*F(n)"))
+    assert isinstance(verdict, NonIntegral) and verdict.witness_n == 1
+    assert horner_calls and {n for _, n in horner_calls} <= {0, 1}
+    evaluated = [(id(p), n) for p, n in horner_calls]
+    assert len(evaluated) == len(set(evaluated))  # each polynomial once per index
+
+
+def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
+    texts = [text for text, _ in _FAR_CASES]
+    for text in texts + ["(n^9+1)/3*F(n) - n^4*F(n-1) + 1/2 - 1/5*(-1)^n"]:
+        e = parse(text)
+        form = e.canon()
+        den, q0, q1, _, _, far = form._scaled()
+        polys = [p for p in (q0, q1, *(r for *_, r in far)) if p]
+        for n in (-777, 0, 12_345):
+            expected = ref_at(e, n)  # which evaluates each term's polynomial itself
+            horner_calls.clear()
+            assert e.at(n) == expected
+            assert sorted(id(p) for p, _ in horner_calls) == sorted(map(id, polys))
+            assert {m for _, m in horner_calls} == {n}
+
+
+
+def test_a_long_window_runs_horner_only_on_its_first_values(horner_calls):
+    form = parse("(n^3+1)/7*F(n) + n/3*F(n-1) + n^5*F(n-100) + 1/2 - 1/5*(-1)^n").canon()
+    den, q0, q1, _, _, far = form._scaled()
+    polys = [q0, q1, *(r for *_, r in far)]
+    lo, hi = -300, 699
+    horner_calls.clear()  # the parser reads its constant terms at 0
+    got = list(form.values(lo, hi))
+    assert len(got) == 1000
+    for p in polys:  # deg + 1 Horner values seed each difference table
+        assert [n for q, n in horner_calls if q is p] == list(range(lo, lo + p.degree + 1))
+    assert len(horner_calls) == sum(p.degree + 1 for p in polys)
