@@ -16,10 +16,10 @@ bytes, leaves a sign bit to spare and no digit overflows into the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from ._value import Value
 from .exact import Poly
 from .seqform import CanonForm, FibExpr
 
@@ -51,8 +51,7 @@ def char_poly(form: CanonForm) -> Poly:
     ))
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Value):
     """w_n = coeffs[0]*w_{n-1} + ... + coeffs[m-1]*w_{n-m}, with w_0..w_{m-1}.
 
     order and coeffs are read off the monic char_poly: its degree, and its
@@ -63,6 +62,9 @@ class Recurrence:
 
     char_poly: Poly
     initial: tuple[Fraction, ...]
+
+    def __init__(self, char_poly: Poly, initial: tuple[Fraction, ...]) -> None:
+        self.__dict__.update(char_poly=char_poly, initial=initial)
 
     @property
     def order(self) -> int:

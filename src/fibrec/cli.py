@@ -16,10 +16,8 @@ error: fibrec stops writing, prints nothing on stderr and exits 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import decimal
 import functools
-import json
 import math
 import os
 import re
@@ -360,7 +358,9 @@ def _cmd_synth(args) -> _Output:
     template = Template(args.deg0, args.deg1, args.const, args.alt)
     values = _number_list(args.values, Fraction)
     solution = solve_template(template, values)
-    extra = {"template": dataclasses.asdict(template), "values": values}
+    shape = {"deg_p0": template.deg_p0, "deg_p1": template.deg_p1,
+             "has_const": template.has_const, "has_alt": template.has_alt}
+    extra = {"template": shape, "values": values}
     return _solution_output(extra, solution)
 
 
@@ -493,6 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.json:
+            import json
+
             print(json.dumps({"command": args.command, **payload}, indent=2, default=str))
         else:
             for line in lines():

@@ -2,26 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .cfinite import _initial_window
 from .seqform import FibExpr
 
 
-@dataclass(frozen=True)
-class Integral:
+class Integral(Value):
     """The sequence is integer at every n; the certificate is w_0..w_{m-1}."""
 
     certificate: tuple[int, ...]
 
+    def __init__(self, certificate: tuple[int, ...]) -> None:
+        self.__dict__["certificate"] = certificate
 
-@dataclass(frozen=True)
-class NonIntegral:
+
+class NonIntegral(Value):
     """A concrete non-integer value; witness_n is the least such index >= 0."""
 
     witness_n: int
     value: Fraction
+
+    def __init__(self, witness_n: int, value: Fraction) -> None:
+        self.__dict__.update(witness_n=witness_n, value=value)
 
 
 Verdict = Integral | NonIntegral

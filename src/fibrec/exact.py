@@ -9,11 +9,10 @@ No floating point appears anywhere; every operation is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Dense univariate polynomial, coefficients ascending by degree.
 
     The zero polynomial is the empty tuple and its degree is None ("absent"):
@@ -22,13 +21,13 @@ class Poly:
     structural equality of the coefficient tuples is polynomial equality.
     """
 
-    coeffs: tuple = ()
+    coeffs: tuple
 
-    def __post_init__(self) -> None:
-        c = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple = ()) -> None:
+        c = tuple(coeffs)
         while c and not c[-1]:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        self.__dict__["coeffs"] = c
 
     @property
     def degree(self) -> int | None:

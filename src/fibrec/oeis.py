@@ -4,18 +4,17 @@ Local search runs against the fixtures shipped with the package: standard
 b-files ("n a(n)" per line, '#' comment lines allowed).  The file name
 bNNNNNN.txt gives the A-number and the first index gives the offset.
 Remote search queries the public OEIS JSON endpoint with the standard
-library's urllib, imported only when a remote search runs; it is strictly
-opt-in at the CLI, and the tests replace ``urllib.request.urlopen``
+library's urllib and json, imported only when a remote search runs; it is
+strictly opt-in at the CLI, and the tests replace ``urllib.request.urlopen``
 instead of reaching the network.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
+
+from ._value import Value
 
 MIN_PREFIX = 4
 OEIS_SEARCH_URL = "https://oeis.org/search"
@@ -39,26 +38,28 @@ class OeisFormatError(OeisLookupError):
     """The OEIS response could not be understood."""
 
 
-@dataclass(frozen=True)
-class OeisEntry:
+class OeisEntry(Value):
     a_number: str
     offset: int
     terms: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not _A_NUMBER.match(self.a_number):
-            raise ValueError(f"bad A-number {self.a_number!r}")
-        object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
-        if not self.terms:
-            raise ValueError(f"{self.a_number}: entry has no terms")
+    def __init__(self, a_number: str, offset: int, terms: tuple[int, ...]) -> None:
+        if not _A_NUMBER.match(a_number):
+            raise ValueError(f"bad A-number {a_number!r}")
+        terms = tuple(int(t) for t in terms)
+        if not terms:
+            raise ValueError(f"{a_number}: entry has no terms")
+        self.__dict__.update(a_number=a_number, offset=offset, terms=terms)
 
 
-@dataclass(frozen=True)
-class OeisHit:
+class OeisHit(Value):
     """entry.terms[match_start:] starts with the queried prefix."""
 
     entry: OeisEntry
     match_start: int
+
+    def __init__(self, entry: OeisEntry, match_start: int) -> None:
+        self.__dict__.update(entry=entry, match_start=match_start)
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -102,6 +103,8 @@ def load_fixtures() -> dict[str, OeisEntry]:
     Raises FileNotFoundError naming the directory when it is missing or
     holds no b-file, as in an installation that lost its package data.
     """
+    from importlib import resources
+
     fixtures = resources.files(__package__) / "fixtures"
     names = sorted(p.name for p in fixtures.iterdir()) if fixtures.is_dir() else []
     names = [name for name in names if name.startswith("b") and name.endswith(".txt")]
@@ -151,6 +154,7 @@ def search_remote(prefix: Sequence[int], timeout: float = 10.0) -> list[OeisHit]
     contain the prefix contiguously are dropped.  Failures are never
     silent: timeout, transport and malformed-response errors are distinct.
     """
+    import json
     import urllib.request
     from http.client import HTTPException
     from urllib.error import HTTPError, URLError

@@ -49,12 +49,12 @@ goes stale.  A form built directly, with no split, has no far terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, islice, repeat, tee
 from operator import add, mul
 from typing import Iterable, Iterator
 
+from ._value import Value
 from .exact import Poly
 from .fib import fib_pair, shift_coeffs
 
@@ -63,21 +63,26 @@ from .fib import fib_pair, shift_coeffs
 _FOLD_BOUND = 1 << 30
 
 
-@dataclass(frozen=True)
-class ShiftTerm:
+class ShiftTerm(Value):
     """One summand p(n) * F(n - shift); the polynomial is never zero."""
 
     shift: int
     poly: Poly
 
+    def __init__(self, shift: int, poly: Poly) -> None:
+        self.__dict__.update(shift=shift, poly=poly)
 
-@dataclass(frozen=True)
-class FibExpr:
+
+class FibExpr(Value):
     """Normalized expression: terms sorted by strictly increasing shift."""
 
-    terms: tuple[ShiftTerm, ...] = ()
-    const_e: Fraction = Fraction(0)
-    alt_f: Fraction = Fraction(0)
+    terms: tuple[ShiftTerm, ...]
+    const_e: Fraction
+    alt_f: Fraction
+
+    def __init__(self, terms: tuple[ShiftTerm, ...] = (), const_e: Fraction = Fraction(0),
+                 alt_f: Fraction = Fraction(0)) -> None:
+        self.__dict__.update(terms=terms, const_e=const_e, alt_f=alt_f)
 
     @staticmethod
     def of(terms: Iterable = (), const=0, alt=0) -> "FibExpr":
@@ -149,24 +154,29 @@ class FibExpr:
         form = self.__dict__.get("_canon_memo")
         if form is not None:
             return form
-        p0 = p1 = folded0 = folded1 = Poly(())
+        # P0 and P1 sum the parts in shift order: where a top coefficient cancels
+        # midway, that order decides whether it comes back as an int or a Fraction,
+        # which repr shows.  They are the folded sums themselves until the first far
+        # term, so only the parts that follow a far shift below -43 are summed twice.
+        p0 = p1 = Poly(())
+        folded = None  # (Q0, Q1), kept apart from P0 and P1 from the first far term on
         far = []
         for t in self.terms:
             c_f, c_f1 = shift_coeffs(t.shift)
             part0, part1 = t.poly * c_f, t.poly * c_f1
-            p0, p1 = p0 + part0, p1 + part1
-            if abs(c_f) < _FOLD_BOUND and abs(c_f1) < _FOLD_BOUND:
-                folded0, folded1 = folded0 + part0, folded1 + part1
-            else:
+            if abs(c_f) >= _FOLD_BOUND or abs(c_f1) >= _FOLD_BOUND:
+                folded = folded or (p0, p1)
                 far.append((t.shift, c_f, c_f1, t.poly))
+            elif folded:
+                folded = (folded[0] + part0, folded[1] + part1)
+            p0, p1 = p0 + part0, p1 + part1
         form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
         if far:
-            form.__dict__["_split_memo"] = (folded0, folded1, tuple(far))
+            form.__dict__["_split_memo"] = (*folded, tuple(far))
         return form
 
 
-@dataclass(frozen=True)
-class CanonForm:
+class CanonForm(Value):
     """The reduced shape P0(n)*F(n) + P1(n)*F(n-1) + e + f*(-1)^n.
 
     Componentwise equality of canonical forms is equality of sequences.
@@ -176,6 +186,9 @@ class CanonForm:
     p1: Poly
     const_e: Fraction
     alt_f: Fraction
+
+    def __init__(self, p0: Poly, p1: Poly, const_e: Fraction, alt_f: Fraction) -> None:
+        self.__dict__.update(p0=p0, p1=p1, const_e=const_e, alt_f=alt_f)
 
     @property
     def fib_degree(self) -> int | None:

@@ -36,12 +36,12 @@ families 1-3 give them as w_0 and z_i = w_i - F_{i-1}*w_0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
+from ._value import Value
 from .fib import fib
 from .seqform import FibExpr
 
@@ -50,17 +50,18 @@ class DegenerateTemplateError(ValueError):
     """The template's linear system is singular."""
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Value):
     """Shape of a synthesis target; degree None means the slot is absent."""
 
-    deg_p0: int | None = None
-    deg_p1: int | None = None
-    has_const: bool = False
-    has_alt: bool = False
+    deg_p0: int | None
+    deg_p1: int | None
+    has_const: bool
+    has_alt: bool
 
-    def __post_init__(self) -> None:
-        for d in (self.deg_p0, self.deg_p1):
+    def __init__(self, deg_p0: int | None = None, deg_p1: int | None = None,
+                 has_const: bool = False, has_alt: bool = False) -> None:
+        self.__dict__.update(deg_p0=deg_p0, deg_p1=deg_p1, has_const=has_const, has_alt=has_alt)
+        for d in (deg_p0, deg_p1):
             if d is not None and d < 0:
                 raise ValueError("polynomial degree must be >= 0 or None")
         if self.unknowns < 1:
@@ -112,12 +113,14 @@ FAMILY_TEMPLATES = {
 }
 
 
-@dataclass(frozen=True)
-class SynthSolution:
+class SynthSolution(Value):
     """Solved expression plus the named slot coefficients that built it."""
 
     expr: FibExpr
     coefficients: dict[str, Fraction]
+
+    def __init__(self, expr: FibExpr, coefficients: dict[str, Fraction]) -> None:
+        self.__dict__.update(expr=expr, coefficients=coefficients)
 
 
 def _rows(template: Template, column) -> list[list[int]]:

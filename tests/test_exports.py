@@ -1,6 +1,10 @@
 """The package namespace: every public name is exported once and resolves."""
 
+import subprocess
+import sys
 import types
+
+import pytest
 
 import fibrec
 
@@ -26,3 +30,17 @@ def test_no_public_name_is_left_out_of_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(fibrec.__all__)
+
+
+@pytest.mark.parametrize("module", ["fibrec", "fibrec.cli"])
+def test_import_loads_no_dataclasses_inspect_or_json(module):
+    # the value classes are not dataclasses, and json is imported only where a
+    # document is read or written: by search_remote and by main for --json
+    code = (
+        "import importlib, sys; before = set(sys.modules); "
+        f"importlib.import_module({module!r}); print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert loaded & {"dataclasses", "inspect", "json"} == set()

@@ -1,6 +1,7 @@
 """b-file parsing, bundled fixtures, local search, and remote search on a fake urlopen."""
 
 import http.client
+import importlib.resources
 import json
 import pathlib
 import subprocess
@@ -110,7 +111,7 @@ def test_missing_fixtures_are_named(monkeypatch, capsys, tmp_path, make_dir):
     if make_dir:
         folder.mkdir()
         (folder / "README.txt").write_text("not a b-file\n")
-    monkeypatch.setattr(fibrec.oeis.resources, "files", lambda package: tmp_path)
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
     with pytest.raises(FileNotFoundError) as info:
         load_fixtures()
     assert str(info.value) == f"no OEIS b-files (b*.txt) in {folder}"
@@ -144,7 +145,7 @@ def test_search_local_is_sorted_by_a_number(monkeypatch, tmp_path):
     folder.mkdir()
     (folder / "b999999.txt").write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")
     (folder / "b000001.txt").write_text("0 0\n1 1\n2 2\n3 3\n4 4\n5 5\n")
-    monkeypatch.setattr(fibrec.oeis.resources, "files", lambda package: tmp_path)
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
     hits = search_local([2, 3, 4, 5])
     assert [h.entry.a_number for h in hits] == ["A000001", "A999999"]
     assert [h.match_start for h in hits] == [2, 1]

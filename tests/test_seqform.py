@@ -404,6 +404,30 @@ def test_a_far_shift_keeps_horner_coefficients_short():
     assert max(abs(c).bit_length() for p in polys for c in p.coeffs) <= 64
 
 
+def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
+    """P0 and P1 as every term's parts added in shift order, folded or far."""
+    p0 = p1 = Poly(())
+    for t in e.terms:
+        c, d = shift_coeffs(t.shift)
+        p0, p1 = p0 + t.poly * c, p1 + t.poly * d
+    return p0, p1
+
+
+def test_canon_keeps_the_coefficient_types_of_the_shift_order_sums():
+    # n*F(n+50) is far and comes first; the folded parts after it cancel in P0,
+    # and adding them up before it would leave an int 0 where P0 holds Fraction(0, 1)
+    exprs = [parse("n*F(n+50) + n/2*F(n) - n/2*F(n-2)"), parse("F(n) + F(n-50)")]
+    rng = random.Random(83)
+    coeff = lambda: rng.choice([0, 1, -2, F(1, 2), F(-1, 2), F(3)])
+    for _ in range(300):
+        shifts = rng.sample([-60, -50, -45, -2, -1, 0, 1, 2, 3, 45, 50, 60], rng.randint(1, 5))
+        exprs.append(FibExpr.of([(j, [coeff() for _ in range(rng.randint(1, 3))])
+                                 for j in shifts]))
+    for e in exprs:
+        form = e.canon()
+        assert repr((form.p0, form.p1)) == repr(_shift_order_sums(e)), format_expr(e)
+
+
 def _tabulation_windows(rng, width):
     """(lo, count) pairs for a polynomial of deg + 1 = width: counts 0 and 1,
     both sides of the switch at 4*width and the switch itself, up to 15*width."""

@@ -1,6 +1,5 @@
 """Template systems, exact solving, symbolic inverses, the four families."""
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -47,7 +46,7 @@ def test_template_slot_bookkeeping():
     assert FAMILY_TEMPLATES[4].unknowns == 6
     assert Template(None, 0, has_const=True).unknowns == 2
     assert FAMILY_TEMPLATES[4].slots == ((0, 1), (0, 0), (1, 1), (1, 0), (2, 0), (3, 0))
-    assert [dataclasses.astuple(t) for t in FAMILY_TEMPLATES.values()] == [
+    assert [(t.deg_p0, t.deg_p1, t.has_const, t.has_alt) for t in FAMILY_TEMPLATES.values()] == [
         (1, 1, False, False), (2, 2, False, False), (2, 1, False, False), (1, 1, True, True)
     ]
     with pytest.raises(ValueError):
