@@ -16,8 +16,8 @@ bytes, leaves a sign bit to spare and no digit overflows into the next.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from ._value import Value
 from .exact import Poly

@@ -22,8 +22,8 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
 from .cfinite import to_recurrence
 from .decide import NonIntegral, is_integer_sequence

@@ -12,7 +12,7 @@ instead of reaching the network.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import Value
 

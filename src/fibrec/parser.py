@@ -20,6 +20,12 @@ are dense) and F shifts at MAX_INDEX.  A term without an F(...) or (-1)^n
 factor must be constant (it lands in the expression's constant slot).
 Every rejection raises ParseError carrying the offset of the offending
 position, counted in characters of the input string.
+
+Tokens are plain strings: one regular expression finds them all, after one
+search has rejected any character that starts no token, and the grammar walks
+the list by index, comparing token text.  Tokens carry no offsets; a
+rejection turns its token's index into an offset with one more pass over the
+text, so only a ParseError pays for offsets.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exact import Poly
 from .seqform import FibExpr
@@ -45,63 +50,75 @@ class ParseError(ValueError):
 MAX_EXPONENT = 1000
 MAX_INDEX = 10**7  # largest |shift| in F(n+-k); F(10^7) has about 2.1 million digits
 
-# Each match skips the whitespace before its token.  Alternatives are tried
-# in order, so "(-1)^n" is one token before "(" is one, and "bad" is any other
-# character that is not whitespace.  \s matches what str.isspace() accepts;
-# [0-9] is ASCII only.
-_TOKEN = re.compile(
-    r"\s*(?:(?P<alt>\(\s*-\s*1\s*\)\s*\^\s*n)|(?P<nat>[0-9]+)|(?P<sym>[nF+\-*/^()])|(?P<bad>\S))"
-)
+# Each match skips the whitespace before its token and captures the token:
+# "(-1)^n" whole (before "(" alone, as alternatives are tried in order), a run
+# of ASCII digits, or one symbol.  _BAD finds the first character that no
+# token may hold; \s matches what str.isspace() accepts, and [0-9] is ASCII
+# only, where str.isdigit() would also accept superscript and Arabic-Indic digits.
+_TOKEN = re.compile(r"\s*(\(\s*-\s*1\s*\)\s*\^\s*n|[0-9]+|[nF+\-*/^()])")
+_BAD = re.compile(r"[^\s0-9nF+\-*/^()]")
 
 
-class _Tok(NamedTuple):
-    kind: str  # 'nat' 'n' 'F' 'alt' '+' '-' '*' '/' '^' '(' ')' 'end'
-    text: str
-    pos: int
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text as strings, then two end tokens, each the empty string.
+
+    A character that starts no token raises ParseError before any grammar
+    runs, so it wins over a grammar error earlier in the text.  A number is a
+    token whose first character is a digit, and "(-1)^n" is the one token
+    longer than a character that starts with "(".
+    """
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    # two end tokens: looking one past the last token reads the second, so a
+    # lookahead needs no bounds check (the index never moves past the first)
+    return _TOKEN.findall(text) + ["", ""]
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        tok = m.group(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", m.start(kind))
-        # tuple.__new__ skips the Python-level __new__ that NamedTuple defines
-        toks.append(tuple.__new__(_Tok, (tok if kind == "sym" else kind, tok, m.start(kind))))
-    # two end tokens: peek(1) at the last token reads the second, so peek
-    # needs no bounds check (take never moves past the first)
-    toks += [_Tok("end", "", len(text))] * 2
-    return toks
+def _offsets(text: str) -> list[int]:
+    """The character offset of each token of _tokenize(text), end tokens included.
+
+    Only a ParseError needs an offset, so the grammar keeps token indices
+    and turns one into an offset with this single pass when it raises.
+    """
+    return [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)] * 2
+
+
+def _is_nat(tok: str) -> bool:
+    return "0" <= tok[:1] <= "9"  # the end token's "" is below "0"
+
+
+def _is_alt(tok: str) -> bool:
+    return len(tok) > 1 and tok[0] == "("
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[self.i + ahead]
+    def error(self, message: str, at: int) -> ParseError:
+        """The ParseError to raise for the token at index `at`."""
+        return ParseError(message, _offsets(self.text)[at])
 
-    def take(self) -> _Tok:
-        tok = self.toks[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Tok:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos)
-        return self.take()
+    def expect(self, tok: str, what: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {what}", self.i)
+        self.i += 1
 
     def natural(self, what: str) -> int:
-        tok = self.expect("nat", what)
+        tok = self.toks[self.i]
         try:
-            return int(tok.text)
-        except ValueError:  # longer than the interpreter's int-to-str digit limit
+            value = int(tok)  # refuses every token that is not a number
+        except ValueError:
+            if not _is_nat(tok):
+                raise self.error(f"expected {what}", self.i) from None
+            # longer than the interpreter's int-to-str digit limit
             limit = sys.get_int_max_str_digits()
-            raise ParseError(f"a number has more than {limit} digits", tok.pos) from None
+            raise self.error(f"a number has more than {limit} digits", self.i) from None
+        self.i += 1
+        return value
 
     # --- grammar productions -------------------------------------------
 
@@ -109,12 +126,12 @@ class _Parser:
         terms: list[tuple[int, Poly]] = []
         const = Fraction(0)
         alt = Fraction(0)
-        sep = self.peek()  # an optional sign before the first term
-        if sep.kind in ("+", "-"):
-            self.take()
+        sep = self.toks[0]  # an optional sign before the first term
+        if sep in ("+", "-"):
+            self.i = 1
         while True:
             tag, shift, coeff = self.term()
-            if sep.kind == "-":
+            if sep == "-":
                 coeff = -coeff
             if tag == "fib":
                 terms.append((shift, coeff))
@@ -122,62 +139,64 @@ class _Parser:
                 alt += coeff(0)
             else:
                 const += coeff(0)
-            sep = self.take()
-            if sep.kind == "end":
+            sep = self.toks[self.i]
+            if not sep:
                 break
-            if sep.kind not in ("+", "-"):
-                raise ParseError("expected '+' or '-' between terms", sep.pos)
+            if sep not in ("+", "-"):
+                raise self.error("expected '+' or '-' between terms", self.i)
+            self.i += 1
         return FibExpr.of(terms, const, alt)
 
     def term(self) -> tuple[str, int, Poly]:
-        start = self.peek().pos
+        start = self.i
+        tok = self.toks[start]
         starred = False
-        if self.peek().kind in ("F", "alt"):
+        if tok == "F" or _is_alt(tok):
             coeff = Poly((1,))
         else:
             coeff = self.coef()
-            starred = self.peek().kind == "*"
+            starred = self.toks[self.i] == "*"
             if starred:
-                self.take()
-        kind = self.peek().kind
-        if kind == "F":
+                self.i += 1
+        tok = self.toks[self.i]
+        if tok == "F":
             return "fib", self.fibref(), coeff
-        if kind == "alt":
-            self.take()
+        if _is_alt(tok):
+            self.i += 1
             return "alt", 0, self._constant(coeff, start, "(-1)^n")
         if starred:
-            raise ParseError("expected F(...) or (-1)^n after '*'", self.peek().pos)
+            raise self.error("expected F(...) or (-1)^n after '*'", self.i)
         return "const", 0, self._constant(coeff, start, None)
 
-    @staticmethod
-    def _constant(coeff: Poly, start: int, of: str | None) -> Poly:
+    def _constant(self, coeff: Poly, start: int, of: str | None) -> Poly:
         if coeff.degree not in (None, 0):
             if of is None:
-                raise ParseError("a term without F(n...) must be constant", start)
-            raise ParseError(f"the coefficient of {of} must be constant", start)
+                raise self.error("a term without F(n...) must be constant", start)
+            raise self.error(f"the coefficient of {of} must be constant", start)
         return coeff
 
     def coef(self) -> Poly:
-        if self.peek().kind == "(":
-            self.take()
+        toks = self.toks
+        if toks[self.i] == "(":
+            self.i += 1
             coeff = self.polysum()
             self.expect(")", "')'")
-            if self.peek().kind == "^":
-                raise ParseError("'^' may follow only 'n' or the literal '(-1)'", self.peek().pos)
+            if toks[self.i] == "^":
+                raise self.error("'^' may follow only 'n' or the literal '(-1)'", self.i)
         else:
             power, q = self.polyterm()
             coeff = Poly((0,) * power + (q,))
-        if self.peek().kind == "/":
+        if toks[self.i] == "/":
             coeff = coeff * Fraction(1, self.denominator())
         return coeff
 
     def denominator(self) -> int:
         """Take '/' and the natural after it, which must not be zero."""
-        self.take()
-        pos = self.peek().pos
+        self.i += 1
+        at = self.i
         den = self.natural("a denominator")
         if den == 0:
-            raise ParseError("zero denominator", pos)
+            raise self.error("zero denominator", at)
         return den
 
     def polysum(self) -> Poly:
@@ -187,6 +206,7 @@ class _Parser:
         at every power that a term reached, int 0 at the others, and never a
         zero on top, so a cancelled top power and the zeros below it drop.
         """
+        toks = self.toks
         coeffs: list = []
         sign = 1
         while True:
@@ -201,63 +221,65 @@ class _Parser:
                     coeffs[power] += q
                     while coeffs and not coeffs[-1]:
                         coeffs.pop()
-            if self.peek().kind not in ("+", "-"):
+            tok = toks[self.i]
+            if tok not in ("+", "-"):
                 return Poly(coeffs)
-            sign = -1 if self.take().kind == "-" else 1
+            self.i += 1
+            sign = -1 if tok == "-" else 1
 
     def polyterm(self, sign: int = 1) -> tuple[int, Fraction]:
         """(power, coefficient) of one monomial, its coefficient times sign."""
-        negated = self.peek().kind == "-"
+        toks = self.toks
+        tok = toks[self.i]
+        negated = tok == "-"
         if negated:
-            self.take()
+            self.i += 1
+            tok = toks[self.i]
             sign = -sign
-        tok = self.peek()
-        if tok.kind == "n":
+        if tok == "n":
             return self._power(), Fraction(sign)
-        if tok.kind != "nat":
+        if not _is_nat(tok):
             what = "a number or 'n' after '-'" if negated else "a coefficient"
-            raise ParseError(f"expected {what}", tok.pos)
-        q = self.rational(sign)
-        if self.peek().kind == "n":
-            return self._power(), q
-        if self.peek().kind == "*" and self.peek(1).kind == "n":
-            self.take()
-            return self._power(), q
-        return 0, q
+            raise self.error(f"expected {what}", self.i)
+        num = sign * self.natural("a number")
+        if toks[self.i] == "/" and _is_nat(toks[self.i + 1]):
+            q = Fraction(num, self.denominator())
+        else:
+            q = Fraction(num)
+        tok = toks[self.i]
+        if tok == "*" and toks[self.i + 1] == "n":
+            self.i += 1
+            tok = "n"
+        return (self._power(), q) if tok == "n" else (0, q)
 
     def _power(self) -> int:
-        """Take 'n' and an optional '^' exponent; return the power."""
-        self.expect("n", "'n'")
+        """Take 'n', where the caller stands, and an optional '^' exponent; return the power."""
+        self.i += 1
         power = 1
-        if self.peek().kind == "^":
-            self.take()
-            pos = self.peek().pos
+        if self.toks[self.i] == "^":
+            self.i += 1
+            at = self.i
             power = self.natural("a non-negative integer exponent")
             if power > MAX_EXPONENT:
                 # polynomials are dense; an absurd exponent would allocate
                 # that many coefficients
-                raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
+                raise self.error(f"exponent larger than {MAX_EXPONENT}", at)
         return power
-
-    def rational(self, sign: int) -> Fraction:
-        num = sign * self.natural("a number")
-        if self.peek().kind == "/" and self.peek(1).kind == "nat":
-            return Fraction(num, self.denominator())
-        return Fraction(num)
 
     def fibref(self) -> int:
         self.expect("F", "'F'")
         self.expect("(", "'(' after F")
         self.expect("n", "'n' as the F argument (shift must be n, n+k or n-k)")
         shift = 0
-        if self.peek().kind in ("+", "-"):
-            op = self.take()
-            pos = self.peek().pos
+        op = self.toks[self.i]
+        if op in ("+", "-"):
+            self.i += 1
+            at = self.i
             off = self.natural("an integer offset inside F(n...)")
             if off > MAX_INDEX:
                 # fast doubling on an absurd shift would not finish
-                raise ParseError(f"shift larger than {MAX_INDEX}", pos)
-            shift = -off if op.kind == "+" else off
+                raise self.error(f"shift larger than {MAX_INDEX}", at)
+            shift = -off if op == "+" else off
         self.expect(")", "')' closing F(")
         return shift
 

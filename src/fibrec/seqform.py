@@ -49,10 +49,10 @@ goes stale.  A form built directly, with no split, has no far terms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate, cycle, islice, repeat, tee
 from operator import add, mul
-from typing import Iterable, Iterator
 
 from ._value import Value
 from .exact import Poly
@@ -163,17 +163,30 @@ class FibExpr(Value):
         far = []
         for t in self.terms:
             c_f, c_f1 = shift_coeffs(t.shift)
-            part0, part1 = t.poly * c_f, t.poly * c_f1
+            part0, part1 = _times(t.poly, c_f), _times(t.poly, c_f1)
             if abs(c_f) >= _FOLD_BOUND or abs(c_f1) >= _FOLD_BOUND:
                 folded = folded or (p0, p1)
                 far.append((t.shift, c_f, c_f1, t.poly))
             elif folded:
-                folded = (folded[0] + part0, folded[1] + part1)
-            p0, p1 = p0 + part0, p1 + part1
+                folded = (_plus(folded[0], part0), _plus(folded[1], part1))
+            p0, p1 = _plus(p0, part0), _plus(p1, part1)
         form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
         if far:
             form.__dict__["_split_memo"] = (*folded, tuple(far))
         return form
+
+
+def _times(p: Poly, c: int) -> Poly | None:
+    """p * c, skipping the product by 1 and 0: p itself for c = 1, whose
+    coefficients and their types the product would repeat, and None, which
+    adds nothing, for c = 0."""
+    if c == 1:
+        return p
+    return p * c if c else None
+
+
+def _plus(acc: Poly, part: Poly | None) -> Poly:
+    return acc if part is None else acc + part
 
 
 class CanonForm(Value):

@@ -36,10 +36,10 @@ families 1-3 give them as w_0 and z_i = w_i - F_{i-1}*w_0.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import Sequence
 
 from ._value import Value
 from .fib import fib

@@ -1,5 +1,6 @@
 """The package namespace: every public name is exported once and resolves."""
 
+import os
 import subprocess
 import sys
 import types
@@ -44,3 +45,21 @@ def test_import_loads_no_dataclasses_inspect_or_json(module):
     loaded = set(proc.stdout.split())
     assert module in loaded
     assert loaded & {"dataclasses", "inspect", "json"} == set()
+
+
+@pytest.mark.parametrize("module", ["fibrec", "fibrec.cli"])
+def test_import_loads_no_typing(module):
+    # -S skips site, which may load typing itself and would hide it here;
+    # the annotations' names come from collections.abc instead
+    src = os.path.dirname(os.path.dirname(fibrec.__file__))
+    code = (
+        "import importlib, sys; before = set(sys.modules); "
+        f"importlib.import_module({module!r}); print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert "typing" not in loaded

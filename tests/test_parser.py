@@ -113,6 +113,11 @@ _BAD_INPUTS = [
     ("\xa0@", 1, "unexpected character '@'"),
     ("(2n+3", 5, "expected ')'"),  # unterminated group
     ("F(n) F(n)", 5, "expected '+' or '-' between terms"),  # missing separator
+    # digits are ASCII only, though str.isdigit() accepts these two
+    ("F(n-\u0663)", 4, "unexpected character '\u0663'"),
+    ("n\xb2*F(n)", 1, "unexpected character '\xb2'"),
+    # a character that starts no token wins over an earlier grammar error
+    ("F(n)) @", 6, "unexpected character '@'"),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fibrec import FibExpr, ParseError, Poly, format_expr, parse  # noqa: E402
-from fibrec.parser import _tokenize  # noqa: E402
+from fibrec.parser import _offsets, _tokenize  # noqa: E402
 
 # deterministic runs: the suite gives the same verdict every time
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -122,19 +122,21 @@ def test_grammar_strings_parse_and_round_trip(case):
 @given(expressions(), st.data())
 def test_whitespace_between_tokens_only_shifts_offsets(case, data):
     text, _ = case
-    toks = _tokenize(text)
+    toks, offsets = _tokenize(text), _offsets(text)
+    assert len(offsets) == len(toks)
     # a gap before each token; the second end token sits where the first does
     gaps = data.draw(st.lists(st.text(" \t\n\r\x0b\x0c\u3000", max_size=3),
                               min_size=len(toks) - 1, max_size=len(toks) - 1))
     gaps.append("")
     spaced, last, shift, expected = "", 0, 0, []
-    for tok, gap in zip(toks, gaps):
-        spaced += text[last:tok.pos] + gap
-        last = tok.pos
+    for pos, gap in zip(offsets, gaps):
+        spaced += text[last:pos] + gap
+        last = pos
         shift += len(gap)
-        expected.append((tok.kind, tok.text, tok.pos + shift))
+        expected.append(pos + shift)
     spaced += text[last:]
-    assert [tuple(tok) for tok in _tokenize(spaced)] == expected
+    assert _tokenize(spaced) == toks
+    assert _offsets(spaced) == expected
 
 
 @PROPERTY

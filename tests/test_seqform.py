@@ -73,6 +73,28 @@ def test_canonicalize_examples():
     assert (c.p0, c.p1, c.const_e, c.alt_f) == (Poly((1, 2)), Poly((3,)), 5, 7)
 
 
+def _multiplied_canon(e: FibExpr) -> CanonForm:
+    """The canonical form with every shift coefficient multiplied in, in shift order."""
+    p0 = p1 = Poly(())
+    for t in e.terms:
+        c_f, c_f1 = shift_coeffs(t.shift)
+        p0, p1 = p0 + t.poly * c_f, p1 + t.poly * c_f1
+    return CanonForm(p0, p1, e.const_e, e.alt_f)
+
+
+@pytest.mark.parametrize("shifts", [(0,), (1,), (0, 1), (1, 0), (0, 2), (1, 2), (-1, 0, 1, 2)])
+def test_canon_keeps_values_and_types_where_it_skips_products_by_0_and_1(shifts):
+    # shift 0 has coefficients (1, 0) and shift 1 has (0, 1); int and Fraction
+    # coefficients show in repr, and so does a top power that cancels
+    polys = (
+        Poly((1, F(1, 2), 0, -3, F(5, 7))),
+        Poly((F(2), -1, 4, 0, F(-5, 7))),
+        Poly((0, 3, F(-1, 3))),
+    )
+    e = FibExpr.of(list(zip(shifts, polys * 2)))
+    assert repr(e.canon()) == repr(_multiplied_canon(e))
+
+
 def _from_canon(c: CanonForm) -> FibExpr:
     """The canonical form written back as an expression in F(n) and F(n-1)."""
     return FibExpr.of([(0, c.p0), (1, c.p1)], c.const_e, c.alt_f)
