@@ -23,8 +23,6 @@ from ._value import Value
 from .exact import Poly
 from .seqform import CanonForm, FibExpr
 
-FIB_CHAR = Poly((-1, -1, 1))  # x^2 - x - 1, the minimal polynomial of alpha
-
 
 def char_poly(form: CanonForm) -> Poly:
     """Monic integer characteristic polynomial of the sequence.

@@ -3,9 +3,10 @@
 Subcommands: eval, canon, rec, check, synth, theorem, oeis, oracle.  Every
 subcommand accepts --json for a single machine-readable document on stdout.
 Each command returns its answer values, not their text; main renders only
-the view it prints, so each printed value becomes text once.  `eval` hands
-main its values already rendered from Decimals, in blocks of about 64 KiB of
-text, and main writes each block with one print.
+the view it prints, so each printed value becomes text once, as a Decimal in
+the exact context that main enters.  `eval` hands main its values rendered,
+in blocks of about 64 KiB of text that main writes with one print each, and
+`_text` writes the other commands' values.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
@@ -43,18 +44,19 @@ EXIT_NETWORK = 4
 
 # (exit code, JSON payload without "command", text lines on demand).  Commands
 # return answer values, not text: main writes the payload as JSON, each Fraction
-# as its str, or else calls for the text lines, so a value becomes text once.
+# through _text, or else calls for the text lines, so a value becomes text once.
 _Output = tuple[int, dict, Callable[[], Iterable[str]]]
 
 REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 # Longest --timeout (a day): 0 makes the socket non-blocking, inf overflows it.
 _MAX_TIMEOUT = 86_400
 
-# Longest value the CLI will print, in every view.  `eval` doubles its Fibonacci
-# numbers, steps and renders its values as Decimals, in time near linear in
-# their length, so it refuses F(10^7) in about 0.5 s.  The other commands print
-# ints, which CPython turns into text in quadratic time: 500,000 digits take
-# about 4 s, F(10^7)'s 2.1 million about a minute.
+# Longest value the CLI will print, in every view.  Values become text as
+# Decimals, in time near linear in their length (`eval` refuses F(10^7) in
+# about 0.5 s), except polynomial and expression coefficients (format_poly,
+# format_expr, rec's coefficient list) and the ints that JSON writes itself,
+# such as check's certificate: str takes about 4 s on 500,000 digits, and the
+# interpreter's digit limit, set to MAX_DIGITS, refuses a longer int unwritten.
 MAX_DIGITS = 500_000
 
 # The decimal exponent of a rational written as Fraction reads it, such as
@@ -155,8 +157,7 @@ _EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 # splitting it further, and a coefficient that short stays an int.
 _SPLIT_BITS = 1024
 
-# About how much text `eval` renders between two switches into the exact
-# context, and main writes at once.
+# About how much text `eval` renders, and main writes, at once.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -188,39 +189,53 @@ def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
     return -split(-x, (-x).bit_length()) if x < 0 else split(x, x.bit_length())
 
 
+def _text(x: int | Fraction) -> str:
+    """x written as str(Fraction(x)) writes it, in time near linear in its
+    length; run it in an exact context such as _EXACT, as main does.
+
+    The numerator and the denominator convert with one table of powers.  Either
+    one of more than MAX_DIGITS digits is refused as _rendered refuses it; one
+    with more bits than 10**MAX_DIGITS is refused before it converts.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+    parts = []
+    for k in (x.numerator, x.denominator):
+        d = _to_decimal(k, powers) if k.bit_length() <= MAX_DIGITS * math.log2(10) + 1 else None
+        if d is None or d.adjusted() >= MAX_DIGITS:
+            raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+        parts.append(str(d))
+    return parts[0] if x.denominator == 1 else "/".join(parts)
+
+
 def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str]]]:
     """Yield (n, str(w_n)) for n = lo..hi in blocks, each value written as
-    str(Fraction) would.  A block ends with the value that brings its text to
-    _BLOCK_CHARS, so no value is split.
+    str(Fraction) would; run it in an exact context such as _EXACT, as main
+    does.  A block ends with the value that brings its text to _BLOCK_CHARS,
+    so no value is split.
 
     The numerators L*w_n step as Decimals, which add, multiply and become text
     in time near linear in their length.  A value whose reduced numerator has
-    more than MAX_DIGITS digits is refused, as str refuses its int.  When a
-    value fails, the values before it are yielded first, so a reader sees the
-    same lines as if each value were yielded alone.
+    more than MAX_DIGITS digits is refused, as _text refuses it.  When a value
+    fails, the values before it are yielded first, so a reader sees the same
+    lines as if each value were yielded alone.
     """
     den, q0, q1, e, f, far = form._scaled()
     powers: dict[int, decimal.Decimal] = {}
     one = decimal.Decimal(1)
-    with decimal.localcontext(_EXACT) as exact:  # a copy, this window's own
-        # Every Fibonacci number doubles as a Decimal: the seed (F(lo-1), F(lo))
-        # and each far term's (F(1-j), F(-j)).  Only L and the long coefficients
-        # of the input convert; a short one stays an int, which Decimal
-        # arithmetic takes exactly and Horner's rule runs faster on.
-        dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x, powers)
-        dec_poly = lambda p: Poly(tuple(map(dec, p.coeffs)))
-        far_pair = lambda j: fib_pair(-j, one)[::-1]  # (F(1-j), F(-j))
-        steps = _numerators(dec_poly(q0), dec_poly(q1), dec(e), dec(f),
-                            tuple((j, *far_pair(j), dec_poly(r)) for j, _, _, r in far),
-                            fib_pair(lo - 1, one), lo, hi)
-        big_den = dec(den)
+    # Every Fibonacci number doubles as a Decimal: the seed (F(lo-1), F(lo))
+    # and each far term's (F(1-j), F(-j)).  Only L and the long coefficients
+    # of the input convert; a short one stays an int, which Decimal
+    # arithmetic takes exactly and Horner's rule runs faster on.
+    dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x, powers)
+    dec_poly = lambda p: Poly(tuple(map(dec, p.coeffs)))
+    far_pair = lambda j: fib_pair(-j, one)[::-1]  # (F(1-j), F(-j))
+    steps = _numerators(dec_poly(q0), dec_poly(q1), dec(e), dec(f),
+                        tuple((j, *far_pair(j), dec_poly(r)) for j, _, _, r in far),
+                        fib_pair(lo - 1, one), lo, hi)
+    big_den = dec(den)
     while True:
         block: list[tuple[int, str]] = []
-        size, error = 0, None
-        # The context is left before each yield, so the caller never runs in
-        # it; switched by hand, as localcontext would copy it at every block.
-        outer = decimal.getcontext()
-        decimal.setcontext(exact)
+        size = 0
         try:
             for n, num in steps:
                 d = den
@@ -237,14 +252,12 @@ def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str
                 size += len(text)
                 if size >= _BLOCK_CHARS:
                     break
-        except Exception as exc:  # raised again once the values before it are out
-            error = exc
-        finally:
-            decimal.setcontext(outer)
+        except Exception:  # raised again once the values before it are out
+            if block:
+                yield block
+            raise
         if block:
             yield block
-        if error is not None:
-            raise error
         if size < _BLOCK_CHARS:  # the window ended inside this block
             return
 
@@ -288,8 +301,8 @@ def _cmd_canon(args) -> _Output:
     return EXIT_OK, payload, lambda: [
         f"P0 = {format_poly(form.p0)}",
         f"P1 = {format_poly(form.p1)}",
-        f"e  = {form.const_e}",
-        f"f  = {form.alt_f}",
+        f"e  = {_text(form.const_e)}",
+        f"f  = {_text(form.alt_f)}",
     ]
 
 
@@ -306,7 +319,7 @@ def _cmd_rec(args) -> _Output:
         f"order: {rec.order}",
         f"characteristic polynomial: {format_poly(rec.char_poly, var='x')}",
         f"coefficients: {', '.join(map(str, rec.coeffs))}",
-        f"initial values: {', '.join(map(str, rec.initial))}",
+        f"initial values: {', '.join(map(_text, rec.initial))}",
     ]
 
 
@@ -320,38 +333,21 @@ def _cmd_check(args) -> _Output:
             "value": verdict.value,
         }
         return EXIT_NONINTEGER, payload, lambda: [
-            f"NON-INTEGER witness: n={verdict.witness_n} value={verdict.value}"
+            f"NON-INTEGER witness: n={verdict.witness_n} value={_text(verdict.value)}"
         ]
     payload = {"expression": args.expr, "integral": True, "certificate": verdict.certificate}
     return EXIT_OK, payload, lambda: [
-        f"INTEGER certificate: {', '.join(map(str, verdict.certificate))}"
+        f"INTEGER certificate: {', '.join(map(_text, verdict.certificate))}"
     ]
-
-
-def _longer_than_max_digits(x: int) -> bool:
-    """Whether |x| has more than MAX_DIGITS digits, without writing it out.
-
-    The bit length decides, except at the one bit length that 10**MAX_DIGITS
-    has itself: there |x| is compared with that power.
-    """
-    below = math.floor(MAX_DIGITS * math.log2(10))  # 2**below <= 10**MAX_DIGITS
-    bits = x.bit_length()
-    if bits != below + 1:
-        return bits > below
-    return abs(x) >= 10**MAX_DIGITS
 
 
 def _solution_output(extra: dict, solution) -> _Output:
-    # str refuses such a coefficient only after converting it, which takes
-    # seconds at MAX_DIGITS (quadratic time), so refuse it by its length first
-    for c in solution.coefficients.values():
-        if _longer_than_max_digits(c.numerator) or _longer_than_max_digits(c.denominator):
-            raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+    # the coefficients become text first, so one past MAX_DIGITS is refused
+    # before format_expr writes it with str, in quadratic time
+    coefficients = {k: _text(v) for k, v in solution.coefficients.items()}
     text = format_expr(solution.expr)
-    payload = {**extra, "coefficients": solution.coefficients, "expression": text}
-    return EXIT_OK, payload, lambda: [
-        text, *(f"{k} = {v}" for k, v in solution.coefficients.items())
-    ]
+    payload = {**extra, "coefficients": coefficients, "expression": text}
+    return EXIT_OK, payload, lambda: [text, *(f"{k} = {v}" for k, v in coefficients.items())]
 
 
 def _cmd_synth(args) -> _Output:
@@ -491,14 +487,15 @@ def main(argv: list[str] | None = None) -> int:
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        code, payload, lines = args.func(args)
-        if args.json:
-            import json
+        with decimal.localcontext(_EXACT):  # a copy, this call's own
+            code, payload, lines = args.func(args)
+            if args.json:
+                import json
 
-            print(json.dumps({"command": args.command, **payload}, indent=2, default=str))
-        else:
-            for line in lines():
-                print(line)
+                print(json.dumps({"command": args.command, **payload}, indent=2, default=_text))
+            else:
+                for line in lines():
+                    print(line)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code
     except BrokenPipeError:

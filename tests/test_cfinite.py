@@ -32,8 +32,8 @@ from fibrec import (
     parse,
     to_recurrence,
 )
-from fibrec.cfinite import FIB_CHAR
 
+FIB_CHAR = Poly((-1, -1, 1))  # x^2 - x - 1, the minimal polynomial of alpha
 QUARTIC = Poly((1, 2, -1, -2, 1))  # (x^2-x-1)^2
 SEXTIC = Poly((-1, -3, 0, 5, 0, -3, 1))  # (x^2-x-1)^3
 

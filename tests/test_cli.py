@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from conftest import rand_fraction
 
-from fibrec import FibExpr, Poly, parse
+from fibrec import FibExpr, Poly, parse, to_recurrence
 from fibrec.cli import MAX_DIGITS, _estimated_digits, _number_list, main
 
 
@@ -79,6 +79,28 @@ def test_values_past_max_digits_are_refused(capsys, monkeypatch):
         assert sys.get_int_max_str_digits() == limit
     code, out, _ = run_cli(capsys, "eval", "F(n)", "--from", "4000", "--to", "4000")
     assert code == 0 and len(out) == len("4000 ") + 836 + 1
+
+
+@pytest.mark.parametrize("command, label, key", [
+    ("rec", "initial values", "initial"),
+    ("check", "INTEGER certificate", "certificate"),
+])
+def test_initial_values_at_max_digits_print(capsys, monkeypatch, command, label, key):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)  # the interpreter allows 0 or > 640
+    # F(4786) has 1,000 digits and F(4787) 1,001; w_0 of F(n-k) is F(-k)
+    initial = [str(v) for v in to_recurrence(parse("F(n-4786)")).initial]
+    assert len(initial[0]) == len("-") + 1000
+    code, out, err = run_cli(capsys, command, "F(n-4786)")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"{label}: {', '.join(initial)}"
+    code, out, err = run_cli(capsys, command, "F(n-4786)", "--json")
+    assert (code, err) == (0, "")
+    assert [str(v) for v in json.loads(out)[key]] == initial  # rec writes strings, check ints
+    for view in ((), ("--json",)):
+        code, out, err = run_cli(capsys, command, "F(n-4787)", *view)
+        assert (code, out, err) == (2, "", "error: a value has more than 1000 digits\n")
 
 
 def test_eval_bad_range_is_usage_error(capsys):
@@ -643,8 +665,10 @@ def test_json_documents_are_pinned(capsys, argv, doc):
     ids=["rec", "rec-json", "canon", "canon-json"],
 )
 def test_each_printed_rational_becomes_text_once(capsys, monkeypatch, argv, conversions):
+    import fibrec.cli
+
     calls = []
-    to_text, to_format = Fraction.__str__, Fraction.__format__
+    to_text, to_format, write = Fraction.__str__, Fraction.__format__, fibrec.cli._text
 
     def counting(self):
         calls.append(self)
@@ -653,10 +677,17 @@ def test_each_printed_rational_becomes_text_once(capsys, monkeypatch, argv, conv
     def formatting(self, spec):
         return str(self) if not spec else to_format(self, spec)
 
-    # an f-string calls __format__ with an empty spec, object's before 3.12 and
-    # Fraction's own after; either way send it to __str__, so each counts once
+    def writing(x):
+        calls.append(x)
+        return write(x)
+
+    # the CLI writes each value with _text, and format_poly each coefficient
+    # with str.  An f-string calls __format__ with an empty spec, object's
+    # before 3.12 and Fraction's own after; either way send it to __str__, so
+    # each counts once
     monkeypatch.setattr(Fraction, "__str__", counting)
     monkeypatch.setattr(Fraction, "__format__", formatting)
+    monkeypatch.setattr(fibrec.cli, "_text", writing)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == conversions

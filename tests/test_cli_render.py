@@ -238,7 +238,8 @@ def values_as_text(text: str, lo: int, hi: int) -> list[tuple[int, str]]:
 )
 def test_blocks_join_to_the_values_line_by_line(capsys, text, lo, hi):
     expected = values_as_text(text, lo, hi)
-    blocks = list(cli._rendered(parse(text).canon(), lo, hi))
+    with localcontext(cli._EXACT):  # as main runs it
+        blocks = list(cli._rendered(parse(text).canon(), lo, hi))
     assert [pair for block in blocks for pair in block] == expected
     assert len(blocks) >= 3
     for block in blocks[:-1]:  # each is cut at the value that fills it
@@ -299,7 +300,8 @@ def test_long_coefficients_step_as_decimal_differences(capsys, conversions):
     # Decimals in the exact context, where any rounding would raise
     text, lo, hi = f"({10**400}*n^2+1)/3*F(n) + n*F(n-50)", -20, 600
     expected = values_as_text(text, lo, hi)
-    blocks = list(cli._rendered(parse(text).canon(), lo, hi))
+    with localcontext(cli._EXACT):  # as main runs it
+        blocks = list(cli._rendered(parse(text).canon(), lo, hi))
     assert len(blocks) >= 3
     assert [pair for block in blocks for pair in block] == expected
     assert conversions == [10**400]
