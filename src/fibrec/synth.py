@@ -8,20 +8,44 @@ entries n^p*F(n-part) are integers (``build_system`` steps (F(n-1), F(n))
 from (1, 0), one addition per row).
 
 The solver works on the same system in the binomial basis: each column
-n^p*F(n-part) becomes C(n, p)*F(n-part).  Since n^p = sum_i S(p, i)*i!*C(n, i),
-the two matrices differ by a triangular factor with p! on its diagonal, so
-the binomial one has the same rank and far shorter minors.  With the values'
-common denominator cleared, it is solved in integers by fraction-free
-forward elimination (Bareiss 1968) and fraction-free back substitution
-(Nakos, Turner and Williams 1997).  The solution goes back to monomial
-coefficients once per part, by an integer Horner pass over falling
-factorials, and each coefficient becomes one ``Fraction``.
+n^p*F(n-part) becomes C(n, p)*F(n-part).  Since n^p = sum_i {p i}*i!*C(n, i),
+with {p i} the Stirling numbers of the second kind, the two matrices differ
+by a triangular factor with p! on its diagonal, so the binomial one has the
+same rank and far shorter minors.
+
+Its rows are then differenced.  Let E step the row index n and
+S = E^2 - E - 1.  S annihilates F(n-j) as the difference operator
+annihilates constants, so S^(p+1) annihilates C(n, p)*F(n-j), the C-finite
+closure behind the recurrences; S takes the constant 1 to -1 and (-1)^n to
+itself.  With R(n) the system's row n and its right-hand sides, row t
+becomes (S^(t//2) R)(t mod 2): rows 0 and 1 stay, rows 2 and 3 become
+R(n+2) - R(n+1) - R(n) at n = 0 and 1, and each further pair of rows takes
+one more difference level.  Row t is R(t) plus a combination of earlier
+rows, a unit lower triangular transform, so the determinant and the
+solution do not change.  The columns are ordered for elimination: the F(n)
+and F(n-1) slots by ascending power, F(n)'s first at each power, then the
+constant and the alternating slot.  Row t is then zero in every F column of
+power below t//2.  When deg P0 = deg P1 the F columns form a block upper
+triangular matrix with 2 x 2 diagonal blocks; otherwise a trailing block of
+about |deg P0 - deg P1| columns stays dense.
+
+With the values' common denominator cleared, the system is solved in
+integers by fraction-free forward elimination (Bareiss 1968) and
+fraction-free back substitution (Nakos, Turner and Williams 1997).  The
+elimination leaves a row whose pivot-column entry is 0 as it is and brings
+it up to date with one exact division when it is next used (``_eliminate``
+says why that division is exact), so the zero blocks cost nothing: a
+balanced system takes about one row update per column, where plain Bareiss
+updates every row below the pivot.  The solution goes back to slot order,
+then to monomial coefficients once per part, by an integer Horner pass over
+falling factorials, and each coefficient becomes one ``Fraction``.
 
 Slot order is defined once, by ``Template.slots``: the reading order of the
 written-out expression, that is F(n) coefficients by descending degree, then
 F(n-1) coefficients by descending degree, then the constant, then the
 alternating coefficient.  Slots are named a, b, c, ... in that order, and
-``unknowns``, ``build_system`` and ``expr_from`` all read it.
+``unknowns``, ``build_system`` and ``expr_from`` all read it; the solver's
+elimination order is a permutation of it, undone before ``_to_monomial``.
 
 ``theorem_solution`` builds the four guaranteed-integer families:
 
@@ -123,12 +147,11 @@ class SynthSolution(Value):
         self.__dict__.update(expr=expr, coefficients=coefficients)
 
 
-def _rows(template: Template, column) -> list[list[int]]:
+def _rows(slots: Sequence[tuple[int, int]], column) -> list[list[int]]:
     """Rows n = 0..k-1 with column(n, p) * base[part] in each slot (part, p)."""
-    slots = template.slots
     rows = []
     fn1, fn = 1, 0  # (F(n-1), F(n)) at n = 0
-    for n in range(template.unknowns):
+    for n in range(len(slots)):
         base = (fn, fn1, 1, -1 if n % 2 else 1)
         rows.append([column(n, p) * base[part] for part, p in slots])
         fn1, fn = fn, fn + fn1
@@ -137,51 +160,69 @@ def _rows(template: Template, column) -> list[list[int]]:
 
 def build_system(template: Template) -> list[list[int]]:
     """k x k matrix M with M[n][slot] = multiplier of that slot in w_n."""
-    return _rows(template, pow)
+    return _rows(template.slots, pow)
 
 
 def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[tuple[int, ...]]]:
     """Solve the left width x width block of aug against each later column.
 
-    Fraction-free forward elimination, then fraction-free back substitution,
-    all in integers.  Returns (det, xs): det is the block's determinant up to
-    sign, and xs has one row per unknown i holding det*x_i for each
-    right-hand column, an integer by Cramer's rule.  Consumes aug.  The
-    solvers pass the system in the binomial basis and take xs back to
-    monomial coefficients with ``_to_monomial``.
+    Fraction-free forward elimination (Bareiss 1968), then fraction-free back
+    substitution (Nakos, Turner and Williams 1997), all in integers.  Returns
+    (det, xs): det is the block's determinant up to sign, and xs has one row
+    per unknown i holding det*x_i for each right-hand column, an integer by
+    Cramer's rule.  Consumes aug.
+
+    Step c of plain Bareiss turns each row v below the pivot row w into
+    (p*v - f*w) / p', where p is the pivot, f the row's entry in column c and
+    p' the previous pivot (1 at step 0).  A row with f = 0 would only be
+    rescaled by p/p'.  Here it is left as it is, with s, the step before which
+    it was last brought up to date: over the skipped steps the factors
+    telescope to p'/q, with q the pivot before step s.  When the row is next
+    used it catches up in the same pass: as the pivot row it becomes v*p'/q,
+    and with f != 0 it becomes (p*v - f*w)/q.  Both are the rows plain
+    Bareiss reaches, whose entries are minors of aug (Sylvester's identity)
+    and so integers; every division is exact, and (det, xs) are the ones
+    plain Bareiss returns.  A row whose entries in the next columns are zero
+    therefore costs nothing until its first nonzero column.
     """
-    # Forward elimination (Bareiss 1968): the previous pivot divides p*v - f*w
-    # exactly, because every entry is then a minor of the original rows.  Only
-    # the rows below the pivot change, and only right of it, so row i ends as
-    # U[i][i:] followed by its right-hand sides.  Pivot choice is the first
+    # Only the rows below the pivot change, and only right of it, so row i ends
+    # as U[i][i:] followed by its right-hand sides.  The pivot is the first
     # nonzero entry top-down: deterministic, and magnitude is irrelevant under
     # exact arithmetic.
-    prev = 1
+    divisors = [1]  # divisors[s]: the pivot before step s, by which step s divides
+    since = [0] * width  # aug[r] holds columns since[r].. as they stood before step since[r]
     for col in range(width):
         for piv in range(col, width):
-            if aug[piv][0]:
+            if aug[piv][col - since[piv]]:
                 break
         else:
             raise DegenerateTemplateError("the template's linear system is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        p, *head = aug[col]
+        since[col], since[piv] = since[piv], since[col]
+        row, s = aug[col], since[col]
+        if s < col:
+            prev, q = divisors[col], divisors[s]
+            row = aug[col] = [v * prev // q for v in row[col - s:]]
+        p, *head = row
         for r in range(col + 1, width):
-            f, *row = aug[r]
+            row, s = aug[r], since[r]
+            f = row[col - s]
             if f:
-                aug[r] = [(p * v - f * w) // prev for v, w in zip(row, head)]
-            else:  # common in the binomial basis: C(n, p) = 0 for n < p
-                aug[r] = [p * v // prev for v in row]
-        prev = p
-    # Fraction-free back substitution (Nakos, Turner and Williams 1997): with
-    # x'_j = det*x_j, x'_i = (det*b_i - sum_{j>i} U[i][j]*x'_j) / U[i][i], and
-    # the division is exact because x'_i is an integer.
+                q = divisors[s]
+                aug[r] = [(p * v - f * w) // q for v, w in zip(row[col - s + 1:], head)]
+                since[r] = col + 1
+        divisors.append(p)
+    # Fraction-free back substitution: with x'_j = det*x_j,
+    # x'_i = (det*b_i - sum_{j>i} U[i][j]*x'_j) / U[i][i], and the division is
+    # exact because x'_i is an integer.
+    det = divisors[-1]
     xs = [[] for _ in range(len(aug[-1]) - 1)]  # one per column, x'_{k-1} first
     for i in range(width - 1, -1, -1):
         row = aug[i]
         u = row[width - 1 - i:0:-1]  # U[i][k-1], ..., U[i][i+1]
         for x, b in zip(xs, row[width - i:]):
-            x.append((prev * b - sum(map(mul, u, x))) // row[0])
-    return prev, list(zip(*xs))[::-1]
+            x.append((det * b - sum(map(mul, u, x))) // row[0])
+    return det, list(zip(*xs))[::-1]
 
 
 def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]]:
@@ -211,6 +252,34 @@ def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]
     return out
 
 
+def _system(template: Template, rhs: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """(cols, aug): the binomial system, differenced, in elimination order.
+
+    cols holds the slots (part, p) in column order: the F(n) and F(n-1)
+    slots by ascending power, F(n)'s first at each power, then the constant
+    and the alternating slot.  With R(n) the system's row n followed by
+    rhs[n], row t of aug is (S^(t//2) R)(t mod 2), where S = E^2 - E - 1 and
+    E steps n.
+    """
+    cols = sorted(template.slots, key=lambda s: (s[0] > 1, s[1], s[0]))
+    rows = [row + b for row, b in zip(_rows(cols, comb), rhs)]
+    aug = []
+    while rows:  # one difference level per row pair
+        aug += rows[:2]
+        rows = [[c - b - a for a, b, c in zip(r0, r1, r2)]
+                for r0, r1, r2 in zip(rows, rows[1:], rows[2:])]
+    return cols, aug
+
+
+def _solve(template: Template, rhs: list[list[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
+    """(det, ys) for the system against rhs[n], the right-hand sides of row n:
+    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order."""
+    cols, aug = _system(template, rhs)
+    det, xs = _eliminate(aug, len(cols))
+    solved = dict(zip(cols, xs))
+    return det, _to_monomial(template, [solved[s] for s in template.slots])
+
+
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
     """Unique exact coefficients reproducing w_0..w_{k-1} = values."""
     vals = [Fraction(v) for v in values]
@@ -218,19 +287,16 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
     if len(vals) != k:
         raise ValueError(f"template needs {k} values, got {len(vals)}")
     den = lcm(*(v.denominator for v in vals))
-    aug = [row + [v.numerator * (den // v.denominator)]
-           for row, v in zip(_rows(template, comb), vals)]
-    det, ys = _eliminate(aug, k)
-    coeffs = [Fraction(x, scale * det * den) for (x,), scale in _to_monomial(template, ys)]
+    det, ys = _solve(template, [[v.numerator * (den // v.denominator)] for v in vals])
+    coeffs = [Fraction(x, scale * det * den) for (x,), scale in ys]
     return SynthSolution(template.expr_from(coeffs), dict(zip(template.slot_names, coeffs)))
 
 
 def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     """Exact inverse of build_system: maps (w_0..w_{k-1}) to the slot vector."""
     k = template.unknowns
-    aug = [row + [0] * i + [1] + [0] * (k - 1 - i) for i, row in enumerate(_rows(template, comb))]
-    det, ys = _eliminate(aug, k)
-    return [[Fraction(x, scale * det) for x in row] for row, scale in _to_monomial(template, ys)]
+    det, ys = _solve(template, [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)])
+    return [[Fraction(x, scale * det) for x in row] for row, scale in ys]
 
 
 def _int_params(name: str, vals: Sequence, want: int) -> list[int]:

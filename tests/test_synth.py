@@ -23,7 +23,7 @@ from fibrec import (
     symbolic_inverse,
     theorem_solution,
 )
-from fibrec.synth import _eliminate, _to_monomial
+from fibrec.synth import _eliminate, _system, _to_monomial
 
 
 def _matmul(a, b):
@@ -269,6 +269,153 @@ def test_eliminate_divides_exactly_on_small_shapes():
             continue
         det, xs = _eliminate(aug, k)
         assert [[F(row[c], det) for row in xs] for c in range(2)] == want
+
+
+def _plain_bareiss(aug, width):
+    """Bareiss elimination that updates every row below the pivot at every
+    step, rescaling a row by p/prev when its pivot-column entry is 0, then
+    fraction-free back substitution: the reference for ``_eliminate``, which
+    defers those rescalings."""
+    prev = 1
+    for col in range(width):
+        piv = next((r for r in range(col, width) if aug[r][0]), None)
+        if piv is None:
+            raise DegenerateTemplateError("the template's linear system is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p, *head = aug[col]
+        for r in range(col + 1, width):
+            f, *row = aug[r]
+            aug[r] = [(p * v - f * w) // prev for v, w in zip(row, head)]
+        prev = p
+    xs = [[] for _ in range(len(aug[-1]) - 1)]
+    for i in range(width - 1, -1, -1):
+        row = aug[i]
+        u = row[width - 1 - i:0:-1]
+        for x, b in zip(xs, row[width - i:]):
+            x.append((prev * b - sum(map(operator.mul, u, x))) // row[0])
+    return prev, list(zip(*xs))[::-1]
+
+
+def _eliminated(solver, aug, width):
+    """(det, xs) from solver on a copy of aug, or the singular error's text."""
+    try:
+        return solver([list(row) for row in aug], width)
+    except DegenerateTemplateError as exc:
+        return str(exc)
+
+
+def _random_system(rng):
+    """An integer system with 1..3 right-hand columns: dense, mostly zero,
+    rows with long zero prefixes in shuffled order, or singular by design."""
+    width = rng.randint(1, 9)
+    total = width + rng.randint(1, 3)
+    kind = rng.choice(("dense", "sparse", "staircase", "singular"))
+    zeros = 0.85 if kind == "sparse" else 0.15
+    aug = [[0 if rng.random() < zeros else rng.randint(-30, 30) for _ in range(total)]
+           for _ in range(width)]
+    if kind == "staircase":
+        for row in aug:
+            lead = rng.randint(0, width - 1)
+            row[:lead] = [0] * lead
+            row[lead] = rng.choice((-1, 1)) * rng.randint(1, 30)
+    elif kind == "singular" and width > 1:
+        # row i's left block a multiple of row j's, a = 0 included
+        i, j = rng.sample(range(width), 2)
+        a = rng.randint(-3, 3)
+        aug[i][:width] = [a * v for v in aug[j][:width]]
+    return aug, width
+
+
+def test_eliminate_matches_plain_bareiss_on_random_systems():
+    rng = random.Random(67)
+    outcomes = {"solved": 0, "singular": 0}
+    for _ in range(1500):
+        aug, width = _random_system(rng)
+        want = _eliminated(_plain_bareiss, aug, width)
+        assert _eliminated(_eliminate, aug, width) == want
+        outcomes["singular" if isinstance(want, str) else "solved"] += 1
+    assert min(outcomes.values()) > 300
+
+
+def test_eliminate_matches_plain_bareiss_on_differenced_systems():
+    # the systems the solvers eliminate, where most rows skip most steps
+    rng = random.Random(71)
+    for shape in _SMALL_SHAPES + [(12, 12, True, True), (12, 5, False, True), (None, 14, True, False)]:
+        t = Template(*shape)
+        k = t.unknowns
+        _, aug = _system(t, [[rng.randint(-40, 40) for _ in range(2)] for _ in range(k)])
+        assert _eliminated(_eliminate, aug, k) == _eliminated(_plain_bareiss, aug, k)
+
+
+def _base(part, n):
+    return fib(n - part) if part < 2 else 1 if part == 2 else (-1) ** n
+
+
+def _difference_operator(k):
+    """k x k matrix T whose row t holds x^(t%2)*(x^2-x-1)^(t//2) by power of x."""
+    rows, power = [], [1]
+    for t in range(k):
+        if t > 1 and t % 2 == 0:
+            # times x^2 - x - 1, coefficients by ascending power
+            power = [c - b - a for a, b, c in zip(power + [0, 0], [0] + power + [0], [0, 0] + power)]
+        coeffs = [0] * (t % 2) + power
+        rows.append(coeffs + [0] * (k - len(coeffs)))
+    return rows
+
+
+@pytest.mark.parametrize("const, alt", [(False, False), (True, False), (False, True), (True, True)])
+def test_differenced_rows_are_block_triangular(const, alt):
+    rng = random.Random(73)
+    for d in range(13):
+        t = Template(d, d, const, alt)
+        k = t.unknowns
+        rhs = [[rng.randint(-9, 9)] for _ in range(k)]
+        cols, aug = _system(t, rhs)
+        # F slots by ascending power, F(n)'s first, then the constant and alternating slots
+        assert cols == [(part, p) for p in range(d + 1) for part in (0, 1)] + [(2, 0)] * const + [
+            (3, 0)
+        ] * alt
+        # T times the binomial system and its right-hand side, built naively
+        system = [[math.comb(n, p) * _base(part, n) for part, p in cols] + rhs[n] for n in range(k)]
+        assert aug == _matmul(_difference_operator(k), system)
+        # row t is zero in every F column of power below t//2, so the F columns
+        # are block upper triangular with 2 x 2 blocks
+        for row_t, row in enumerate(aug):
+            assert all(v == 0 for v, (part, p) in zip(row, cols) if part < 2 and p < row_t // 2)
+
+
+def test_every_shape_up_to_degree_10():
+    # each shape with degrees None/0..10, the constant and the alternating term
+    # each present or absent; the monomial system from build_system is the
+    # oracle, and plain Bareiss on it says which shapes are singular
+    rng = random.Random(79)
+    degrees = (None,) + tuple(range(11))
+    singular = []
+    for shape in itertools.product(degrees, degrees, (False, True), (False, True)):
+        if shape == (None, None, False, False):
+            continue
+        t = Template(*shape)
+        k = t.unknowns
+        matrix = build_system(t)
+        values = _mixed_values(rng, k)
+        if isinstance(_eliminated(_plain_bareiss, matrix, k), str):
+            singular.append(shape)
+            for call in (lambda: solve_template(t, values), lambda: symbolic_inverse(t)):
+                with pytest.raises(DegenerateTemplateError, match="^the template's linear system is singular$"):
+                    call()
+            continue
+        coeffs = list(solve_template(t, values).coefficients.values())
+        ((ints, den),) = _integer_rows([coeffs])
+        assert [F(sum(map(operator.mul, row, ints)), den) for row in matrix] == values
+        columns = list(zip(*matrix))
+        for i, (ints, den) in enumerate(_integer_rows(symbolic_inverse(t))):
+            assert [sum(map(operator.mul, ints, col)) for col in columns] == [
+                den * (i == j) for j in range(k)
+            ]
+    # a lone F(n) part, a lone F(n-1) part of degree >= 1, and two mixed shapes
+    assert set(singular) == {(d, None, False, False) for d in range(11)} | {
+        (None, d, False, False) for d in range(1, 11)
+    } | {(None, 0, True, True), (1, 2, True, False)}
 
 
 def test_solve_with_mixed_denominators():
