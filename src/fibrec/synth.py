@@ -14,20 +14,41 @@ by a triangular factor with p! on its diagonal, so the binomial one has the
 same rank and far shorter minors.
 
 Its rows are then differenced.  Let E step the row index n and
-S = E^2 - E - 1.  S annihilates F(n-j) as the difference operator
-annihilates constants, so S^(p+1) annihilates C(n, p)*F(n-j), the C-finite
+S = E^2 - E - 1.  S annihilates F(n-s) as the difference operator
+annihilates constants, so S^(p+1) annihilates C(n, p)*F(n-s), the C-finite
 closure behind the recurrences; S takes the constant 1 to -1 and (-1)^n to
-itself.  With R(n) the system's row n and its right-hand sides, row t
-becomes (S^(t//2) R)(t mod 2): rows 0 and 1 stay, rows 2 and 3 become
-R(n+2) - R(n+1) - R(n) at n = 0 and 1, and each further pair of rows takes
-one more difference level.  Row t is R(t) plus a combination of earlier
-rows, a unit lower triangular transform, so the determinant and the
-solution do not change.  The columns are ordered for elimination: the F(n)
-and F(n-1) slots by ascending power, F(n)'s first at each power, then the
-constant and the alternating slot.  Row t is then zero in every F column of
-power below t//2.  When deg P0 = deg P1 the F columns form a block upper
-triangular matrix with 2 x 2 diagonal blocks; otherwise a trailing block of
-about |deg P0 - deg P1| columns stays dense.
+itself.  With R(n) the system's row n and its right-hand sides, row
+t = 2j + r, r in {0, 1}, becomes (S^j R)(r): rows 0 and 1 stay, rows 2 and
+3 become R(n+2) - R(n+1) - R(n) at n = 0 and 1, and so on.  Row t is R(t)
+plus a combination of earlier rows, a unit lower triangular transform, so
+the determinant and the solution do not change.  The columns are ordered
+for elimination: the F(n) and F(n-1) slots by ascending power, F(n)'s
+first at each power, then the constant and the alternating slot.  Row t is
+then zero in every F column of power below j.  When deg P0 = deg P1 the F
+columns form a block upper triangular matrix with 2 x 2 diagonal blocks;
+otherwise a trailing block of about |deg P0 - deg P1| columns stays dense.
+
+Only the right-hand sides are differenced level by level; the left block
+is written in closed form, the C-finite closure at n = 0 and 1 (Kauers and
+Paule, The Concrete Tetrahedron, ch. 4).  With phi and psi the roots of
+x^2 - x - 1, so that x^2 - x - 1 = (x - phi)(x - psi) and
+phi - psi = sqrt(5), S takes g(n)*phi^n to phi^n times
+phi*D(phi*D + sqrt(5)) applied to g, D the forward difference, and
+g(n)*psi^n likewise with -sqrt(5).  So S^j is phi^n times the sum over i
+of C(j, i)*phi^(j+i)*sqrt(5)^(j-i)*D^(j+i), and D^(j+i) takes C(n, p) to
+C(n, p-j-i), which at n = r is nonzero only for i = p-j-r..p-j.  Combining
+the two conjugates by F(m) = (phi^m - psi^m)/sqrt(5) and the Lucas numbers
+L(m) = phi^m + psi^m, the column C(n, p)*F(n-s) holds, with d = 2j - p
+and X_d = F for even d, L for odd d,
+
+    r = 0:  C(j, p-j) * 5^(d//2) * X_d(p-s)
+    r = 1:  C(j, p-j) * 5^(d//2) * X_d(p+1-s)
+            + C(j, p-j-1) * 5^((d+1)//2) * X_(d+1)(p-s),
+
+where a term whose binomial has its lower index outside 0..j is absent:
+the entry is 0 unless j <= p <= 2j + 1.  The constant column holds (-1)^j
+and the alternating column (-1)^r.  That is O(k^2) integer entries, where
+the difference triangle takes about k^3/4 updates.
 
 With the values' common denominator cleared, the system is solved in
 integers by fraction-free forward elimination (Bareiss 1968) and
@@ -114,19 +135,29 @@ class Template(Value):
 
     @property
     def slot_names(self) -> tuple[str, ...]:
-        return tuple(chr(ord("a") + i) for i in range(self.unknowns))
+        return _names(self.unknowns)
 
     def expr_from(self, coeffs: Sequence) -> FibExpr:
         """Assemble the expression whose slots carry the given coefficients."""
         vals = [Fraction(c) for c in coeffs]
         if len(vals) != self.unknowns:
             raise ValueError(f"expected {self.unknowns} coefficients, got {len(vals)}")
-        parts: tuple[list[Fraction], ...] = ([], [], [], [])
-        for (part, _), c in zip(self.slots, vals):
-            parts[part].append(c)
-        # powers descend within a part, and FibExpr.of takes them ascending
-        p0, p1, const, alt = parts
-        return FibExpr.of([(0, p0[::-1]), (1, p1[::-1])], sum(const), sum(alt))
+        return _assemble(self.slots, vals)
+
+
+def _names(k: int) -> tuple[str, ...]:
+    """Names of the first k slots."""
+    return tuple(map(chr, range(ord("a"), ord("a") + k)))
+
+
+def _assemble(slots: tuple[tuple[int, int], ...], vals: list[Fraction]) -> FibExpr:
+    """The expression whose slots carry vals, one Fraction per slot."""
+    parts: tuple[list[Fraction], ...] = ([], [], [], [])
+    for (part, _), c in zip(slots, vals):
+        parts[part].append(c)
+    # powers descend within a part, and FibExpr.of takes them ascending
+    p0, p1, const, alt = parts
+    return FibExpr.of([(0, p0[::-1]), (1, p1[::-1])], sum(const), sum(alt))
 
 
 FAMILY_TEMPLATES = {
@@ -147,20 +178,16 @@ class SynthSolution(Value):
         self.__dict__.update(expr=expr, coefficients=coefficients)
 
 
-def _rows(slots: Sequence[tuple[int, int]], column) -> list[list[int]]:
-    """Rows n = 0..k-1 with column(n, p) * base[part] in each slot (part, p)."""
+def build_system(template: Template) -> list[list[int]]:
+    """k x k matrix M with M[n][slot] = multiplier of that slot in w_n."""
+    slots = template.slots
     rows = []
     fn1, fn = 1, 0  # (F(n-1), F(n)) at n = 0
     for n in range(len(slots)):
         base = (fn, fn1, 1, -1 if n % 2 else 1)
-        rows.append([column(n, p) * base[part] for part, p in slots])
+        rows.append([n**p * base[part] for part, p in slots])
         fn1, fn = fn, fn + fn1
     return rows
-
-
-def build_system(template: Template) -> list[list[int]]:
-    """k x k matrix M with M[n][slot] = multiplier of that slot in w_n."""
-    return _rows(template.slots, pow)
 
 
 def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[tuple[int, ...]]]:
@@ -252,32 +279,74 @@ def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]
     return out
 
 
-def _system(template: Template, rhs: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """(cols, aug): the binomial system, differenced, in elimination order.
+def _differenced(col: Sequence[int]) -> list[int]:
+    """(S^(t//2) b)(t mod 2) for t = 0..len(col)-1, with b(n) = col[n]."""
+    out = []
+    while col:  # one difference level per row pair
+        out += col[:2]
+        col = [c - b - a for a, b, c in zip(col, col[1:], col[2:])]
+    return out
+
+
+def _system(slots: tuple[tuple[int, int], ...],
+            rhs: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """(cols, aug): the binomial system of the slots, differenced, in elimination order.
 
     cols holds the slots (part, p) in column order: the F(n) and F(n-1)
     slots by ascending power, F(n)'s first at each power, then the constant
     and the alternating slot.  With R(n) the system's row n followed by
-    rhs[n], row t of aug is (S^(t//2) R)(t mod 2), where S = E^2 - E - 1 and
-    E steps n.
+    rhs[n], row t = 2j + r of aug is (S^j R)(r), where S = E^2 - E - 1, E
+    steps n and r is 0 or 1.  The right-hand sides are differenced column by
+    column.  The left block is written in closed form (derived in the module
+    docstring): with d = 2j - p, and X_d the Fibonacci numbers for even d
+    and the Lucas numbers for odd d, the column C(n, p)*F(n-s) holds
+
+        r = 0:  C(j, p-j) * 5^(d//2) * X_d(p-s)
+        r = 1:  C(j, p-j) * 5^(d//2) * X_d(p+1-s)
+                + C(j, p-j-1) * 5^((d+1)//2) * X_(d+1)(p-s),
+
+    a term whose binomial has its lower index outside 0..j being absent, so
+    the entry is 0 unless j <= p <= 2j + 1.  The constant column holds
+    (-1)^j and the alternating column (-1)^r.  Every entry is an int.
     """
-    cols = sorted(template.slots, key=lambda s: (s[0] > 1, s[1], s[0]))
-    rows = [row + b for row, b in zip(_rows(cols, comb), rhs)]
-    aug = []
-    while rows:  # one difference level per row pair
-        aug += rows[:2]
-        rows = [[c - b - a for a, b, c in zip(r0, r1, r2)]
-                for r0, r1, r2 in zip(rows, rows[1:], rows[2:])]
+    cols = sorted(slots, key=lambda s: (s[0] > 1, s[1], s[0]))
+    k = len(cols)
+    fs, ls = [1, 0], [-1, 2]  # F and L at -1..k+1: X_d(m) is xs[d % 2][m + 1]
+    for _ in range(k + 1):
+        fs.append(fs[-2] + fs[-1])
+        ls.append(ls[-2] + ls[-1])
+    xs = (fs, ls)
+    aug = [[0] * k + list(b) for b in zip(*map(_differenced, zip(*rhs)))]
+    for c, (part, p) in enumerate(cols):
+        if part > 1:
+            bit = 2 if part == 2 else 1  # (-1)^j for the constant, (-1)^r for (-1)^n
+            for t, row in enumerate(aug):
+                row[c] = -1 if t & bit else 1
+            continue
+        m = p - part + 1  # X_d(p-s) is xs[d % 2][m]
+        if p % 2:  # row p, with j = (p-1)//2 and r = 1: F(p-s)
+            aug[p][c] = fs[m]
+        for j in range((p + 1) // 2, min(p, (k - 1) // 2) + 1):
+            d = 2 * j - p
+            a = comb(j, p - j) * 5 ** (d // 2)
+            aug[2 * j][c] = a * xs[d % 2][m]
+            if 2 * j + 1 < k:
+                v = a * xs[d % 2][m + 1]
+                if j < p:
+                    v += comb(j, p - j - 1) * 5 ** ((d + 1) // 2) * xs[(d + 1) % 2][m]
+                aug[2 * j + 1][c] = v
     return cols, aug
 
 
-def _solve(template: Template, rhs: list[list[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
+def _solve(template: Template, slots: tuple[tuple[int, int], ...],
+           rhs: list[list[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
     """(det, ys) for the system against rhs[n], the right-hand sides of row n:
-    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order."""
-    cols, aug = _system(template, rhs)
+    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order.
+    slots is ``template.slots``, read once by the caller."""
+    cols, aug = _system(slots, rhs)
     det, xs = _eliminate(aug, len(cols))
     solved = dict(zip(cols, xs))
-    return det, _to_monomial(template, [solved[s] for s in template.slots])
+    return det, _to_monomial(template, [solved[s] for s in slots])
 
 
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
@@ -286,16 +355,18 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
     k = template.unknowns
     if len(vals) != k:
         raise ValueError(f"template needs {k} values, got {len(vals)}")
+    slots = template.slots
     den = lcm(*(v.denominator for v in vals))
-    det, ys = _solve(template, [[v.numerator * (den // v.denominator)] for v in vals])
+    det, ys = _solve(template, slots, [[v.numerator * (den // v.denominator)] for v in vals])
     coeffs = [Fraction(x, scale * det * den) for (x,), scale in ys]
-    return SynthSolution(template.expr_from(coeffs), dict(zip(template.slot_names, coeffs)))
+    return SynthSolution(_assemble(slots, coeffs), dict(zip(_names(k), coeffs)))
 
 
 def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     """Exact inverse of build_system: maps (w_0..w_{k-1}) to the slot vector."""
     k = template.unknowns
-    det, ys = _solve(template, [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)])
+    identity = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+    det, ys = _solve(template, template.slots, identity)
     return [[Fraction(x, scale * det) for x in row] for row, scale in ys]
 
 

@@ -343,7 +343,7 @@ def test_eliminate_matches_plain_bareiss_on_differenced_systems():
     for shape in _SMALL_SHAPES + [(12, 12, True, True), (12, 5, False, True), (None, 14, True, False)]:
         t = Template(*shape)
         k = t.unknowns
-        _, aug = _system(t, [[rng.randint(-40, 40) for _ in range(2)] for _ in range(k)])
+        _, aug = _system(t.slots, [[rng.randint(-40, 40) for _ in range(2)] for _ in range(k)])
         assert _eliminated(_eliminate, aug, k) == _eliminated(_plain_bareiss, aug, k)
 
 
@@ -363,18 +363,82 @@ def _difference_operator(k):
     return rows
 
 
+def _reference_system(t, rhs):
+    """The differenced system by the whole difference triangle on the
+    binomial rows, about k^3/4 entry updates: the reference for ``_system``,
+    which writes the left block in closed form."""
+    cols = sorted(t.slots, key=lambda s: (s[0] > 1, s[1], s[0]))
+    rows = []
+    fn1, fn = 1, 0  # (F(n-1), F(n)) at n = 0
+    for n, b in enumerate(rhs):
+        base = (fn, fn1, 1, -1 if n % 2 else 1)
+        rows.append([math.comb(n, p) * base[part] for part, p in cols] + b)
+        fn1, fn = fn, fn + fn1
+    aug = []
+    while rows:  # one difference level per row pair
+        aug += rows[:2]
+        rows = [[c - b - a for a, b, c in zip(r0, r1, r2)]
+                for r0, r1, r2 in zip(rows, rows[1:], rows[2:])]
+    return cols, aug
+
+
+def test_system_matches_difference_triangle():
+    # repr, not ==: an absent term written as a float would pass 0.0 == 0
+    rng = random.Random(83)
+    degrees = (None,) + tuple(range(18))
+    shapes = 0
+    for shape in itertools.product(degrees, degrees, (False, True), (False, True)):
+        if shape == (None, None, False, False):
+            continue
+        t = Template(*shape)
+        k = t.unknowns
+        rhs = [[rng.randint(-99, 99)] for _ in range(k)]
+        assert repr(_system(t.slots, rhs)) == repr(_reference_system(t, rhs))
+        if k <= 12:
+            identity = [[int(i == j) for j in range(k)] for i in range(k)]
+            assert repr(_system(t.slots, identity)) == repr(_reference_system(t, identity))
+        shapes += 1
+    assert shapes == 1443
+
+
+@pytest.mark.parametrize("shape", [(100, 100, True, True), (100, 80, False, False)])
+def test_installed_script_templates(shape):
+    # the two templates that CI's installed-script step times through
+    # `fibrec synth ... --values 0..k-1`; values are compared, not slot names
+    t = Template(*shape)
+    k = t.unknowns
+    values = list(range(k))
+    rhs = [[v] for v in values]
+    assert repr(_system(t.slots, rhs)) == repr(_reference_system(t, rhs))
+    coeffs = list(solve_template(t, values).coefficients.values())
+    ((ints, den),) = _integer_rows([coeffs])
+    assert [F(sum(map(operator.mul, row, ints)), den) for row in build_system(t)] == values
+
+
+# balanced shapes, unbalanced ones and shapes with one part absent
+_TRIANGULAR_SHAPES = (
+    [(d, d) for d in range(13)]
+    + [(d, 12 - d) for d in (0, 2, 5, 7, 9, 12)]
+    + [(3, 11), (10, 1)]
+    + [(d, None) for d in (0, 1, 6, 13)]
+    + [(None, d) for d in (0, 1, 7, 14)]
+)
+
+
 @pytest.mark.parametrize("const, alt", [(False, False), (True, False), (False, True), (True, True)])
 def test_differenced_rows_are_block_triangular(const, alt):
     rng = random.Random(73)
-    for d in range(13):
-        t = Template(d, d, const, alt)
+    for d0, d1 in _TRIANGULAR_SHAPES:
+        t = Template(d0, d1, const, alt)
         k = t.unknowns
         rhs = [[rng.randint(-9, 9)] for _ in range(k)]
-        cols, aug = _system(t, rhs)
+        cols, aug = _system(t.slots, rhs)
+        assert all(type(v) is int for row in aug for v in row)
         # F slots by ascending power, F(n)'s first, then the constant and alternating slots
-        assert cols == [(part, p) for p in range(d + 1) for part in (0, 1)] + [(2, 0)] * const + [
-            (3, 0)
-        ] * alt
+        degrees = (-1 if d0 is None else d0, -1 if d1 is None else d1)
+        assert cols == [
+            (part, p) for p in range(max(degrees) + 1) for part in (0, 1) if p <= degrees[part]
+        ] + [(2, 0)] * const + [(3, 0)] * alt
         # T times the binomial system and its right-hand side, built naively
         system = [[math.comb(n, p) * _base(part, n) for part, p in cols] + rhs[n] for n in range(k)]
         assert aug == _matmul(_difference_operator(k), system)
