@@ -3,10 +3,11 @@
 Subcommands: eval, canon, rec, check, synth, theorem, oeis, oracle.  Every
 subcommand accepts --json for a single machine-readable document on stdout.
 Each command returns its answer values, not their text; main renders only
-the view it prints, so each printed value becomes text once, as a Decimal in
-the exact context that main enters.  `eval` hands main its values rendered,
-in blocks of about 64 KiB of text that main writes with one print each, and
-`_text` writes the other commands' values.
+the view it prints, so each printed value becomes text once, in time near
+linear in its length.  `eval` hands main its values rendered as Decimals, in
+blocks of about 64 KiB of text that main writes with one print each.  Every
+other number, in text, in a formatted polynomial or expression and in JSON,
+is written by parser._text.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
@@ -32,7 +33,8 @@ from .exact import Poly
 from .fib import fib_pair
 from .oeis import OeisLookupError, search_local, search_remote
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
-from .parser import MAX_INDEX, format_expr, format_poly, parse
+from .parser import (_EXACT, _SPLIT_BITS, MAX_INDEX, _text, _to_decimal, format_expr,
+                     format_poly, parse)
 from .seqform import CanonForm, FibExpr, _numerators
 from .synth import Template, solve_template, theorem_solution
 
@@ -44,19 +46,19 @@ EXIT_NETWORK = 4
 
 # (exit code, JSON payload without "command", text lines on demand).  Commands
 # return answer values, not text: main writes the payload as JSON, each Fraction
-# through _text, or else calls for the text lines, so a value becomes text once.
+# and long int through _text, or else calls for the text lines, so a value
+# becomes text once.
 _Output = tuple[int, dict, Callable[[], Iterable[str]]]
 
 REMOTE_ENV = "FIBREC_OEIS_REMOTE"
 # Longest --timeout (a day): 0 makes the socket non-blocking, inf overflows it.
 _MAX_TIMEOUT = 86_400
 
-# Longest value the CLI will print, in every view.  Values become text as
-# Decimals, in time near linear in their length (`eval` refuses F(10^7) in
-# about 0.5 s), except polynomial and expression coefficients (format_poly,
-# format_expr, rec's coefficient list) and the ints that JSON writes itself,
-# such as check's certificate: str takes about 4 s on 500,000 digits, and the
-# interpreter's digit limit, set to MAX_DIGITS, refuses a longer int unwritten.
+# Longest value the CLI will print, in every view, and longest number it
+# reads.  main sets the interpreter's int-to-str digit limit to MAX_DIGITS,
+# which bounds every int read from text and every value that parser._text
+# writes; _rendered refuses at the same length.  Values become text in time
+# near linear in their length: `eval` refuses F(10^7) in about 0.5 s.
 MAX_DIGITS = 500_000
 
 # The decimal exponent of a rational written as Fraction reads it, such as
@@ -149,62 +151,8 @@ def _parse_bounded(text: str, holding: str) -> FibExpr:
     return expr
 
 
-# Decimal arithmetic in which any rounding raises instead of dropping a digit.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
-
-# Decimal(int) converts an int of at most this many bits faster than
-# splitting it further, and a coefficient that short stays an int.
-_SPLIT_BITS = 1024
-
 # About how much text `eval` renders, and main writes, at once.
 _BLOCK_CHARS = 1 << 16
-
-
-def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
-    """x as an equal Decimal, in time near that of one multiply; run it in an
-    exact context such as _EXACT.
-
-    Decimal(int), like str(int), takes time quadratic in the length of x (3.7 s
-    for F(2,000,000), against 0.14 s here; CPython 3.11, 2-core VM).  Here x of w
-    bits splits into hi*2^h + lo with h = w//2, and each half converts in turn
-    (Brent and Zimmermann, Modern Computer Arithmetic, 1.7; CPython 3.12's
-    _pylong.int_to_decimal).  `powers` holds each 2^h for the next operand.
-    """
-
-    def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            half = w // 2
-            powers[w] = (decimal.Decimal(1 << w) if w <= _SPLIT_BITS
-                         else power(half) * power(w - half))
-        return powers[w]
-
-    def split(x: int, w: int) -> decimal.Decimal:
-        if w <= _SPLIT_BITS:
-            return decimal.Decimal(x)
-        half = w // 2
-        hi = x >> half
-        return split(x - (hi << half), half) + split(hi, w - half) * power(half)
-
-    return -split(-x, (-x).bit_length()) if x < 0 else split(x, x.bit_length())
-
-
-def _text(x: int | Fraction) -> str:
-    """x written as str(Fraction(x)) writes it, in time near linear in its
-    length; run it in an exact context such as _EXACT, as main does.
-
-    The numerator and the denominator convert with one table of powers.  Either
-    one of more than MAX_DIGITS digits is refused as _rendered refuses it; one
-    with more bits than 10**MAX_DIGITS is refused before it converts.
-    """
-    powers: dict[int, decimal.Decimal] = {}
-    parts = []
-    for k in (x.numerator, x.denominator):
-        d = _to_decimal(k, powers) if k.bit_length() <= MAX_DIGITS * math.log2(10) + 1 else None
-        if d is None or d.adjusted() >= MAX_DIGITS:
-            raise ValueError(f"a value has more than {MAX_DIGITS} digits")
-        parts.append(str(d))
-    return parts[0] if x.denominator == 1 else "/".join(parts)
 
 
 def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str]]]:
@@ -215,9 +163,9 @@ def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str
 
     The numerators L*w_n step as Decimals, which add, multiply and become text
     in time near linear in their length.  A value whose reduced numerator has
-    more than MAX_DIGITS digits is refused, as _text refuses it.  When a value
-    fails, the values before it are yielded first, so a reader sees the same
-    lines as if each value were yielded alone.
+    more than MAX_DIGITS digits is refused, as _text refuses it under main's
+    digit limit.  When a value fails, the values before it are yielded first,
+    so a reader sees the same lines as if each value were yielded alone.
     """
     den, q0, q1, e, f, far = form._scaled()
     powers: dict[int, decimal.Decimal] = {}
@@ -318,7 +266,7 @@ def _cmd_rec(args) -> _Output:
     return EXIT_OK, payload, lambda: [
         f"order: {rec.order}",
         f"characteristic polynomial: {format_poly(rec.char_poly, var='x')}",
-        f"coefficients: {', '.join(map(str, rec.coeffs))}",
+        f"coefficients: {', '.join(map(_text, rec.coeffs))}",
         f"initial values: {', '.join(map(_text, rec.initial))}",
     ]
 
@@ -342,8 +290,6 @@ def _cmd_check(args) -> _Output:
 
 
 def _solution_output(extra: dict, solution) -> _Output:
-    # the coefficients become text first, so one past MAX_DIGITS is refused
-    # before format_expr writes it with str, in quadratic time
     coefficients = {k: _text(v) for k, v in solution.coefficients.items()}
     text = format_expr(solution.expr)
     payload = {**extra, "coefficients": coefficients, "expression": text}
@@ -415,7 +361,28 @@ _ORACLES = {
 def _cmd_oracle(args) -> _Output:
     value = _ORACLES[args.kind](args.n)
     payload = {"kind": args.kind, "n": args.n, "value": value}
-    return EXIT_OK, payload, lambda: [str(value)]
+    return EXIT_OK, payload, lambda: [_text(value)]
+
+
+# json.dumps writes an int with str, in time quadratic in its length, so
+# _held swaps each int longer than _SPLIT_BITS bits for the string "\0<i>",
+# which JSON writes as "\u0000<i>", and main puts the int's digits from _text
+# in its place: a JSON number is just its digits.  No payload string holds a
+# NUL: the parser refuses one in an expression, and fibrec writes the rest.
+_HELD = re.compile(r'"\\u0000(\d+)"')
+
+
+def _held(x, longs: list[str]):
+    """x with each int longer than _SPLIT_BITS bits replaced by the
+    placeholder of its text, which is appended to longs."""
+    if isinstance(x, dict):
+        return {k: _held(v, longs) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_held(v, longs) for v in x]
+    if isinstance(x, int) and x.bit_length() > _SPLIT_BITS:
+        longs.append(_text(x))
+        return f"\0{len(longs) - 1}"
+    return x
 
 
 @functools.cache  # built at the first main call, not at import
@@ -483,7 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         args = argparser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # the interpreter refuses a longer value before converting any of it
+    # the interpreter's limit bounds every number read from text, and _text
+    # refuses a longer value as str does, before converting any of it
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DIGITS)
     try:
@@ -492,7 +460,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.json:
                 import json
 
-                print(json.dumps({"command": args.command, **payload}, indent=2, default=_text))
+                longs: list[str] = []
+                doc = {"command": args.command, **_held(payload, longs)}
+                text = json.dumps(doc, indent=2, default=_text)
+                print(_HELD.sub(lambda m: longs[int(m[1])], text) if longs else text)
             else:
                 for line in lines():
                     print(line)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from conftest import rand_fraction
 
-from fibrec import FibExpr, Poly, parse, to_recurrence
+from fibrec import FibExpr, Poly, format_poly, parse, to_recurrence
 from fibrec.cli import MAX_DIGITS, _estimated_digits, _number_list, main
 
 
@@ -661,14 +661,16 @@ def test_json_documents_are_pinned(capsys, argv, doc):
         (("rec", _WORKED, "--json"), 4),
         (("canon", _WORKED), 5),  # 2/5, 3/5 and -1/5 in the polynomials, e, f
         (("canon", _WORKED, "--json"), 6),  # the zero coefficient of P1 is listed too
+        (("check", "F(n-30000)", "--json"), 2),  # two long ints that JSON would write with str
     ],
-    ids=["rec", "rec-json", "canon", "canon-json"],
+    ids=["rec", "rec-json", "canon", "canon-json", "check-json-long"],
 )
 def test_each_printed_rational_becomes_text_once(capsys, monkeypatch, argv, conversions):
     import fibrec.cli
+    import fibrec.parser
 
     calls = []
-    to_text, to_format, write = Fraction.__str__, Fraction.__format__, fibrec.cli._text
+    to_text, to_format, write = Fraction.__str__, Fraction.__format__, fibrec.parser._text
 
     def counting(self):
         calls.append(self)
@@ -678,16 +680,60 @@ def test_each_printed_rational_becomes_text_once(capsys, monkeypatch, argv, conv
         return str(self) if not spec else to_format(self, spec)
 
     def writing(x):
-        calls.append(x)
+        # a short int, such as an index or a coefficient of x^2 - x - 1, is
+        # not a rational value; JSON writes those itself
+        if isinstance(x, Fraction) or x.bit_length() > fibrec.parser._SPLIT_BITS:
+            calls.append(x)
         return write(x)
 
-    # the CLI writes each value with _text, and format_poly each coefficient
-    # with str.  An f-string calls __format__ with an empty spec, object's
-    # before 3.12 and Fraction's own after; either way send it to __str__, so
-    # each counts once
+    # every number becomes text through parser._text, which the CLI imports;
+    # a stray str(Fraction) still counts.  An f-string calls __format__ with
+    # an empty spec, object's before 3.12 and Fraction's own after; either way
+    # send it to __str__, so each counts once
     monkeypatch.setattr(Fraction, "__str__", counting)
     monkeypatch.setattr(Fraction, "__format__", formatting)
-    monkeypatch.setattr(fibrec.cli, "_text", writing)
+    for module in (fibrec.parser, fibrec.cli):
+        monkeypatch.setattr(module, "_text", writing)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == conversions
+
+
+@pytest.mark.parametrize("text", ["F(n-30000)", "n/3*F(n-30000)+1/2"])
+def test_text_and_json_views_agree_on_long_values(capsys, text):
+    # F(-30000) has 6,270 digits: past _SPLIT_BITS and the interpreter's
+    # default limit of 4,300 digits, so every long value takes the Decimal path
+    views = {}
+    for command in ("canon", "rec", "check"):
+        code, out, err = run_cli(capsys, command, text)
+        code_json, out_json, err_json = run_cli(capsys, command, text, "--json")
+        assert code == code_json and err == err_json == "" and code in (0, 3)
+        # "P0 = ...", "e  = ..." or "initial values: ..." by its label
+        pairs = (line.split(": " if ": " in line else " = ", 1) for line in out.splitlines())
+        views[command] = {label.strip(): value for label, value in pairs}, out_json
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        canon, canon_json = views["canon"]
+        doc = json.loads(canon_json)
+        for key in ("p0", "p1"):
+            poly = Poly(tuple(Fraction(c) for c in doc[key]))
+            assert canon[key.upper()] == format_poly(poly)
+            assert max(map(len, doc[key])) > 6000
+        assert (canon["e"], canon["f"]) == (doc["e"], doc["f"])
+        rec, rec_json = views["rec"]
+        doc = json.loads(rec_json)
+        assert rec["initial values"] == ", ".join(doc["initial"])
+        assert rec["coefficients"] == ", ".join(map(str, doc["coefficients"]))
+        assert rec["characteristic polynomial"] == format_poly(Poly(tuple(doc["char_poly"])), "x")
+        check, check_json = views["check"]
+        doc = json.loads(check_json)
+        if doc["integral"]:
+            assert check["INTEGER certificate"] == ", ".join(map(str, doc["certificate"]))
+            assert max(len(str(c)) for c in doc["certificate"]) > 6000
+        else:
+            assert check["NON-INTEGER witness"] == f"n={doc['witness_n']} value={doc['value']}"
+        initial = json.loads(rec_json)["initial"]
+        assert to_recurrence(parse(text)).initial == tuple(map(Fraction, initial))
+    finally:
+        sys.set_int_max_str_digits(limit)

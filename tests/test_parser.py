@@ -1,5 +1,6 @@
 """Expression-language parsing, printing, error offsets, fuzz totality."""
 
+import contextlib
 import random
 import sys
 from fractions import Fraction as F
@@ -8,7 +9,9 @@ import pytest
 
 from conftest import A010049, A054454, A054454_TEXT, QUAD_LIN, rand_expr
 
+import fibrec.parser
 from fibrec import FibExpr, ParseError, Poly, format_expr, format_poly, parse
+from fibrec.parser import _SPLIT_BITS, _text
 
 
 def test_parse_worked_examples():
@@ -167,6 +170,74 @@ def test_print_component_shapes():
 def test_format_poly_var():
     assert format_poly(Poly((1, 2, -1, -2, 1)), var="x") == "x^4 - 2*x^3 - x^2 + 2*x + 1"
     assert format_poly(Poly(())) == "0"
+
+
+@contextlib.contextmanager
+def _digit_limit(limit: int):
+    """The interpreter's int-to-str digit limit set to limit for the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _long_rationals(rng) -> list:
+    """Seeded ints and Fractions of both signs whose parts have 1,023 to 1,025
+    bits, around _SPLIT_BITS, or up to about 20,000 digits (66,439 bits)."""
+    sizes = [1, 64, _SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1]
+    sizes += [rng.randint(_SPLIT_BITS + 2, 66_439) for _ in range(8)]
+    size = lambda: rng.choice(sizes)
+    nat = lambda bits: rng.getrandbits(bits) | 1 << (bits - 1)  # exactly that many bits
+    values = []
+    for bits in sizes[2:]:
+        k = nat(bits)
+        values += [k, -k, F(k, nat(size()) | 1), F(-nat(size()), k | 1)]
+    values += [F(rng.choice((-1, 1)) * nat(size()), nat(size())) for _ in range(40)]
+    assert any(type(v) is F and v.denominator.bit_length() > _SPLIT_BITS for v in values)
+    return values
+
+
+def test_text_writes_as_str_does():
+    with _digit_limit(0):
+        for x in _long_rationals(random.Random(149)):
+            assert _text(x) == str(x), x
+
+
+def test_text_refuses_where_str_refuses(monkeypatch):
+    converted = []
+    to_decimal = fibrec.parser._to_decimal
+    counting = lambda k, powers: converted.append(k) or to_decimal(k, powers)
+    monkeypatch.setattr(fibrec.parser, "_to_decimal", counting)
+    nines, ten = 10**700 - 1, 10**700
+    with _digit_limit(700):
+        for x in (nines, -nines, F(nines, 7), F(-1, nines)):
+            assert _text(x) == str(x)
+        # 10**700 converts before it is refused, 2**10**6 is refused unconverted
+        for x in (ten, -ten, F(ten, 7), F(-1, ten), F(nines, ten), 2**10**6, F(-1, 2**10**6)):
+            with pytest.raises(ValueError, match="for integer string conversion") as refused:
+                str(x)
+            with pytest.raises(ValueError) as info:
+                _text(x)
+            assert str(info.value) == str(refused.value)
+    assert 2**10**6 not in converted and ten in converted
+
+
+def test_format_long_coefficients_as_str_does(monkeypatch):
+    rng = random.Random(151)
+    values = _long_rationals(rng)
+    pick = lambda: rng.choice((*values, 0, 1, -1, F(1, 2)))
+    polys = [Poly(tuple(pick() for _ in range(rng.randint(1, 4)))) for _ in range(12)]
+    exprs = [FibExpr.of([(rng.randint(-9, 9), p) for p in rng.sample(polys, 3)], pick(), pick())
+             for _ in range(6)]
+    with _digit_limit(0):
+        got = [format_poly(p) for p in polys] + [format_poly(p, var="x") for p in polys]
+        got += [format_expr(e) for e in exprs]
+        monkeypatch.setattr(fibrec.parser, "_text", str)  # as format_poly and format_expr wrote
+        assert got == ([format_poly(p) for p in polys] + [format_poly(p, var="x") for p in polys]
+                       + [format_expr(e) for e in exprs])
+    assert max(map(len, got)) > 20_000
 
 
 def _monomial_text(rng, q: F, power: int) -> str:
