@@ -7,7 +7,8 @@ the view it prints, so each printed value becomes text once, in time near
 linear in its length.  `eval` hands main its values rendered as Decimals, in
 blocks of about 64 KiB of text that main writes with one print each.  Every
 other number, in text, in a formatted polynomial or expression and in JSON,
-is written by parser._text.
+is written by parser._text.  The digit budget's limits and refusal texts are
+CLI policy; its bounds are read off the parsed expression by seqform.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
@@ -35,7 +36,8 @@ from .oeis import OeisLookupError, search_local, search_remote
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import (_EXACT, _SPLIT_BITS, MAX_INDEX, _text, _to_decimal, format_expr,
                      format_poly, parse)
-from .seqform import CanonForm, FibExpr, _numerators
+from .seqform import (CanonForm, FibExpr, _estimated_digits, _numerators, _order_bound,
+                      _surely_longer)
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -58,7 +60,8 @@ _MAX_TIMEOUT = 86_400
 # reads.  main sets the interpreter's int-to-str digit limit to MAX_DIGITS,
 # which bounds every int read from text and every value that parser._text
 # writes; _rendered refuses at the same length.  Values become text in time
-# near linear in their length: `eval` refuses F(10^7) in about 0.5 s.
+# near linear in their length: `eval` refuses F(10^7) in about 0.5 s.  `rec`,
+# `check` and `canon` refuse F(n-10000000) at once, by seqform._surely_longer.
 MAX_DIGITS = 500_000
 
 # The decimal exponent of a rational written as Fraction reads it, such as
@@ -70,7 +73,7 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)
 # `check`: the JSON document is written whole, and the initial values are all
 # computed before any is printed, so every value sits in memory at once.  The
 # initial-value estimate also bounds the canonical form that `canon` prints and
-# that `eval` computes before its first value.
+# that `eval` computes before its first value (seqform._estimated_digits).
 # 20 million digits, F(0)..F(13800), take about 1 s and 75 MB.
 MAX_JSON_DIGITS = 20_000_000
 
@@ -96,58 +99,24 @@ def _number_list(text: str, kind=int) -> list:
         raise ValueError(f"expected a comma-separated {what}, got {text!r}") from None
 
 
-def _abs_sum(lo: int, hi: int) -> int:
-    """The sum of |n| over n = lo..hi, in closed form."""
-    tri = lambda k: k * (k + 1) // 2 if k > 0 else 0  # 1 + 2 + ... + k
-    return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
-
-
-def _log10_above(k: int) -> float:
-    """An upper bound on log10(k) for an int k >= 1, exact at 1; read off the
-    bit length, so a 500,000-digit int never becomes a float."""
-    return (k - 1).bit_length() * math.log10(2)
-
-
-def _estimated_digits(expr: FibExpr, lo: int, hi: int) -> int:
-    """About how many digits w_lo..w_hi print with, read off the parsed expression.
-
-    Over the coefficients' common denominator L, with M the sum of their
-    numerators' magnitudes over L, D the largest degree and J the largest
-    |shift|, |L*w_n| <= M * max(|lo|, |hi|, 2)^D * phi^(|n| + J), and the
-    denominator of w_n divides L.  log10(phi) is about 0.209.  No Fibonacci
-    number is computed, and every term but 0.209*|n| is 0 for F(n).
-    """
-    coeffs = [Fraction(c) for t in expr.terms for c in t.poly.coeffs]
-    coeffs += [expr.const_e, expr.alt_f]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    mag = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
-    degree = max((t.poly.degree for t in expr.terms), default=0)
-    shift = max((abs(t.shift) for t in expr.terms), default=0)
-    per_value = (0.209 * shift + degree * math.log10(max(abs(lo), abs(hi), 2))
-                 + _log10_above(max(mag, 1)) + _log10_above(den))
-    return round(0.209 * _abs_sum(lo, hi) + (hi - lo + 1) * per_value)
-
-
-def _parse_bounded(text: str, holding: str) -> FibExpr:
-    """Parse an expression, refusing it before any Fibonacci work when its
-    initial values would pass MAX_JSON_DIGITS.
-
-    Every command that canonicalizes (`eval`, `canon`, `rec`, `check`) parses
-    through here.  The estimate covers 2(D+1) values, each with the digits of
-    the largest shift, so it also bounds the 2(D+1) coefficients of the
-    canonical form, each a coefficient times a Fibonacci number of the shift.
-    `holding` names what the command would hold, with {} for that count.
-    """
-    expr = parse(text)
-    degree = max((t.poly.degree for t in expr.terms), default=None)
-    # an upper bound on the order: the terms may cancel in the canonical form
-    order = (0 if degree is None else 2 * (degree + 1)) + bool(expr.const_e) + bool(expr.alt_f)
-    digits = _estimated_digits(expr, 0, order - 1)
+def _refuse_past_budget(expr: FibExpr, lo: int, hi: int, message: str) -> None:
+    """Raise ValueError(message.format(estimate, limit)) past MAX_JSON_DIGITS."""
+    digits = _estimated_digits(expr, lo, hi)
     if digits > MAX_JSON_DIGITS:
-        raise ValueError(
-            f"{holding.format(order)} would hold about {digits} digits, "
-            f"more than {MAX_JSON_DIGITS}"
-        )
+        raise ValueError(message.format(digits, MAX_JSON_DIGITS))
+
+
+def _parse_bounded(text: str, holding: str, prints_window: bool = False) -> FibExpr:
+    """Parse an expression, refusing it before any Fibonacci work when its initial
+    values, which bound its canonical form too, would pass MAX_JSON_DIGITS, or one
+    would surely pass MAX_DIGITS unless the command prints only a window (`eval`).
+    `holding` names what the command would hold, with {} for their count."""
+    expr = parse(text)
+    order = _order_bound(expr)
+    _refuse_past_budget(expr, 0, order - 1,
+                        holding.format(order) + " would hold about {} digits, more than {}")
+    if not prints_window and _surely_longer(expr, MAX_DIGITS):
+        raise ValueError(f"a value has more than {MAX_DIGITS} digits")
     return expr
 
 
@@ -215,14 +184,11 @@ def _cmd_eval(args) -> _Output:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
-    expr = _parse_bounded(args.expr, "up to {} coefficients computed before the first value")
+    expr = _parse_bounded(args.expr, "up to {} coefficients computed before the first value",
+                          prints_window=True)
     if args.json:
-        digits = _estimated_digits(expr, args.start, args.stop)
-        if digits > MAX_JSON_DIGITS:
-            raise ValueError(
-                f"--json would hold about {digits} digits at once, more than "
-                f"{MAX_JSON_DIGITS}; the text output streams"
-            )
+        _refuse_past_budget(expr, args.start, args.stop, "--json would hold about {} digits "
+                            "at once, more than {}; the text output streams")
     values = _rendered(expr.canon(), args.start, args.stop)
     payload = {
         "expression": args.expr,

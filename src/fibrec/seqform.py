@@ -43,7 +43,9 @@ the form keeps its split into folded and far terms and ``CanonForm._scaled``
 its cleared denominators, in the instance ``__dict__``; ``cfinite`` keeps the
 form's stepped initial window there too.  No memo is a field, so ``==``,
 ``hash`` and ``repr`` do not see it; both classes are frozen, so a memo never
-goes stale.  A form built directly, with no split, has no far terms.
+goes stale.  A form built directly, with no split, has no far terms.  The
+CLI's digit bounds, ``_order_bound``, ``_estimated_digits`` and
+``_surely_longer``, read a parsed expression before any Fibonacci work.
 """
 
 from __future__ import annotations
@@ -187,6 +189,64 @@ def _times(p: Poly, c: int) -> Poly | None:
 
 def _plus(acc: Poly, part: Poly | None) -> Poly:
     return acc if part is None else acc + part
+
+
+def _abs_sum(lo: int, hi: int) -> int:
+    """The sum of |n| over n = lo..hi, in closed form."""
+    tri = lambda k: k * (k + 1) // 2 if k > 0 else 0  # 1 + 2 + ... + k
+    return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
+
+
+def _log10_above(k: int) -> float:
+    """An upper bound on log10(k) for an int k >= 1, exact at 1; read off the
+    bit length, so a 500,000-digit int never becomes a float."""
+    return (k - 1).bit_length() * math.log10(2)
+
+
+def _order_bound(expr: FibExpr) -> int:
+    """2(D+1) + [e != 0] + [f != 0]: the terms may cancel, so the order is at most this."""
+    degree = max((t.poly.degree for t in expr.terms), default=-1)
+    return 2 * (degree + 1) + bool(expr.const_e) + bool(expr.alt_f)
+
+
+def _estimated_digits(expr: FibExpr, lo: int, hi: int) -> int:
+    """About how many digits w_lo..w_hi print with, read off the parsed expression.
+
+    Over the coefficients' common denominator L, with M the sum of their
+    numerators' magnitudes over L, D the largest degree and J the largest
+    |shift|, |L*w_n| <= M * max(|lo|, |hi|, 2)^D * phi^(|n| + J), and the
+    denominator of w_n divides L.  log10(phi) is about 0.209.  No Fibonacci
+    number is computed, and every term but 0.209*|n| is 0 for F(n).
+    """
+    coeffs = [c for t in expr.terms for c in t.poly.coeffs] + [expr.const_e, expr.alt_f]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    mag = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    degree = max((t.poly.degree for t in expr.terms), default=0)
+    shift = max((abs(t.shift) for t in expr.terms), default=0)
+    per_value = (0.209 * shift + degree * math.log10(max(abs(lo), abs(hi), 2))
+                 + _log10_above(max(mag, 1)) + _log10_above(den))
+    return round(0.209 * _abs_sum(lo, hi) + (hi - lo + 1) * per_value)
+
+
+def _surely_longer(expr: FibExpr, digits: int) -> bool:
+    """Whether expr is one term p(n)*F(n-j) plus e + f*(-1)^n whose initial
+    values w_0..w_{m-1}, m = ``_order_bound(expr)``, and nonzero canonical
+    coefficients surely have reduced numerators of more than `digits` digits.
+
+    With L the common denominator of p's coefficients, |F(k)| >= phi^(|k|-2)
+    for k != 0 puts each at least phi^(|j|-m-2)/L - |e| - |f| when p has no
+    root in 0..m-1.  log10(phi) is rounded down to 0.2089, one digit is kept
+    in hand for e and f, and p is evaluated only once the bound passes.
+    """
+    if len(expr.terms) != 1:
+        return False
+    (term,) = expr.terms
+    m = _order_bound(expr)
+    den = math.lcm(*(c.denominator for c in term.poly.coeffs))
+    low = (abs(term.shift) - m - 2) * 0.2089 - _log10_above(den) - 1
+    e_f = abs(expr.const_e.numerator) + abs(expr.alt_f.numerator)  # at least |e| + |f|
+    return (low > digits and _log10_above(max(e_f, 1)) <= low
+            and all(map(term.poly, range(m))))
 
 
 class CanonForm(Value):

@@ -87,8 +87,9 @@ from math import comb, lcm
 from operator import mul
 
 from ._value import Value
+from .exact import Poly
 from .fib import fib
-from .seqform import FibExpr
+from .seqform import FibExpr, ShiftTerm
 
 
 class DegenerateTemplateError(ValueError):
@@ -151,13 +152,13 @@ def _names(k: int) -> tuple[str, ...]:
 
 
 def _assemble(slots: tuple[tuple[int, int], ...], vals: list[Fraction]) -> FibExpr:
-    """The expression whose slots carry vals, one Fraction per slot."""
+    """The normalized expression whose slots carry vals, one Fraction per slot."""
     parts: tuple[list[Fraction], ...] = ([], [], [], [])
     for (part, _), c in zip(slots, vals):
         parts[part].append(c)
-    # powers descend within a part, and FibExpr.of takes them ascending
-    p0, p1, const, alt = parts
-    return FibExpr.of([(0, p0[::-1]), (1, p1[::-1])], sum(const), sum(alt))
+    polys = (Poly(tuple(reversed(p))) for p in parts[:2])  # powers descend in a part
+    terms = tuple(ShiftTerm(shift, p) for shift, p in enumerate(polys) if p)
+    return FibExpr(terms, *(p[0] if p else Fraction(0) for p in parts[2:]))  # e, f: one slot
 
 
 FAMILY_TEMPLATES = {

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 from conftest import rand_fraction
 
-from fibrec import FibExpr, Poly, format_poly, parse, to_recurrence
-from fibrec.cli import MAX_DIGITS, _estimated_digits, _number_list, main
+from fibrec import FibExpr, Poly, format_expr, format_poly, parse, to_recurrence
+from fibrec.cli import MAX_DIGITS, _number_list, main
+from fibrec.seqform import _estimated_digits, _surely_longer
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +234,14 @@ def test_each_budget_refusal_names_what_its_command_holds(capsys, no_fib, comman
     )
 
 
+def test_the_order_bound_counts_the_constant_and_the_alternating_part(capsys, no_fib):
+    for text, order in (("n^1000*F(n-1000000) + 1", 2003), ("n^1000*F(n-1000000) - (-1)^n", 2003),
+                        ("n^1000*F(n-1000000) + 1/2 + 2*(-1)^n", 2004)):
+        code, out, err = run_cli(capsys, "rec", text)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: up to {order} initial values would hold about "), err
+
+
 def test_digit_estimate_is_never_far_below_the_printed_digits():
     rng = random.Random(13)
     for _ in range(250):
@@ -249,6 +258,90 @@ def test_digit_estimate_is_never_far_below_the_printed_digits():
         hi = lo + rng.randint(0, 40)
         printed = sum(ch.isdigit() for _, v in expr.canon().values(lo, hi) for ch in str(v))
         assert _estimated_digits(expr, lo, hi) >= printed - 2 * (hi - lo + 1), (expr, lo, hi)
+
+
+@pytest.mark.parametrize("command", ["rec", "check", "canon"])
+def test_a_lone_far_term_is_refused_before_it_is_computed(capsys, command):
+    # computing the two 2.1-million-digit values that the printer refuses takes seconds
+    for view in ((), ("--json",)):
+        start = time.perf_counter()
+        got = run_cli(capsys, command, "F(n-10000000)", *view)
+        assert time.perf_counter() - start < 1
+        assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
+
+
+def test_the_lone_term_bound_refuses_only_what_it_can_show(monkeypatch):
+    assert _surely_longer(parse("F(n-10000000)"), MAX_DIGITS)
+    assert _surely_longer(parse("-3/7*F(n+10000000) + 1/2 - 5*(-1)^n"), MAX_DIGITS)
+    # w_0 = 1/2: p(n) = n has a root in the initial window
+    assert not _surely_longer(parse("n*F(n-10000000) + 1/2"), MAX_DIGITS)
+    # F(n-2500000) has about 522,000 digits at n = 0, 1, 2: an e of 500,001 digits
+    # is shorter, and one of 600,001 digits is left to the printer
+    assert _surely_longer(FibExpr.of([(2_500_000, 1)], 10**500_000), MAX_DIGITS)
+    assert not _surely_longer(FibExpr.of([(2_500_000, 1)], 10**600_000), MAX_DIGITS)
+    assert not _surely_longer(parse("F(n-10000000) + F(n)"), MAX_DIGITS)
+    # p is evaluated only once the bound passes: here it is about 3,760 digits
+    monkeypatch.setattr(Poly, "__call__", lambda p, n: pytest.fail("p was evaluated"))
+    assert not _surely_longer(parse("n^1000*F(n-20000)"), MAX_DIGITS)
+
+
+@pytest.mark.parametrize("command", ["rec", "check", "canon"])
+def test_a_lone_term_is_refused_at_the_patched_limit(capsys, monkeypatch, no_fib, command):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)
+    for view in ((), ("--json",)):
+        got = run_cli(capsys, command, "F(n-10000)", *view)
+        assert got == (2, "", "error: a value has more than 1000 digits\n")
+
+
+def test_what_the_lone_term_bound_cannot_refuse_still_prints(capsys, monkeypatch):
+    import fibrec.cli
+
+    # the same decisions as for F(n-10000000), at a limit where each value costs little
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)
+    assert run_cli(capsys, "check", "n*F(n-10000) + 1/2") == (
+        3, "NON-INTEGER witness: n=0 value=1/2\n", "")
+    # eval prints only its window, so it never asks for the bound
+    monkeypatch.setattr(fibrec.cli, "_surely_longer", lambda *args: pytest.fail("asked"))
+    assert run_cli(capsys, "eval", "F(n-10000)", "--from", "10000", "--to", "10000") == (
+        0, "10000 0\n", "")
+
+
+def test_digit_bound_below_a_lone_term_refuses_only_what_the_printer_refuses(capsys, monkeypatch):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)  # F(4786) has 1,000 digits
+    rng = random.Random(31)
+
+    def lone_terms():
+        # F(n-+j) alone, where the bound is tightest: late from j = 4787, early from 4796
+        yield from (f"F(n{sign}{j})" for j in range(4780, 4800) for sign in "-+")
+        for _ in range(80):
+            poly = Poly(())
+            while not poly:
+                poly = Poly(tuple(rand_fraction(rng, 10**rng.randint(0, 4),
+                                                (1, 3, 7, 10**rng.randint(0, 5)))
+                                  for _ in range(rng.randint(1, 3))))
+            if rng.random() < 0.3:  # a root in or just past the initial window
+                poly = poly * Poly((-rng.randint(0, 9), 1))
+            e, f = (rng.choice((0, rand_fraction(rng), 10**rng.randint(985, 1005))) for _ in range(2))
+            shift = rng.choice((-1, 1)) * rng.randint(4700, 4880)
+            yield format_expr(FibExpr.of([(shift, poly)], e, f))
+
+    runs = {"early": 0, "late": 0, "printed": 0}
+    for text in lone_terms():
+        early = _surely_longer(parse(text), 1000)
+        for command in ("rec", "check", "canon"):
+            for view in ((), ("--json",)):
+                got = run_cli(capsys, command, text, *view)
+                with monkeypatch.context() as m:
+                    m.setattr(fibrec.cli, "_surely_longer", lambda *args: False)
+                    late = run_cli(capsys, command, text, *view)
+                assert got == late, (command, text, view)
+                runs["early" if early else "late" if got[0] == 2 else "printed"] += 1
+    # the boundary is crossed: early refusals, late-only refusals and printed values all occur
+    assert min(runs.values()) > 30, runs
 
 
 def test_list_options_keep_their_error_texts(capsys):

@@ -13,6 +13,7 @@ from conftest import A010049, A129707, QUAD_LIN, WALKS_W, ref_at
 from fibrec import (
     FAMILY_TEMPLATES,
     DegenerateTemplateError,
+    FibExpr,
     Integral,
     Template,
     build_system,
@@ -745,6 +746,38 @@ def test_theorem_solution_matches_reference():
             coeffs = list(got.coefficients.values())
             assert coeffs == _reference_solve(template, values)
             assert all(type(c) is F for c in coeffs)
+
+
+def _assembled_by_of(template, coeffs):
+    """The expression FibExpr.of makes of the slots' coefficients: the
+    reference that the solver's directly built expressions must equal."""
+    parts = ([], [], [], [])
+    for (part, _), c in zip(template.slots, coeffs):
+        parts[part].append(F(c))
+    p0, p1, const, alt = parts
+    return FibExpr.of([(0, p0[::-1]), (1, p1[::-1])], sum(const), sum(alt))
+
+
+def test_solved_expressions_are_built_in_normal_form():
+    rng = random.Random(59)
+    degrees = (None,) + tuple(range(17))
+    solved = 0
+    while solved < 150:
+        shape = (rng.choice(degrees), rng.choice(degrees), rng.random() < 0.5, rng.random() < 0.5)
+        if not 1 <= sum(d + 1 for d in shape[:2] if d is not None) + sum(shape[2:]) <= 34:
+            continue
+        t = Template(*shape)
+        k = t.unknowns
+        # zeros drop whole parts and leading coefficients, as the solver's answers can
+        coeffs = [rng.choice((0, 0, 1, -3, F(2, 7))) for _ in range(k)]
+        assert repr(t.expr_from(coeffs)) == repr(_assembled_by_of(t, coeffs))
+        values = rng.choice(([0] * k, [fib(n) for n in range(k)], [1] * k, _mixed_values(rng, k)))
+        try:
+            sol = solve_template(t, values)
+        except DegenerateTemplateError:
+            continue
+        assert repr(sol.expr) == repr(_assembled_by_of(t, list(sol.coefficients.values())))
+        solved += 1
 
 
 def test_synthesis_round_trip():
