@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Run the benchmark in two checkouts, in alternating pairs, and apply the gain rule.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload synth_solve --pairs 10 --seed 101
+
+PARENT and CHANGE are two checkouts of fibrec.  Pair i runs
+`bench/run.py --workload W --seed S+i`, unchanged and at its default length,
+in each of them, from its own root: the parent first in even pairs, the
+change first in odd ones.  Each run's figures, and whether its answers were
+correct, are printed as it ends.  Then, for each end-to-end metric of
+CHANGE's BENCHMARK.json that the runs report, it prints both medians, how far
+the change's median moved, the parent's quartiles, how many pairs the change
+won (a tie counts for neither side) and whether the gain rule holds: the
+change wins at least nine tenths of the pairs, and its median beats the
+parent's by more than the distance between the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_bench(checkout: str, workload: str, seed: int) -> str:
+    """The stdout of one benchmark run in `checkout`."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True)
+    return proc.stdout
+
+
+def result(stdout: str) -> dict:
+    """The result object that a benchmark run prints as its last line."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def summary(name: str, better: str, parent: list[float], change: list[float]) -> dict:
+    """Medians, the parent's quartiles, pairs won and the gain rule for one metric."""
+    sign = 1 if better == "higher" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    median_p, median_c = statistics.median(parent), statistics.median(change)
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return {
+        "metric": name, "parent": median_p, "change": median_c, "q1": q1, "q3": q3, "won": won,
+        "gain": 10 * won >= 9 * len(parent) and sign * (median_c - median_p) > q3 - q1,
+    }
+
+
+def main(argv: list[str] | None = None, run=run_bench) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for the parent's quartiles")
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            got = result(run(sides[side], args.workload, seed))
+            runs[side].append(got)
+            print(f"seed {seed} {side}: correct {got['correct']}, failed {got['failed']} of "
+                  f"{got['attempted']}, " + ", ".join(f"{name} {m['value']:.6g}"
+                                                      for name, m in got["metrics"].items()),
+                  flush=True)
+
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}; "
+          + ", ".join(f"{side} failed {sum(got['failed'] for got in runs[side])} ops"
+                      for side in sides))
+    print(f"{'metric':14s} {'unit':8s} {'parent':>10s} {'change':>10s} {'moved':>7s} "
+          f"{'parent Q1..Q3':>21s} {'won':>7s}  gain rule")
+    for metric in metrics:
+        name = metric["name"]
+        if not all(name in got["metrics"] for side in runs.values() for got in side):
+            continue
+        values = {side: [got["metrics"][name]["value"] for got in runs[side]] for side in sides}
+        row = summary(name, metric["better"], values["parent"], values["change"])
+        moved = row["change"] / row["parent"] - 1 if row["parent"] else 0.0
+        print(f"{name:14s} {metric['unit']:8s} {row['parent']:10.4g} {row['change']:10.4g} "
+              f"{moved:+7.1%} {row['q1']:10.4g}..{row['q3']:<9.4g} "
+              f"{row['won']:3d}/{args.pairs:<3d}  "
+              f"{'holds' if row['gain'] else 'fails'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

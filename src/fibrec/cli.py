@@ -37,7 +37,7 @@ from .oracles import compositions_parts_count, fibonacci_word_inversions, leonar
 from .parser import (_EXACT, _SPLIT_BITS, MAX_INDEX, _text, _to_decimal, format_expr,
                      format_poly, parse)
 from .seqform import (CanonForm, FibExpr, _estimated_digits, _numerators, _order_bound,
-                      _surely_longer)
+                      _surely_longer, _surely_longer_at)
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -60,8 +60,10 @@ _MAX_TIMEOUT = 86_400
 # reads.  main sets the interpreter's int-to-str digit limit to MAX_DIGITS,
 # which bounds every int read from text and every value that parser._text
 # writes; _rendered refuses at the same length.  Values become text in time
-# near linear in their length: `eval` refuses F(10^7) in about 0.5 s.  `rec`,
-# `check` and `canon` refuse F(n-10000000) at once, by seqform._surely_longer.
+# near linear in their length.  `rec`, `check` and `canon` refuse
+# F(n-10000000) at once, by seqform._surely_longer, and `eval` a window that
+# starts at a surely longer value, or with --json ends at one, by
+# seqform._surely_longer_at.
 MAX_DIGITS = 500_000
 
 # The decimal exponent of a rational written as Fraction reads it, such as
@@ -189,6 +191,10 @@ def _cmd_eval(args) -> _Output:
     if args.json:
         _refuse_past_budget(expr, args.start, args.stop, "--json would hold about {} digits "
                             "at once, more than {}; the text output streams")
+    # text streams up to the first value that fails, and --json prints every value or none
+    ends = (args.start, args.stop) if args.json else (args.start,)
+    if any(_surely_longer_at(expr, n, MAX_DIGITS) for n in ends):
+        raise ValueError(f"a value has more than {MAX_DIGITS} digits")
     values = _rendered(expr.canon(), args.start, args.stop)
     payload = {
         "expression": args.expr,

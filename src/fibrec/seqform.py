@@ -44,8 +44,9 @@ its cleared denominators, in the instance ``__dict__``; ``cfinite`` keeps the
 form's stepped initial window there too.  No memo is a field, so ``==``,
 ``hash`` and ``repr`` do not see it; both classes are frozen, so a memo never
 goes stale.  A form built directly, with no split, has no far terms.  The
-CLI's digit bounds, ``_order_bound``, ``_estimated_digits`` and
-``_surely_longer``, read a parsed expression before any Fibonacci work.
+CLI's digit bounds, ``_order_bound``, ``_estimated_digits``,
+``_surely_longer`` and ``_surely_longer_at``, read a parsed expression
+before any Fibonacci work.
 """
 
 from __future__ import annotations
@@ -240,13 +241,28 @@ def _surely_longer(expr: FibExpr, digits: int) -> bool:
     """
     if len(expr.terms) != 1:
         return False
-    (term,) = expr.terms
     m = _order_bound(expr)
+    return _lone_term_longer(expr, digits, abs(expr.terms[0].shift) - m, range(m))
+
+
+def _surely_longer_at(expr: FibExpr, n: int, digits: int) -> bool:
+    """Whether expr is one term p(n)*F(n-j) plus e + f*(-1)^n whose value w_n
+    surely has a reduced numerator of more than `digits` digits: the bound of
+    ``_surely_longer`` with |n-j| in place of |j|-m, when p(n) != 0."""
+    if len(expr.terms) != 1:
+        return False
+    return _lone_term_longer(expr, digits, abs(n - expr.terms[0].shift), (n,))
+
+
+def _lone_term_longer(expr: FibExpr, digits: int, far: int, indices) -> bool:
+    """Whether phi^(far-2)/L - |e| - |f| has more than `digits` digits, with
+    one in hand, and the lone term's p has no root at `indices`."""
+    (term,) = expr.terms
     den = math.lcm(*(c.denominator for c in term.poly.coeffs))
-    low = (abs(term.shift) - m - 2) * 0.2089 - _log10_above(den) - 1
+    low = (far - 2) * 0.2089 - _log10_above(den) - 1
     e_f = abs(expr.const_e.numerator) + abs(expr.alt_f.numerator)  # at least |e| + |f|
     return (low > digits and _log10_above(max(e_f, 1)) <= low
-            and all(map(term.poly, range(m))))
+            and all(map(term.poly, indices)))
 
 
 class CanonForm(Value):

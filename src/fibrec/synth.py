@@ -48,7 +48,13 @@ and X_d = F for even d, L for odd d,
 where a term whose binomial has its lower index outside 0..j is absent:
 the entry is 0 unless j <= p <= 2j + 1.  The constant column holds (-1)^j
 and the alternating column (-1)^r.  That is O(k^2) integer entries, where
-the difference triangle takes about k^3/4 updates.
+the difference triangle takes about k^3/4 updates.  An F column depends on
+its (part, p) alone, never on the template or the values, so ``_column``
+builds it once per process over all of its rows 0..2p+1, and a system
+takes the entries in its rows.  That memo holds the columns that solves
+asked for: at most (P+1)(P+4) int pairs, P the highest power asked for,
+which a balanced template of degree P holds in its own system anyway.  The
+Fibonacci numbers the columns read are built once per process too.
 
 With the values' common denominator cleared, the system is solved in
 integers by fraction-free forward elimination (Bareiss 1968) and
@@ -58,8 +64,9 @@ it up to date with one exact division when it is next used (``_eliminate``
 says why that division is exact), so the zero blocks cost nothing: a
 balanced system takes about one row update per column, where plain Bareiss
 updates every row below the pivot.  The solution goes back to slot order,
-then to monomial coefficients once per part, by an integer Horner pass over
-falling factorials, and each coefficient becomes one ``Fraction``.
+then to monomial coefficients by an integer Horner pass over falling
+factorials, run once per part and right-hand column on a flat list of ints,
+and each coefficient becomes one ``Fraction``.
 
 Slot order is defined once, by ``Template.slots``: the reading order of the
 written-out expression, that is F(n) coefficients by descending degree, then
@@ -83,8 +90,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from functools import cache
+from math import comb, factorial, lcm
+from operator import itemgetter, mul
 
 from ._value import Value
 from .exact import Poly
@@ -258,25 +266,33 @@ def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]
 
     ys has one row per slot, its C(n, p) coefficient for each right-hand
     column.  Returns (row, s) per slot, where row/s holds the slot's n^p
-    coefficients and s = d! for the slot's part of degree d.  Each part takes
-    one integer Horner pass over the falling factorials
-    n(n-1)..(n-p+1) = p!*C(n, p), with coefficient p scaled by d!/p!.
+    coefficients and s = d! for the slot's part of degree d.  Each part of
+    each right-hand column takes one integer Horner pass over the falling
+    factorials n(n-1)..(n-p+1) = p!*C(n, p), with coefficient p scaled by
+    d!/p!.
     """
     out = []
     rows = iter(ys)
     for d in template._degrees:
         if d is None:
             continue
-        acc, scale = [next(rows)], 1  # powers descend
-        for i in range(d - 1, 0, -1):
-            scale *= i + 1  # d!/i!
-            # acc*(n - i) + scale*y_i: the leading coefficient stays, each
-            # other one loses i times the one above it
-            acc = [acc[0], *([a - i * b for a, b in zip(r, s)] for r, s in zip(acc[1:], acc)),
-                   [scale * y - i * b for y, b in zip(next(rows), acc[-1])]]
-        if d:  # the last factor is n itself: a shift, then d!*y_0
-            acc.append([scale * y for y in next(rows)])
-        out += [(row, scale) for row in acc]
+        if d < 2:  # n and 1 are C(n, 1) and C(n, 0): the rows stand as they are
+            out += [(next(rows), 1) for _ in range(d + 1)]
+            continue
+        scaled = []
+        for y in zip(*(next(rows) for _ in range(d + 1))):  # one column, powers descend
+            acc, scale = [y[0]], 1
+            for i in range(d - 1, 0, -1):
+                scale *= i + 1  # d!/i!
+                # acc*(n - i) + scale*y_i: the leading coefficient stays, each
+                # other one loses i times the one above it
+                acc.append(scale * y[d - i] - i * acc[-1])
+                for q in range(len(acc) - 2, 0, -1):
+                    acc[q] -= i * acc[q - 1]
+            acc.append(scale * y[d])  # the last factor is n itself: a shift, then d!*y_0
+            scaled.append(acc)
+        fact = factorial(d)
+        out += [(row, fact) for row in zip(*scaled)]
     return out
 
 
@@ -289,6 +305,55 @@ def _differenced(col: Sequence[int]) -> list[int]:
     return out
 
 
+# F(-1), F(0), F(1), ...: F(q) is _fibs[q + 1].  _column replaces it by a
+# longer copy, never grows it in place, so each number is added once per
+# process and a reader still holding the shorter list reads correct values.
+_fibs = [1, 0]
+
+
+@cache
+def _column(part: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (row, entry) pairs, by ascending row, of the differenced
+    column C(n, p)*F(n-part), part 0 or 1, over all of its rows 0..2p+1.
+
+    By the closed form in the module docstring: with s = part, d = 2j - p
+    and X_d the Fibonacci numbers for even d and the Lucas numbers for odd
+    d, row t = 2j + r holds
+
+        r = 0:  C(j, p-j) * 5^(d//2) * X_d(p-s)
+        r = 1:  C(j, p-j) * 5^(d//2) * X_d(p+1-s)
+                + C(j, p-j-1) * 5^((d+1)//2) * X_(d+1)(p-s),
+
+    a term whose binomial has its lower index outside 0..j being absent, so
+    the entry is 0 unless j <= p <= 2j + 1.  A column depends on (part, p)
+    alone, so each is built once per process.
+    """
+    global _fibs
+    q = p - part
+    fs = _fibs
+    if len(fs) < q + 3:  # F(q + 1) is needed
+        fs = fs[:]
+        while len(fs) < 2 * q + 3:  # twice as long, so ascending powers copy little
+            fs.append(fs[-2] + fs[-1])
+        _fibs = fs
+    f0, f1 = fs[q + 1], fs[q + 2]
+    l0, l1 = 2 * f1 - f0, 2 * f0 + f1  # L(q), L(q+1), by L(m) = F(m-1) + F(m+1)
+    # d = 2j - p has the parity of p: X_d is one sequence all down the column
+    # and X_(d+1) the other, and 5^((d+1)//2) is 5^(d//2) times 5 for odd d.
+    # 5^(d//2) is 1 at j = ceil(p/2) and grows by 5 per j.
+    x0, x1, y0, up = (l0, l1, f0, 5) if p % 2 else (f0, f1, l0, 1)
+    pairs = [(p, f0)] if p % 2 else []  # row p, with j = (p-1)//2 and r = 1: F(p-s)
+    five = 1
+    for j in range((p + 1) // 2, p + 1):
+        a = comb(j, p - j) * five
+        v = a * x1
+        if j < p:
+            v += comb(j, p - j - 1) * five * up * y0
+        pairs += ((2 * j, a * x0), (2 * j + 1, v))
+        five *= 5
+    return tuple(filter(itemgetter(1), pairs))
+
+
 def _system(slots: tuple[tuple[int, int], ...],
             rhs: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """(cols, aug): the binomial system of the slots, differenced, in elimination order.
@@ -298,25 +363,12 @@ def _system(slots: tuple[tuple[int, int], ...],
     and the alternating slot.  With R(n) the system's row n followed by
     rhs[n], row t = 2j + r of aug is (S^j R)(r), where S = E^2 - E - 1, E
     steps n and r is 0 or 1.  The right-hand sides are differenced column by
-    column.  The left block is written in closed form (derived in the module
-    docstring): with d = 2j - p, and X_d the Fibonacci numbers for even d
-    and the Lucas numbers for odd d, the column C(n, p)*F(n-s) holds
-
-        r = 0:  C(j, p-j) * 5^(d//2) * X_d(p-s)
-        r = 1:  C(j, p-j) * 5^(d//2) * X_d(p+1-s)
-                + C(j, p-j-1) * 5^((d+1)//2) * X_(d+1)(p-s),
-
-    a term whose binomial has its lower index outside 0..j being absent, so
-    the entry is 0 unless j <= p <= 2j + 1.  The constant column holds
-    (-1)^j and the alternating column (-1)^r.  Every entry is an int.
+    column.  Each F column's entries are ``_column``'s, those in rows below
+    the system's size; the constant column holds (-1)^j and the alternating
+    column (-1)^r.  Every entry is an int.
     """
     cols = sorted(slots, key=lambda s: (s[0] > 1, s[1], s[0]))
     k = len(cols)
-    fs, ls = [1, 0], [-1, 2]  # F and L at -1..k+1: X_d(m) is xs[d % 2][m + 1]
-    for _ in range(k + 1):
-        fs.append(fs[-2] + fs[-1])
-        ls.append(ls[-2] + ls[-1])
-    xs = (fs, ls)
     aug = [[0] * k + list(b) for b in zip(*map(_differenced, zip(*rhs)))]
     for c, (part, p) in enumerate(cols):
         if part > 1:
@@ -324,18 +376,10 @@ def _system(slots: tuple[tuple[int, int], ...],
             for t, row in enumerate(aug):
                 row[c] = -1 if t & bit else 1
             continue
-        m = p - part + 1  # X_d(p-s) is xs[d % 2][m]
-        if p % 2:  # row p, with j = (p-1)//2 and r = 1: F(p-s)
-            aug[p][c] = fs[m]
-        for j in range((p + 1) // 2, min(p, (k - 1) // 2) + 1):
-            d = 2 * j - p
-            a = comb(j, p - j) * 5 ** (d // 2)
-            aug[2 * j][c] = a * xs[d % 2][m]
-            if 2 * j + 1 < k:
-                v = a * xs[d % 2][m + 1]
-                if j < p:
-                    v += comb(j, p - j - 1) * 5 ** ((d + 1) // 2) * xs[(d + 1) % 2][m]
-                aug[2 * j + 1][c] = v
+        for t, v in _column(part, p):
+            if t >= k:
+                break
+            aug[t][c] = v
     return cols, aug
 
 

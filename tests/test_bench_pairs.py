@@ -1,0 +1,90 @@
+"""scripts/bench_pairs.py on canned benchmark result lines; no benchmark runs."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "values_per_s", "unit": "values/s", "better": "higher", "bound": 0.25},
+]
+
+
+def canned(ops, p50, failed=0):
+    """A run's stdout: report lines, then the result object as the last line."""
+    doc = {"correct": not failed, "attempted": 100, "failed": failed,
+           "metrics": {"ops_per_s": {"value": ops, "unit": "ops/s"},
+                       "op_p50_ms": {"value": p50, "unit": "ms"}}}
+    report = f"workload w: attempted 100 failed {failed}\n  ops_per_s {ops} ops/s\n"
+    return report + json.dumps(doc) + "\n"
+
+
+def run_pairs(tmp_path, capsys, figures, pairs=10):
+    """bench_pairs.main over figures[side][i] = (ops, p50); returns (calls, table rows)."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    calls = []
+
+    def run(checkout, workload, seed):
+        side = pathlib.Path(checkout).name
+        calls.append((side, workload, seed))
+        return canned(*figures[side][seed - 40])
+
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--pairs", str(pairs), "--seed", "40"]
+    assert bench_pairs.main(argv, run=run) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return calls, {line.split()[0]: line.split() for line in lines[-2:]}
+
+
+def test_pairs_alternate_and_a_clear_gain_holds(tmp_path, capsys):
+    parent = [(100 + i, 1.0 + i / 100) for i in range(10)]  # quartiles 101.75..107.25
+    change = [(120 + i, 0.8 + i / 100) for i in range(10)]
+    calls, rows = run_pairs(tmp_path, capsys, {"parent": parent, "change": change})
+    # the parent goes first in even pairs, the change in odd ones, seed by seed
+    assert calls == [(side, "w", 40 + i) for i in range(10)
+                     for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
+    assert rows["ops_per_s"] == ["ops_per_s", "ops/s", "104.5", "124.5", "+19.1%",
+                                 "101.8..107.2", "10/10", "holds"]
+    assert rows["op_p50_ms"][-2:] == ["10/10", "holds"]
+    assert "values_per_s" not in rows  # not reported by the runs
+
+
+def test_the_gain_rule_needs_nine_tenths_and_a_gap_past_the_quartiles(tmp_path, capsys):
+    parent = [(100 + i, 1.0) for i in range(10)]
+    # ops: wins only 8 of 10 pairs, though its median is far ahead
+    # p50: wins every pair, and any gap is wider than the parent's spread of 0
+    change = [(200, 0.99)] * 8 + [(50, 0.99)] * 2
+    _, rows = run_pairs(tmp_path, capsys, {"parent": parent, "change": change})
+    assert rows["ops_per_s"][-2:] == ["8/10", "fails"]
+    assert rows["op_p50_ms"][-2:] == ["10/10", "holds"]
+    assert bench_pairs.summary("x", "higher", [1, 2, 3, 4], [1, 2, 3, 4])["won"] == 0  # ties
+    wide = bench_pairs.summary("x", "lower", [1.0, 1.1, 1.5, 2.0], [0.9, 1.0, 1.4, 1.9])
+    assert (wide["won"], wide["gain"]) == (4, False)  # the medians differ by 0.1, the IQR is 0.75
+
+
+def test_failed_runs_are_printed(tmp_path, capsys):
+    figures = {"parent": [(100, 1.0, 0)] * 2, "change": [(100, 1.0, 3), (100, 1.0, 0)]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--pairs", "2", "--seed", "0"]
+    bench_pairs.main(argv, run=lambda path, _, seed: canned(*figures[pathlib.Path(path).name][seed]))
+    out = capsys.readouterr().out
+    assert "seed 0 change: correct False, failed 3 of 100" in out
+    assert "w: 2 pairs, seeds 0..1; parent failed 0 ops, change failed 3 ops" in out
+
+
+def test_one_pair_is_refused(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1"])

@@ -13,7 +13,7 @@ from conftest import rand_fraction
 
 from fibrec import FibExpr, Poly, format_expr, format_poly, parse, to_recurrence
 from fibrec.cli import MAX_DIGITS, _number_list, main
-from fibrec.seqform import _estimated_digits, _surely_longer
+from fibrec.seqform import _estimated_digits, _surely_longer, _surely_longer_at
 
 
 def run_cli(capsys, *argv):
@@ -150,7 +150,8 @@ def test_huge_template_is_rejected_before_any_work(capsys, no_fib):
 
 
 def test_the_no_fib_fixture_catches_work(capsys, no_fib):
-    code, _, _ = run_cli(capsys, "eval", "F(n)", "--from", "-10000000", "--to", "-10000000")
+    # F(0) at the index bound: F(n) there is refused before any work
+    code, _, _ = run_cli(capsys, "eval", "F(n+10000000)", "--from", "-10000000", "--to", "-10000000")
     assert code == 1
 
 
@@ -341,6 +342,90 @@ def test_digit_bound_below_a_lone_term_refuses_only_what_the_printer_refuses(cap
                 assert got == late, (command, text, view)
                 runs["early" if early else "late" if got[0] == 2 else "printed"] += 1
     # the boundary is crossed: early refusals, late-only refusals and printed values all occur
+    assert min(runs.values()) > 30, runs
+
+
+@pytest.mark.parametrize("argv", [
+    ("F(n-10000000)", "--to", "0"),
+    ("F(n-10000000)", "--to", "0", "--json"),
+    ("F(n)", "--from", "-10000000", "--to", "-10000000"),
+    ("F(n)", "--from", "10000000", "--to", "10000000", "--json"),
+    # --json prints no value unless all print, so its last one counts too
+    ("n*F(n-10000000)", "--to", "1", "--json"),
+    ("-3/7*F(n+10000000) + 1/2 - 5*(-1)^n", "--to", "3"),
+])
+def test_a_surely_long_window_is_refused_before_it_is_computed(capsys, no_fib, argv):
+    start = time.perf_counter()
+    got = run_cli(capsys, "eval", *argv)
+    assert time.perf_counter() - start < 1
+    assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
+
+
+def test_the_window_bound_refuses_only_what_it_can_show(monkeypatch):
+    far = parse("F(n-10000000)")
+    assert _surely_longer_at(far, 0, MAX_DIGITS)
+    assert _surely_longer_at(far, 20_000_000, MAX_DIGITS)
+    assert not _surely_longer_at(far, 10_000_000, MAX_DIGITS)
+    assert not _surely_longer_at(far, 7_700_000, MAX_DIGITS)  # F(2300000): about 480,000 digits
+    # p(n) = n - 5 has its root at n = 5 only
+    assert not _surely_longer_at(parse("(n-5)*F(n-10000000)"), 5, MAX_DIGITS)
+    assert _surely_longer_at(parse("(n-5)*F(n-10000000)"), 6, MAX_DIGITS)
+    assert not _surely_longer_at(parse("F(n-10000000) + F(n)"), 0, MAX_DIGITS)
+    # an e of 2^7000000, about 2,107,000 digits, is as long as F(-10000000)
+    assert not _surely_longer_at(FibExpr.of([(10_000_000, 1)], 1 << 7_000_000), 0, MAX_DIGITS)
+    # p is evaluated only once the bound passes
+    monkeypatch.setattr(Poly, "__call__", lambda p, n: pytest.fail("p was evaluated"))
+    assert not _surely_longer_at(parse("n^1000*F(n-20000)"), 0, MAX_DIGITS)
+
+
+def test_what_the_window_bound_cannot_refuse_still_prints(capsys, monkeypatch):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)  # F(4786) has 1,000 digits
+    # the text view checks only its first value: the short ones before F(4787) print
+    code, out, err = run_cli(capsys, "eval", "F(n)", "--from", "4780", "--to", "4800")
+    assert (code, err) == (2, "error: a value has more than 1000 digits\n")
+    assert [line.split()[0] for line in out.splitlines()] == [str(n) for n in range(4780, 4787)]
+    assert run_cli(capsys, "eval", "(n-6000)*F(n)", "--from", "6000", "--to", "6000") == (
+        0, "6000 0\n", "")
+
+
+def test_window_bound_refuses_only_what_the_printer_refuses(capsys, monkeypatch):
+    import fibrec.cli
+
+    monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)  # F(4786) has 1,000 digits
+    rng = random.Random(37)
+
+    def windows():
+        # F(n) alone, where the bound is tightest: late from |n| = 4787, early from 4794
+        yield from (("F(n)", n, n) for n in range(4780, 4800))
+        yield from (("F(n)", -n, -n + 1) for n in range(4780, 4800))
+        for _ in range(90):
+            poly = Poly(())
+            while not poly:
+                poly = Poly(tuple(rand_fraction(rng, 10**rng.randint(0, 4),
+                                                (1, 3, 7, 10**rng.randint(0, 5)))
+                                  for _ in range(rng.randint(1, 3))))
+            shift = rng.randint(-30, 30)
+            lo = shift + rng.choice((-1, 1)) * rng.randint(4770, 4830)
+            if rng.random() < 0.3:  # a root at the window's start
+                poly = poly * Poly((-lo, 1))
+            e, f = (rng.choice((0, rand_fraction(rng), 10**rng.randint(985, 1005)))
+                    for _ in range(2))
+            yield format_expr(FibExpr.of([(shift, poly)], e, f)), lo, lo + rng.randint(0, 3)
+
+    runs = {"early": 0, "late": 0, "printed": 0}
+    for text, lo, hi in windows():
+        for view, ends in (((), (lo,)), (("--json",), (lo, hi))):
+            argv = ("eval", text, "--from", str(lo), "--to", str(hi), *view)
+            got = run_cli(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(fibrec.cli, "_surely_longer_at", lambda *args: False)
+                late = run_cli(capsys, *argv)
+            assert got == late, argv
+            early = any(_surely_longer_at(parse(text), n, 1000) for n in ends)
+            runs["early" if early else "late" if got[0] == 2 else "printed"] += 1
+    # the boundary is crossed: early refusals, late-only refusals and printed windows all occur
     assert min(runs.values()) > 30, runs
 
 

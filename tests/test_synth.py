@@ -24,7 +24,7 @@ from fibrec import (
     symbolic_inverse,
     theorem_solution,
 )
-from fibrec.synth import _eliminate, _system, _to_monomial
+from fibrec.synth import _column, _eliminate, _system, _to_monomial
 
 
 def _matmul(a, b):
@@ -400,6 +400,76 @@ def test_system_matches_difference_triangle():
             assert repr(_system(t.slots, identity)) == repr(_reference_system(t, identity))
         shapes += 1
     assert shapes == 1443
+
+
+def _reference_to_monomial(t, ys):
+    """``_to_monomial`` on nested lists, one list per coefficient holding all
+    right-hand columns: the reference for the pass that runs once per column."""
+    out = []
+    rows = iter(ys)
+    for d in t._degrees:
+        if d is None:
+            continue
+        acc, scale = [next(rows)], 1  # powers descend
+        for i in range(d - 1, 0, -1):
+            scale *= i + 1  # d!/i!
+            acc = [acc[0], *([a - i * b for a, b in zip(r, s)] for r, s in zip(acc[1:], acc)),
+                   [scale * y - i * b for y, b in zip(next(rows), acc[-1])]]
+        if d:
+            acc.append([scale * y for y in next(rows)])
+        out += [(row, scale) for row in acc]
+    return out
+
+
+def test_to_monomial_matches_nested_reference():
+    rng = random.Random(89)
+    degrees = (None,) + tuple(range(18))
+    shapes = 0
+    for shape in itertools.product(degrees, degrees, (False, True), (False, True)):
+        if shape == (None, None, False, False):
+            continue
+        t = Template(*shape)
+        k = t.unknowns
+        inputs = [[(rng.randint(-10**12, 10**12),) for _ in range(k)]]
+        if k <= 12:
+            inputs.append([tuple(int(i == j) for j in range(k)) for i in range(k)])
+        for ys in inputs:
+            out = _to_monomial(t, ys)
+            assert all(type(v) is int for row, _ in out for v in row)
+            listed = lambda rows: [(list(row), scale) for row, scale in rows]
+            assert listed(out) == listed(_reference_to_monomial(t, ys))
+        shapes += 1
+    assert shapes == 1443
+
+
+def test_columns_are_built_once_per_part_and_power():
+    rng = random.Random(97)
+    templates = [Template(16, 16), Template(16, 3, True), Template(2, 9, False, True),
+                 Template(0, None, True, True), Template(None, 7, True)]
+    values = [[rng.randint(-99, 99) for _ in range(t.unknowns)] for t in templates]
+
+    def answers():
+        return [repr(solve_template(t, v)) for t, v in zip(templates, values)] + [
+            repr(symbolic_inverse(t)) for t in templates]
+
+    _column.cache_clear()
+    first = answers()
+    # the memo holds exactly the columns of parts 0 and 1 at powers 0..16
+    keys = [(part, p) for part in (0, 1) for p in range(17)]
+    assert _column.cache_info().currsize == len(keys)
+    before = _column.cache_info().hits
+    cols, aug = _reference_system(Template(16, 16), [[0]] * 34)
+    for part, p in keys:
+        c = cols.index((part, p))
+        assert _column(part, p) == tuple((t, row[c]) for t, row in enumerate(aug) if row[c])
+    assert _column.cache_info().hits == before + len(keys)
+    assert sum(map(len, map(_column, *zip(*keys)))) <= 17 * 20  # (P+1)(P+4) pairs, P = 16
+    # built afresh, in another order, the columns give the same answers
+    _column.cache_clear()
+    templates.reverse()
+    values.reverse()
+    n = len(templates)
+    assert answers() == first[:n][::-1] + first[n:][::-1]
 
 
 @pytest.mark.parametrize("shape", [(100, 100, True, True), (100, 80, False, False)])
