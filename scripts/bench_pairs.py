@@ -37,11 +37,17 @@ def result(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(Q1, median, Q3) of at least two values, by the exclusive method."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
 def summary(name: str, better: str, parent: list[float], change: list[float]) -> dict:
     """Medians, the parent's quartiles, pairs won and the gain rule for one metric."""
     sign = 1 if better == "higher" else -1
-    q1, _, q3 = statistics.quantiles(parent, n=4)
-    median_p, median_c = statistics.median(parent), statistics.median(change)
+    q1, median_p, q3 = quartiles(parent)
+    median_c = statistics.median(change)
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     return {
         "metric": name, "parent": median_p, "change": median_c, "q1": q1, "q3": q3, "won": won,

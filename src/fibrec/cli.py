@@ -31,13 +31,11 @@ from fractions import Fraction
 from .cfinite import to_recurrence
 from .decide import NonIntegral, is_integer_sequence
 from .exact import Poly
-from .fib import fib_pair
 from .oeis import OeisLookupError, search_local, search_remote
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import (_EXACT, _SPLIT_BITS, MAX_INDEX, _text, _to_decimal, format_expr,
                      format_poly, parse)
-from .seqform import (CanonForm, FibExpr, _estimated_digits, _numerators, _order_bound,
-                      _surely_longer, _surely_longer_at)
+from .seqform import FibExpr, _estimated_digits, _numerators, _order_bound, _scale, _surely_longer
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -60,10 +58,9 @@ _MAX_TIMEOUT = 86_400
 # reads.  main sets the interpreter's int-to-str digit limit to MAX_DIGITS,
 # which bounds every int read from text and every value that parser._text
 # writes; _rendered refuses at the same length.  Values become text in time
-# near linear in their length.  `rec`, `check` and `canon` refuse
-# F(n-10000000) at once, by seqform._surely_longer, and `eval` a window that
-# starts at a surely longer value, or with --json ends at one, by
-# seqform._surely_longer_at.
+# near linear in their length.  Before any long Fibonacci number, `rec`, `check`
+# and `canon` refuse F(n-10000000) + F(n-9999999), and `eval` a window that
+# starts, or with --json ends, at a value seqform._surely_longer can show long.
 MAX_DIGITS = 500_000
 
 # The decimal exponent of a rational written as Fraction reads it, such as
@@ -117,7 +114,7 @@ def _parse_bounded(text: str, holding: str, prints_window: bool = False) -> FibE
     order = _order_bound(expr)
     _refuse_past_budget(expr, 0, order - 1,
                         holding.format(order) + " would hold about {} digits, more than {}")
-    if not prints_window and _surely_longer(expr, MAX_DIGITS):
+    if not prints_window and _surely_longer(expr, MAX_DIGITS, range(order)):
         raise ValueError(f"a value has more than {MAX_DIGITS} digits")
     return expr
 
@@ -126,31 +123,26 @@ def _parse_bounded(text: str, holding: str, prints_window: bool = False) -> FibE
 _BLOCK_CHARS = 1 << 16
 
 
-def _rendered(form: CanonForm, lo: int, hi: int) -> Iterator[list[tuple[int, str]]]:
+def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[list[tuple[int, str]]]:
     """Yield (n, str(w_n)) for n = lo..hi in blocks, each value written as
     str(Fraction) would; run it in an exact context such as _EXACT, as main
     does.  A block ends with the value that brings its text to _BLOCK_CHARS,
     so no value is split.
 
-    The numerators L*w_n step as Decimals, which add, multiply and become text
-    in time near linear in their length.  A value whose reduced numerator has
-    more than MAX_DIGITS digits is refused, as _text refuses it under main's
-    digit limit.  When a value fails, the values before it are yielded first,
-    so a reader sees the same lines as if each value were yielded alone.
+    The numerators L*w_n step as Decimals, which become text in time near
+    linear in their length, from the expression's scaled clusters, not from
+    the canonical form, whose coefficients a far shift makes long.  A value
+    whose reduced numerator passes MAX_DIGITS digits is refused, as _text
+    refuses it under main's digit limit; any value fails after those before it.
     """
-    den, q0, q1, e, f, far = form._scaled()
+    den, clusters, e, f = _scale(expr._clusters(), expr.const_e, expr.alt_f)
     powers: dict[int, decimal.Decimal] = {}
-    one = decimal.Decimal(1)
-    # Every Fibonacci number doubles as a Decimal: the seed (F(lo-1), F(lo))
-    # and each far term's (F(1-j), F(-j)).  Only L and the long coefficients
-    # of the input convert; a short one stays an int, which Decimal
-    # arithmetic takes exactly and Horner's rule runs faster on.
+    # the seeds double as Decimals, and only L and long input coefficients
+    # convert: a short one stays an int, which Horner's rule runs faster on
     dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x, powers)
     dec_poly = lambda p: Poly(tuple(map(dec, p.coeffs)))
-    far_pair = lambda j: fib_pair(-j, one)[::-1]  # (F(1-j), F(-j))
-    steps = _numerators(dec_poly(q0), dec_poly(q1), dec(e), dec(f),
-                        tuple((j, *far_pair(j), dec_poly(r)) for j, _, _, r in far),
-                        fib_pair(lo - 1, one), lo, hi)
+    steps = _numerators(tuple((base, dec_poly(r0), dec_poly(r1)) for base, r0, r1 in clusters),
+                        dec(e), dec(f), lo, hi, decimal.Decimal(1))
     big_den = dec(den)
     while True:
         block: list[tuple[int, str]] = []
@@ -193,9 +185,9 @@ def _cmd_eval(args) -> _Output:
                             "at once, more than {}; the text output streams")
     # text streams up to the first value that fails, and --json prints every value or none
     ends = (args.start, args.stop) if args.json else (args.start,)
-    if any(_surely_longer_at(expr, n, MAX_DIGITS) for n in ends):
+    if any(_surely_longer(expr, MAX_DIGITS, (n,)) for n in ends):
         raise ValueError(f"a value has more than {MAX_DIGITS} digits")
-    values = _rendered(expr.canon(), args.start, args.stop)
+    values = _rendered(expr, args.start, args.stop)
     payload = {
         "expression": args.expr,
         "from": args.start,

@@ -14,39 +14,31 @@ which reduces any expression to the canonical form
 P0(n)*F(n) + P1(n)*F(n-1) + e + f*(-1)^n.  Two expressions describe the
 same sequence exactly when their canonical forms are componentwise equal.
 
-Every value comes from one loop, ``_numerators``: over the common denominator
-of the form's coefficients, w_n is an integer combination of (F(n), F(n-1)),
-a pair that steps by one addition from one ``fib_pair`` seed.
-``CanonForm.values(lo, hi)`` runs it on ints, and the CLI on Decimals.  The
-polynomials are read at consecutive n, so a window longer than 4*(deg + 1)
-values tabulates each one by forward differences, deg additions per index
-(``_tabulated``); a single value and a shorter window, which covers every
-initial window of the polynomial that sets a form's order, keep Horner's
-rule.  Below that length the difference table's deg+1 Horner values and
-deg*(deg+1)/2 subtractions cost more than they save, and the integrality
-verdict, which stops at its first non-integer value, would compute values it
-never reads.
-
 Folding a shift j into P0 and P1 multiplies each coefficient of its
-polynomial by F(1-j) or F(-j), about 0.209*|j| digits each, and Horner's rule
-or a difference table would carry those digits through each of its steps at
-every index.  So ``FibExpr.canon`` splits the terms by those two numbers.  A
-*folded* term, one whose F(1-j) and F(-j) are both below 2**30 in magnitude
-(shifts -43..44), joins the polynomials Q0 and Q1 that the loop evaluates.  A
-*far* term stays apart as (j, F(1-j), F(-j), p): the loop evaluates p(n) on
-its own short coefficients and multiplies that by the two long numbers, once
-each per index (the CLI doubles them as Decimals from j).  P0 and P1 still
-sum every term.
+polynomial by F(1-j) or F(-j), about 0.209*|j| digits each, which evaluation
+would carry through every step at every index.  So values are read from
+*clusters*: a cluster (J, R0, R1) applies the identity about a base J,
 
-An expression is canonicalized once: ``FibExpr.canon`` keeps its form, and
-the form keeps its split into folded and far terms and ``CanonForm._scaled``
-its cleared denominators, in the instance ``__dict__``; ``cfinite`` keeps the
-form's stepped initial window there too.  No memo is a field, so ``==``,
-``hash`` and ``repr`` do not see it; both classes are frozen, so a memo never
-goes stale.  A form built directly, with no split, has no far terms.  The
-CLI's digit bounds, ``_order_bound``, ``_estimated_digits``,
-``_surely_longer`` and ``_surely_longer_at``, read a parsed expression
-before any Fibonacci work.
+    F(n-j) = F(J-j+1) * F(n-J) + F(J-j) * F(n-J-1),
+
+to the terms whose offsets j - J lie in -43..44, where F(J-j+1) and F(J-j)
+are below 2**30 in magnitude, so R0 and R1 keep short coefficients.  The
+cluster at J = 0 holds the shifts -43..44; every other run of shifts has a
+cluster based at its least shift.  P0 and P1 still sum every term.
+
+Every value comes from one loop, ``_numerators``: over the common denominator
+of the coefficients, w_n is an integer combination of the pairs
+(F(n-J), F(n-J-1)), one per cluster, each stepping by one addition from one
+``fib_pair`` seed.  ``CanonForm.values(lo, hi)`` runs it on ints, and the CLI
+on Decimals.  The polynomials are read at consecutive n (``_tabulated``).
+
+An expression keeps its clusters and form, and the form the clusters (or, built
+directly, the one cluster (0, P0, P1)), its scaled parts and (``cfinite``) its
+initial window, in the instance ``__dict__``.  No memo is a field, so ``==``,
+``hash`` and ``repr`` do not see it, and the classes are frozen, so none goes
+stale.  The CLI's digit bounds, ``_order_bound``, ``_estimated_digits`` and
+``_surely_longer``, read a parsed expression and its clusters before any long
+Fibonacci number is computed.
 """
 
 from __future__ import annotations
@@ -54,16 +46,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import accumulate, cycle, islice, repeat, tee
-from operator import add, mul
+from itertools import accumulate, cycle, islice, repeat
 
 from ._value import Value
 from .exact import Poly
 from .fib import fib_pair, shift_coeffs
 
-# A term folds into the polynomials Q0 and Q1 when both of its shift coefficients
-# are below this in magnitude, so that each fits in one int digit.
-_FOLD_BOUND = 1 << 30
+# The offsets j - J at which F(J-j+1) and F(J-j) are both below 2**30 in
+# magnitude, so that each fits in one int digit: a cluster's terms lie here.
+_FOLD = range(-43, 45)
 
 
 class ShiftTerm(Value):
@@ -146,50 +137,63 @@ class FibExpr(Value):
             alt,
         )
 
-    def canon(self) -> "CanonForm":
-        """Collapse every shift onto the F(n), F(n-1) basis.
+    def _clusters(self) -> tuple:
+        """((J, R0, R1), ...) by increasing base J (``_bases``), which sum the
+        terms as R0(n)*F(n-J) + R1(n)*F(n-J-1).  Computed once, like canon."""
+        clusters = self.__dict__.get("_cluster_memo")
+        if clusters is None:
+            groups: dict[int, list[tuple]] = {}
+            for t, base in zip(self.terms, _bases(self.terms)):
+                groups.setdefault(base, []).append((t.poly, *_near(t.shift - base)))
+            clusters = self.__dict__["_cluster_memo"] = tuple(
+                (base, *_sums(parts)) for base, parts in sorted(groups.items()))
+        return clusters
 
-        Computed once per expression and kept in its ``__dict__``; the memo
-        is not a field, so it takes no part in equality, hashing or repr.
-        When a term is far, the form keeps its split into the folded terms'
-        polynomials and the far terms (j, F(1-j), F(-j), p) in a memo of its own.
-        """
+    def canon(self) -> "CanonForm":
+        """Collapse every shift onto the F(n), F(n-1) basis; computed once, and
+        kept with the clusters in memos that are not fields (module docstring)."""
         form = self.__dict__.get("_canon_memo")
         if form is not None:
             return form
-        # P0 and P1 sum the parts in shift order: where a top coefficient cancels
-        # midway, that order decides whether it comes back as an int or a Fraction,
-        # which repr shows.  They are the folded sums themselves until the first far
-        # term, so only the parts that follow a far shift below -43 are summed twice.
-        p0 = p1 = Poly(())
-        folded = None  # (Q0, Q1), kept apart from P0 and P1 from the first far term on
-        far = []
-        for t in self.terms:
-            c_f, c_f1 = shift_coeffs(t.shift)
-            part0, part1 = _times(t.poly, c_f), _times(t.poly, c_f1)
-            if abs(c_f) >= _FOLD_BOUND or abs(c_f1) >= _FOLD_BOUND:
-                folded = folded or (p0, p1)
-                far.append((t.shift, c_f, c_f1, t.poly))
-            elif folded:
-                folded = (_plus(folded[0], part0), _plus(folded[1], part1))
-            p0, p1 = _plus(p0, part0), _plus(p1, part1)
+        clusters = self._clusters()
+        if [c[0] for c in clusters] == [0]:  # its sums are P0 and P1, in shift order too
+            p0, p1 = clusters[0][1:]
+        else:  # each term's F(1-j), F(-j) from its offset and one fib_pair(-J) per cluster
+            pairs = {base: fib_pair(-base) for base, _, _ in clusters}  # (F(-J), F(1-J))
+            near = [(t.poly, *_near(t.shift - b), *pairs[b])
+                    for t, b in zip(self.terms, _bases(self.terms))]
+            p0, p1 = _sums((p, c0 * u + c1 * v, c0 * v + c1 * (u - v)) for p, c0, c1, v, u in near)
         form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
-        if far:
-            form.__dict__["_split_memo"] = (*folded, tuple(far))
+        form.__dict__["_cluster_memo"] = clusters
         return form
 
 
-def _times(p: Poly, c: int) -> Poly | None:
-    """p * c, skipping the product by 1 and 0: p itself for c = 1, whose
-    coefficients and their types the product would repeat, and None, which
-    adds nothing, for c = 0."""
-    if c == 1:
-        return p
-    return p * c if c else None
+def _bases(terms: Iterable[ShiftTerm]) -> list[int]:
+    """The base J of each term's cluster: 0 for the shifts in ``_FOLD``; every
+    other shift, in increasing order, joins the last cluster if its base lies
+    at most 44 below, or starts one."""
+    bases, base = [], 0  # the last base away from 0, which is never 0
+    for t in terms:
+        if t.shift not in _FOLD and (not base or t.shift - base > _FOLD[-1]):
+            base = t.shift
+        bases.append(0 if t.shift in _FOLD else base)
+    return bases
 
 
-def _plus(acc: Poly, part: Poly | None) -> Poly:
-    return acc if part is None else acc + part
+def _near(k: int) -> tuple[int, int]:
+    """(F(1-k), F(-k)); at k = 0 without a Fibonacci number, so a lone term has none."""
+    return shift_coeffs(k) if k else (1, 0)
+
+
+def _sums(parts: Iterable[tuple]) -> tuple[Poly, Poly]:
+    """(sum c0*p, sum c1*p) over the parts (p, c0, c1), in order; a product
+    by 1 is p itself.  Where a top coefficient cancels midway, both decide
+    whether it comes back as an int or a Fraction, which repr shows."""
+    r0 = r1 = Poly(())
+    for p, c0, c1 in parts:
+        r0 = r0 + (p if c0 == 1 else p * c0) if c0 else r0
+        r1 = r1 + (p if c1 == 1 else p * c1) if c1 else r1
+    return r0, r1
 
 
 def _abs_sum(lo: int, hi: int) -> int:
@@ -229,40 +233,45 @@ def _estimated_digits(expr: FibExpr, lo: int, hi: int) -> int:
     return round(0.209 * _abs_sum(lo, hi) + (hi - lo + 1) * per_value)
 
 
-def _surely_longer(expr: FibExpr, digits: int) -> bool:
-    """Whether expr is one term p(n)*F(n-j) plus e + f*(-1)^n whose initial
-    values w_0..w_{m-1}, m = ``_order_bound(expr)``, and nonzero canonical
-    coefficients surely have reduced numerators of more than `digits` digits.
+def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int]) -> bool:
+    """Whether every w_n, n in indices, surely has a reduced numerator of more
+    than `digits` digits (over 0..``_order_bound(expr)``-1, every initial value
+    and, as P1(0) = w_0 - e - f, a canonical coefficient).  A cluster adds at
+    most sum|coefficients| * max(|n|, 1)^deg * phi^(|k|+1) to L*w_n (``_scale``),
+    k = n-J-1.  The largest is evaluated if that could pass, and w_n refused when
+    its ``_pair_low`` at (L*R0(n), L*R1(n)), less log10(L), passes `digits` and
+    the others' bounds plus |L*e| + |L*f|, each by one digit in hand."""
+    den, clusters, e, f = _scale(expr._clusters(), expr.const_e, expr.alt_f)
+    e_f = [_log10_above(max(abs(e) + abs(f), 1))]
+    sized = [(base, r0, r1, _log10_above(max(sum(map(abs, r0.coeffs + r1.coeffs)), 1)),
+              max(len(r0.coeffs), len(r1.coeffs)) - 1) for base, r0, r1 in clusters]
 
-    With L the common denominator of p's coefficients, |F(k)| >= phi^(|k|-2)
-    for k != 0 puts each at least phi^(|j|-m-2)/L - |e| - |f| when p has no
-    root in 0..m-1.  log10(phi) is rounded down to 0.2089, one digit is kept
-    in hand for e and f, and p is evaluated only once the bound passes.
-    """
-    if len(expr.terms) != 1:
-        return False
-    m = _order_bound(expr)
-    return _lone_term_longer(expr, digits, abs(expr.terms[0].shift) - m, range(m))
+    def longer_at(n: int) -> bool:
+        log_n = math.log10(max(abs(n), 1))
+        highs = [mag + deg * log_n + 0.209 * (abs(n - J - 1) + 1) for J, _, _, mag, deg in sized]
+        top = highs.index(max(highs))
+        rest = e_f + highs[:top] + highs[top + 1:]
+        bar = max(max(rest) + math.log10(len(rest)), digits + _log10_above(den)) + 1
+        base, r0, r1, _, _ = sized[top]
+        return highs[top] > bar and _pair_low(r0(n), r1(n), n - base - 1) > bar
+
+    return bool(sized) and all(map(longer_at, indices))
 
 
-def _surely_longer_at(expr: FibExpr, n: int, digits: int) -> bool:
-    """Whether expr is one term p(n)*F(n-j) plus e + f*(-1)^n whose value w_n
-    surely has a reduced numerator of more than `digits` digits: the bound of
-    ``_surely_longer`` with |n-j| in place of |j|-m, when p(n) != 0."""
-    if len(expr.terms) != 1:
-        return False
-    return _lone_term_longer(expr, digits, abs(n - expr.terms[0].shift), (n,))
-
-
-def _lone_term_longer(expr: FibExpr, digits: int, far: int, indices) -> bool:
-    """Whether phi^(far-2)/L - |e| - |f| has more than `digits` digits, with
-    one in hand, and the lone term's p has no root at `indices`."""
-    (term,) = expr.terms
-    den = math.lcm(*(c.denominator for c in term.poly.coeffs))
-    low = (far - 2) * 0.2089 - _log10_above(den) - 1
-    e_f = abs(expr.const_e.numerator) + abs(expr.alt_f.numerator)  # at least |e| + |f|
-    return (low > digits and _log10_above(max(e_f, 1)) <= low
-            and all(map(term.poly, indices)))
+def _pair_low(a: int, b: int, k: int) -> float:
+    """A lower bound on log10|a*F(k+1) + b*F(k)| for ints a and b; -inf for 0.
+    For k >= 0 the value is sqrt(5)^-1 * (phi^k*alpha - psi^k*alpha'), where
+    alpha = a*phi + b in Z[phi] has |alpha'| <= s = |a|/phi + |b| and the norm
+    N = b^2 + ab - a^2, nonzero unless a = b = 0, so it is at least
+    (phi^k*|N|/s - s/phi^k)/sqrt(5).  F(-m) = (-1)^(m+1)*F(m) maps k < 0 to
+    -k-1, with (a, b) -> (-b, a)."""
+    if k < 0:
+        a, b, k = -b, a, -k - 1
+    norm = abs(b * b + a * b - a * a)  # 0 only when a = b = 0
+    log_s = _log10_above(max(abs(a), abs(b))) + 0.209  # s <= phi*max(|a|, |b|), phi < 10^0.209
+    low = 0.2089 * k + (norm.bit_length() - 1) * math.log10(2) - log_s  # 0.2089 < log10(phi)
+    # with s/phi^k a digit below, it and sqrt(5) take less than 0.4 digits
+    return low - 0.4 if norm and log_s - 0.2089 * k <= low - 1 else -math.inf
 
 
 class CanonForm(Value):
@@ -289,43 +298,43 @@ class CanonForm(Value):
             return d0
         return max(d0, d1)
 
-    def _scaled(self) -> tuple[int, Poly, Poly, int, int, tuple]:
-        """(L, L*Q0, L*Q1, L*e, L*f, far), with every part an int.
-
-        Q0 and Q1 are the folded terms' polynomials: P0 and P1 themselves
-        unless ``FibExpr.canon`` split off far terms.  far holds one
-        (j, F(1-j), F(-j), L*p) per far term, and L is the common denominator
-        of the coefficients of Q0, Q1, every far p, e and f.  Computed once per
-        form, like ``FibExpr.canon``.
-        """
+    def _scaled(self) -> tuple:
+        """``_scale`` of the clusters of the expression that built the form, or
+        else of (0, P0, P1) alone.  Computed once per form, like ``canon``."""
         scaled = self.__dict__.get("_scaled_memo")
-        if scaled is not None:
-            return scaled
-        q0, q1, far = self.__dict__.get("_split_memo", (self.p0, self.p1, ()))
-        parts = [c for p in (q0, q1, *(p for *_, p in far)) for c in p.coeffs]
-        parts += (self.const_e, self.alt_f)
-        den = math.lcm(*(c.denominator for c in parts))
-        # c*den as an int, without building the Fraction product
-        times_den = lambda c: c.numerator * (den // c.denominator)
-        poly_times_den = lambda p: Poly(tuple(map(times_den, p.coeffs)))
-        scaled = self.__dict__["_scaled_memo"] = (
-            den, poly_times_den(q0), poly_times_den(q1), times_den(self.const_e),
-            times_den(self.alt_f), tuple((j, c, d, poly_times_den(p)) for j, c, d, p in far))
+        if scaled is None:
+            clusters = self.__dict__.get("_cluster_memo", ((0, self.p0, self.p1),))
+            scaled = self.__dict__["_scaled_memo"] = _scale(clusters, self.const_e, self.alt_f)
         return scaled
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
-        den, q0, q1, e, f, far = self._scaled()
-        for n, num in _numerators(q0, q1, e, f, far, fib_pair(lo - 1), lo, hi):
+        den, clusters, e, f = self._scaled()
+        for n, num in _numerators(clusters, e, f, lo, hi):
             yield n, Fraction(num, den)
+
+
+def _scale(clusters: tuple, e: Fraction, f: Fraction) -> tuple:
+    """(L, ((J, L*R0, L*R1), ...), L*e, L*f), all ints over the common denominator
+    L, leaving out each cluster whose terms cancel, so that R0 = R1 = 0."""
+    clusters = [c for c in clusters if c[1] or c[2]]
+    parts = [c for _, r0, r1 in clusters for c in r0.coeffs + r1.coeffs] + [e, f]
+    den = math.lcm(*(c.denominator for c in parts))
+    # c*den as an int, without building the Fraction product
+    times_den = lambda c: c.numerator * (den // c.denominator)
+    poly_times_den = lambda p: Poly(tuple(map(times_den, p.coeffs)))
+    return (den, tuple((base, poly_times_den(r0), poly_times_den(r1))
+                       for base, r0, r1 in clusters), times_den(e), times_den(f))
 
 
 def _tabulated(p: Poly, lo: int, count: int) -> Iterator:
     """Yield p(lo), ..., p(lo+count-1) in the number type of p's coefficients.
 
     A window of at most 4*(deg p + 1) values runs Horner's rule lazily at each
-    index, so a single value or a scan that stops early evaluates no more than
-    it reads.  A longer one evaluates its first deg+1 values by Horner, takes
+    index, so a single value or a scan that stops early (the integrality
+    verdict over an initial window) evaluates no more than it reads; below
+    that length a table's deg+1 Horner values and deg*(deg+1)/2 subtractions
+    cost more than they save.  A longer window evaluates deg+1 values, takes
     the leading edge Δ^k p(lo), k = 0..deg, of their difference triangle, and
     tabulates the rest by forward differences (Knuth, TAOCP vol. 2, 4.6.4):
     deg nested running sums over the constant Δ^deg p, so each index costs deg
@@ -347,33 +356,30 @@ def _tabulated(p: Poly, lo: int, count: int) -> Iterator:
     return islice(steps, count)
 
 
-def _numerators(q0: Poly, q1: Poly, e, f, far, seed, lo: int, hi: int) -> Iterator[tuple]:
+def _numerators(clusters: tuple, e, f, lo: int, hi: int, one=1) -> Iterator[tuple]:
     """Yield (n, L*w_n) for n = lo..hi: the one evaluation loop.
 
-    (q0, q1, e, f, far) is a form scaled by L (``CanonForm._scaled``) and seed
-    is (F(lo-1), F(lo)).  Over the far terms (j, c, d, r), the loop takes
-    (q0(n) + sum c*r(n)) * F(n) + (q1(n) + sum d*r(n)) * F(n-1) + e + f*(-1)^n,
-    reading every polynomial's values from ``_tabulated``; the two sums fold
-    into the q0 and q1 columns by ``map``.  A window longer than 4*(deg + 1)
-    values tabulates a polynomial by forward differences, deg additions per
-    index; a single value (``FibExpr.at``) and a shorter window keep Horner's
-    rule.  The switch sits there because a table costs deg+1 Horner values and
-    deg*(deg+1)/2 subtractions before it saves anything, and because every
-    initial window, at most 2*(D+1) + 2 values, then stays lazy for the
-    polynomial of degree D that sets the form's order: the integrality verdict
-    computes no value past its witness.  The loop works in the number type it
-    is given: ints for ``CanonForm.values``, and for the values the CLI
-    prints, a seed and far pairs that ``fib_pair`` doubled as Decimals, run in
-    the CLI's exact context.
+    (L, clusters, e, f) is a form scaled by L (``_scale``).  Each cluster
+    (J, r0, r1) steps its own pair (F(n-J), F(n-J-1)), seeded by one
+    ``fib_pair(lo-J-1, one)``, and adds r0(n)*F(n-J) + r1(n)*F(n-J-1), with
+    r0 and r1 read from ``_tabulated``, to the column that the clusters before
+    it yield, which starts as e + f*(-1)^n: one generator per cluster, and no
+    Python loop over the clusters at each index.  The loop works in the type
+    of `one`: ints for ``CanonForm.values``, and Decimals, in the CLI's exact
+    context, for the values it prints.
     """
-    fn1, fn = seed
     count = max(hi - lo + 1, 0)
-    a_col, b_col = _tabulated(q0, lo, count), _tabulated(q1, lo, count)
-    for _, c, d, r in far:  # each column adds c*r(n) or d*r(n), in C
-        r0, r1 = tee(_tabulated(r, lo, count))
-        a_col = map(add, a_col, map(mul, repeat(c), r0))
-        b_col = map(add, b_col, map(mul, repeat(d), r1))
-    ef = cycle((e - f, e + f) if lo % 2 else (e + f, e - f))  # e + f*(-1)^n
-    for n, a, b, const in zip(range(lo, hi + 1), a_col, b_col, ef):
-        yield n, a * fn + b * fn1 + const
+    e, f = e * one, f * one  # so that a form without clusters yields that type too
+    column = cycle((e - f, e + f) if lo % 2 else (e + f, e - f))  # e + f*(-1)^n
+    for base, r0, r1 in clusters:
+        column = _stepped(r0, r1, fib_pair(lo - base - 1, one), lo, count, column)
+    return zip(range(lo, hi + 1), column)
+
+
+def _stepped(r0: Poly, r1: Poly, seed: tuple, lo: int, count: int, column: Iterator) -> Iterator:
+    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) plus the next item of column, for
+    n = lo..lo+count-1, from seed = (F(lo-J-1), F(lo-J))."""
+    fn1, fn = seed
+    for a, b, c in zip(_tabulated(r0, lo, count), _tabulated(r1, lo, count), column):
+        yield a * fn + b * fn1 + c
         fn, fn1 = fn + fn1, fn

@@ -1,6 +1,7 @@
 """CLI behaviour: output shapes, exit codes, JSON documents."""
 
 import importlib
+import itertools
 import json
 import random
 import subprocess
@@ -13,7 +14,7 @@ from conftest import rand_fraction
 
 from fibrec import FibExpr, Poly, format_expr, format_poly, parse, to_recurrence
 from fibrec.cli import MAX_DIGITS, _number_list, main
-from fibrec.seqform import _estimated_digits, _surely_longer, _surely_longer_at
+from fibrec.seqform import _estimated_digits, _order_bound, _surely_longer
 
 
 def run_cli(capsys, *argv):
@@ -118,7 +119,7 @@ def no_fib(monkeypatch):
         raise AssertionError(f"fib_pair({n}) was called")
 
     # the package re-exports the function fib, which hides the module fibrec.fib
-    for module in ("fibrec.fib", "fibrec.seqform", "fibrec.cli"):
+    for module in ("fibrec.fib", "fibrec.seqform"):
         monkeypatch.setattr(importlib.import_module(module), "fib_pair", boom)
 
 
@@ -263,27 +264,54 @@ def test_digit_estimate_is_never_far_below_the_printed_digits():
 
 @pytest.mark.parametrize("command", ["rec", "check", "canon"])
 def test_a_lone_far_term_is_refused_before_it_is_computed(capsys, command):
-    # computing the two 2.1-million-digit values that the printer refuses takes seconds
-    for view in ((), ("--json",)):
+    # computing the 2.1-million-digit values that the printer refuses takes seconds,
+    # for one far term or for several in one cluster
+    texts = ["F(n-10000000)", "F(n-10000000) + F(n-9999999)",
+             "F(n-10000000) - F(n-9999999) + F(n-9999997)"]
+    for text, view in itertools.product(texts, ((), ("--json",))):
         start = time.perf_counter()
-        got = run_cli(capsys, command, "F(n-10000000)", *view)
+        got = run_cli(capsys, command, text, *view)
         assert time.perf_counter() - start < 1
         assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
 
 
+def initially_longer(expr, digits=MAX_DIGITS):
+    """The bound as rec, check and canon ask it: over every initial value."""
+    return _surely_longer(expr, digits, range(_order_bound(expr)))
+
+
+def rand_poly(rng):
+    """A nonzero polynomial of degree 0..2 with coefficients of up to 5 digits."""
+    poly = Poly(())
+    while not poly:
+        poly = Poly(tuple(rand_fraction(rng, 10**rng.randint(0, 4),
+                                        (1, 3, 7, 10**rng.randint(0, 5)))
+                          for _ in range(rng.randint(1, 3))))
+    return poly
+
+
 def test_the_lone_term_bound_refuses_only_what_it_can_show(monkeypatch):
-    assert _surely_longer(parse("F(n-10000000)"), MAX_DIGITS)
-    assert _surely_longer(parse("-3/7*F(n+10000000) + 1/2 - 5*(-1)^n"), MAX_DIGITS)
+    assert initially_longer(parse("F(n-10000000)"))
+    assert initially_longer(parse("-3/7*F(n+10000000) + 1/2 - 5*(-1)^n"))
     # w_0 = 1/2: p(n) = n has a root in the initial window
-    assert not _surely_longer(parse("n*F(n-10000000) + 1/2"), MAX_DIGITS)
+    assert not initially_longer(parse("n*F(n-10000000) + 1/2"))
     # F(n-2500000) has about 522,000 digits at n = 0, 1, 2: an e of 500,001 digits
     # is shorter, and one of 600,001 digits is left to the printer
-    assert _surely_longer(FibExpr.of([(2_500_000, 1)], 10**500_000), MAX_DIGITS)
-    assert not _surely_longer(FibExpr.of([(2_500_000, 1)], 10**600_000), MAX_DIGITS)
-    assert not _surely_longer(parse("F(n-10000000) + F(n)"), MAX_DIGITS)
-    # p is evaluated only once the bound passes: here it is about 3,760 digits
+    assert initially_longer(FibExpr.of([(2_500_000, 1)], 10**500_000))
+    assert not initially_longer(FibExpr.of([(2_500_000, 1)], 10**600_000))
+    # a short cluster beside a far one, several terms in one far cluster, and a
+    # shorter far cluster on the other side
+    assert initially_longer(parse("F(n-10000000) + F(n)"))
+    assert initially_longer(parse("F(n-10000000) + F(n-9999999)"))
+    assert initially_longer(parse("F(n-10000000) - F(n-9999999) + F(n-9999997)"))
+    assert initially_longer(parse("F(n-10000000) + n*F(n+3000000)"))
+    # clusters of one length may cancel: w_0 = F(-10000000) + F(10000000) = 0
+    assert not initially_longer(parse("F(n-10000000) + F(n+10000000)"))
+    # within one cluster, R0 = n^3 - n^3 = 0 and R1 = -n^3 + n^3 = 0: every value is 0
+    assert not initially_longer(parse("n^3*F(n-300000) - n^3*F(n-300001) - n^3*F(n-300002)"))
+    # the polynomials are evaluated only once the bound passes: here it is about 3,760 digits
     monkeypatch.setattr(Poly, "__call__", lambda p, n: pytest.fail("p was evaluated"))
-    assert not _surely_longer(parse("n^1000*F(n-20000)"), MAX_DIGITS)
+    assert not initially_longer(parse("n^1000*F(n-20000)"))
 
 
 @pytest.mark.parametrize("command", ["rec", "check", "canon"])
@@ -303,10 +331,18 @@ def test_what_the_lone_term_bound_cannot_refuse_still_prints(capsys, monkeypatch
     monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)
     assert run_cli(capsys, "check", "n*F(n-10000) + 1/2") == (
         3, "NON-INTEGER witness: n=0 value=1/2\n", "")
-    # eval prints only its window, so it never asks for the bound
-    monkeypatch.setattr(fibrec.cli, "_surely_longer", lambda *args: pytest.fail("asked"))
+    # a cluster whose terms cancel is 0 at every index
+    cancelling = "n^3*F(n-300000) - n^3*F(n-300001) - n^3*F(n-300002)"
+    assert run_cli(capsys, "check", cancelling) == (0, "INTEGER certificate: \n", "")
+    assert run_cli(capsys, "eval", cancelling, "--to", "3") == (0, "0 0\n1 0\n2 0\n3 0\n", "")
+    # eval prints only its window, so it asks the bound about nothing else
+    asked = []
+    bound = fibrec.cli._surely_longer
+    monkeypatch.setattr(fibrec.cli, "_surely_longer", lambda expr, digits, indices: (
+        asked.append(tuple(indices)) or bound(expr, digits, indices)))
     assert run_cli(capsys, "eval", "F(n-10000)", "--from", "10000", "--to", "10000") == (
         0, "10000 0\n", "")
+    assert asked == [(10000,)]
 
 
 def test_digit_bound_below_a_lone_term_refuses_only_what_the_printer_refuses(capsys, monkeypatch):
@@ -314,25 +350,34 @@ def test_digit_bound_below_a_lone_term_refuses_only_what_the_printer_refuses(cap
 
     monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)  # F(4786) has 1,000 digits
     rng = random.Random(31)
+    constant = lambda: rng.choice((0, rand_fraction(rng), 10**rng.randint(985, 1005)))
 
     def lone_terms():
         # F(n-+j) alone, where the bound is tightest: late from j = 4787, early from 4796
         yield from (f"F(n{sign}{j})" for j in range(4780, 4800) for sign in "-+")
         for _ in range(80):
-            poly = Poly(())
-            while not poly:
-                poly = Poly(tuple(rand_fraction(rng, 10**rng.randint(0, 4),
-                                                (1, 3, 7, 10**rng.randint(0, 5)))
-                                  for _ in range(rng.randint(1, 3))))
+            poly = rand_poly(rng)
             if rng.random() < 0.3:  # a root in or just past the initial window
                 poly = poly * Poly((-rng.randint(0, 9), 1))
-            e, f = (rng.choice((0, rand_fraction(rng), 10**rng.randint(985, 1005))) for _ in range(2))
+            e, f = constant(), constant()
             shift = rng.choice((-1, 1)) * rng.randint(4700, 4880)
             yield format_expr(FibExpr.of([(shift, poly)], e, f))
 
+    def clusters():
+        # several terms in one far cluster, and a far cluster on each side
+        yield from ("F(n-4800) + F(n-4799)", "F(n-4800) - F(n-4799) + F(n-4797)",
+                    "F(n-4800) + F(n+4800)", "F(n-4790) + F(n+4810)",
+                    "n^3*F(n-4790) - n^3*F(n-4791) - n^3*F(n-4792)")
+        for _ in range(50):
+            base = rng.choice((-1, 1)) * rng.randint(4700, 4880)
+            terms = [(base + k, rand_poly(rng)) for k in rng.sample(range(45), rng.randint(2, 3))]
+            if rng.random() < 0.4:
+                terms.append((-base + rng.randint(-20, 20), rand_poly(rng)))
+            yield format_expr(FibExpr.of(terms, constant(), constant()))
+
     runs = {"early": 0, "late": 0, "printed": 0}
-    for text in lone_terms():
-        early = _surely_longer(parse(text), 1000)
+    for text in itertools.chain(lone_terms(), clusters()):
+        early = initially_longer(parse(text), 1000)
         for command in ("rec", "check", "canon"):
             for view in ((), ("--json",)):
                 got = run_cli(capsys, command, text, *view)
@@ -340,6 +385,7 @@ def test_digit_bound_below_a_lone_term_refuses_only_what_the_printer_refuses(cap
                     m.setattr(fibrec.cli, "_surely_longer", lambda *args: False)
                     late = run_cli(capsys, command, text, *view)
                 assert got == late, (command, text, view)
+                assert not early or got[0] == 2, (command, text, view)
                 runs["early" if early else "late" if got[0] == 2 else "printed"] += 1
     # the boundary is crossed: early refusals, late-only refusals and printed values all occur
     assert min(runs.values()) > 30, runs
@@ -362,20 +408,28 @@ def test_a_surely_long_window_is_refused_before_it_is_computed(capsys, no_fib, a
 
 
 def test_the_window_bound_refuses_only_what_it_can_show(monkeypatch):
-    far = parse("F(n-10000000)")
-    assert _surely_longer_at(far, 0, MAX_DIGITS)
-    assert _surely_longer_at(far, 20_000_000, MAX_DIGITS)
-    assert not _surely_longer_at(far, 10_000_000, MAX_DIGITS)
-    assert not _surely_longer_at(far, 7_700_000, MAX_DIGITS)  # F(2300000): about 480,000 digits
+    at = lambda text, n: _surely_longer(parse(text) if isinstance(text, str) else text,
+                                        MAX_DIGITS, (n,))
+    assert at("F(n-10000000)", 0)
+    assert at("F(n-10000000)", 20_000_000)
+    assert not at("F(n-10000000)", 10_000_000)
+    assert not at("F(n-10000000)", 7_700_000)  # F(2300000): about 480,000 digits
     # p(n) = n - 5 has its root at n = 5 only
-    assert not _surely_longer_at(parse("(n-5)*F(n-10000000)"), 5, MAX_DIGITS)
-    assert _surely_longer_at(parse("(n-5)*F(n-10000000)"), 6, MAX_DIGITS)
-    assert not _surely_longer_at(parse("F(n-10000000) + F(n)"), 0, MAX_DIGITS)
+    assert not at("(n-5)*F(n-10000000)", 5)
+    assert at("(n-5)*F(n-10000000)", 6)
+    assert at("F(n-10000000) + F(n)", 0)
+    assert at("F(n-10000000) + F(n-9999999)", 0)  # F(n-9999998)
+    assert not at("F(n-10000000) + F(n-9999999)", 9_999_998)
+    # clusters on opposite sides: equal at n = 0, where they cancel, and one far
+    # longer at n = 5000000
+    assert not at("F(n-10000000) + F(n+10000000)", 0)
+    assert at("F(n-10000000) + F(n+10000000)", 5_000_000)
+    assert not at("n^3*F(n-300000) - n^3*F(n-300001) - n^3*F(n-300002)", 9_000_000)
     # an e of 2^7000000, about 2,107,000 digits, is as long as F(-10000000)
-    assert not _surely_longer_at(FibExpr.of([(10_000_000, 1)], 1 << 7_000_000), 0, MAX_DIGITS)
-    # p is evaluated only once the bound passes
+    assert not at(FibExpr.of([(10_000_000, 1)], 1 << 7_000_000), 0)
+    # the polynomials are evaluated only once the bound passes
     monkeypatch.setattr(Poly, "__call__", lambda p, n: pytest.fail("p was evaluated"))
-    assert not _surely_longer_at(parse("n^1000*F(n-20000)"), 0, MAX_DIGITS)
+    assert not at("n^1000*F(n-20000)", 0)
 
 
 def test_what_the_window_bound_cannot_refuse_still_prints(capsys, monkeypatch):
@@ -395,24 +449,32 @@ def test_window_bound_refuses_only_what_the_printer_refuses(capsys, monkeypatch)
 
     monkeypatch.setattr(fibrec.cli, "MAX_DIGITS", 1000)  # F(4786) has 1,000 digits
     rng = random.Random(37)
+    constant = lambda: rng.choice((0, rand_fraction(rng), 10**rng.randint(985, 1005)))
 
     def windows():
         # F(n) alone, where the bound is tightest: late from |n| = 4787, early from 4794
         yield from (("F(n)", n, n) for n in range(4780, 4800))
         yield from (("F(n)", -n, -n + 1) for n in range(4780, 4800))
         for _ in range(90):
-            poly = Poly(())
-            while not poly:
-                poly = Poly(tuple(rand_fraction(rng, 10**rng.randint(0, 4),
-                                                (1, 3, 7, 10**rng.randint(0, 5)))
-                                  for _ in range(rng.randint(1, 3))))
+            poly = rand_poly(rng)
             shift = rng.randint(-30, 30)
             lo = shift + rng.choice((-1, 1)) * rng.randint(4770, 4830)
             if rng.random() < 0.3:  # a root at the window's start
                 poly = poly * Poly((-lo, 1))
-            e, f = (rng.choice((0, rand_fraction(rng), 10**rng.randint(985, 1005)))
-                    for _ in range(2))
+            e, f = constant(), constant()
             yield format_expr(FibExpr.of([(shift, poly)], e, f)), lo, lo + rng.randint(0, 3)
+        # several terms in one cluster, and a far cluster on each side of the window
+        yield from (("F(n-4800) + F(n-4799)", 0, 3), ("F(n-4800) + F(n+4800)", 0, 3),
+                    ("F(n-4800) + F(n+4800)", 15, 15),
+                    ("n^3*F(n-4790) - n^3*F(n-4791) - n^3*F(n-4792)", 0, 3))
+        for _ in range(60):
+            base = rng.randint(-30, 30)
+            terms = [(base + k, rand_poly(rng)) for k in rng.sample(range(45), rng.randint(2, 3))]
+            lo = base + rng.choice((-1, 1)) * rng.randint(4770, 4830)
+            if rng.random() < 0.5:  # as far from the window on its other side
+                terms.append((2 * lo - base + rng.randint(-20, 20), rand_poly(rng)))
+            text = format_expr(FibExpr.of(terms, constant(), constant()))
+            yield text, lo, lo + rng.randint(0, 3)
 
     runs = {"early": 0, "late": 0, "printed": 0}
     for text, lo, hi in windows():
@@ -420,10 +482,11 @@ def test_window_bound_refuses_only_what_the_printer_refuses(capsys, monkeypatch)
             argv = ("eval", text, "--from", str(lo), "--to", str(hi), *view)
             got = run_cli(capsys, *argv)
             with monkeypatch.context() as m:
-                m.setattr(fibrec.cli, "_surely_longer_at", lambda *args: False)
+                m.setattr(fibrec.cli, "_surely_longer", lambda *args: False)
                 late = run_cli(capsys, *argv)
             assert got == late, argv
-            early = any(_surely_longer_at(parse(text), n, 1000) for n in ends)
+            early = any(_surely_longer(parse(text), 1000, (n,)) for n in ends)
+            assert not early or got[0] == 2, argv
             runs["early" if early else "late" if got[0] == 2 else "printed"] += 1
     # the boundary is crossed: early refusals, late-only refusals and printed windows all occur
     assert min(runs.values()) > 30, runs

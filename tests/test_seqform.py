@@ -29,6 +29,7 @@ from fibrec import (
     FibExpr,
     NonIntegral,
     Poly,
+    fib,
     format_expr,
     is_integer_sequence,
     parse,
@@ -347,7 +348,7 @@ def test_canon_memo_is_invisible():
         assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
         assert form == fresh.canon() and hash(form) == hash(fresh.canon())
         assert repr(form) == repr(fresh.canon())
-        built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # no split memo
+        built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # no cluster memo
         assert form == built and hash(form) == hash(built) and repr(form) == repr(built)
 
 
@@ -369,7 +370,7 @@ def test_derived_expressions_do_not_inherit_a_memo():
 
 
 # Shifts on both sides of the fold bound (F(1-j) and F(-j) below 2**30 in
-# magnitude for j = -43..44) and far ones, some beside folded terms.
+# magnitude for j = -43..44) and far ones, some beside the cluster at J = 0.
 _FAR_CASES = [
     ("F(n+44)", True),
     ("F(n+43)", False),
@@ -380,11 +381,16 @@ _FAR_CASES = [
     ("(n+1)/2*F(n+1000) - n/2*F(n-1000) + (n^2+5)/3*F(n-7)", True),
     ("n^3/5*F(n-20000) + (2n-1)/3*F(n+15000) + 1/2*(-1)^n", True),
     ("(n^2+n)/6*F(n+20000) + n*F(n-19999) + F(n)", True),
+    # one cluster based at -100 holds offsets 0, 40 and 43
+    ("n*F(n+100) - F(n+60) + (n^2+1)/3*F(n+57) + F(n-3)", True),
 ]
 
 
 def _has_far_terms(e: FibExpr) -> bool:
-    return bool(e.canon()._scaled()[5])
+    """Whether e has a cluster away from J = 0, as its form has."""
+    far = any(base for base, _, _ in e._clusters())
+    assert far == any(base for base, _, _ in e.canon()._scaled()[1])
+    return far
 
 
 @pytest.mark.parametrize("text, far", _FAR_CASES)
@@ -393,8 +399,8 @@ def test_far_terms_give_the_values_of_a_fresh_form(text, far, lo):
     e = parse(text)
     assert _has_far_terms(e) == far
     form = e.canon()
-    fresh = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # no split: all folded
-    assert not fresh._scaled()[5]
+    fresh = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # one cluster, at J = 0
+    assert [base for base, _, _ in fresh._scaled()[1]] == [0]
     hi = lo + 12
     got = list(form.values(lo, hi))
     assert got == list(fresh.values(lo, hi))
@@ -418,12 +424,17 @@ def test_small_shifts_have_no_far_terms():
 
 def test_a_far_shift_keeps_horner_coefficients_short():
     # folded into P0 and P1, every coefficient would be about F(20000), 13,879 bits
-    form = parse("n^120*F(n-20000)").canon()
+    e = parse("n^120*F(n-20000) + n*F(n-20044) - F(n-20045) + F(n+20000) + F(n)")
+    form = e.canon()
     assert min(abs(int(c)).bit_length() for c in form.p0.coeffs + form.p1.coeffs if c) > 13_000
-    den, q0, q1, e, f, far = form._scaled()
-    polys = [q0, q1] + [r for *_, r in far]
-    assert len(far) == 1 and far[0][:3] == (20000, *shift_coeffs(20000))
-    assert max(abs(c).bit_length() for p in polys for c in p.coeffs) <= 64
+    # a lone term keeps its own polynomial; F(n-20044) joins n^120*F(n-20000) with
+    # F(-43) and F(-44), and F(n-20045) starts a cluster of its own
+    assert e._clusters()[2] == (20000, Poly((*[0] * 120, 1)) + Poly((0, fib(-43))),
+                                 Poly((0, fib(-44))))
+    den, clusters, _, _ = form._scaled()
+    assert [base for base, _, _ in clusters] == [-20000, 0, 20000, 20045]
+    assert max(abs(c).bit_length() for _, r0, r1 in clusters for c in r0.coeffs + r1.coeffs) <= 64
+    assert [e.at(n) for n in (-3, 20_044, 40_001)] == [ref_at(e, n) for n in (-3, 20_044, 40_001)]
 
 
 def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
@@ -529,8 +540,8 @@ def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
     for text in texts + ["(n^9+1)/3*F(n) - n^4*F(n-1) + 1/2 - 1/5*(-1)^n"]:
         e = parse(text)
         form = e.canon()
-        den, q0, q1, _, _, far = form._scaled()
-        polys = [p for p in (q0, q1, *(r for *_, r in far)) if p]
+        den, clusters, _, _ = form._scaled()
+        polys = [p for _, r0, r1 in clusters for p in (r0, r1) if p]
         for n in (-777, 0, 12_345):
             expected = ref_at(e, n)  # which evaluates each term's polynomial itself
             horner_calls.clear()
@@ -542,8 +553,8 @@ def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
 
 def test_a_long_window_runs_horner_only_on_its_first_values(horner_calls):
     form = parse("(n^3+1)/7*F(n) + n/3*F(n-1) + n^5*F(n-100) + 1/2 - 1/5*(-1)^n").canon()
-    den, q0, q1, _, _, far = form._scaled()
-    polys = [q0, q1, *(r for *_, r in far)]
+    den, clusters, _, _ = form._scaled()
+    polys = [p for _, r0, r1 in clusters for p in (r0, r1) if p]
     lo, hi = -300, 699
     horner_calls.clear()  # the parser reads its constant terms at 0
     got = list(form.values(lo, hi))
