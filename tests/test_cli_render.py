@@ -296,7 +296,7 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_long_coefficients_step_as_decimal_differences(capsys, conversions):
-    # 10^400 passes _SPLIT_BITS, so Q0 = 10^400*n^2 + 1 steps its differences as
+    # 10^400 passes _SPLIT_BITS, so R0 = 10^400*n^2 + 1 steps its differences as
     # Decimals in the exact context, where any rounding would raise
     text, lo, hi = f"({10**400}*n^2+1)/3*F(n) + n*F(n-50)", -20, 600
     expected = values_as_text(text, lo, hi)

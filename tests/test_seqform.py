@@ -438,7 +438,7 @@ def test_a_far_shift_keeps_horner_coefficients_short():
 
 
 def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
-    """P0 and P1 as every term's parts added in shift order, folded or far."""
+    """P0 and P1 as every term's parts added in shift order, in whatever cluster."""
     p0 = p1 = Poly(())
     for t in e.terms:
         c, d = shift_coeffs(t.shift)
@@ -447,7 +447,7 @@ def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
 
 
 def test_canon_keeps_the_coefficient_types_of_the_shift_order_sums():
-    # n*F(n+50) is far and comes first; the folded parts after it cancel in P0,
+    # n*F(n+50) is far and comes first; the parts at J = 0 after it cancel in P0,
     # and adding them up before it would leave an int 0 where P0 holds Fraction(0, 1)
     exprs = [parse("n*F(n+50) + n/2*F(n) - n/2*F(n-2)"), parse("F(n) + F(n-50)")]
     rng = random.Random(83)
@@ -504,7 +504,7 @@ def test_long_windows_match_reference():
     for i in range(16):
         terms = [(rng.randint(-43, 44), rand_poly(rng, max_deg=6))
                  for _ in range(rng.randint(1, 3))]
-        if i % 4:  # far terms beside the folded ones, on both sides
+        if i % 4:  # far clusters beside the one at J = 0, on both sides
             terms += [(rng.choice((-1, 1)) * rng.randint(45, 3000), rand_poly(rng, max_deg=5))
                       for _ in range(rng.randint(1, 2))]
         e = FibExpr.of(terms, _nonzero_fraction(rng), _nonzero_fraction(rng))
