@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Run the benchmark over a fixed range of seeds and write its figures to one file.
 
-    python3 scripts/bench_record.py --out BENCH_31.json --seed 1 --seeds 5
+    python3 scripts/bench_record.py --out BENCH_31.json
 
 For every workload that the checkout's BENCHMARK.json lists, and for each seed
-S in SEED..SEED+SEEDS-1, this runs `bench/run.py --workload W --seed S`,
-unchanged and at its default length, from the checkout's root (by default the
-repository that holds this script).  The file it writes holds, per workload,
+S in SEEDS, 1..5, this runs `bench/run.py --workload W --seed S`, unchanged and
+at its default length, from the checkout's root (by default the repository that
+holds this script).  The file it writes holds, per workload,
 the operations attempted and failed over all runs, whether every run was
-correct, and for each metric that every run reports its unit, its values in
-seed order, their median and their quartiles.  It also holds the seeds, the
-Python version, and the checkout's git commit, with whether its tree had
-uncommitted changes.  A later change reads its parent's figures from here.
+correct, and for each metric its unit, its values in seed order, their median
+and their quartiles.  It also holds the seeds, the Python version and the
+checkout's git commit.  A later change reads its parent's figures from here,
+so every file is made over the same seeds.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ import sys
 from bench_pairs import quartiles, result, run_bench
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = range(1, 6)
 
 
-def git_state(checkout: str) -> dict:
-    """The checkout's commit and whether its tracked files differ from it."""
-    git = lambda *args: subprocess.run(["git", *args], cwd=checkout, capture_output=True,
-                                       text=True).stdout.strip()
-    return {"git_sha": git("rev-parse", "HEAD") or None,
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+def git_sha(checkout: str) -> str | None:
+    """The checkout's commit, or None outside a git checkout."""
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True).stdout.strip() or None
 
 
 def workload_figures(runs: list[dict]) -> dict:
@@ -42,8 +41,6 @@ def workload_figures(runs: list[dict]) -> dict:
                "attempted": sum(got["attempted"] for got in runs),
                "failed": sum(got["failed"] for got in runs), "metrics": {}}
     for name, first in runs[0]["metrics"].items():
-        if not all(name in got["metrics"] for got in runs):
-            continue
         values = [got["metrics"][name]["value"] for got in runs]
         q1, median, q3 = quartiles(values)
         figures["metrics"][name] = {"unit": first["unit"], "median": median, "q1": q1,
@@ -51,21 +48,17 @@ def workload_figures(runs: list[dict]) -> dict:
     return figures
 
 
-def main(argv: list[str] | None = None, run=run_bench) -> int:
+def main(argv: list[str] | None = None, run=run_bench, seeds=SEEDS) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the file to write, such as BENCH_31.json")
     parser.add_argument("--checkout", default=ROOT)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seeds", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.seeds < 2:
-        parser.error("--seeds must be at least 2, for the quartiles")
     with open(os.path.join(args.checkout, "BENCHMARK.json")) as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
 
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    doc = {**git_state(args.checkout), "python": platform.python_version(), "seeds": seeds,
-           "command": "bench/run.py --workload W --seed S", "workloads": {}}
+    doc = {"git_sha": git_sha(args.checkout), "python": platform.python_version(),
+           "seeds": list(seeds), "command": "bench/run.py --workload W --seed S",
+           "workloads": {}}
     for workload in workloads:
         runs = []
         for seed in seeds:

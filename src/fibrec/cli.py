@@ -35,7 +35,7 @@ from .oeis import OeisLookupError, search_local, search_remote
 from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import (_EXACT, _SPLIT_BITS, MAX_INDEX, _text, _to_decimal, format_expr,
                      format_poly, parse)
-from .seqform import FibExpr, _estimated_digits, _numerators, _order_bound, _scale, _surely_longer
+from .seqform import FibExpr, _estimated_digits, _numerators, _order_bound, _surely_longer
 from .synth import Template, solve_template, theorem_solution
 
 EXIT_OK = 0
@@ -135,7 +135,7 @@ def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[list[tuple[int, str]]
     whose reduced numerator passes MAX_DIGITS digits is refused, as _text
     refuses it under main's digit limit; any value fails after those before it.
     """
-    den, clusters, e, f = _scale(expr._clusters(), expr.const_e, expr.alt_f)
+    den, clusters, e, f = expr._scaled()
     powers: dict[int, decimal.Decimal] = {}
     # the seeds double as Decimals, and only L and long input coefficients
     # convert: a short one stays an int, which Horner's rule runs faster on

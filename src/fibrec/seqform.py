@@ -32,9 +32,9 @@ of the coefficients, w_n is an integer combination of the pairs
 ``fib_pair`` seed.  ``CanonForm.values(lo, hi)`` runs it on ints, and the CLI
 on Decimals.  The polynomials are read at consecutive n (``_tabulated``).
 
-An expression keeps its clusters and form, and the form the clusters (or, built
-directly, the one cluster (0, P0, P1)), its scaled parts and (``cfinite``) its
-initial window, in the instance ``__dict__``.  No memo is a field, so ``==``,
+An expression keeps its clusters, their scaled parts and its form, and the form
+the same scaled parts (or, built directly, those of the one cluster (0, P0, P1))
+and (``cfinite``) its initial window, in the instance ``__dict__``.  No memo is a field, so ``==``,
 ``hash`` and ``repr`` do not see it, and the classes are frozen, so none goes
 stale.  The CLI's digit bounds, ``_order_bound``, ``_estimated_digits`` and
 ``_surely_longer``, read a parsed expression and its clusters before any long
@@ -149,22 +149,25 @@ class FibExpr(Value):
                 (base, *_sums(parts)) for base, parts in sorted(groups.items()))
         return clusters
 
+    def _scaled(self) -> tuple:
+        """``_scale`` of the clusters, computed once, like them."""
+        if "_scaled_memo" not in self.__dict__:
+            self.__dict__["_scaled_memo"] = _scale(self._clusters(), self.const_e, self.alt_f)
+        return self.__dict__["_scaled_memo"]
+
     def canon(self) -> "CanonForm":
         """Collapse every shift onto the F(n), F(n-1) basis; computed once, and
-        kept with the clusters in memos that are not fields (module docstring)."""
+        kept with the scaled clusters in memos that are not fields (module docstring)."""
         form = self.__dict__.get("_canon_memo")
         if form is not None:
             return form
-        clusters = self._clusters()
-        if [c[0] for c in clusters] == [0]:  # its sums are P0 and P1, in shift order too
-            p0, p1 = clusters[0][1:]
-        else:  # each term's F(1-j), F(-j) from its offset and one fib_pair(-J) per cluster
-            pairs = {base: fib_pair(-base) for base, _, _ in clusters}  # (F(-J), F(1-J))
-            near = [(t.poly, *_near(t.shift - b), *pairs[b])
-                    for t, b in zip(self.terms, _bases(self.terms))]
-            p0, p1 = _sums((p, c0 * u + c1 * v, c0 * v + c1 * (u - v)) for p, c0, c1, v, u in near)
+        # each term's F(1-j), F(-j) from its offset and one fib_pair(-J) per cluster
+        pairs = {base: fib_pair(-base) for base, _, _ in self._clusters()}  # (F(-J), F(1-J))
+        near = [(t.poly, *_near(t.shift - b), *pairs[b])
+                for t, b in zip(self.terms, _bases(self.terms))]
+        p0, p1 = _sums((p, c0 * u + c1 * v, c0 * v + c1 * (u - v)) for p, c0, c1, v, u in near)
         form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
-        form.__dict__["_cluster_memo"] = clusters
+        form.__dict__["_scaled_memo"] = self._scaled()
         return form
 
 
@@ -241,7 +244,7 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int]) -> bool:
     k = n-J-1.  The largest is evaluated if that could pass, and w_n refused when
     its ``_pair_low`` at (L*R0(n), L*R1(n)), less log10(L), passes `digits` and
     the others' bounds plus |L*e| + |L*f|, each by one digit in hand."""
-    den, clusters, e, f = _scale(expr._clusters(), expr.const_e, expr.alt_f)
+    den, clusters, e, f = expr._scaled()
     e_f = [_log10_above(max(abs(e) + abs(f), 1))]
     sized = [(base, r0, r1, _log10_above(max(sum(map(abs, r0.coeffs + r1.coeffs)), 1)),
               max(len(r0.coeffs), len(r1.coeffs)) - 1) for base, r0, r1 in clusters]
@@ -299,13 +302,12 @@ class CanonForm(Value):
         return max(d0, d1)
 
     def _scaled(self) -> tuple:
-        """``_scale`` of the clusters of the expression that built the form, or
-        else of (0, P0, P1) alone.  Computed once per form, like ``canon``."""
-        scaled = self.__dict__.get("_scaled_memo")
-        if scaled is None:
-            clusters = self.__dict__.get("_cluster_memo", ((0, self.p0, self.p1),))
-            scaled = self.__dict__["_scaled_memo"] = _scale(clusters, self.const_e, self.alt_f)
-        return scaled
+        """``_scale`` of (0, P0, P1) alone, computed once per form; ``canon``
+        puts its expression's ``FibExpr._scaled`` here in its place."""
+        if "_scaled_memo" not in self.__dict__:
+            self.__dict__["_scaled_memo"] = _scale(((0, self.p0, self.p1),),
+                                                   self.const_e, self.alt_f)
+        return self.__dict__["_scaled_memo"]
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""

@@ -6,8 +6,6 @@ import pathlib
 import platform
 import sys
 
-import pytest
-
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 sys.path.insert(0, str(SCRIPTS))  # bench_record imports bench_pairs from beside it
 spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
@@ -22,13 +20,13 @@ def canned(metrics: dict, failed=0):
     return f"workload w: attempted 50 failed {failed}\n" + json.dumps(doc) + "\n"
 
 
-def record(tmp_path, capsys, run, *argv):
+def record(tmp_path, capsys, run, **kwargs):
     """bench_record.main over a checkout whose BENCHMARK.json lists a and b."""
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({"workloads": [{"name": "a"}, {"name": "b"}]}))
     out = tmp_path / "BENCH_9.json"
-    args = ["--out", str(out), "--checkout", str(tmp_path), *argv]
-    assert bench_record.main(args, run=run) == 0
+    args = ["--out", str(out), "--checkout", str(tmp_path)]
+    assert bench_record.main(args, run=run, **kwargs) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
     return json.loads(out.read_text())
 
@@ -40,15 +38,13 @@ def test_every_workload_runs_over_the_seed_range(tmp_path, capsys):
         calls.append((checkout, workload, seed))
         base = {"a": 100, "b": 10}[workload]
         metrics = {"ops_per_s": (base + seed, "ops/s"), "op_p50_ms": (1.0 / (base + seed), "ms")}
-        if seed != 9:  # a metric that one run leaves out is not recorded
-            metrics["peak_rss_mb"] = (30.0, "MB")
         return canned(metrics, failed=int(workload == "b" and seed == 8))
 
-    doc = record(tmp_path, capsys, run, "--seed", "7", "--seeds", "4")
+    doc = record(tmp_path, capsys, run, seeds=range(7, 11))
     assert calls == [(str(tmp_path), w, s) for w in "ab" for s in range(7, 11)]
     assert doc["seeds"] == [7, 8, 9, 10]
     assert doc["python"] == platform.python_version()
-    assert doc["git_sha"] is None and doc["dirty"] is False  # no git checkout
+    assert doc["git_sha"] is None  # no git checkout
     a, b = doc["workloads"]["a"], doc["workloads"]["b"]
     assert a["metrics"]["ops_per_s"] == {"unit": "ops/s", "median": 108.5, "q1": 107.25,
                                          "q3": 109.75, "values": [107, 108, 109, 110]}
@@ -58,7 +54,7 @@ def test_every_workload_runs_over_the_seed_range(tmp_path, capsys):
     assert (b["correct"], b["attempted"], b["failed"]) == (False, 200, 1)
 
 
-def test_the_defaults_are_five_seeds_from_1_and_the_checkout_is_recorded(tmp_path, capsys):
+def test_the_seeds_are_1_to_5_and_the_checkout_is_recorded(tmp_path, capsys):
     seeds = []
 
     def run(checkout, workload, seed):
@@ -67,12 +63,5 @@ def test_the_defaults_are_five_seeds_from_1_and_the_checkout_is_recorded(tmp_pat
 
     doc = record(tmp_path, capsys, run)
     assert doc["seeds"] == [1, 2, 3, 4, 5] and seeds == [1, 2, 3, 4, 5] * 2
-    state = bench_record.git_state(str(SCRIPTS.parent))
-    assert set(state) == {"git_sha", "dirty"}
-
-
-def test_a_single_seed_is_refused(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        bench_record.main(["--out", str(tmp_path / "x.json"), "--seeds", "1"],
-                          run=lambda *args: pytest.fail("ran"))
-    assert "--seeds must be at least 2" in capsys.readouterr().err
+    sha = bench_record.git_sha(str(SCRIPTS.parent))
+    assert sha is None or len(sha) == 40  # None where the tests run outside git

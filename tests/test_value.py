@@ -164,11 +164,12 @@ def test_memos_are_invisible():
     memoized, fresh = parse(text), parse(text)
     form = memoized.canon()
     to_recurrence(memoized)
-    assert {"_canon_memo", "_cluster_memo"} <= set(vars(memoized))
-    assert not {"_canon_memo", "_cluster_memo"} & set(vars(fresh))
-    assert {"_cluster_memo", "_scaled_memo", "_window_memo"} <= set(vars(form))
-    assert form._cluster_memo is memoized._cluster_memo
-    assert [base for base, _, _ in form._cluster_memo] == [0, 1000]
+    assert {"_canon_memo", "_cluster_memo", "_scaled_memo"} <= set(vars(memoized))
+    assert not {"_canon_memo", "_cluster_memo", "_scaled_memo"} & set(vars(fresh))
+    assert {"_scaled_memo", "_window_memo"} <= set(vars(form))
+    assert form._scaled_memo is memoized._scaled_memo
+    assert [base for base, _, _ in memoized._cluster_memo] == [0, 1000]
+    assert [base for base, _, _ in form._scaled_memo[1]] == [0, 1000]
     built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)
     for a, b in ((memoized, fresh), (form, fresh.canon()), (form, built)):
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
