@@ -77,9 +77,12 @@ def _initial_window(form: CanonForm) -> Iterator[tuple[int, Fraction]]:
     """Yield (n, w_n) for n = 0..order-1, stepping each form's window once.
 
     A scan that reaches the end keeps Recurrence(char_poly, values) in the
-    form's ``__dict__``, beside its ``_scaled_memo`` and, like it, not a field;
-    later scans read the values from there.  A scan stopped early, such as an
-    integrality verdict at its witness, keeps nothing.
+    form's ``__dict__``, beside its cached ``_scaled`` and, like it, not a
+    field; later scans read the values from there.  A scan stopped early, such
+    as an integrality verdict at its witness, keeps nothing.  That is why this
+    is the one memo written by hand: a ``functools`` cache holds only a
+    finished value, so it would step the whole window before a verdict could
+    stop at its witness.
     """
     rec = form.__dict__.get("_window_memo")
     if rec is not None:
@@ -102,4 +105,4 @@ def to_recurrence(expr: FibExpr) -> Recurrence:
     form = expr.canon()
     for _ in _initial_window(form):
         pass
-    return form.__dict__["_window_memo"]
+    return form._window_memo

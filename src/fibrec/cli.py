@@ -135,11 +135,10 @@ def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[list[tuple[int, str]]
     whose reduced numerator passes MAX_DIGITS digits is refused, as _text
     refuses it under main's digit limit; any value fails after those before it.
     """
-    den, clusters, e, f = expr._scaled()
-    powers: dict[int, decimal.Decimal] = {}
+    den, clusters, e, f = expr._scaled
     # the seeds double as Decimals, and only L and long input coefficients
     # convert: a short one stays an int, which Horner's rule runs faster on
-    dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x, powers)
+    dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x)
     dec_poly = lambda p: Poly(tuple(map(dec, p.coeffs)))
     steps = _numerators(tuple((base, dec_poly(r0), dec_poly(r1)) for base, r0, r1 in clusters),
                         dec(e), dec(f), lo, hi, decimal.Decimal(1))

@@ -39,6 +39,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import Poly
 from .seqform import FibExpr
@@ -306,7 +307,20 @@ _EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 _SPLIT_BITS = 1024
 
 
-def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+@lru_cache(maxsize=64)
+def _power(w: int) -> decimal.Decimal:
+    """2^w as a Decimal, exact whatever the caller's context: above _SPLIT_BITS
+    bits, the product in _EXACT of two powers that are cached too.  One
+    conversion of a number of up to 7,000,000 bits reads about 20 of them, so
+    64 hold those of three, and the cache keeps about as many digits as the
+    longest number converted."""
+    if w <= _SPLIT_BITS:
+        return decimal.Decimal(1 << w)
+    half = w // 2
+    return _EXACT.multiply(_power(half), _power(w - half))
+
+
+def _to_decimal(x: int) -> decimal.Decimal:
     """x as an equal Decimal, in time near that of one multiply; run it in an
     exact context such as _EXACT.
 
@@ -314,22 +328,15 @@ def _to_decimal(x: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
     for F(2,000,000), against 0.14 s here; CPython 3.11, 2-core VM).  Here x of w
     bits splits into hi*2^h + lo with h = w//2, and each half converts in turn
     (Brent and Zimmermann, Modern Computer Arithmetic, 1.7; CPython 3.12's
-    _pylong.int_to_decimal).  `powers` holds each 2^h for the next operand.
+    _pylong.int_to_decimal).  Each 2^h comes from ``_power``'s cache.
     """
-
-    def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            half = w // 2
-            powers[w] = (decimal.Decimal(1 << w) if w <= _SPLIT_BITS
-                         else power(half) * power(w - half))
-        return powers[w]
 
     def split(x: int, w: int) -> decimal.Decimal:
         if w <= _SPLIT_BITS:
             return decimal.Decimal(x)
         half = w // 2
         hi = x >> half
-        return split(x - (hi << half), half) + split(hi, w - half) * power(half)
+        return split(x - (hi << half), half) + split(hi, w - half) * _power(half)
 
     return -split(-x, (-x).bit_length()) if x < 0 else split(x, x.bit_length())
 
@@ -338,7 +345,7 @@ def _text(x: int | Fraction) -> str:
     """x written as str(Fraction(x)) writes it, in time near linear in its length.
 
     A numerator and a denominator of at most _SPLIT_BITS bits are written with
-    str; longer ones convert as Decimals with one table of powers.  Either
+    str; longer ones convert as Decimals (``_to_decimal``).  Either
     part of more digits than sys.get_int_max_str_digits() allows raises the
     ValueError that str raises, and one with more bits than that many digits
     can hold is refused before it converts.
@@ -347,11 +354,10 @@ def _text(x: int | Fraction) -> str:
     if num.bit_length() <= _SPLIT_BITS and den.bit_length() <= _SPLIT_BITS:
         return str(num) if den == 1 else f"{num}/{den}"
     limit = sys.get_int_max_str_digits() or math.inf  # 0 is no limit
-    powers: dict[int, decimal.Decimal] = {}
     parts = []
     with decimal.localcontext(_EXACT):
         for k in (num,) if den == 1 else (num, den):
-            d = _to_decimal(k, powers) if k.bit_length() <= limit * math.log2(10) + 1 else None
+            d = _to_decimal(k) if k.bit_length() <= limit * math.log2(10) + 1 else None
             if d is None or d.adjusted() >= limit:
                 raise ValueError(
                     f"Exceeds the limit ({limit} digits) for integer string conversion; "

@@ -32,13 +32,15 @@ of the coefficients, w_n is an integer combination of the pairs
 ``fib_pair`` seed.  ``CanonForm.values(lo, hi)`` runs it on ints, and the CLI
 on Decimals.  The polynomials are read at consecutive n (``_tabulated``).
 
-An expression keeps its clusters, their scaled parts and its form, and the form
-the same scaled parts (or, built directly, those of the one cluster (0, P0, P1))
-and (``cfinite``) its initial window, in the instance ``__dict__``.  No memo is a field, so ``==``,
-``hash`` and ``repr`` do not see it, and the classes are frozen, so none goes
-stale.  The CLI's digit bounds, ``_order_bound``, ``_estimated_digits`` and
-``_surely_longer``, read a parsed expression and its clusters before any long
-Fibonacci number is computed.
+Each derived value is a ``functools.cached_property``: an expression's scaled
+clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
+``canon`` sets to its expression's and a form built directly computes from the
+one cluster (0, P0, P1).  A cache lives in the instance ``__dict__`` and is not
+a field, so ``==``, ``hash`` and ``repr`` do not see it, and the classes are
+frozen, so none goes stale.  ``at`` reads the scaled clusters alone, so one
+value builds no form.  The CLI's digit bounds, ``_order_bound``,
+``_estimated_digits`` and ``_surely_longer``, read a parsed expression and its
+clusters before any long Fibonacci number is computed.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, cycle, islice, repeat
 
 from ._value import Value
@@ -96,8 +99,10 @@ class FibExpr(Value):
         return FibExpr(kept, Fraction(const), Fraction(alt))
 
     def at(self, n: int) -> Fraction:
-        """Exact value of the sequence at index n (any integer)."""
-        return next(self.canon().values(n, n))[1]
+        """Exact value of the sequence at index n (any integer), from the scaled
+        clusters alone, without the canonical form."""
+        den, clusters, e, f = self._scaled
+        return Fraction(next(_numerators(clusters, e, f, n, n))[1], den)
 
     def __add__(self, other: "FibExpr") -> "FibExpr":
         if not isinstance(other, FibExpr):
@@ -137,37 +142,29 @@ class FibExpr(Value):
             alt,
         )
 
-    def _clusters(self) -> tuple:
-        """((J, R0, R1), ...) by increasing base J (``_bases``), which sum the
-        terms as R0(n)*F(n-J) + R1(n)*F(n-J-1).  Computed once, like canon."""
-        clusters = self.__dict__.get("_cluster_memo")
-        if clusters is None:
-            groups: dict[int, list[tuple]] = {}
-            for t, base in zip(self.terms, _bases(self.terms)):
-                groups.setdefault(base, []).append((t.poly, *_near(t.shift - base)))
-            clusters = self.__dict__["_cluster_memo"] = tuple(
-                (base, *_sums(parts)) for base, parts in sorted(groups.items()))
-        return clusters
-
+    @cached_property
     def _scaled(self) -> tuple:
-        """``_scale`` of the clusters, computed once, like them."""
-        if "_scaled_memo" not in self.__dict__:
-            self.__dict__["_scaled_memo"] = _scale(self._clusters(), self.const_e, self.alt_f)
-        return self.__dict__["_scaled_memo"]
+        """``_scale`` of the clusters ((J, R0, R1), ...) by increasing base J
+        (``_bases``), which sum the terms as R0(n)*F(n-J) + R1(n)*F(n-J-1)."""
+        groups: dict[int, list[tuple]] = {}
+        for t, base in zip(self.terms, _bases(self.terms)):
+            groups.setdefault(base, []).append((t.poly, *_near(t.shift - base)))
+        return _scale([(base, *_sums(parts)) for base, parts in sorted(groups.items())],
+                      self.const_e, self.alt_f)
 
     def canon(self) -> "CanonForm":
-        """Collapse every shift onto the F(n), F(n-1) basis; computed once, and
-        kept with the scaled clusters in memos that are not fields (module docstring)."""
-        form = self.__dict__.get("_canon_memo")
-        if form is not None:
-            return form
-        # each term's F(1-j), F(-j) from its offset and one fib_pair(-J) per cluster
-        pairs = {base: fib_pair(-base) for base, _, _ in self._clusters()}  # (F(-J), F(1-J))
-        near = [(t.poly, *_near(t.shift - b), *pairs[b])
-                for t, b in zip(self.terms, _bases(self.terms))]
+        """Collapse every shift onto the F(n), F(n-1) basis; computed once."""
+        return self._canon
+
+    @cached_property
+    def _canon(self) -> "CanonForm":
+        """``canon``'s form, which holds this expression's ``_scaled`` as its own."""
+        bases = _bases(self.terms)
+        pairs = {base: fib_pair(-base) for base in set(bases)}  # (F(-J), F(1-J))
+        near = [(t.poly, *_near(t.shift - b), *pairs[b]) for t, b in zip(self.terms, bases)]
         p0, p1 = _sums((p, c0 * u + c1 * v, c0 * v + c1 * (u - v)) for p, c0, c1, v, u in near)
-        form = self.__dict__["_canon_memo"] = CanonForm(p0, p1, self.const_e, self.alt_f)
-        form.__dict__["_scaled_memo"] = self._scaled()
+        form = CanonForm(p0, p1, self.const_e, self.alt_f)
+        form.__dict__["_scaled"] = self._scaled
         return form
 
 
@@ -244,7 +241,7 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int]) -> bool:
     k = n-J-1.  The largest is evaluated if that could pass, and w_n refused when
     its ``_pair_low`` at (L*R0(n), L*R1(n)), less log10(L), passes `digits` and
     the others' bounds plus |L*e| + |L*f|, each by one digit in hand."""
-    den, clusters, e, f = expr._scaled()
+    den, clusters, e, f = expr._scaled
     e_f = [_log10_above(max(abs(e) + abs(f), 1))]
     sized = [(base, r0, r1, _log10_above(max(sum(map(abs, r0.coeffs + r1.coeffs)), 1)),
               max(len(r0.coeffs), len(r1.coeffs)) - 1) for base, r0, r1 in clusters]
@@ -301,17 +298,15 @@ class CanonForm(Value):
             return d0
         return max(d0, d1)
 
+    @cached_property
     def _scaled(self) -> tuple:
-        """``_scale`` of (0, P0, P1) alone, computed once per form; ``canon``
-        puts its expression's ``FibExpr._scaled`` here in its place."""
-        if "_scaled_memo" not in self.__dict__:
-            self.__dict__["_scaled_memo"] = _scale(((0, self.p0, self.p1),),
-                                                   self.const_e, self.alt_f)
-        return self.__dict__["_scaled_memo"]
+        """``_scale`` of (0, P0, P1) alone; ``canon`` puts its expression's
+        ``FibExpr._scaled`` here in its place."""
+        return _scale(((0, self.p0, self.p1),), self.const_e, self.alt_f)
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
-        den, clusters, e, f = self._scaled()
+        den, clusters, e, f = self._scaled
         for n, num in _numerators(clusters, e, f, lo, hi):
             yield n, Fraction(num, den)
 

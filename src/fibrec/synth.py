@@ -53,8 +53,8 @@ its (part, p) alone, never on the template or the values, so ``_column``
 builds it once per process over all of its rows 0..2p+1, and a system
 takes the entries in its rows.  That memo holds the columns that solves
 asked for: at most (P+1)(P+4) int pairs, P the highest power asked for,
-which a balanced template of degree P holds in its own system anyway.  The
-Fibonacci numbers the columns read are built once per process too.
+which a balanced template of degree P holds in its own system anyway.  A
+column reads its two Fibonacci numbers from one ``fib_pair``.
 
 With the values' common denominator cleared, the system is solved in
 integers by fraction-free forward elimination (Bareiss 1968) and
@@ -90,13 +90,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb, factorial, lcm
 from operator import itemgetter, mul
 
 from ._value import Value
 from .exact import Poly
-from .fib import fib
+from .fib import fib, fib_pair
 from .seqform import FibExpr, ShiftTerm
 
 
@@ -127,7 +127,7 @@ class Template(Value):
         return (self.deg_p0, self.deg_p1, 0 if self.has_const else None,
                 0 if self.has_alt else None)
 
-    @property
+    @cached_property
     def slots(self) -> tuple[tuple[int, int], ...]:
         """(part, power) of each unknown, in slot order.
 
@@ -305,12 +305,6 @@ def _differenced(col: Sequence[int]) -> list[int]:
     return out
 
 
-# F(-1), F(0), F(1), ...: F(q) is _fibs[q + 1].  _column replaces it by a
-# longer copy, never grows it in place, so each number is added once per
-# process and a reader still holding the shorter list reads correct values.
-_fibs = [1, 0]
-
-
 @cache
 def _column(part: int, p: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (row, entry) pairs, by ascending row, of the differenced
@@ -328,15 +322,7 @@ def _column(part: int, p: int) -> tuple[tuple[int, int], ...]:
     the entry is 0 unless j <= p <= 2j + 1.  A column depends on (part, p)
     alone, so each is built once per process.
     """
-    global _fibs
-    q = p - part
-    fs = _fibs
-    if len(fs) < q + 3:  # F(q + 1) is needed
-        fs = fs[:]
-        while len(fs) < 2 * q + 3:  # twice as long, so ascending powers copy little
-            fs.append(fs[-2] + fs[-1])
-        _fibs = fs
-    f0, f1 = fs[q + 1], fs[q + 2]
+    f0, f1 = fib_pair(p - part)  # F(q), F(q+1) at q = p - part
     l0, l1 = 2 * f1 - f0, 2 * f0 + f1  # L(q), L(q+1), by L(m) = F(m-1) + F(m+1)
     # d = 2j - p has the parity of p: X_d is one sequence all down the column
     # and X_(d+1) the other, and 5^((d+1)//2) is 5^(d//2) times 5 for odd d.
@@ -383,15 +369,14 @@ def _system(slots: tuple[tuple[int, int], ...],
     return cols, aug
 
 
-def _solve(template: Template, slots: tuple[tuple[int, int], ...],
+def _solve(template: Template,
            rhs: list[list[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
     """(det, ys) for the system against rhs[n], the right-hand sides of row n:
-    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order.
-    slots is ``template.slots``, read once by the caller."""
-    cols, aug = _system(slots, rhs)
+    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order."""
+    cols, aug = _system(template.slots, rhs)
     det, xs = _eliminate(aug, len(cols))
     solved = dict(zip(cols, xs))
-    return det, _to_monomial(template, [solved[s] for s in slots])
+    return det, _to_monomial(template, [solved[s] for s in template.slots])
 
 
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
@@ -400,18 +385,17 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
     k = template.unknowns
     if len(vals) != k:
         raise ValueError(f"template needs {k} values, got {len(vals)}")
-    slots = template.slots
     den = lcm(*(v.denominator for v in vals))
-    det, ys = _solve(template, slots, [[v.numerator * (den // v.denominator)] for v in vals])
+    det, ys = _solve(template, [[v.numerator * (den // v.denominator)] for v in vals])
     coeffs = [Fraction(x, scale * det * den) for (x,), scale in ys]
-    return SynthSolution(_assemble(slots, coeffs), dict(zip(_names(k), coeffs)))
+    return SynthSolution(_assemble(template.slots, coeffs), dict(zip(_names(k), coeffs)))
 
 
 def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     """Exact inverse of build_system: maps (w_0..w_{k-1}) to the slot vector."""
     k = template.unknowns
     identity = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
-    det, ys = _solve(template, template.slots, identity)
+    det, ys = _solve(template, identity)
     return [[Fraction(x, scale * det) for x in row] for row, scale in ys]
 
 

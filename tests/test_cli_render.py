@@ -17,6 +17,7 @@ from conftest import rand_expr, rand_int_expr, ref_at
 
 import fibrec.cli as cli
 from fibrec import fib, format_expr, parse
+from fibrec.parser import _power
 
 
 def run_cli(capsys, *argv):
@@ -138,12 +139,19 @@ def test_to_decimal_equals_decimal_of_int():
         ints += [2**k - 1, 2**k, 2**k + 1, -(2**k - 1), -(2**k), -(2**k + 1)]
     for n in (*range(0, 2000, 37), 1500, 6000, 10_000, 31_337, 65_536, 100_000):
         ints += [fib(n), -fib(n)]
-    powers: dict = {}
     with localcontext(cli._EXACT):
         for x in ints:
-            # the same digits, sign and exponent 0, with one table of powers throughout
-            assert cli._to_decimal(x, powers).as_tuple() == Decimal(x).as_tuple(), x
-    assert max(powers) > cli._SPLIT_BITS
+            # the same digits, sign and exponent 0, with one cache of powers throughout
+            assert cli._to_decimal(x).as_tuple() == Decimal(x).as_tuple(), x
+    # the last conversion's first split, 2^h above _SPLIT_BITS bits, is a cached key
+    h = ints[-1].bit_length() // 2
+    info = _power.cache_info()
+    assert h > cli._SPLIT_BITS and _power(h) == 2**h
+    assert _power.cache_info()[:2] == (info.hits + 1, info.misses)
+    assert info.maxsize is not None and info.currsize <= info.maxsize  # bounded
+    # a power is exact whatever the context of the call that caches it
+    _power.cache_clear()
+    assert _power(3 * cli._SPLIT_BITS) == 2 ** (3 * cli._SPLIT_BITS)
 
 
 def test_exact_context_refuses_to_round():
@@ -162,9 +170,9 @@ def conversions(monkeypatch):
     seen = []
     original = cli._to_decimal
 
-    def counting(x, powers):
+    def counting(x):
         seen.append(x)
-        return original(x, powers)
+        return original(x)
 
     monkeypatch.setattr(cli, "_to_decimal", counting)
     return seen

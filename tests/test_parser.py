@@ -208,7 +208,7 @@ def test_text_writes_as_str_does():
 def test_text_refuses_where_str_refuses(monkeypatch):
     converted = []
     to_decimal = fibrec.parser._to_decimal
-    counting = lambda k, powers: converted.append(k) or to_decimal(k, powers)
+    counting = lambda k: converted.append(k) or to_decimal(k)
     monkeypatch.setattr(fibrec.parser, "_to_decimal", counting)
     nines, ten = 10**700 - 1, 10**700
     with _digit_limit(700):

@@ -5,6 +5,7 @@ Values are checked against two evaluators that share no code with
 Binet split of ``binet_oracle`` (powers of alpha and beta in Q(sqrt(5))).
 """
 
+import importlib
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -176,6 +177,22 @@ def test_at_matches_reference_far_out():
             assert e.at(n) == ref_at(e, n)
 
 
+def test_at_computes_only_what_it_reads(monkeypatch):
+    # the canonical form of F(n-10000000) holds F(10^7) and F(10^7+1); the
+    # value at 10^7 needs F(-1) and F(0) alone
+    fib_pair = importlib.import_module("fibrec.fib").fib_pair
+
+    def guarded(k, one=1):
+        assert abs(k) <= 10**6, f"fib_pair({k}) was called"
+        return fib_pair(k, one)
+
+    for module in ("fibrec.fib", "fibrec.seqform"):
+        monkeypatch.setattr(importlib.import_module(module), "fib_pair", guarded)
+    e = parse("F(n-10000000)")
+    assert e.at(10_000_000) == 0
+    assert "_canon" not in vars(e)
+
+
 def test_add_examples():
     two_terms = FibExpr.of([(0, [1])]) + FibExpr.of([(1, [1])])
     assert [t.shift for t in two_terms.terms] == [0, 1]
@@ -343,7 +360,7 @@ def test_canon_memo_is_invisible():
         e = parse(text)
         form = e.canon()
         assert e.canon() is form
-        assert form._scaled() is form._scaled()
+        assert form._scaled is e._scaled
         fresh = parse(text)
         assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
         assert form == fresh.canon() and hash(form) == hash(fresh.canon())
@@ -388,8 +405,8 @@ _FAR_CASES = [
 
 def _has_far_terms(e: FibExpr) -> bool:
     """Whether e has a cluster away from J = 0, as its form has."""
-    far = any(base for base, _, _ in e._clusters())
-    assert far == any(base for base, _, _ in e.canon()._scaled()[1])
+    far = any(base for base, _, _ in e._scaled[1])
+    assert far == any(base for base, _, _ in e.canon()._scaled[1])
     return far
 
 
@@ -400,10 +417,11 @@ def test_far_terms_give_the_values_of_a_fresh_form(text, far, lo):
     assert _has_far_terms(e) == far
     form = e.canon()
     fresh = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # one cluster, at J = 0
-    assert [base for base, _, _ in fresh._scaled()[1]] == [0]
+    assert [base for base, _, _ in fresh._scaled[1]] == [0]
     hi = lo + 12
     got = list(form.values(lo, hi))
     assert got == list(fresh.values(lo, hi))
+    assert [(n, e.at(n)) for n in range(lo, hi + 1)] == got
     assert got == [(n, ref_at(e, n)) for n in range(lo, hi + 1)]
 
 
@@ -429,9 +447,9 @@ def test_a_far_shift_keeps_horner_coefficients_short():
     assert min(abs(int(c)).bit_length() for c in form.p0.coeffs + form.p1.coeffs if c) > 13_000
     # a lone term keeps its own polynomial; F(n-20044) joins n^120*F(n-20000) with
     # F(-43) and F(-44), and F(n-20045) starts a cluster of its own
-    assert e._clusters()[2] == (20000, Poly((*[0] * 120, 1)) + Poly((0, fib(-43))),
-                                 Poly((0, fib(-44))))
-    den, clusters, _, _ = form._scaled()
+    den, clusters, _, _ = form._scaled
+    assert clusters[2] == (20000, (Poly((*[0] * 120, 1)) + Poly((0, fib(-43)))) * den,
+                           Poly((0, fib(-44))) * den)
     assert [base for base, _, _ in clusters] == [-20000, 0, 20000, 20045]
     assert max(abs(c).bit_length() for _, r0, r1 in clusters for c in r0.coeffs + r1.coeffs) <= 64
     assert [e.at(n) for n in (-3, 20_044, 40_001)] == [ref_at(e, n) for n in (-3, 20_044, 40_001)]
@@ -540,7 +558,7 @@ def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
     for text in texts + ["(n^9+1)/3*F(n) - n^4*F(n-1) + 1/2 - 1/5*(-1)^n"]:
         e = parse(text)
         form = e.canon()
-        den, clusters, _, _ = form._scaled()
+        den, clusters, _, _ = form._scaled
         polys = [p for _, r0, r1 in clusters for p in (r0, r1) if p]
         for n in (-777, 0, 12_345):
             expected = ref_at(e, n)  # which evaluates each term's polynomial itself
@@ -553,7 +571,7 @@ def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
 
 def test_a_long_window_runs_horner_only_on_its_first_values(horner_calls):
     form = parse("(n^3+1)/7*F(n) + n/3*F(n-1) + n^5*F(n-100) + 1/2 - 1/5*(-1)^n").canon()
-    den, clusters, _, _ = form._scaled()
+    den, clusters, _, _ = form._scaled
     polys = [p for _, r0, r1 in clusters for p in (r0, r1) if p]
     lo, hi = -300, 699
     horner_calls.clear()  # the parser reads its constant terms at 0
