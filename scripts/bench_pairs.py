@@ -6,29 +6,45 @@
 PARENT and CHANGE are two checkouts of fibrec.  Pair i runs
 `bench/run.py --workload W --seed S+i`, unchanged and at its default length,
 in each of them, from its own root: the parent first in even pairs, the
-change first in odd ones.  Each run's figures, and whether its answers were
-correct, are printed as it ends.  Then, for each end-to-end metric of
-CHANGE's BENCHMARK.json that the runs report, it prints both medians, how far
-the change's median moved, the parent's quartiles, how many pairs the change
-won (a tie counts for neither side) and whether the gain rule holds: the
-change wins at least nine tenths of the pairs, and its median beats the
-parent's by more than the distance between the parent's quartiles.
+change first in odd ones.  Each checkout's runs share one fresh bytecode
+directory (PYTHONPYCACHEPREFIX), removed at exit, so neither side imports
+bytecode that an earlier test run left in its tree.  Each run's figures, and
+whether its answers were correct, are printed as it ends.  Then, for each
+end-to-end metric of CHANGE's BENCHMARK.json that the runs report, it prints
+both medians, how far the change's median moved, the parent's quartiles, how
+many pairs the change won (a tie counts for neither side) and whether the gain
+rule holds: the change wins at least nine tenths of the pairs, and its median
+beats the parent's by more than the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+
+
+@functools.cache
+def pycache_prefix(checkout: str) -> str:
+    """A fresh bytecode directory for `checkout`'s runs, removed at exit."""
+    path = tempfile.mkdtemp(prefix="bench-pycache-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
 
 
 def run_bench(checkout: str, workload: str, seed: int) -> str:
-    """The stdout of one benchmark run in `checkout`."""
+    """The stdout of one benchmark run in `checkout`, with its own bytecode directory."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": pycache_prefix(os.path.abspath(checkout))}
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True)
+                           "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True,
+                          env=env)
     return proc.stdout
 
 

@@ -3,7 +3,8 @@
 A ``Recurrence`` only holds values; ``CanonForm.values`` evaluates the sequence.
 The initial window w_0..w_{m-1} is stepped once per form: ``to_recurrence``
 and the integrality verdict (``decide``) both read it through
-``_initial_window``, which keeps the finished window on the form.
+``_initial_window``, which keeps the finished window on the form and computes
+``char_poly`` only for a finished window: a verdict may stop at its witness.
 
 ``char_poly`` is one integer power (Kronecker substitution): it evaluates
 x^2-x-1 at x = 2^B, raises that int to the power k = D+1, multiplies in
@@ -30,9 +31,7 @@ def char_poly(form: CanonForm) -> Poly:
     (x^2-x-1)^(D+1) with D = max(deg P0, deg P1), left out when both vanish;
     times x-1 when e != 0 and x+1 when f != 0.  The zero sequence gets 1.
     """
-    d = form.fib_degree
-    k = 0 if d is None else d + 1
-    e, f = bool(form.const_e), bool(form.alt_f)
+    k, e, f = _exponents(form)
     # digits of B bits, whole bytes, hold any |c| <= 3^k * 2^(e+f) with a sign bit
     size = ((3**k).bit_length() + 10) // 8
     width = 8 * size
@@ -47,6 +46,12 @@ def char_poly(form: CanonForm) -> Poly:
         int.from_bytes(packed[i:i + size], "little") - half
         for i in range(0, size * count, size)
     ))
+
+
+def _exponents(form: CanonForm) -> tuple[int, bool, bool]:
+    """(D+1, e != 0, f != 0): ``char_poly``'s powers of x^2-x-1, x-1 and x+1."""
+    d = form.fib_degree
+    return 0 if d is None else d + 1, bool(form.const_e), bool(form.alt_f)
 
 
 class Recurrence(Value):
@@ -76,24 +81,24 @@ class Recurrence(Value):
 def _initial_window(form: CanonForm) -> Iterator[tuple[int, Fraction]]:
     """Yield (n, w_n) for n = 0..order-1, stepping each form's window once.
 
-    A scan that reaches the end keeps Recurrence(char_poly, values) in the
-    form's ``__dict__``, beside its cached ``_scaled`` and, like it, not a
-    field; later scans read the values from there.  A scan stopped early, such
-    as an integrality verdict at its witness, keeps nothing.  That is why this
-    is the one memo written by hand: a ``functools`` cache holds only a
-    finished value, so it would step the whole window before a verdict could
-    stop at its witness.
+    The order 2(D+1) + [e!=0] + [f!=0] is read off the form.  A scan that
+    reaches the end keeps Recurrence(char_poly, values) in the form's
+    ``__dict__``, beside its cached ``_scaled`` and, like it, not a field; later
+    scans read the values from there.  A scan stopped early, such as an
+    integrality verdict at its witness, raises no ``char_poly`` and keeps
+    nothing.  So this memo is written by hand: a ``functools`` cache holds only
+    a finished value, and would step the whole window before a verdict stopped.
     """
     rec = form.__dict__.get("_window_memo")
     if rec is not None:
         yield from enumerate(rec.initial)
         return
-    cp = char_poly(form)
+    k, e, f = _exponents(form)
     initial = []
-    for n, v in form.values(0, cp.degree - 1):
+    for n, v in form.values(0, 2 * k + e + f - 1):
         initial.append(v)
         yield n, v
-    form.__dict__["_window_memo"] = Recurrence(cp, tuple(initial))
+    form.__dict__["_window_memo"] = Recurrence(char_poly(form), tuple(initial))
 
 
 def to_recurrence(expr: FibExpr) -> Recurrence:

@@ -4,11 +4,11 @@ Subcommands: eval, canon, rec, check, synth, theorem, oeis, oracle.  Every
 subcommand accepts --json for a single machine-readable document on stdout.
 Each command returns its answer values, not their text; main renders only
 the view it prints, so each printed value becomes text once, in time near
-linear in its length.  `eval` hands main its values rendered as Decimals, in
-blocks of about 64 KiB of text that main writes with one print each.  Every
-other number, in text, in a formatted polynomial or expression and in JSON,
-is written by parser._text.  The digit budget's limits and refusal texts are
-CLI policy; its bounds are read off the parsed expression by seqform.
+linear in its length.  `eval` yields its values one line at a time, rendered
+from Decimals; main writes every command's text in prints of about 64 KiB.
+Every other number, in text, in a formatted polynomial or expression and in
+JSON, is written by parser._text.  The digit budget's limits and refusal texts
+are CLI policy; its bounds are read off the parsed expression by seqform.
 
 Exit codes: 0 success; 1 internal error; 2 parse or usage error;
 3 NON-INTEGER verdict from `check`; 4 network failure in `oeis --remote`.
@@ -58,9 +58,11 @@ _MAX_TIMEOUT = 86_400
 # reads.  main sets the interpreter's int-to-str digit limit to MAX_DIGITS,
 # which bounds every int read from text and every value that parser._text
 # writes; _rendered refuses at the same length.  Values become text in time
-# near linear in their length.  Before any long Fibonacci number, `rec`, `check`
-# and `canon` refuse F(n-10000000) + F(n-9999999), and `eval` a window that
-# starts, or with --json ends, at a value seqform._surely_longer can show long.
+# near linear in their length.  Before any long Fibonacci number, each command
+# refuses what seqform._surely_longer can show long among the values it prints:
+# `rec` any initial value, `check` and `canon` all of them (one witness, or
+# coefficients, may print), and `eval` its first value, or with --json also its
+# last, so `rec "n*F(n-10000000)"` is refused at once.
 MAX_DIGITS = 500_000
 
 # The decimal exponent of a rational written as Fraction reads it, such as
@@ -71,8 +73,8 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)
 # Most digits that `eval --json` may hold, or the initial values of `rec` and
 # `check`: the JSON document is written whole, and the initial values are all
 # computed before any is printed, so every value sits in memory at once.  The
-# initial-value estimate also bounds the canonical form that `canon` prints and
-# that `eval` computes before its first value (seqform._estimated_digits).
+# initial-value estimate also bounds the canonical form that `canon` prints
+# (seqform._estimated_digits).
 # 20 million digits, F(0)..F(13800), take about 1 s and 75 MB.
 MAX_JSON_DIGITS = 20_000_000
 
@@ -105,35 +107,30 @@ def _refuse_past_budget(expr: FibExpr, lo: int, hi: int, message: str) -> None:
         raise ValueError(message.format(digits, MAX_JSON_DIGITS))
 
 
-def _parse_bounded(text: str, holding: str, prints_window: bool = False) -> FibExpr:
+def _parse_bounded(text: str, holding: str, printed=all) -> FibExpr:
     """Parse an expression, refusing it before any Fibonacci work when its initial
-    values, which bound its canonical form too, would pass MAX_JSON_DIGITS, or one
-    would surely pass MAX_DIGITS unless the command prints only a window (`eval`).
-    `holding` names what the command would hold, with {} for their count."""
+    values, which bound its canonical form too, would pass MAX_JSON_DIGITS, or when
+    `printed` (all, or any for a command that prints every one) of them would
+    surely pass MAX_DIGITS.  `holding` names what the command would hold, with {}
+    for their count."""
     expr = parse(text)
     order = _order_bound(expr)
     _refuse_past_budget(expr, 0, order - 1,
                         holding.format(order) + " would hold about {} digits, more than {}")
-    if not prints_window and _surely_longer(expr, MAX_DIGITS, range(order)):
+    if _surely_longer(expr, MAX_DIGITS, range(order), printed):
         raise ValueError(f"a value has more than {MAX_DIGITS} digits")
     return expr
 
 
-# About how much text `eval` renders, and main writes, at once.
-_BLOCK_CHARS = 1 << 16
-
-
-def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[list[tuple[int, str]]]:
-    """Yield (n, str(w_n)) for n = lo..hi in blocks, each value written as
-    str(Fraction) would; run it in an exact context such as _EXACT, as main
-    does.  A block ends with the value that brings its text to _BLOCK_CHARS,
-    so no value is split.
+def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[tuple[int, str]]:
+    """Yield (n, str(w_n)) for n = lo..hi, each value written as str(Fraction)
+    would; run it in an exact context such as _EXACT, as main does.
 
     The numerators L*w_n step as Decimals, which become text in time near
     linear in their length, from the expression's scaled clusters, not from
     the canonical form, whose coefficients a far shift makes long.  A value
     whose reduced numerator passes MAX_DIGITS digits is refused, as _text
-    refuses it under main's digit limit; any value fails after those before it.
+    refuses it under main's digit limit, after the values before it.
     """
     den, clusters, e, f = expr._scaled
     # the seeds double as Decimals, and only L and long input coefficients
@@ -143,33 +140,17 @@ def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[list[tuple[int, str]]
     steps = _numerators(tuple((base, dec_poly(r0), dec_poly(r1)) for base, r0, r1 in clusters),
                         dec(e), dec(f), lo, hi, decimal.Decimal(1))
     big_den = dec(den)
-    while True:
-        block: list[tuple[int, str]] = []
-        size = 0
-        try:
-            for n, num in steps:
-                d = den
-                if not num:  # "0", never the "-0" that Decimal can hold
-                    text = "0"
-                else:
-                    g = math.gcd(int(num % big_den), den) if den > 1 else 1
-                    if g > 1:
-                        num, d = num // g, den // g
-                    if num.adjusted() >= MAX_DIGITS:
-                        raise ValueError(f"a value has more than {MAX_DIGITS} digits")
-                    text = str(num) if d == 1 else f"{num!s}/{d}"
-                block.append((n, text))
-                size += len(text)
-                if size >= _BLOCK_CHARS:
-                    break
-        except Exception:  # raised again once the values before it are out
-            if block:
-                yield block
-            raise
-        if block:
-            yield block
-        if size < _BLOCK_CHARS:  # the window ended inside this block
-            return
+    for n, num in steps:
+        if not num:  # "0", never the "-0" that Decimal can hold
+            yield n, "0"
+            continue
+        d = den
+        g = math.gcd(int(num % big_den), den) if den > 1 else 1
+        if g > 1:
+            num, d = num // g, den // g
+        if num.adjusted() >= MAX_DIGITS:
+            raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+        yield n, str(num) if d == 1 else f"{num!s}/{d}"
 
 
 def _cmd_eval(args) -> _Output:
@@ -177,14 +158,13 @@ def _cmd_eval(args) -> _Output:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
-    expr = _parse_bounded(args.expr, "up to {} coefficients computed before the first value",
-                          prints_window=True)
+    expr = parse(args.expr)
     if args.json:
         _refuse_past_budget(expr, args.start, args.stop, "--json would hold about {} digits "
                             "at once, more than {}; the text output streams")
     # text streams up to the first value that fails, and --json prints every value or none
     ends = (args.start, args.stop) if args.json else (args.start,)
-    if any(_surely_longer(expr, MAX_DIGITS, (n,)) for n in ends):
+    if _surely_longer(expr, MAX_DIGITS, ends, any):
         raise ValueError(f"a value has more than {MAX_DIGITS} digits")
     values = _rendered(expr, args.start, args.stop)
     payload = {
@@ -193,10 +173,8 @@ def _cmd_eval(args) -> _Output:
         "to": args.stop,
     }
     if args.json:
-        payload["values"] = [{"n": n, "value": v} for block in values for n, v in block]
-    # text output streams, one line per value and one print per block
-    return EXIT_OK, payload, lambda: ("\n".join([f"{n} {v}" for n, v in block])
-                                      for block in values)
+        payload["values"] = [{"n": n, "value": v} for n, v in values]
+    return EXIT_OK, payload, lambda: (f"{n} {v}" for n, v in values)
 
 
 def _cmd_canon(args) -> _Output:
@@ -218,7 +196,7 @@ def _cmd_canon(args) -> _Output:
 
 
 def _cmd_rec(args) -> _Output:
-    rec = to_recurrence(_parse_bounded(args.expr, "up to {} initial values"))
+    rec = to_recurrence(_parse_bounded(args.expr, "up to {} initial values", any))
     payload = {
         "expression": args.expr,
         "order": rec.order,
@@ -407,6 +385,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+# About how much text main joins from a command's lines and writes with one print.
+_BLOCK_CHARS = 1 << 16
+
+
 def main(argv: list[str] | None = None) -> int:
     argparser = _build_argparser()
     try:
@@ -427,9 +409,19 @@ def main(argv: list[str] | None = None) -> int:
                 doc = {"command": args.command, **_held(payload, longs)}
                 text = json.dumps(doc, indent=2, default=_text)
                 print(_HELD.sub(lambda m: longs[int(m[1])], text) if longs else text)
-            else:
-                for line in lines():
-                    print(line)
+            else:  # the lines before a failure print before it propagates
+                block: list[str] = []
+                size = 0
+                try:
+                    for line in lines():
+                        block.append(line)
+                        size += len(line)
+                        if size >= _BLOCK_CHARS:
+                            print("\n".join(block))
+                            block, size = [], 0
+                finally:
+                    if block:
+                        print("\n".join(block))
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -233,14 +233,15 @@ def _estimated_digits(expr: FibExpr, lo: int, hi: int) -> int:
     return round(0.209 * _abs_sum(lo, hi) + (hi - lo + 1) * per_value)
 
 
-def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int]) -> bool:
-    """Whether every w_n, n in indices, surely has a reduced numerator of more
-    than `digits` digits (over 0..``_order_bound(expr)``-1, every initial value
-    and, as P1(0) = w_0 - e - f, a canonical coefficient).  A cluster adds at
-    most sum|coefficients| * max(|n|, 1)^deg * phi^(|k|+1) to L*w_n (``_scale``),
-    k = n-J-1.  The largest is evaluated if that could pass, and w_n refused when
-    its ``_pair_low`` at (L*R0(n), L*R1(n)), less log10(L), passes `digits` and
-    the others' bounds plus |L*e| + |L*f|, each by one digit in hand."""
+def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all) -> bool:
+    """Whether `every` (all, or any for a caller that prints each) w_n, n in
+    indices, surely has a reduced numerator of more than `digits` digits (over
+    0..``_order_bound(expr)``-1, every initial value and, as P1(0) = w_0 - e - f,
+    a canonical coefficient).  A cluster adds at most sum|coefficients| *
+    max(|n|, 1)^deg * phi^(|k|+1) to L*w_n (``_scale``), k = n-J-1.  The largest
+    is evaluated if that could pass, and w_n refused when its ``_pair_low`` at
+    (L*R0(n), L*R1(n)), less log10(L), passes `digits` and the others' bounds
+    plus |L*e| + |L*f|, each by one digit in hand."""
     den, clusters, e, f = expr._scaled
     e_f = [_log10_above(max(abs(e) + abs(f), 1))]
     sized = [(base, r0, r1, _log10_above(max(sum(map(abs, r0.coeffs + r1.coeffs)), 1)),
@@ -255,7 +256,7 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int]) -> bool:
         base, r0, r1, _, _ = sized[top]
         return highs[top] > bar and _pair_low(r0(n), r1(n), n - base - 1) > bar
 
-    return bool(sized) and all(map(longer_at, indices))
+    return bool(sized) and every(map(longer_at, indices))
 
 
 def _pair_low(a: int, b: int, k: int) -> float:

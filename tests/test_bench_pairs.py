@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import shutil
 
 import pytest
 
@@ -88,3 +89,26 @@ def test_failed_runs_are_printed(tmp_path, capsys):
 def test_one_pair_is_refused(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "1"])
+
+
+def test_each_checkout_imports_from_its_own_fresh_bytecode_directory(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs: (
+        calls.append(kwargs) or type("Done", (), {"stdout": "out"})()))
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    bench_pairs.pycache_prefix.cache_clear()
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    for checkout, seed in ((parent, 1), (change, 1), (parent, 2), (change, 2)):
+        assert bench_pairs.run_bench(checkout, "w", seed) == "out"
+    prefixes = [kwargs["env"]["PYTHONPYCACHEPREFIX"] for kwargs in calls]
+    assert prefixes[0] == prefixes[2] != prefixes[1] == prefixes[3]
+    assert all(pathlib.Path(p).is_dir() and not any(pathlib.Path(p).iterdir()) for p in prefixes)
+    assert [kwargs["cwd"] for kwargs in calls] == [parent, change, parent, change]
+    for kwargs in calls:  # the rest of the environment passes through unchanged
+        env = dict(kwargs["env"])
+        del env["PYTHONPYCACHEPREFIX"]
+        assert env == dict(bench_pairs.os.environ)
+    for p in set(prefixes):  # as the exit handler does
+        shutil.rmtree(p)
+    bench_pairs.pycache_prefix.cache_clear()

@@ -210,7 +210,6 @@ def test_eval_json_budget_sums_every_index_in_closed_form(capsys, monkeypatch, n
         # the canonical form has 2002 coefficients of about 209,000 digits each
         ("canon", "n^1000*F(n-1000000)"),
         ("canon", "n^1000*F(n-1000000)", "--json"),
-        ("eval", "n^1000*F(n-1000000)", "--to", "0"),
     ],
 )
 def test_shifts_and_degrees_count_in_the_digit_budget(capsys, no_fib, argv):
@@ -225,7 +224,6 @@ def test_shifts_and_degrees_count_in_the_digit_budget(capsys, no_fib, argv):
         ("rec", "initial values"),
         ("check", "initial values"),
         ("canon", "coefficients of the canonical form"),
-        ("eval", "coefficients computed before the first value"),
     ],
 )
 def test_each_budget_refusal_names_what_its_command_holds(capsys, no_fib, command, holding):
@@ -234,6 +232,26 @@ def test_each_budget_refusal_names_what_its_command_holds(capsys, no_fib, comman
     assert err == (
         f"error: up to 2002 {holding} would hold about 425445724 digits, more than 20000000\n"
     )
+
+
+@pytest.mark.parametrize("window, printed", [
+    (("--from", "1000000", "--to", "1000000"), "1000000 0"),
+    (("--to", "0"), "0 0"),
+])
+def test_eval_builds_no_canonical_form_and_passes_no_budget_for_one(capsys, monkeypatch,
+                                                                     window, printed):
+    # the canonical form would hold 2002 coefficients of about 209,000 digits each;
+    # eval steps its one cluster from one seed, F(0) or F(-1000001), and prints 0
+    monkeypatch.setattr(FibExpr, "canon", lambda self: pytest.fail("canon was called"))
+    assert run_cli(capsys, "eval", "n^1000*F(n-1000000)", *window) == (0, printed + "\n", "")
+
+
+def test_rec_is_refused_when_any_initial_value_is_surely_long(capsys, no_fib):
+    # w_0 = 0, but rec prints w_1 = F(-9999999) too, which has about 2.1 million digits
+    start = time.perf_counter()
+    got = run_cli(capsys, "rec", "n*F(n-10000000)")
+    assert time.perf_counter() - start < 1
+    assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
 
 
 def test_the_order_bound_counts_the_constant_and_the_alternating_part(capsys, no_fib):
@@ -338,8 +356,8 @@ def test_what_the_lone_term_bound_cannot_refuse_still_prints(capsys, monkeypatch
     # eval prints only its window, so it asks the bound about nothing else
     asked = []
     bound = fibrec.cli._surely_longer
-    monkeypatch.setattr(fibrec.cli, "_surely_longer", lambda expr, digits, indices: (
-        asked.append(tuple(indices)) or bound(expr, digits, indices)))
+    monkeypatch.setattr(fibrec.cli, "_surely_longer", lambda expr, digits, indices, every: (
+        asked.append(tuple(indices)) or bound(expr, digits, indices, every)))
     assert run_cli(capsys, "eval", "F(n-10000)", "--from", "10000", "--to", "10000") == (
         0, "10000 0\n", "")
     assert asked == [(10000,)]

@@ -237,29 +237,58 @@ def values_as_text(text: str, lo: int, hi: int) -> list[tuple[int, str]]:
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize(
-    "text, lo, hi",
-    [
-        ("(2n+3)/5*F(n) - n/5*F(n-1)", -3000, 3000),  # about 29 blocks of text
-        ("F(n) + 1/3", 320_000, 320_002),  # each value is longer than a block
-    ],
-)
-def test_blocks_join_to_the_values_line_by_line(capsys, text, lo, hi):
-    expected = values_as_text(text, lo, hi)
-    with localcontext(cli._EXACT):  # as main runs it
-        blocks = list(cli._rendered(parse(text), lo, hi))
-    assert [pair for block in blocks for pair in block] == expected
-    assert len(blocks) >= 3
-    for block in blocks[:-1]:  # each is cut at the value that fills it
-        sizes = [len(v) for _, v in block]
+@pytest.fixture
+def prints(monkeypatch):
+    """The text of each print that main makes to stdout."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        if "file" not in kwargs:
+            seen.append(args[0])
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", spy, raising=False)
+    return seen
+
+
+def assert_cut_at_the_line_that_fills_it(chunks: list[str]) -> None:
+    assert len(chunks) >= 3
+    for chunk in chunks[:-1]:
+        sizes = [len(line) for line in chunk.split("\n")]
         assert sum(sizes[:-1]) < cli._BLOCK_CHARS <= sum(sizes)
-    argv = ["eval", text, "--from", str(lo), "--to", str(hi)]
+
+
+def assert_both_views_print(capsys, prints, argv, expected) -> None:
+    """The text view in prints cut where their lines fill them, and --json, of expected."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.splitlines() == [f"{n} {v}" for n, v in expected]
+    assert_cut_at_the_line_that_fills_it(prints)
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["values"] == [{"n": n, "value": v} for n, v in expected]
+
+
+@pytest.mark.parametrize(
+    "text, lo, hi",
+    [
+        ("(2n+3)/5*F(n) - n/5*F(n-1)", -3000, 3000),  # about 29 prints of text
+        ("F(n) + 1/3", 320_000, 320_002),  # each value is longer than a print
+    ],
+)
+def test_blocks_join_to_the_values_line_by_line(capsys, prints, text, lo, hi):
+    expected = values_as_text(text, lo, hi)
+    with localcontext(cli._EXACT):  # as main runs it
+        assert list(cli._rendered(parse(text), lo, hi)) == expected
+    assert_both_views_print(capsys, prints, ["eval", text, "--from", str(lo), "--to", str(hi)],
+                            expected)
+
+
+def test_every_command_writes_its_short_text_in_one_print(capsys, prints):
+    code, out, err = run_cli(capsys, "rec", "(2n+3)/5*F(n) - n/5*F(n-1)")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
+    assert prints == [out[:-1]]
 
 
 def test_a_failure_past_the_first_block_prints_the_lines_before_it(capsys, monkeypatch):
@@ -303,20 +332,13 @@ def test_importing_the_cli_builds_no_parser():
     assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
-def test_long_coefficients_step_as_decimal_differences(capsys, conversions):
+def test_long_coefficients_step_as_decimal_differences(capsys, conversions, prints):
     # 10^400 passes _SPLIT_BITS, so R0 = 10^400*n^2 + 1 steps its differences as
     # Decimals in the exact context, where any rounding would raise
     text, lo, hi = f"({10**400}*n^2+1)/3*F(n) + n*F(n-50)", -20, 600
     expected = values_as_text(text, lo, hi)
     with localcontext(cli._EXACT):  # as main runs it
-        blocks = list(cli._rendered(parse(text), lo, hi))
-    assert len(blocks) >= 3
-    assert [pair for block in blocks for pair in block] == expected
+        assert list(cli._rendered(parse(text), lo, hi)) == expected
     assert conversions == [10**400]
-    argv = ["eval", text, "--from", str(lo), "--to", str(hi)]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert out.splitlines() == [f"{n} {v}" for n, v in expected]
-    code, out, err = run_cli(capsys, *argv, "--json")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["values"] == [{"n": n, "value": v} for n, v in expected]
+    assert_both_views_print(capsys, prints, ["eval", text, "--from", str(lo), "--to", str(hi)],
+                            expected)

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import (
     A010049,
     EXAMPLE_EXPRS,
@@ -16,7 +18,7 @@ from conftest import (
 )
 
 from fibrec import FibExpr, Integral, NonIntegral, is_integer_sequence, parse, to_recurrence
-from fibrec import CanonForm, seqform
+from fibrec import CanonForm, cfinite, seqform
 
 
 def test_integral_examples():
@@ -173,6 +175,19 @@ def test_a_verdict_at_its_witness_leaves_the_window_whole(monkeypatch):
         assert rec.initial[witness] == verdict.value
         assert is_integer_sequence(e) == verdict
         _assert_form_unchanged(e)
+
+
+def test_a_verdict_at_its_witness_raises_no_characteristic_polynomial(monkeypatch):
+    # the window's length is read off the form; char_poly waits for a whole window
+    for text, witness in (("n^1000/3*F(n-20000)+n^1000*F(n)", 1),
+                          ("(n^3+1)/2*F(n) + F(n-2)", 2), ("n^4/3*F(n-70) + n^4*F(n+2) + 1/2", 0)):
+        e = parse(text)
+        with monkeypatch.context() as m:
+            m.setattr(cfinite, "char_poly", lambda form: pytest.fail("char_poly was called"))
+            verdict = is_integer_sequence(e)
+        assert isinstance(verdict, NonIntegral) and verdict.witness_n == witness
+        if e.canon().fib_degree < 1000:  # a whole window of degree 1000 takes seconds
+            assert to_recurrence(e) == to_recurrence(parse(text))
 
 
 def _reference_recurrence(text: str):
