@@ -8,7 +8,9 @@ PARENT and CHANGE are two checkouts of fibrec.  Pair i runs
 in each of them, from its own root: the parent first in even pairs, the
 change first in odd ones.  Each checkout's runs share one fresh bytecode
 directory (PYTHONPYCACHEPREFIX), removed at exit, so neither side imports
-bytecode that an earlier test run left in its tree.  Each run's figures, and
+bytecode that an earlier test run left in its tree; PYTHONDONTWRITEBYTECODE is
+left out of the runs' environment, so the directory fills on a checkout's
+first run and its later runs import what it holds.  Each run's figures, and
 whether its answers were correct, are printed as it ends.  Then, for each
 end-to-end metric of CHANGE's BENCHMARK.json that the runs report, it prints
 both medians, how far the change's median moved, the parent's quartiles, how
@@ -40,8 +42,10 @@ def pycache_prefix(checkout: str) -> str:
 
 
 def run_bench(checkout: str, workload: str, seed: int) -> str:
-    """The stdout of one benchmark run in `checkout`, with its own bytecode directory."""
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": pycache_prefix(os.path.abspath(checkout))}
+    """The stdout of one benchmark run in `checkout`, which writes its bytecode to
+    and reads it from its own directory."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = pycache_prefix(os.path.abspath(checkout))
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True,
                           env=env)

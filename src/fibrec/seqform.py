@@ -22,9 +22,10 @@ would carry through every step at every index.  So values are read from
     F(n-j) = F(J-j+1) * F(n-J) + F(J-j) * F(n-J-1),
 
 to the terms whose offsets j - J lie in -43..44, where F(J-j+1) and F(J-j)
-are below 2**30 in magnitude, so R0 and R1 keep short coefficients.  The
-cluster at J = 0 holds the shifts -43..44; every other run of shifts has a
-cluster based at its least shift.  P0 and P1 still sum every term.
+are below 2**30 in magnitude, so R0 and R1 keep short coefficients.  One rule
+makes every cluster: the shifts, in increasing order, fall into runs at most
+87 wide, and each run is based at its midpoint.  P0 and P1 still sum every
+term.
 
 Every value comes from one loop, ``_numerators``: over the common denominator
 of the coefficients, w_n is an integer combination of the pairs
@@ -144,13 +145,10 @@ class FibExpr(Value):
 
     @cached_property
     def _scaled(self) -> tuple:
-        """``_scale`` of the clusters ((J, R0, R1), ...) by increasing base J
-        (``_bases``), which sum the terms as R0(n)*F(n-J) + R1(n)*F(n-J-1)."""
-        groups: dict[int, list[tuple]] = {}
-        for t, base in zip(self.terms, _bases(self.terms)):
-            groups.setdefault(base, []).append((t.poly, *_near(t.shift - base)))
-        return _scale([(base, *_sums(parts)) for base, parts in sorted(groups.items())],
-                      self.const_e, self.alt_f)
+        """``_scale`` of the clusters ((J, R0, R1), ...), one per run of shifts
+        (``_runs``), which sum the run's terms as R0(n)*F(n-J) + R1(n)*F(n-J-1)."""
+        return _scale([(base, *_sums((t.poly, *_near(t.shift - base)) for t in run))
+                       for base, run in _runs(self.terms)], self.const_e, self.alt_f)
 
     def canon(self) -> "CanonForm":
         """Collapse every shift onto the F(n), F(n-1) basis; computed once."""
@@ -158,30 +156,31 @@ class FibExpr(Value):
 
     @cached_property
     def _canon(self) -> "CanonForm":
-        """``canon``'s form, which holds this expression's ``_scaled`` as its own."""
-        bases = _bases(self.terms)
-        pairs = {base: fib_pair(-base) for base in set(bases)}  # (F(-J), F(1-J))
-        near = [(t.poly, *_near(t.shift - b), *pairs[b]) for t, b in zip(self.terms, bases)]
+        """``canon``'s form, which holds this expression's ``_scaled`` as its own:
+        each term's F(1-j) and F(-j) from its run's one pair (F(-J), F(1-J))."""
+        near = [(t.poly, *_near(t.shift - base), *pair) for base, run in _runs(self.terms)
+                for pair in [fib_pair(-base)] for t in run]
         p0, p1 = _sums((p, c0 * u + c1 * v, c0 * v + c1 * (u - v)) for p, c0, c1, v, u in near)
         form = CanonForm(p0, p1, self.const_e, self.alt_f)
         form.__dict__["_scaled"] = self._scaled
         return form
 
 
-def _bases(terms: Iterable[ShiftTerm]) -> list[int]:
-    """The base J of each term's cluster: 0 for the shifts in ``_FOLD``; every
-    other shift, in increasing order, joins the last cluster if its base lies
-    at most 44 below, or starts one."""
-    bases, base = [], 0  # the last base away from 0, which is never 0
-    for t in terms:
-        if t.shift not in _FOLD and (not base or t.shift - base > _FOLD[-1]):
-            base = t.shift
-        bases.append(0 if t.shift in _FOLD else base)
-    return bases
+def _runs(terms: tuple[ShiftTerm, ...]) -> Iterator[tuple[int, tuple[ShiftTerm, ...]]]:
+    """Yield (J, terms) for each cluster: walking the terms by increasing shift,
+    a shift more than 87 above the first shift of its run starts the next run,
+    and each run is based at its midpoint J = (first + last) // 2, so that its
+    offsets j - J lie in ``_FOLD``."""
+    first = 0
+    for i in range(1, len(terms) + 1):
+        if i == len(terms) or terms[i].shift - terms[first].shift > _FOLD[-1] - _FOLD[0]:
+            yield (terms[first].shift + terms[i - 1].shift) // 2, terms[first:i]
+            first = i
 
 
 def _near(k: int) -> tuple[int, int]:
-    """(F(1-k), F(-k)); at k = 0 without a Fibonacci number, so a lone term has none."""
+    """(F(1-k), F(-k)) for an offset k in ``_FOLD``; at k = 0 without a Fibonacci
+    number, so a lone term, the base of its own run, has none."""
     return shift_coeffs(k) if k else (1, 0)
 
 

@@ -96,6 +96,7 @@ def test_each_checkout_imports_from_its_own_fresh_bytecode_directory(tmp_path, m
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs: (
         calls.append(kwargs) or type("Done", (), {"stdout": "out"})()))
     monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # would keep the directory empty
     monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
     bench_pairs.pycache_prefix.cache_clear()
     parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
@@ -105,10 +106,13 @@ def test_each_checkout_imports_from_its_own_fresh_bytecode_directory(tmp_path, m
     assert prefixes[0] == prefixes[2] != prefixes[1] == prefixes[3]
     assert all(pathlib.Path(p).is_dir() and not any(pathlib.Path(p).iterdir()) for p in prefixes)
     assert [kwargs["cwd"] for kwargs in calls] == [parent, change, parent, change]
+    passed = dict(bench_pairs.os.environ)
+    del passed["PYTHONDONTWRITEBYTECODE"]
     for kwargs in calls:  # the rest of the environment passes through unchanged
         env = dict(kwargs["env"])
+        assert "PYTHONDONTWRITEBYTECODE" not in env
         del env["PYTHONPYCACHEPREFIX"]
-        assert env == dict(bench_pairs.os.environ)
+        assert env == passed
     for p in set(prefixes):  # as the exit handler does
         shutil.rmtree(p)
     bench_pairs.pycache_prefix.cache_clear()

@@ -254,6 +254,22 @@ def test_rec_is_refused_when_any_initial_value_is_surely_long(capsys, no_fib):
     assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
 
 
+@pytest.mark.xfail(strict=True, reason="two far clusters of one length (J = -10^7 and 10^7) "
+                   "look like a pair that cancels, as they do at w_0 = 0, so rec doubles "
+                   "F(10^7) before it refuses")
+def test_rec_refuses_two_far_clusters_of_one_length_before_any_far_work(capsys, monkeypatch):
+    fib_pair = importlib.import_module("fibrec.fib").fib_pair
+
+    def guarded(k, one=1):
+        assert abs(k) <= 10**6, f"fib_pair({k}) was called"
+        return fib_pair(k, one)
+
+    for module in ("fibrec.fib", "fibrec.seqform"):
+        monkeypatch.setattr(importlib.import_module(module), "fib_pair", guarded)
+    got = run_cli(capsys, "rec", "F(n-10000000) + F(n+10000000)")
+    assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
+
+
 def test_the_order_bound_counts_the_constant_and_the_alternating_part(capsys, no_fib):
     for text, order in (("n^1000*F(n-1000000) + 1", 2003), ("n^1000*F(n-1000000) - (-1)^n", 2003),
                         ("n^1000*F(n-1000000) + 1/2 + 2*(-1)^n", 2004)):

@@ -98,8 +98,8 @@ def test_far_shifts_render_as_fractions(capsys, text, lo):
 @pytest.mark.parametrize(
     "text",
     [
-        "F(n+44) - n*F(n-45)",  # just past the fold bound on both sides
-        "n/3*F(n+43) + (n^2-1)/4*F(n-44) + 1/2",  # just inside it
+        "F(n+44) - n*F(n-45)",  # 89 shifts wide: two runs, each past the fold bound about 0
+        "n/3*F(n+43) + (n^2-1)/4*F(n-44) + 1/2",  # 87 wide: one run, based at 0
         "(2n+1)/6*F(n-1000) + n*F(n+1) - 1/3*(-1)^n",
         "n^3/5*F(n-20000) + (2n-1)/3*F(n+15000) + 7/2",
     ],
@@ -334,8 +334,9 @@ def test_importing_the_cli_builds_no_parser():
 
 def test_long_coefficients_step_as_decimal_differences(capsys, conversions, prints):
     # 10^400 passes _SPLIT_BITS, so R0 = 10^400*n^2 + 1 steps its differences as
-    # Decimals in the exact context, where any rounding would raise
-    text, lo, hi = f"({10**400}*n^2+1)/3*F(n) + n*F(n-50)", -20, 600
+    # Decimals in the exact context, where any rounding would raise; n*F(n-500),
+    # more than 87 shifts away, is a run of its own, whose R0 = 3n stays an int
+    text, lo, hi = f"({10**400}*n^2+1)/3*F(n) + n*F(n-500)", -20, 600
     expected = values_as_text(text, lo, hi)
     with localcontext(cli._EXACT):  # as main runs it
         assert list(cli._rendered(parse(text), lo, hi)) == expected

@@ -36,7 +36,7 @@ from fibrec import (
     parse,
     shift_coeffs,
 )
-from fibrec.seqform import _tabulated
+from fibrec.seqform import ShiftTerm, _runs, _tabulated
 
 
 def test_evaluate_examples():
@@ -387,7 +387,9 @@ def test_derived_expressions_do_not_inherit_a_memo():
 
 
 # Shifts on both sides of the fold bound (F(1-j) and F(-j) below 2**30 in
-# magnitude for j = -43..44) and far ones, some beside the cluster at J = 0.
+# magnitude for j = -43..44), far ones, and runs that span up to 87 shifts.
+# `far`: whether a form built from P0 and P1 alone, one cluster at J = 0,
+# multiplies some term by a factor of 2**30 or more.
 _FAR_CASES = [
     ("F(n+44)", True),
     ("F(n+43)", False),
@@ -398,23 +400,63 @@ _FAR_CASES = [
     ("(n+1)/2*F(n+1000) - n/2*F(n-1000) + (n^2+5)/3*F(n-7)", True),
     ("n^3/5*F(n-20000) + (2n-1)/3*F(n+15000) + 1/2*(-1)^n", True),
     ("(n^2+n)/6*F(n+20000) + n*F(n-19999) + F(n)", True),
-    # one cluster based at -100 holds offsets 0, 40 and 43
     ("n*F(n+100) - F(n+60) + (n^2+1)/3*F(n+57) + F(n-3)", True),
+    ("F(n+43) - n*F(n-44)", False),
+    ("F(n+44) - n*F(n-44)", True),
+    ("F(n-30) + n/2*F(n-100)", True),
+    ("(n^2+1)/3*F(n-1000) - F(n-1060)", True),
 ]
 
+# The bases of each case's clusters, in order.
+_RUN_BASES = {
+    "F(n+44)": [-44],
+    "F(n+43)": [-43],
+    "n*F(n-44)": [44],
+    "n*F(n-45)": [45],
+    "(n^2-1)/4*F(n+44) + n/3*F(n-45) - F(n+43) + 2/7 - 1/3*(-1)^n": [-44, 45],  # 89 wide
+    "3/7*n*F(n-1000) + F(n+1) - 1": [-1, 1000],
+    "(n+1)/2*F(n+1000) - n/2*F(n-1000) + (n^2+5)/3*F(n-7)": [-1000, 7, 1000],
+    "n^3/5*F(n-20000) + (2n-1)/3*F(n+15000) + 1/2*(-1)^n": [-15000, 20000],
+    "(n^2+n)/6*F(n+20000) + n*F(n-19999) + F(n)": [-20000, 0, 19999],
+    # offsets -21, 19 and 22 about -79, and F(n-3), 103 above F(n+100), alone
+    "n*F(n+100) - F(n+60) + (n^2+1)/3*F(n+57) + F(n-3)": [-79, 3],
+    "F(n+43) - n*F(n-44)": [0],  # 87 wide
+    "F(n+44) - n*F(n-44)": [-44, 44],  # 88 wide
+    "F(n-30) + n/2*F(n-100)": [65],
+    "(n^2+1)/3*F(n-1000) - F(n-1060)": [1030],
+}
 
-def _has_far_terms(e: FibExpr) -> bool:
-    """Whether e has a cluster away from J = 0, as its form has."""
-    far = any(base for base, _, _ in e._scaled[1])
-    assert far == any(base for base, _, _ in e.canon()._scaled[1])
-    return far
+
+def _run_bases(e: FibExpr) -> list[int]:
+    """The bases of e's clusters, as its form holds them, each run checked
+    against the rule: at most 87 wide, based at its midpoint, its offsets in
+    -43..44, where F(J-j+1) and F(J-j) are below 2**30 in magnitude."""
+    runs = list(_runs(e.terms))
+    assert [t for _, run in runs for t in run] == list(e.terms)
+    for base, run in runs:
+        assert run[-1].shift - run[0].shift <= 87
+        assert base == (run[0].shift + run[-1].shift) // 2
+        for t in run:
+            assert -43 <= t.shift - base <= 44
+            assert max(map(abs, shift_coeffs(t.shift - base))) < 2**30
+    bases = [base for base, _, _ in e._scaled[1]]
+    assert bases == [base for base, _, _ in e.canon()._scaled[1]]
+    assert set(bases) <= {base for base, _ in runs}  # a run whose terms cancel has no cluster
+    return bases
+
+
+def _folds_long(e: FibExpr) -> bool:
+    """Whether folding e's terms about J = 0, as P0 and P1 do, multiplies some
+    term by a factor of 2**30 or more."""
+    return any(max(map(abs, shift_coeffs(t.shift))) >= 2**30 for t in e.terms)
 
 
 @pytest.mark.parametrize("text, far", _FAR_CASES)
 @pytest.mark.parametrize("lo", [-20_050, -7, 0, 19_990, 123_456])
 def test_far_terms_give_the_values_of_a_fresh_form(text, far, lo):
     e = parse(text)
-    assert _has_far_terms(e) == far
+    assert _run_bases(e) == _RUN_BASES[text]
+    assert _folds_long(e) == far
     form = e.canon()
     fresh = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)  # one cluster, at J = 0
     assert [base for base, _, _ in fresh._scaled[1]] == [0]
@@ -426,8 +468,18 @@ def test_far_terms_give_the_values_of_a_fresh_form(text, far, lo):
 
 
 def test_the_fold_bound_falls_between_44_and_45():
+    # F(44) < 2**30 <= F(45): the offsets -43..44 keep both factors F(1-k) and
+    # F(-k) short, so a run spans at most 87 shifts
+    assert fib(44) < 2**30 <= fib(45) and abs(fib(-44)) < 2**30 <= abs(fib(-45))
+    for lo in (-20_000, -60, -44, -43, 0, 7, 999):
+        for width in range(80, 96):
+            e = FibExpr.of([(lo, [F(1, 3), 1]), (lo + width, [2])])
+            expected = [lo + width // 2] if width <= 87 else [lo, lo + width]
+            assert _run_bases(e) == expected, (lo, width)
     for j in range(-60, 61):
-        assert _has_far_terms(FibExpr.of([(j, [F(1, 3), 1])])) == (not -43 <= j <= 44), j
+        e = FibExpr.of([(j, [F(1, 3), 1])])
+        assert _run_bases(e) == [j] and _folds_long(e) == (not -43 <= j <= 44), j
+        assert e._scaled[1] == ((j, Poly((1, 3)), Poly(())),)  # a lone term keeps its polynomial
 
 
 def test_small_shifts_have_no_far_terms():
@@ -437,7 +489,8 @@ def test_small_shifts_have_no_far_terms():
               for k in range(-6, 7)]
     for e in exprs:
         assert all(abs(t.shift) <= 6 for t in e.terms)
-        assert not _has_far_terms(e)
+        mid = [(e.terms[0].shift + e.terms[-1].shift) // 2] if e.terms else []
+        assert _run_bases(e) == mid and not _folds_long(e)
 
 
 def test_a_far_shift_keeps_horner_coefficients_short():
@@ -445,14 +498,75 @@ def test_a_far_shift_keeps_horner_coefficients_short():
     e = parse("n^120*F(n-20000) + n*F(n-20044) - F(n-20045) + F(n+20000) + F(n)")
     form = e.canon()
     assert min(abs(int(c)).bit_length() for c in form.p0.coeffs + form.p1.coeffs if c) > 13_000
-    # a lone term keeps its own polynomial; F(n-20044) joins n^120*F(n-20000) with
-    # F(-43) and F(-44), and F(n-20045) starts a cluster of its own
+    # a lone term keeps its own polynomial; n^120*F(n-20000), n*F(n-20044) and
+    # F(n-20045) make one run, based at its midpoint 20022, at offsets -22, 22 and 23
     den, clusters, _, _ = form._scaled
-    assert clusters[2] == (20000, (Poly((*[0] * 120, 1)) + Poly((0, fib(-43)))) * den,
-                           Poly((0, fib(-44))) * den)
-    assert [base for base, _, _ in clusters] == [-20000, 0, 20000, 20045]
-    assert max(abs(c).bit_length() for _, r0, r1 in clusters for c in r0.coeffs + r1.coeffs) <= 64
+    assert den == 1
+    n120 = Poly((*[0] * 120, 1))
+    assert clusters[2] == (20022, n120 * fib(23) + Poly((-fib(-22), fib(-21))),
+                           n120 * fib(22) + Poly((-fib(-23), fib(-22))))
+    assert clusters[:2] == ((-20000, Poly((1,)), Poly(())), (0, Poly((1,)), Poly(())))
+    assert _run_bases(e) == [-20000, 0, 20022]
+    assert max(abs(c).bit_length() for _, r0, r1 in clusters for c in r0.coeffs + r1.coeffs) <= 31
     assert [e.at(n) for n in (-3, 20_044, 40_001)] == [ref_at(e, n) for n in (-3, 20_044, 40_001)]
+
+
+def _bases_before(terms) -> list[int]:
+    """The base of each term's cluster by the rule that the runs replace, kept as
+    their reference: J = 0 for the shifts -43..44; every other shift, in increasing
+    order, joins the last cluster if its base lies at most 44 below, or starts one."""
+    fold = range(-43, 45)
+    bases, base = [], 0  # the last base away from 0, which is never 0
+    for t in terms:
+        if t.shift not in fold and (not base or t.shift - base > fold[-1]):
+            base = t.shift
+        bases.append(0 if t.shift in fold else base)
+    return bases
+
+
+def _shift_sets(rng, count):
+    """Sorted sets of 1..8 shifts: near 0, at every scale of the old fold bound,
+    spans of 80..100 anywhere, and runs far from 0."""
+    pools = [range(-20, 21), range(-60, 61), range(-150, 151), [*range(-50, 51), *range(900, 1200)]]
+    for i in range(count):
+        if i % 5 == 4:  # a span of 80..100 at a random place, with shifts inside it
+            lo, width = rng.randint(-3000, 3000), rng.randint(80, 100)
+            inner = rng.sample(range(lo + 1, lo + width), rng.randint(0, 6))
+            yield sorted({lo, lo + width, *inner})
+        else:
+            pool = pools[i % 5]
+            yield sorted(rng.sample(pool, rng.randint(1, min(8, len(pool)))))
+
+
+def test_runs_keep_offsets_short_and_make_no_more_clusters_than_the_rule_they_replace():
+    rng = random.Random(97)
+    fewer = 0
+    for shifts in _shift_sets(rng, 12_000):
+        terms = tuple(ShiftTerm(j, Poly((1,))) for j in shifts)
+        runs = list(_runs(terms))
+        assert [t for _, run in runs for t in run] == list(terms)
+        for base, run in runs:
+            assert base == (run[0].shift + run[-1].shift) // 2, shifts
+            assert all(-43 <= t.shift - base <= 44 for t in run), shifts
+        before = len(set(_bases_before(terms)))
+        assert len(runs) <= before, shifts
+        fewer += len(runs) < before
+    assert fewer > 1000  # merging happens, not just ties
+
+
+def test_canon_reads_one_fibonacci_pair_per_run(monkeypatch):
+    # runs {-43, 30, 44}, {100} and {1000, 1060}; the old rule made four clusters
+    text = "F(n+43) - n*F(n-44) + (n^2+1)/3*F(n-30) - F(n-100) + n*F(n-1000) - F(n-1060)"
+    seqform = importlib.import_module("fibrec.seqform")
+    fib_pair, asked = seqform.fib_pair, []
+    monkeypatch.setattr(seqform, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
+    e = parse(text)
+    form = e.canon()
+    assert asked == [0, -100, -1030]
+    assert len(set(_bases_before(e.terms))) == 4
+    assert _run_bases(e) == [0, 100, 1030]
+    assert (form.p0, form.p1) == _shift_order_sums(e)
+    _values_match_reference(e, -300, 300)
 
 
 def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
@@ -465,7 +579,7 @@ def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
 
 
 def test_canon_keeps_the_coefficient_types_of_the_shift_order_sums():
-    # n*F(n+50) is far and comes first; the parts at J = 0 after it cancel in P0,
+    # n*F(n+50) comes first; the parts of the shifts 0 and 2 after it cancel in P0,
     # and adding them up before it would leave an int 0 where P0 holds Fraction(0, 1)
     exprs = [parse("n*F(n+50) + n/2*F(n) - n/2*F(n-2)"), parse("F(n) + F(n-50)")]
     rng = random.Random(83)
@@ -522,11 +636,13 @@ def test_long_windows_match_reference():
     for i in range(16):
         terms = [(rng.randint(-43, 44), rand_poly(rng, max_deg=6))
                  for _ in range(rng.randint(1, 3))]
-        if i % 4:  # far clusters beside the one at J = 0, on both sides
+        if i % 4:  # far runs beside the one about 0, on both sides
             terms += [(rng.choice((-1, 1)) * rng.randint(45, 3000), rand_poly(rng, max_deg=5))
                       for _ in range(rng.randint(1, 2))]
         e = FibExpr.of(terms, _nonzero_fraction(rng), _nonzero_fraction(rng))
-        assert _has_far_terms(e) == (i % 4 != 0)
+        bases = _run_bases(e)
+        assert _folds_long(e) == (i % 4 != 0)
+        assert len(bases) == 1 or i % 4  # shifts in -43..44 make one run
         lo = rng.randint(-700, 300)
         _values_match_reference(e, lo, lo + rng.randint(99, 399))
 
