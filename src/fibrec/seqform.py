@@ -28,10 +28,11 @@ makes every cluster: the shifts, in increasing order, fall into runs at most
 term.
 
 Every value comes from one loop, ``_numerators``: over the common denominator
-of the coefficients, w_n is an integer combination of the pairs
-(F(n-J), F(n-J-1)), one per cluster, each stepping by one addition from one
-``fib_pair`` seed.  ``CanonForm.values(lo, hi)`` runs it on ints, and the CLI
-on Decimals.  The polynomials are read at consecutive n (``_tabulated``).
+of the coefficients, the first values of a window combine the pairs
+(F(n-J), F(n-J-1)), one per cluster, each stepping from one ``fib_pair`` seed,
+and the rest follow by additions from the recurrence that the paper's
+(E^2-E-1)^(D+1)*(E-1)*(E+1) gives.  ``CanonForm.values`` runs it on ints, and
+the CLI on Decimals.
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -50,7 +51,7 @@ import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, cycle, islice, repeat
+from itertools import cycle, islice, repeat
 
 from ._value import Value
 from .exact import Poly
@@ -100,19 +101,15 @@ class FibExpr(Value):
         return FibExpr(kept, Fraction(const), Fraction(alt))
 
     def at(self, n: int) -> Fraction:
-        """Exact value of the sequence at index n (any integer), from the scaled
-        clusters alone, without the canonical form."""
+        """Exact value at any integer n, from the scaled clusters, without the form."""
         den, clusters, e, f = self._scaled
         return Fraction(next(_numerators(clusters, e, f, n, n))[1], den)
 
     def __add__(self, other: "FibExpr") -> "FibExpr":
         if not isinstance(other, FibExpr):
             return NotImplemented
-        return FibExpr.of(
-            [(t.shift, t.poly) for t in self.terms + other.terms],
-            self.const_e + other.const_e,
-            self.alt_f + other.alt_f,
-        )
+        return FibExpr.of([(t.shift, t.poly) for t in self.terms + other.terms],
+                          self.const_e + other.const_e, self.alt_f + other.alt_f)
 
     def __neg__(self) -> "FibExpr":
         return self * -1
@@ -126,22 +123,16 @@ class FibExpr(Value):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         r = Fraction(scalar)
-        return FibExpr.of(
-            [(t.shift, t.poly * r) for t in self.terms],
-            self.const_e * r,
-            self.alt_f * r,
-        )
+        return FibExpr.of([(t.shift, t.poly * r) for t in self.terms], self.const_e * r,
+                          self.alt_f * r)
 
     __rmul__ = __mul__
 
     def shifted(self, k: int) -> "FibExpr":
         """The reindexed sequence n -> self(n + k)."""
         alt = self.alt_f if k % 2 == 0 else -self.alt_f
-        return FibExpr.of(
-            [(t.shift - k, t.poly.taylor_shift(k)) for t in self.terms],
-            self.const_e,
-            alt,
-        )
+        return FibExpr.of([(t.shift - k, t.poly.taylor_shift(k)) for t in self.terms],
+                          self.const_e, alt)
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -236,11 +227,13 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all
     """Whether `every` (all, or any for a caller that prints each) w_n, n in
     indices, surely has a reduced numerator of more than `digits` digits (over
     0..``_order_bound(expr)``-1, every initial value and, as P1(0) = w_0 - e - f,
-    a canonical coefficient).  A cluster adds at most sum|coefficients| *
-    max(|n|, 1)^deg * phi^(|k|+1) to L*w_n (``_scale``), k = n-J-1.  The largest
-    is evaluated if that could pass, and w_n refused when its ``_pair_low`` at
-    (L*R0(n), L*R1(n)), less log10(L), passes `digits` and the others' bounds
-    plus |L*e| + |L*f|, each by one digit in hand."""
+    a canonical coefficient).  A cluster adds a*F(k+1) + b*F(k) to L*w_n, with
+    (a, b) = (L*R0(n), L*R1(n)) and k = n-J-1, at most sum|coefficients| *
+    max(|n|, 1)^deg * phi^(|k|+1) (``_scale``).  If the largest could pass, the
+    clusters whose k, as -k-1 if k < 0, lies within 87 of its own are summed at
+    that index, so F(n-J) + F(n+J) is one pair, and w_n is refused when its
+    ``_pair_low``, less log10(L), passes `digits` and the others' bounds plus
+    |L*e| + |L*f|, each by one digit in hand."""
     den, clusters, e, f = expr._scaled
     e_f = [_log10_above(max(abs(e) + abs(f), 1))]
     sized = [(base, r0, r1, _log10_above(max(sum(map(abs, r0.coeffs + r1.coeffs)), 1)),
@@ -249,24 +242,32 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all
     def longer_at(n: int) -> bool:
         log_n = math.log10(max(abs(n), 1))
         highs = [mag + deg * log_n + 0.209 * (abs(n - J - 1) + 1) for J, _, _, mag, deg in sized]
+        at = [max(n - J - 1, J - n) for J, *_ in sized]  # the index k, or -k-1 for k < 0
         top = highs.index(max(highs))
-        rest = e_f + highs[:top] + highs[top + 1:]
+        near = [i for i, m in enumerate(at) if abs(m - at[top]) <= 87]
+        rest = e_f + [high for i, high in enumerate(highs) if i not in near]
         bar = max(max(rest) + math.log10(len(rest)), digits + _log10_above(den)) + 1
-        base, r0, r1, _, _ = sized[top]
-        return highs[top] > bar and _pair_low(r0(n), r1(n), n - base - 1) > bar
+        if highs[top] + math.log10(len(near)) <= bar:
+            return False
+        a = b = 0
+        for i in near:  # p*F(m+1) + q*F(m) is (p*phi + q)*phi^m, read at K = at[top]
+            J, r0, r1, _, _ = sized[i]
+            p, q, m = r0(n), r1(n), at[i]
+            if n - J - 1 < 0:  # k = -m-1, and F(-m) = (-1)^(m+1)*F(m) makes it (-1)^m*(q, -p)
+                p, q = (-q, p) if m % 2 else (q, -p)
+            for _ in range(abs(m - at[top])):  # times phi, or over phi
+                p, q = (p + q, p) if m > at[top] else (q, p - q)
+            a, b = a + p, b + q
+        return _pair_low(a, b, at[top]) > bar
 
     return bool(sized) and every(map(longer_at, indices))
 
 
 def _pair_low(a: int, b: int, k: int) -> float:
-    """A lower bound on log10|a*F(k+1) + b*F(k)| for ints a and b; -inf for 0.
-    For k >= 0 the value is sqrt(5)^-1 * (phi^k*alpha - psi^k*alpha'), where
-    alpha = a*phi + b in Z[phi] has |alpha'| <= s = |a|/phi + |b| and the norm
-    N = b^2 + ab - a^2, nonzero unless a = b = 0, so it is at least
-    (phi^k*|N|/s - s/phi^k)/sqrt(5).  F(-m) = (-1)^(m+1)*F(m) maps k < 0 to
-    -k-1, with (a, b) -> (-b, a)."""
-    if k < 0:
-        a, b, k = -b, a, -k - 1
+    """A lower bound on log10|a*F(k+1) + b*F(k)| for ints a, b and k >= 0; -inf for 0.
+    The value is sqrt(5)^-1 * (phi^k*alpha - psi^k*alpha'), where alpha = a*phi + b
+    in Z[phi] has |alpha'| <= s = |a|/phi + |b| and the norm N = b^2 + ab - a^2,
+    nonzero unless a = b = 0, so it is at least (phi^k*|N|/s - s/phi^k)/sqrt(5)."""
     norm = abs(b * b + a * b - a * a)  # 0 only when a = b = 0
     log_s = _log10_above(max(abs(a), abs(b))) + 0.209  # s <= phi*max(|a|, |b|), phi < 10^0.209
     low = 0.2089 * k + (norm.bit_length() - 1) * math.log10(2) - log_s  # 0.2089 < log10(phi)
@@ -291,12 +292,7 @@ class CanonForm(Value):
     @property
     def fib_degree(self) -> int | None:
         """max(deg P0, deg P1), or None when the Fibonacci part vanishes."""
-        d0, d1 = self.p0.degree, self.p1.degree
-        if d0 is None:
-            return d1
-        if d1 is None:
-            return d0
-        return max(d0, d1)
+        return max((d for d in (self.p0.degree, self.p1.degree) if d is not None), default=None)
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -324,59 +320,62 @@ def _scale(clusters: tuple, e: Fraction, f: Fraction) -> tuple:
                        for base, r0, r1 in clusters), times_den(e), times_den(f))
 
 
-def _tabulated(p: Poly, lo: int, count: int) -> Iterator:
-    """Yield p(lo), ..., p(lo+count-1) in the number type of p's coefficients.
-
-    A window of at most 4*(deg p + 1) values runs Horner's rule lazily at each
-    index, so a single value or a scan that stops early (the integrality
-    verdict over an initial window) evaluates no more than it reads; below
-    that length a table's deg+1 Horner values and deg*(deg+1)/2 subtractions
-    cost more than they save.  A longer window evaluates deg+1 values, takes
-    the leading edge Δ^k p(lo), k = 0..deg, of their difference triangle, and
-    tabulates the rest by forward differences (Knuth, TAOCP vol. 2, 4.6.4):
-    deg nested running sums over the constant Δ^deg p, so each index costs deg
-    additions, all of them in C.
-    """
-    deg = p.degree
-    if deg is None:
-        return repeat(0, count)
-    if count <= 4 * (deg + 1):
-        return map(p, range(lo, lo + count))
-    row = list(map(p, range(lo, lo + deg + 1)))
-    edge = []
-    while row:
-        edge.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    steps = repeat(edge.pop())
-    while edge:
-        steps = accumulate(steps, initial=edge.pop())
-    return islice(steps, count)
-
-
 def _numerators(clusters: tuple, e, f, lo: int, hi: int, one=1) -> Iterator[tuple]:
     """Yield (n, L*w_n) for n = lo..hi: the one evaluation loop.
 
-    (L, clusters, e, f) is a form scaled by L (``_scale``).  Each cluster
-    (J, r0, r1) steps its own pair (F(n-J), F(n-J-1)), seeded by one
-    ``fib_pair(lo-J-1, one)``, and adds r0(n)*F(n-J) + r1(n)*F(n-J-1), with
-    r0 and r1 read from ``_tabulated``, to the column that the clusters before
-    it yield, which starts as e + f*(-1)^n: one generator per cluster, and no
-    Python loop over the clusters at each index.  The loop works in the type
-    of `one`: ints for ``CanonForm.values``, and Decimals, in the CLI's exact
-    context, for the values it prints.
+    (L, clusters, e, f) is a form scaled by L (``_scale``), of degree D.  The
+    first min(count, 2(D+1) + 2) values come lazily from the clusters (J, r0, r1),
+    so a scan that stops early computes no more than it reads: each adds
+    r0(n)*F(n-J) + r1(n)*F(n-J-1), its pair stepped from one ``fib_pair(lo-J-1,
+    one)`` and each nonzero polynomial read by Horner's rule, to e + f*(-1)^n.
+    The rest follow by the recurrence (``_recurred``), all in the type of `one`:
+    ints for ``CanonForm.values``, and Decimals in the CLI's exact context.
     """
     count = max(hi - lo + 1, 0)
     e, f = e * one, f * one  # so that a form without clusters yields that type too
-    column = cycle((e - f, e + f) if lo % 2 else (e + f, e - f))  # e + f*(-1)^n
+    k = 1 + max((p.degree for _, r0, r1 in clusters for p in (r0, r1) if p), default=-1)
+    head = range(lo, lo + min(count, 2 * k + 2))
+    # x + f*(-1)^n from n = lo, or from lo + 2k + 2, where any value after the head is
+    alternating = lambda x: cycle((x - f, x + f) if lo % 2 else (x + f, x - f))
+    column = islice(alternating(e), len(head))
     for base, r0, r1 in clusters:
-        column = _stepped(r0, r1, fib_pair(lo - base - 1, one), lo, count, column)
-    return zip(range(lo, hi + 1), column)
+        column = _stepped(r0, r1, fib_pair(lo - base - 1, one), head, column)
+    top = islice(alternating(-e if k % 2 else e), count - len(head))  # T^k(e + f*(-1)^n)
+    return zip(range(lo, hi + 1), _recurred(column, k, top))
 
 
-def _stepped(r0: Poly, r1: Poly, seed: tuple, lo: int, count: int, column: Iterator) -> Iterator:
-    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) plus the next item of column, for
-    n = lo..lo+count-1, from seed = (F(lo-J-1), F(lo-J))."""
+def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> Iterator:
+    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) + next(column), n in ns, seeded (F(n-J-1), F(n-J))."""
     fn1, fn = seed
-    for a, b, c in zip(_tabulated(r0, lo, count), _tabulated(r1, lo, count), column):
+    read = lambda p: map(p, ns) if p else repeat(0)
+    for a, b, c in zip(read(r0), read(r1), column):
         yield a * fn + b * fn1 + c
         fn, fn1 = fn + fn1, fn
+
+
+def _recurred(head: Iterator, k: int, top: Iterator) -> Iterator:
+    """Yield the items of head, then one value per item of top, on past them.
+
+    T = E^2 - E - 1 maps e + f*(-1)^n to -e + f*(-1)^n, and T^k annihilates
+    p(n)*F(n-j) for deg p < k, so T^k u is top's 2-cycle.  Each level
+    z_i(m) = (T^i u)(m - 2i), i < k, starts from its last two values in the
+    head, by the differences c - b - a, and steps by two additions per value:
+    z_i(m) = z_i(m-1) + z_i(m-2) + z_{i+1}(m).  One loop steps every level over
+    a block of values, where a generator per level would nest k <= 1001 frames.
+    """
+    seen = []
+    for u in head:
+        seen.append(u)
+        yield u
+    levels = []
+    for _ in range(k):
+        levels.append(seen[-2:])
+        seen = [c - b - a for a, b, c in zip(seen, seen[1:], seen[2:])]
+    while block := list(islice(top, 64)):
+        for level in reversed(levels):  # z_{k-1}, fed by top, down to z_0 = u
+            (a, b), stepped = level, []
+            for c in block:
+                a, b = b, a + b + c
+                stepped.append(b)
+            level[:], block = (a, b), stepped
+        yield from block

@@ -254,9 +254,6 @@ def test_rec_is_refused_when_any_initial_value_is_surely_long(capsys, no_fib):
     assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
 
 
-@pytest.mark.xfail(strict=True, reason="two far clusters of one length (J = -10^7 and 10^7) "
-                   "look like a pair that cancels, as they do at w_0 = 0, so rec doubles "
-                   "F(10^7) before it refuses")
 def test_rec_refuses_two_far_clusters_of_one_length_before_any_far_work(capsys, monkeypatch):
     fib_pair = importlib.import_module("fibrec.fib").fib_pair
 
@@ -423,6 +420,39 @@ def test_digit_bound_below_a_lone_term_refuses_only_what_the_printer_refuses(cap
                 runs["early" if early else "late" if got[0] == 2 else "printed"] += 1
     # the boundary is crossed: early refusals, late-only refusals and printed values all occur
     assert min(runs.values()) > 30, runs
+
+
+def test_reflected_clusters_are_refused_only_where_their_values_are_long():
+    # F(1437) has 300 digits; the values are computed at this limit to check each answer
+    rng = random.Random(41)
+    constant = lambda: rng.choice((0, rand_fraction(rng), 10**rng.randint(290, 310)))
+
+    def exprs():
+        # far clusters on either side of the initial window, which may cancel there
+        texts = ("F(n-1500) + F(n+1500)", "F(n-1500) - F(n+1500)", "F(n-1501) + F(n+1500)",
+                 "n*F(n-1480) + n*F(n+1480)", "F(n-1440) + F(n+1440) + F(n)")
+        yield from map(parse, texts)
+        for _ in range(150):
+            base = rng.randint(1250, 1450)
+            poly = rand_poly(rng)
+            other = poly * rng.choice((1, -1)) if rng.random() < 0.5 else rand_poly(rng)
+            terms = [(base + rng.randint(0, 40), poly), (-base - rng.randint(-2, 80), other)]
+            if rng.random() < 0.3:  # a third cluster, short or far
+                terms.append((rng.choice((rng.randint(-6, 6), -base - 400, base + 300)),
+                              rand_poly(rng)))
+            yield FibExpr.of(terms, constant(), constant())
+
+    runs = {(every.__name__, outcome): 0 for every in (all, any)
+            for outcome in ("refused", "long", "kept")}
+    for expr in exprs():
+        indices = range(_order_bound(expr))
+        long = [len(str(abs(expr.at(n).numerator))) > 300 for n in indices]
+        for every in (all, any):
+            refused = _surely_longer(expr, 300, indices, every)
+            assert not refused or every(long), (format_expr(expr), every.__name__)
+            runs[every.__name__, "refused" if refused else "long" if every(long) else "kept"] += 1
+    print(runs)
+    assert min(runs.values()) > 20, runs
 
 
 @pytest.mark.parametrize("argv", [

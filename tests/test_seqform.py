@@ -36,7 +36,7 @@ from fibrec import (
     parse,
     shift_coeffs,
 )
-from fibrec.seqform import ShiftTerm, _runs, _tabulated
+from fibrec.seqform import ShiftTerm, _runs
 
 
 def test_evaluate_examples():
@@ -593,37 +593,71 @@ def test_canon_keeps_the_coefficient_types_of_the_shift_order_sums():
         assert repr((form.p0, form.p1)) == repr(_shift_order_sums(e)), format_expr(e)
 
 
-def _tabulation_windows(rng, width):
-    """(lo, count) pairs for a polynomial of deg + 1 = width: counts 0 and 1,
-    both sides of the switch at 4*width and the switch itself, up to 15*width."""
-    switch = 4 * width
-    counts = {0, 1, switch - 1, switch, switch + 1, 15 * width}
-    counts |= {rng.randint(0, 15 * width) for _ in range(4)}
-    windows = [(rng.randint(-500, 500), count) for count in sorted(counts)]
-    return windows + [(-500, 15 * width), (500 - 15 * width, 15 * width)]
+def _head(deg):
+    """2(D+1) + 2: how many values of a window come from the clusters, for a
+    largest cluster degree D (-1 when there is no cluster)."""
+    return 2 * ((-1 if deg is None else deg) + 1) + 2
+
+
+def _stepping_expr(rng, deg, bound):
+    """An expression with 0-4 clusters, based more than 87 apart, whose largest
+    polynomial degree is deg (no cluster when deg is None), with coefficients
+    of numerator up to bound, and e and f each zero or not."""
+    terms, base = [], rng.randint(-3000, 3000)
+    for i in range(0 if deg is None else rng.randint(1, 4)):
+        base += rng.randint(128, 2000)  # each run lies in base..base+40
+        for _ in range(rng.randint(1, 2)):
+            top = deg if i == 0 else rng.randint(0, deg)
+            coeffs = [F(rng.randint(-bound, bound), rng.choice(DENOMS)) for _ in range(top + 1)]
+            coeffs[-1] = coeffs[-1] or F(1)
+            terms.append((base + rng.randint(0, 40), Poly(tuple(coeffs))))
+    pick = lambda: rng.choice((F(0), _nonzero_fraction(rng)))
+    return FibExpr.of(terms, pick(), pick())
+
+
+def _window_matches_reference(e, lo, count, as_decimal):
+    hi = lo + count - 1
+    expected = [(n, ref_at(e, n)) for n in range(lo, hi + 1)]
+    if as_decimal:  # as main runs it
+        with localcontext(cli._EXACT):
+            assert list(cli._rendered(e, lo, hi)) == [(n, str(v)) for n, v in expected]
+    else:
+        form = e.canon()
+        assert list(form.values(lo, hi)) == expected
+        assert list(CanonForm(form.p0, form.p1, form.const_e, form.alt_f).values(lo, hi)) == expected
 
 
 @pytest.mark.parametrize("as_decimal", [False, True], ids=["int", "decimal"])
 @pytest.mark.parametrize("deg", [None, *range(13)])
 def test_tabulated_matches_horner(deg, as_decimal):
-    # Decimals get long coefficients, as cli._rendered hands the loop, and the
-    # exact context, where any rounding raises
-    rng = random.Random(1000 * (1 + as_decimal) + (deg or 0))
-    bound = 10**400 if as_decimal else 10**6
-    ints = [rng.randint(-bound, bound) for _ in range(0 if deg is None else deg + 1)]
-    if ints:
-        ints[-1] = ints[-1] or 1
-    exact = Poly(tuple(ints))
-    assert exact.degree == deg
-    with localcontext(cli._EXACT):
-        p = Poly(tuple(map(Decimal, ints))) if as_decimal else exact
-        for lo, count in _tabulation_windows(rng, 1 if deg is None else deg + 1):
-            got = list(_tabulated(p, lo, count))
-            assert got == [p(n) for n in range(lo, lo + count)], (lo, count)
-            assert got == [exact(n) for n in range(lo, lo + count)], (lo, count)
-            kinds = (Decimal, int) if as_decimal else (int,)  # the zero polynomial gives int 0
-            assert all(type(v) in kinds for v in got)
-            assert all(v.as_tuple().exponent == 0 for v in got if isinstance(v, Decimal))
+    # every window's values, from the clusters and then from the recurrence, against
+    # ref_at, which reads each term's polynomial by Horner's rule: Decimal coefficients
+    # where cli._rendered converts them, past 1024 bits, at every count on both sides
+    # of the head, where the recurrence takes over
+    rng = random.Random(3500 + 100 * as_decimal + (-1 if deg is None else deg))
+    head = _head(deg)
+    for _ in range(4):
+        e = _stepping_expr(rng, deg, 10**400 if as_decimal else 10**6)
+        assert max((p.degree for _, r0, r1 in e._scaled[1] for p in (r0, r1) if p),
+                   default=None) == deg
+        lo = rng.randint(-500, 500)
+        for count in (0, 1, head - 1, head, head + 1, 3 * head):
+            _window_matches_reference(e, lo, count, as_decimal)
+    if deg:  # w_7 = 0, in the head and past it, where the Decimal r0(7)*F(7-J) is -0
+        e = FibExpr.of([(301, Poly((-7 * 10**400, 10**400)) * Poly((0, 1)) ** (deg - 1))])
+        assert ref_at(e, 7) == 0 and fib(7 - 301) < 0 and e._scaled[1][0][0] == 301
+        with localcontext(cli._EXACT):
+            assert (Decimal(0) * Decimal(fib(7 - 301))).is_signed()
+        for lo in (7, 6 - head):
+            _window_matches_reference(e, lo, 3 * head, as_decimal)
+
+
+def test_a_window_past_the_largest_degree_steps_every_level():
+    # n^1000, the parser's largest power, gives 1001 levels: a frame per level
+    # would pass the interpreter's recursion limit
+    e = parse("n^1000*F(n)")
+    got = list(e.canon().values(0, 2006))
+    assert got[-3:] == [(n, ref_at(e, n)) for n in range(2004, 2007)]
 
 
 def _nonzero_fraction(rng):
@@ -631,7 +665,7 @@ def _nonzero_fraction(rng):
 
 
 def test_long_windows_match_reference():
-    # 100-400 values: every polynomial of degree <= 6 is tabulated by differences
+    # 100-400 values: all but the first 2(D+1) + 2 <= 16 come from the recurrence
     rng = random.Random(89)
     for i in range(16):
         terms = [(rng.randint(-43, 44), rand_poly(rng, max_deg=6))
@@ -686,13 +720,17 @@ def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
 
 
 def test_a_long_window_runs_horner_only_on_its_first_values(horner_calls):
-    form = parse("(n^3+1)/7*F(n) + n/3*F(n-1) + n^5*F(n-100) + 1/2 - 1/5*(-1)^n").canon()
+    e = parse("(n^3+1)/7*F(n) + n/3*F(n-1) + n^5*F(n-100) + 1/2 - 1/5*(-1)^n")
+    form = e.canon()
     den, clusters, _, _ = form._scaled
     polys = [p for _, r0, r1 in clusters for p in (r0, r1) if p]
-    lo, hi = -300, 699
-    horner_calls.clear()  # the parser reads its constant terms at 0
-    got = list(form.values(lo, hi))
-    assert len(got) == 1000
-    for p in polys:  # deg + 1 Horner values seed each difference table
-        assert [n for q, n in horner_calls if q is p] == list(range(lo, lo + p.degree + 1))
-    assert len(horner_calls) == sum(p.degree + 1 for p in polys)
+    assert len(polys) == 3 and any(not r1 for _, _, r1 in clusters)  # F(n-100)'s r1 is 0
+    head = _head(5)
+    for lo, count in [(-300, 1000), (-300, 0), (5, 1), (7, head - 1), (7, head), (7, head + 1)]:
+        expected = [(n, ref_at(e, n)) for n in range(lo, lo + count)]
+        horner_calls.clear()  # the parser and ref_at read polynomials too
+        assert list(form.values(lo, lo + count - 1)) == expected
+        read = list(range(lo, lo + min(count, head)))
+        for p in polys:  # the values past the head come from the recurrence
+            assert [n for q, n in horner_calls if q is p] == read
+        assert len(horner_calls) == len(read) * len(polys)  # a zero polynomial is never read
