@@ -137,17 +137,16 @@ def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[tuple[int, str]]:
     # convert: a short one stays an int, which Horner's rule runs faster on
     dec = lambda x: x if x.bit_length() <= _SPLIT_BITS else _to_decimal(x)
     dec_poly = lambda p: Poly(tuple(map(dec, p.coeffs)))
-    steps = _numerators(tuple((base, dec_poly(r0), dec_poly(r1)) for base, r0, r1 in clusters),
-                        dec(e), dec(f), lo, hi, decimal.Decimal(1))
-    big_den = dec(den)
-    for n, num in steps:
+    scaled = (den, tuple((base, dec_poly(r0), dec_poly(r1)) for base, r0, r1 in clusters),
+              dec(e), dec(f))
+    big = {den: dec(den)}  # each denominator the loop yields, L or a divisor of it
+    for n, (num, d) in _numerators(scaled, lo, hi, decimal.Decimal(1)):
         if not num:  # "0", never the "-0" that Decimal can hold
             yield n, "0"
             continue
-        d = den
-        g = math.gcd(int(num % big_den), den) if den > 1 else 1
+        g = math.gcd(int(num % (big.get(d) or big.setdefault(d, dec(d)))), d) if d > 1 else 1
         if g > 1:
-            num, d = num // g, den // g
+            num, d = num // g, d // g
         if num.adjusted() >= MAX_DIGITS:
             raise ValueError(f"a value has more than {MAX_DIGITS} digits")
         yield n, str(num) if d == 1 else f"{num!s}/{d}"

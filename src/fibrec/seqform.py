@@ -31,8 +31,8 @@ Every value comes from one loop, ``_numerators``: over the common denominator
 of the coefficients, the first values of a window combine the pairs
 (F(n-J), F(n-J-1)), one per cluster, each stepping from one ``fib_pair`` seed,
 and the rest follow by additions from the recurrence that the paper's
-(E^2-E-1)^(D+1)*(E-1)*(E+1) gives.  ``CanonForm.values`` runs it on ints, and
-the CLI on Decimals.
+(E^2-E-1)^(D+1)*(E-1)*(E+1) gives, over what its seeds leave of the
+denominator.  ``CanonForm.values`` runs it on ints, and the CLI on Decimals.
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -51,7 +51,7 @@ import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat
 
 from ._value import Value
 from .exact import Poly
@@ -102,8 +102,7 @@ class FibExpr(Value):
 
     def at(self, n: int) -> Fraction:
         """Exact value at any integer n, from the scaled clusters, without the form."""
-        den, clusters, e, f = self._scaled
-        return Fraction(next(_numerators(clusters, e, f, n, n))[1], den)
+        return Fraction(*next(_numerators(self._scaled, n, n))[1])
 
     def __add__(self, other: "FibExpr") -> "FibExpr":
         if not isinstance(other, FibExpr):
@@ -302,8 +301,7 @@ class CanonForm(Value):
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
-        den, clusters, e, f = self._scaled
-        for n, num in _numerators(clusters, e, f, lo, hi):
+        for n, (num, den) in _numerators(self._scaled, lo, hi):
             yield n, Fraction(num, den)
 
 
@@ -320,28 +318,29 @@ def _scale(clusters: tuple, e: Fraction, f: Fraction) -> tuple:
                        for base, r0, r1 in clusters), times_den(e), times_den(f))
 
 
-def _numerators(clusters: tuple, e, f, lo: int, hi: int, one=1) -> Iterator[tuple]:
-    """Yield (n, L*w_n) for n = lo..hi: the one evaluation loop.
+def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
+    """Yield (n, (num, d)), w_n = num/d with d dividing L, for n = lo..hi: the one loop.
 
-    (L, clusters, e, f) is a form scaled by L (``_scale``), of degree D.  The
-    first min(count, 2(D+1) + 2) values come lazily from the clusters (J, r0, r1),
-    so a scan that stops early computes no more than it reads: each adds
-    r0(n)*F(n-J) + r1(n)*F(n-J-1), its pair stepped from one ``fib_pair(lo-J-1,
-    one)`` and each nonzero polynomial read by Horner's rule, to e + f*(-1)^n.
+    (L, clusters, e, f) = scaled is a form scaled by L (``_scale``), of degree D.
+    The first min(count, 2(D+1) + 2) values come lazily from the clusters
+    (J, r0, r1), so a scan that stops early computes no more than it reads: each
+    adds r0(n)*F(n-J) + r1(n)*F(n-J-1) to e + f*(-1)^n, its pair stepped from one
+    ``fib_pair(lo-J-1, one)`` and each nonzero polynomial read by Horner's rule.
     The rest follow by the recurrence (``_recurred``), all in the type of `one`:
     ints for ``CanonForm.values``, and Decimals in the CLI's exact context.
     """
+    den, clusters, e, f = scaled
     count = max(hi - lo + 1, 0)
     e, f = e * one, f * one  # so that a form without clusters yields that type too
     k = 1 + max((p.degree for _, r0, r1 in clusters for p in (r0, r1) if p), default=-1)
     head = range(lo, lo + min(count, 2 * k + 2))
-    # x + f*(-1)^n from n = lo, or from lo + 2k + 2, where any value after the head is
-    alternating = lambda x: cycle((x - f, x + f) if lo % 2 else (x + f, x - f))
-    column = islice(alternating(e), len(head))
+    # x + f*(-1)^n at n = lo, lo + 1, or at lo + 2k + 2, where any value after the head is
+    pair = lambda x: (x - f, x + f) if lo % 2 else (x + f, x - f)
+    column = islice(cycle(pair(e)), len(head))
     for base, r0, r1 in clusters:
         column = _stepped(r0, r1, fib_pair(lo - base - 1, one), head, column)
-    top = islice(alternating(-e if k % 2 else e), count - len(head))  # T^k(e + f*(-1)^n)
-    return zip(range(lo, hi + 1), _recurred(column, k, top))
+    top = pair(-e if k % 2 else e)
+    return zip(range(lo, hi + 1), _recurred(column, den, k, top, count - len(head)))
 
 
 def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> Iterator:
@@ -353,24 +352,25 @@ def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> It
         fn, fn1 = fn + fn1, fn
 
 
-def _recurred(head: Iterator, k: int, top: Iterator) -> Iterator:
-    """Yield the items of head, then one value per item of top, on past them.
-
-    T = E^2 - E - 1 maps e + f*(-1)^n to -e + f*(-1)^n, and T^k annihilates
-    p(n)*F(n-j) for deg p < k, so T^k u is top's 2-cycle.  Each level
-    z_i(m) = (T^i u)(m - 2i), i < k, starts from its last two values in the
-    head, by the differences c - b - a, and steps by two additions per value:
-    z_i(m) = z_i(m-1) + z_i(m-2) + z_{i+1}(m).  One loop steps every level over
-    a block of values, where a generator per level would nest k <= 1001 frames.
-    """
+def _recurred(head: Iterator, den: int, k: int, top: tuple, rest: int) -> Iterator:
+    """Yield (u, L) for the items u = L*w_n of head, then (u/d, L/d) for `rest`
+    more n.  T = E^2 - E - 1 maps e + f*(-1)^n to -e + f*(-1)^n, and
+    T^k annihilates p(n)*F(n-j) for deg p < k, so T^k u cycles through top.  Each
+    level z_i(m) = (T^i u)(m - 2i), i < k, starts from its last two values in the
+    head, by the differences c - b - a, and steps by z_i(m) = z_i(m-1) + z_i(m-2)
+    + z_{i+1}(m), two additions: so the common factor d of L, top and the seeds
+    divides every later u.  One loop steps the levels over blocks of values, where
+    a generator per level would nest k <= 1001 frames."""
     seen = []
     for u in head:
         seen.append(u)
-        yield u
+        yield u, den
     levels = []
     for _ in range(k):
         levels.append(seen[-2:])
         seen = [c - b - a for a, b, c in zip(seen, seen[1:], seen[2:])]
+    d = math.gcd(den, *(int(v % den) for v in chain(top, *levels)))
+    levels, top = [[a // d, b // d] for a, b in levels], islice(cycle([v // d for v in top]), rest)
     while block := list(islice(top, 64)):
         for level in reversed(levels):  # z_{k-1}, fed by top, down to z_0 = u
             (a, b), stepped = level, []
@@ -378,4 +378,4 @@ def _recurred(head: Iterator, k: int, top: Iterator) -> Iterator:
                 a, b = b, a + b + c
                 stepped.append(b)
             level[:], block = (a, b), stepped
-        yield from block
+        yield from zip(block, repeat(den // d))

@@ -36,7 +36,7 @@ from fibrec import (
     parse,
     shift_coeffs,
 )
-from fibrec.seqform import ShiftTerm, _runs
+from fibrec.seqform import ShiftTerm, _numerators, _runs
 
 
 def test_evaluate_examples():
@@ -650,6 +650,19 @@ def test_tabulated_matches_horner(deg, as_decimal):
             assert (Decimal(0) * Decimal(fib(7 - 301))).is_signed()
         for lo in (7, 6 - head):
             _window_matches_reference(e, lo, 3 * head, as_decimal)
+
+
+def test_values_past_the_head_come_over_what_the_seeds_leave_of_l():
+    # the recurrence has integer coefficients, so a factor of L that divides the
+    # seeds and the 2-cycle divides every later L*w_n: an integer sequence comes
+    # over 1 there, and 1/3 more over 3, with L = 15 and every L*w_n = 5 (mod 15)
+    head = _head(1)
+    for text, after in (("(2n+3)/5*F(n) - n/5*F(n-1)", 1),
+                        ("(2n+3)/5*F(n) - n/5*F(n-1) + 1/3", 3)):
+        e = parse(text)
+        got = list(_numerators(e._scaled, -10, 30))
+        assert [d for _, (_, d) in got] == [e._scaled[0]] * head + [after] * (41 - head)
+        assert [(n, F(*q)) for n, q in got] == [(n, ref_at(e, n)) for n in range(-10, 31)]
 
 
 def test_a_window_past_the_largest_degree_steps_every_level():
