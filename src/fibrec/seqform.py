@@ -101,14 +101,18 @@ class FibExpr(Value):
         return FibExpr(kept, Fraction(const), Fraction(alt))
 
     def at(self, n: int) -> Fraction:
-        """Exact value at any integer n, from the scaled clusters, without the form."""
+        """Exact value of the sequence at index n (any integer), from the scaled
+        clusters alone, without the canonical form."""
         return Fraction(*next(_numerators(self._scaled, n, n))[1])
 
     def __add__(self, other: "FibExpr") -> "FibExpr":
         if not isinstance(other, FibExpr):
             return NotImplemented
-        return FibExpr.of([(t.shift, t.poly) for t in self.terms + other.terms],
-                          self.const_e + other.const_e, self.alt_f + other.alt_f)
+        return FibExpr.of(
+            [(t.shift, t.poly) for t in self.terms + other.terms],
+            self.const_e + other.const_e,
+            self.alt_f + other.alt_f,
+        )
 
     def __neg__(self) -> "FibExpr":
         return self * -1
@@ -122,16 +126,22 @@ class FibExpr(Value):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         r = Fraction(scalar)
-        return FibExpr.of([(t.shift, t.poly * r) for t in self.terms], self.const_e * r,
-                          self.alt_f * r)
+        return FibExpr.of(
+            [(t.shift, t.poly * r) for t in self.terms],
+            self.const_e * r,
+            self.alt_f * r,
+        )
 
     __rmul__ = __mul__
 
     def shifted(self, k: int) -> "FibExpr":
         """The reindexed sequence n -> self(n + k)."""
         alt = self.alt_f if k % 2 == 0 else -self.alt_f
-        return FibExpr.of([(t.shift - k, t.poly.taylor_shift(k)) for t in self.terms],
-                          self.const_e, alt)
+        return FibExpr.of(
+            [(t.shift - k, t.poly.taylor_shift(k)) for t in self.terms],
+            self.const_e,
+            alt,
+        )
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -291,7 +301,12 @@ class CanonForm(Value):
     @property
     def fib_degree(self) -> int | None:
         """max(deg P0, deg P1), or None when the Fibonacci part vanishes."""
-        return max((d for d in (self.p0.degree, self.p1.degree) if d is not None), default=None)
+        d0, d1 = self.p0.degree, self.p1.degree
+        if d0 is None:
+            return d1
+        if d1 is None:
+            return d0
+        return max(d0, d1)
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -344,7 +359,8 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
 
 
 def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> Iterator:
-    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) + next(column), n in ns, seeded (F(n-J-1), F(n-J))."""
+    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) plus the next item of column, for
+    n in ns, from seed = (F(n-J-1), F(n-J)) at the first n."""
     fn1, fn = seed
     read = lambda p: map(p, ns) if p else repeat(0)
     for a, b, c in zip(read(r0), read(r1), column):
