@@ -451,8 +451,9 @@ def test_reflected_clusters_are_refused_only_where_their_values_are_long():
             refused = _surely_longer(expr, 300, indices, every)
             assert not refused or every(long), (format_expr(expr), every.__name__)
             runs[every.__name__, "refused" if refused else "long" if every(long) else "kept"] += 1
-    print(runs)
     assert min(runs.values()) > 20, runs
+    # w_1 = L(1500), 314 digits, read as one pair: one cluster alone could not show it
+    assert _surely_longer(parse("F(n-1500) + F(n+1500)"), 300, range(2), any)
 
 
 @pytest.mark.parametrize("argv", [
