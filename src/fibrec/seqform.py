@@ -27,12 +27,20 @@ makes every cluster: the shifts, in increasing order, fall into runs at most
 87 wide, and each run is based at its midpoint.  P0 and P1 still sum every
 term.
 
-Every value comes from one loop, ``_numerators``: over the common denominator
-of the coefficients, the first values of a window combine the pairs
-(F(n-J), F(n-J-1)), one per cluster, each stepping from one ``fib_pair`` seed,
-and the rest follow by additions from the recurrence that the paper's
-(E^2-E-1)^(D+1)*(E-1)*(E+1) gives, over what its seeds leave of the
-denominator.  ``CanonForm.values`` runs it on ints, and the CLI on Decimals.
+The clusters are scaled to ints once (``_scale``): each run's R0 and R1 are
+summed as ints over the terms' common denominator, and the common factor of
+that denominator and every sum is divided out.  Every window comes from one
+loop, ``_numerators``: its first values combine the pairs (F(n-J), F(n-J-1)),
+one per cluster, each stepping from its own ``fib_pair`` seed, with R0 and R1
+read in one Horner pass when they pack into one int, and the rest follow by
+additions from the recurrence that the paper's (E^2-E-1)^(D+1)*(E-1)*(E+1)
+gives, over what its seeds leave of the denominator.  ``CanonForm.values`` runs
+it on ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no
+window: each cluster adds a*F(k+1) + b*F(k) at its reflected index k >= 0, an
+element of Z[phi] times phi^k, and clusters near enough to each other are
+carried onto the lowest of them by one product with a short power of phi, so
+that they share one doubling.  ``_surely_longer`` moves clusters by the same
+product (``_times``).
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -51,7 +59,7 @@ import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat, zip_longest
 
 from ._value import Value
 from .exact import Poly
@@ -60,6 +68,11 @@ from .fib import fib_pair, shift_coeffs
 # The offsets j - J at which F(J-j+1) and F(J-j) are both below 2**30 in
 # magnitude, so that each fits in one int digit: a cluster's terms lie here.
 _FOLD = range(-43, 45)
+
+# The widest B at which ``_stepped`` reads two polynomials in one packed Horner
+# pass: each step then carries B more bits, which cost more than the pass saves
+# in the interpreter from about 1,800 bits on (CPython 3.11, degree 200).
+_PACKED_BITS = 1500
 
 
 class ShiftTerm(Value):
@@ -102,8 +115,14 @@ class FibExpr(Value):
 
     def at(self, n: int) -> Fraction:
         """Exact value of the sequence at index n (any integer), from the scaled
-        clusters alone, without the canonical form."""
-        return Fraction(*next(_numerators(self._scaled, n, n))[1])
+        clusters alone, without the canonical form or a window: each cluster
+        adds a*F(k+1) + b*F(k), k = n-J-1, read at its reflected index
+        (``_reflected``), and ``_phi_sum`` adds them up, carrying near ones onto
+        one doubling."""
+        den, clusters, e, f = self._scaled
+        parts = [_reflected(n - base - 1, r0(n) if r0 else 0, r1(n) if r1 else 0)
+                 for base, r0, r1 in clusters]
+        return Fraction(_phi_sum(parts) + e + (-f if n % 2 else f), den)
 
     def __add__(self, other: "FibExpr") -> "FibExpr":
         if not isinstance(other, FibExpr):
@@ -145,9 +164,9 @@ class FibExpr(Value):
 
     @cached_property
     def _scaled(self) -> tuple:
-        """``_scale`` of the clusters ((J, R0, R1), ...), one per run of shifts
-        (``_runs``), which sum the run's terms as R0(n)*F(n-J) + R1(n)*F(n-J-1)."""
-        return _scale([(base, *_sums((t.poly, *_near(t.shift - base)) for t in run))
+        """``_scale`` of the runs of shifts (``_runs``), each of which sums its
+        terms as R0(n)*F(n-J) + R1(n)*F(n-J-1)."""
+        return _scale([(base, [(t.poly, *_near(t.shift - base)) for t in run])
                        for base, run in _runs(self.terms)], self.const_e, self.alt_f)
 
     def canon(self) -> "CanonForm":
@@ -157,10 +176,11 @@ class FibExpr(Value):
     @cached_property
     def _canon(self) -> "CanonForm":
         """``canon``'s form, which holds this expression's ``_scaled`` as its own:
-        each term's F(1-j) and F(-j) from its run's one pair (F(-J), F(1-J))."""
-        near = [(t.poly, *_near(t.shift - base), *pair) for base, run in _runs(self.terms)
-                for pair in [fib_pair(-base)] for t in run]
-        p0, p1 = _sums((p, c0 * u + c1 * v, c0 * v + c1 * (u - v)) for p, c0, c1, v, u in near)
+        each term's phi^(1-j) = F(1-j)*phi + F(-j) as the product of its short
+        phi^(J-j+1) and its run's phi^-J, from the one pair (F(-J), F(1-J))."""
+        p0, p1 = _sums((t.poly, *_times(_near(t.shift - base), (v, u - v)))
+                       for base, run in _runs(self.terms) for v, u in [fib_pair(-base)]
+                       for t in run)
         form = CanonForm(p0, p1, self.const_e, self.alt_f)
         form.__dict__["_scaled"] = self._scaled
         return form
@@ -239,10 +259,11 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all
     a canonical coefficient).  A cluster adds a*F(k+1) + b*F(k) to L*w_n, with
     (a, b) = (L*R0(n), L*R1(n)) and k = n-J-1, at most sum|coefficients| *
     max(|n|, 1)^deg * phi^(|k|+1) (``_scale``).  If the largest could pass, the
-    clusters whose k, as -k-1 if k < 0, lies within 87 of its own are summed at
-    that index, so F(n-J) + F(n+J) is one pair, and w_n is refused when its
-    ``_pair_low``, less log10(L), passes `digits` and the others' bounds plus
-    |L*e| + |L*f|, each by one digit in hand."""
+    clusters whose reflected index (``_reflected``) lies within 87 of its own are
+    moved onto that index, each by one product (``_times``) with the power of
+    phi between them, and summed there, so F(n-J) + F(n+J) is one pair, and w_n
+    is refused when its ``_pair_low``, less log10(L), passes `digits` and the
+    others' bounds plus |L*e| + |L*f|, each by one digit in hand."""
     den, clusters, e, f = expr._scaled
     e_f = [_log10_above(max(abs(e) + abs(f), 1))]
     sized = [(base, r0, r1, _log10_above(max(sum(map(abs, r0.coeffs + r1.coeffs)), 1)),
@@ -261,15 +282,57 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all
         a = b = 0
         for i in near:  # p*F(m+1) + q*F(m) is (p*phi + q)*phi^m, read at K = at[top]
             J, r0, r1, _, _ = sized[i]
-            p, q, m = r0(n), r1(n), at[i]
-            if n - J - 1 < 0:  # k = -m-1, and F(-m) = (-1)^(m+1)*F(m) makes it (-1)^m*(q, -p)
-                p, q = (-q, p) if m % 2 else (q, -p)
-            for _ in range(abs(m - at[top])):  # times phi, or over phi
-                p, q = (p + q, p) if m > at[top] else (q, p - q)
+            m, p, q = _reflected(n - J - 1, r0(n), r1(n))
+            if m != at[top]:  # so a lone cluster computes no Fibonacci number
+                p, q = _times((p, q), _phi_power(m - at[top]))
             a, b = a + p, b + q
         return _pair_low(a, b, at[top]) > bar
 
     return bool(sized) and every(map(longer_at, indices))
+
+
+def _reflected(k: int, a: int, b: int) -> tuple[int, int, int]:
+    """(m, p, q) with m >= 0 and p*F(m+1) + q*F(m) = a*F(k+1) + b*F(k): k itself,
+    or m = -k-1 for k < 0, where F(-m) = (-1)^(m+1)*F(m) makes it (-1)^m*(b, -a)."""
+    if k >= 0:
+        return k, a, b
+    m = -k - 1
+    return (m, -b, a) if m % 2 else (m, b, -a)
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    """The product of x = (a, b) and y = (c, d), read as a*phi + b and c*phi + d
+    in Z[phi], where phi^2 = phi + 1."""
+    (a, b), (c, d) = x, y
+    ac = a * c
+    return ac + a * d + b * c, ac + b * d
+
+
+def _phi_power(g: int) -> tuple[int, int]:
+    """phi^g = F(g)*phi + F(g-1), for any integer g, as the pair (F(g), F(g-1))."""
+    low, high = fib_pair(g - 1)
+    return high, low
+
+
+def _phi_sum(parts: list) -> int:
+    """The sum of p*F(m+1) + q*F(m), the phi coefficient of (p*phi + q)*phi^m,
+    over the (m, p, q), each m >= 0, where p = q = 0 costs nothing.  Walking
+    down from the highest m, the pair summed so far is carried onto the next
+    lower index m' when 4*(m - m') <= m', by one product with phi^(m-m'): a
+    doubling of m - m' and products by F(m - m') then cost less than a doubling
+    of m.  Each group so carried is read by one ``fib_pair`` at its lowest index
+    and two products."""
+    ordered = sorted((part for part in parts if part[1] or part[2]), reverse=True)
+    ordered.append((-1, 0, 0))  # which reads the last group
+    total, (top, a, b) = 0, ordered[0]
+    for m, p, q in ordered[1:]:
+        if 4 * (top - m) <= m:
+            a, b = _times((a, b), _phi_power(top - m))
+        else:
+            f_m, f_m1 = fib_pair(top)
+            total, a, b = total + a * f_m1 + b * f_m, 0, 0
+        top, a, b = m, a + p, b + q
+    return total
 
 
 def _pair_low(a: int, b: int, k: int) -> float:
@@ -312,7 +375,7 @@ class CanonForm(Value):
     def _scaled(self) -> tuple:
         """``_scale`` of (0, P0, P1) alone; ``canon`` puts its expression's
         ``FibExpr._scaled`` here in its place."""
-        return _scale(((0, self.p0, self.p1),), self.const_e, self.alt_f)
+        return _scale([(0, [(self.p0, 1, 0), (self.p1, 0, 1)])], self.const_e, self.alt_f)
 
     def values(self, lo: int, hi: int) -> Iterator[tuple[int, Fraction]]:
         """Yield (n, w_n) for n = lo..hi, exactly; nothing when lo > hi."""
@@ -320,27 +383,42 @@ class CanonForm(Value):
             yield n, Fraction(num, den)
 
 
-def _scale(clusters: tuple, e: Fraction, f: Fraction) -> tuple:
+def _scale(runs: list, e: Fraction, f: Fraction) -> tuple:
     """(L, ((J, L*R0, L*R1), ...), L*e, L*f), all ints over the common denominator
-    L, leaving out each cluster whose terms cancel, so that R0 = R1 = 0."""
-    clusters = [c for c in clusters if c[1] or c[2]]
-    parts = [c for _, r0, r1 in clusters for c in r0.coeffs + r1.coeffs] + [e, f]
-    den = math.lcm(*(c.denominator for c in parts))
+    L of R0, R1, e and f, for the runs (J, [(p, c0, c1), ...]), whose R0 and R1
+    sum c0*p and c1*p, leaving out each run whose terms cancel, so that R0 = R1
+    = 0.  The sums run on ints over the common denominator M of every p, e and
+    f, and L = M/g for g = gcd(M, every coefficient of M*R0 and M*R1, M*e, M*f):
+    the lcm over the coefficients v of M/gcd(M, M*v) is M/gcd(M, M*v_1, ...)."""
+    den = math.lcm(e.denominator, f.denominator,
+                   *(c.denominator for _, parts in runs for p, _, _ in parts for c in p.coeffs))
     # c*den as an int, without building the Fraction product
     times_den = lambda c: c.numerator * (den // c.denominator)
-    poly_times_den = lambda p: Poly(tuple(map(times_den, p.coeffs)))
-    return (den, tuple((base, poly_times_den(r0), poly_times_den(r1))
-                       for base, r0, r1 in clusters), times_den(e), times_den(f))
+    clusters = []
+    for base, parts in runs:
+        sums = ([], [])
+        for p, *factors in parts:
+            coeffs = list(map(times_den, p.coeffs))
+            for acc, c in zip(sums, factors):
+                if c:
+                    acc[:] = [x + c * y for x, y in zip_longest(acc, coeffs, fillvalue=0)]
+        if any(sums[0]) or any(sums[1]):
+            clusters.append((base, *sums))
+    e, f = times_den(e), times_den(f)
+    g = math.gcd(den, e, f, *(c for _, r0, r1 in clusters for c in r0 + r1))
+    cut = lambda coeffs: Poly(tuple(c // g for c in coeffs))
+    return den // g, tuple((base, cut(r0), cut(r1)) for base, r0, r1 in clusters), e // g, f // g
 
 
 def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
-    """Yield (n, (num, d)), w_n = num/d with d dividing L, for n = lo..hi: the one loop.
+    """Yield (n, (num, d)), w_n = num/d with d dividing L, for n = lo..hi: the one
+    window loop.
 
     (L, clusters, e, f) = scaled is a form scaled by L (``_scale``), of degree D.
     The first min(count, 2(D+1) + 2) values come lazily from the clusters
     (J, r0, r1), so a scan that stops early computes no more than it reads: each
-    adds r0(n)*F(n-J) + r1(n)*F(n-J-1) to e + f*(-1)^n, its pair stepped from one
-    ``fib_pair(lo-J-1, one)`` and each nonzero polynomial read by Horner's rule.
+    adds r0(n)*F(n-J) + r1(n)*F(n-J-1) to e + f*(-1)^n, its pair stepped from its
+    own ``fib_pair(lo-J-1, one)`` and its polynomials read by ``_stepped``.
     The rest follow by the recurrence (``_recurred``), all in the type of `one`:
     ints for ``CanonForm.values``, and Decimals in the CLI's exact context.
     """
@@ -360,10 +438,25 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
 
 def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> Iterator:
     """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) plus the next item of column, for
-    n in ns, from seed = (F(n-J-1), F(n-J)) at the first n."""
+    n in ns, from seed = (F(n-J-1), F(n-J)) at the first n.  A zero polynomial
+    is never read.  When both are nonzero with int coefficients, one Horner pass
+    per n reads the packed R0 + R1*2^B, as ``char_poly`` packs digits, where
+    |R0(n)| <= sum|R0 coefficients| * max(|n|, 1)^deg R0 < 2^(B-1) over ns, so a
+    mask and a shift split it, unless B passes _PACKED_BITS; otherwise each
+    polynomial has its own pass."""
     fn1, fn = seed
-    read = lambda p: map(p, ns) if p else repeat(0)
-    for a, b, c in zip(read(r0), read(r1), column):
+    ints = bool(r0 and r1) and all(type(c) is int for c in r0.coeffs + r1.coeffs)
+    top = max(abs(ns.start), abs(ns.stop), 1)
+    width = (sum(map(abs, r0.coeffs)) * top**r0.degree if ints else 0).bit_length() + 1
+    if ints and width <= _PACKED_BITS:
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        packed = Poly(tuple(a + (b << width)
+                            for a, b in zip_longest(r0.coeffs, r1.coeffs, fillvalue=0)))
+        values = ((((v + half) & mask) - half, (v + half) >> width) for v in map(packed, ns))
+    else:
+        read = lambda p: map(p, ns) if p else repeat(0)
+        values = zip(read(r0), read(r1))
+    for (a, b), c in zip(values, column):
         yield a * fn + b * fn1 + c
         fn, fn1 = fn + fn1, fn
 

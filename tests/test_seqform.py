@@ -6,6 +6,7 @@ Binet split of ``binet_oracle`` (powers of alpha and beta in Q(sqrt(5))).
 """
 
 import importlib
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -36,7 +37,7 @@ from fibrec import (
     parse,
     shift_coeffs,
 )
-from fibrec.seqform import ShiftTerm, _numerators, _runs
+from fibrec.seqform import _PACKED_BITS, ShiftTerm, _near, _numerators, _runs, _sums
 
 
 def test_evaluate_examples():
@@ -732,18 +733,148 @@ def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
 
 
 
-def test_a_long_window_runs_horner_only_on_its_first_values(horner_calls):
+def test_a_window_reads_each_run_once_per_head_index(horner_calls):
+    # (n^3+1)/7*F(n) + n/3*F(n-1) make one run with two nonzero int polynomials,
+    # which one Horner pass per index reads packed as R0 + R1*2^B; n^5*F(n-100)
+    # makes a run whose R1 is 0, which is never read
     e = parse("(n^3+1)/7*F(n) + n/3*F(n-1) + n^5*F(n-100) + 1/2 - 1/5*(-1)^n")
     form = e.canon()
-    den, clusters, _, _ = form._scaled
-    polys = [p for _, r0, r1 in clusters for p in (r0, r1) if p]
-    assert len(polys) == 3 and any(not r1 for _, _, r1 in clusters)  # F(n-100)'s r1 is 0
+    _, ((_, r0, r1), (_, lone, zero)), _, _ = form._scaled
+    assert r0 and r1 and lone and not zero
     head = _head(5)
     for lo, count in [(-300, 1000), (-300, 0), (5, 1), (7, head - 1), (7, head), (7, head + 1)]:
         expected = [(n, ref_at(e, n)) for n in range(lo, lo + count)]
         horner_calls.clear()  # the parser and ref_at read polynomials too
         assert list(form.values(lo, lo + count - 1)) == expected
-        read = list(range(lo, lo + min(count, head)))
-        for p in polys:  # the values past the head come from the recurrence
-            assert [n for q, n in horner_calls if q is p] == read
-        assert len(horner_calls) == len(read) * len(polys)  # a zero polynomial is never read
+        read = list(range(lo, lo + min(count, head)))  # past the head, the recurrence
+        assert [n for p, n in horner_calls if p is lone] == read
+        packed = [(p, n) for p, n in horner_calls if p is not lone]
+        assert [n for _, n in packed] == read
+        assert all(p is packed[0][0] and p not in (r0, r1) for p, _ in packed)
+        if packed:
+            assert any(packed[0][0] == r0 + r1 * 2**b for b in range(1, 200))
+    # past _PACKED_BITS, and where the CLI turns a long coefficient into a Decimal,
+    # each polynomial has its own pass
+    high = parse("n^300*F(n) + (n^299 - 1)*F(n-1)")
+    form = high.canon()
+    _, ((_, h0, h1),), _, _ = form._scaled
+    read = list(range(_head(300)))
+    assert (604 ** 300).bit_length() + 1 > _PACKED_BITS >= (12 ** 300).bit_length() + 1  # B
+    for count in (len(read) + 1, 12):
+        expected = [(n, ref_at(high, n)) for n in range(count)]
+        horner_calls.clear()
+        assert list(form.values(0, count - 1)) == expected
+        if count > 12:
+            assert [n for p, n in horner_calls if p is h0] == read
+            assert [n for p, n in horner_calls if p is h1] == read
+            assert len(horner_calls) == 2 * len(read)
+        else:
+            assert [n for _, n in horner_calls] == list(range(12))  # one packed pass
+    wide = FibExpr.of([(0, [10**400, 0, 3]), (1, [0, 5])])
+    expected = [(n, str(ref_at(wide, n))) for n in range(-3, 4)]
+    with localcontext(cli._EXACT):
+        horner_calls.clear()
+        assert list(cli._rendered(wide, -3, 3)) == expected
+    assert sorted(n for _, n in horner_calls) == sorted(2 * list(range(-3, 4)))
+
+
+def _scale_by_fractions(clusters, e, f) -> tuple:
+    """The reference for ``_scale``: (L, ((J, L*R0, L*R1), ...), L*e, L*f) from the
+    clusters (J, R0, R1) with R0 and R1 summed in Fractions (``_sums``), L the
+    common denominator of their coefficients and of e and f, leaving out each
+    cluster whose terms cancel."""
+    clusters = [c for c in clusters if c[1] or c[2]]
+    parts = [c for _, r0, r1 in clusters for c in r0.coeffs + r1.coeffs] + [e, f]
+    den = math.lcm(*(c.denominator for c in parts))
+    times_den = lambda c: c.numerator * (den // c.denominator)
+    poly_times_den = lambda p: Poly(tuple(map(times_den, p.coeffs)))
+    return (den, tuple((base, poly_times_den(r0), poly_times_den(r1))
+                       for base, r0, r1 in clusters), times_den(e), times_den(f))
+
+
+def _cancelling_expr(rng) -> FibExpr:
+    """1-3 runs, each holding p*(F(n-j) - F(n-j-1) - F(n-j-2)) = 0, and maybe one
+    more term that survives it, with denominators that share factors; e and f
+    are zero or not."""
+    frac = lambda: rand_fraction(rng, 6, (1, 2, 3, 4, 6, 12))
+    poly = lambda: Poly(tuple(frac() for _ in range(rng.randint(1, 4))))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        j, p = rng.randint(-3000, 3000), poly()
+        terms += [(j, p), (j + 1, -p), (j + 2, -p)]
+        if rng.random() < 0.5:
+            terms.append((j + rng.randint(0, 2), poly()))
+    pick = lambda: rng.choice((F(0), frac()))
+    return FibExpr.of(terms, pick(), pick())
+
+
+def test_scaled_sums_in_ints_give_the_clusters_of_fraction_sums():
+    rng = random.Random(3601)
+    exprs = [FibExpr(), parse("F(n) - F(n-1) - F(n-2)"), parse("F(n) - F(n-1) - F(n-2) + 1/3"),
+             parse("1/6*F(n-5) - 1/6*F(n-6) + 1/3*F(n-7) + 1/4"), A010049, QUAD_LIN, WALKS_W]
+    exprs += [rand_expr(rng, max_deg=4) for _ in range(150)]
+    exprs += [_cancelling_expr(rng) for _ in range(150)]
+    exprs += _far_exprs(rng, 30)
+    cancelled = 0
+    for e in exprs:
+        runs = list(_runs(e.terms))
+        clusters = [(base, *_sums((t.poly, *_near(t.shift - base)) for t in run))
+                    for base, run in runs]
+        expected = _scale_by_fractions(clusters, e.const_e, e.alt_f)
+        assert repr(e._scaled) == repr(expected), format_expr(e)
+        cancelled += len(e._scaled[1]) < len(runs)
+        form = e.canon()
+        built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)
+        assert repr(built._scaled) == repr(_scale_by_fractions(((0, form.p0, form.p1),),
+                                                                form.const_e, form.alt_f))
+    assert cancelled > 100
+
+
+def _reflected_index(n: int, base: int) -> int:
+    """The index m >= 0 at which a cluster based at J is read at n: n-J-1, or J-n."""
+    return max(n - base - 1, base - n)
+
+
+def _fold_exprs(rng, count):
+    """(expr, n): 2-4 single-term runs whose reflected indices at n, from the
+    lowest up, lie index//4 or index//4 + 1 apart, each on either side of n."""
+    for _ in range(count):
+        n = rng.choice((-1, 1)) * rng.randint(0, 60_000)
+        m, terms = rng.randint(400, 40_000), []
+        for _ in range(rng.randint(2, 4)):
+            base = rng.choice((n - 1 - m, n + m))  # k = m, or k = -m-1
+            terms.append((base, rand_poly(rng, max_deg=3) or Poly((1,))))
+            m += m // 4 + rng.randint(0, 1)
+        yield FibExpr.of(terms, rand_fraction(rng), rand_fraction(rng)), n
+
+
+def _fold_reads(e: FibExpr, n: int) -> list[int]:
+    """The fib_pair indices that the fold rule reads for e at n: walking down the
+    reflected indices, phi^(m-m') when 4*(m - m') <= m', else the group's F(m)."""
+    ms = sorted((_reflected_index(n, base) for base, r0, r1 in e._scaled[1]
+                 if r0(n) or r1(n)), reverse=True) + [-1]
+    return [top - m - 1 if 4 * (top - m) <= m else top for top, m in zip(ms, ms[1:])]
+
+
+def test_at_folds_runs_by_the_gap_rule_and_matches_the_reference(monkeypatch):
+    seqform = importlib.import_module("fibrec.seqform")
+    fib_pair, asked = seqform.fib_pair, []
+    monkeypatch.setattr(seqform, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
+    rng = random.Random(3602)
+    cases = list(_fold_exprs(rng, 40))
+    for j in (1, 2, 44, 45, 1000, 20_000):  # F(n-J) + F(n+J) and F(n-J) - F(n+J)
+        for sign in (1, -1):
+            e = FibExpr.of([(j, [1]), (-j, [sign])])
+            cases += [(e, n) for n in (-j - 1, -j, -7, -1, 0, 1, 2, j, j + 1, 3 * j, 50_001)]
+    for text, _ in _FAR_CASES:
+        cases += [(parse(text), n)
+                  for n in (-123_457, -20_000, -45, -1, 0, 1, 44, 19_999, 200_000)]
+    carried = apart = 0
+    for e, n in cases:
+        asked.clear()
+        assert e.at(n) == ref_at(e, n), (format_expr(e), n)
+        assert asked == _fold_reads(e, n), (format_expr(e), n)
+        ms = sorted(_reflected_index(n, base) for base, _, _ in e._scaled[1])
+        carried += any(4 * (b - a) <= a for a, b in zip(ms, ms[1:]))
+        apart += any(4 * (b - a) > a for a, b in zip(ms, ms[1:]))
+    assert carried > 100 and apart > 100
