@@ -39,8 +39,9 @@ it on ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no
 window: each cluster adds a*F(k+1) + b*F(k) at its reflected index k >= 0, an
 element of Z[phi] times phi^k, and clusters near enough to each other are
 carried onto the lowest of them by one product with a short power of phi, so
-that they share one doubling.  ``_surely_longer`` moves clusters by the same
-product (``_times``).
+that they share one read (``_phi_read``): a group costs one doubling of half
+its lowest index and one product, by the trace and norm of a power of phi.
+``_surely_longer`` moves clusters by the same product (``_times``).
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -118,7 +119,7 @@ class FibExpr(Value):
         clusters alone, without the canonical form or a window: each cluster
         adds a*F(k+1) + b*F(k), k = n-J-1, read at its reflected index
         (``_reflected``), and ``_phi_sum`` adds them up, carrying near ones onto
-        one doubling."""
+        one read."""
         den, clusters, e, f = self._scaled
         parts = [_reflected(n - base - 1, r0(n) if r0 else 0, r1(n) if r1 else 0)
                  for base, r0, r1 in clusters]
@@ -308,10 +309,31 @@ def _times(x: tuple, y: tuple) -> tuple:
     return ac + a * d + b * c, ac + b * d
 
 
+def _norm(x: tuple) -> int:
+    """The norm (a*phi + b)*(a*psi + b) = b^2 + ab - a^2 of x = (a, b) in Z[phi],
+    where psi = -1/phi; it is 0 only at x = 0."""
+    a, b = x
+    return b * b + a * b - a * a
+
+
 def _phi_power(g: int) -> tuple[int, int]:
     """phi^g = F(g)*phi + F(g-1), for any integer g, as the pair (F(g), F(g-1))."""
     low, high = fib_pair(g - 1)
     return high, low
+
+
+def _phi_read(m: int, a: int, b: int) -> int:
+    """a*F(m+1) + b*F(m) for m >= 0, the phi coefficient of (a*phi + b)*phi^m,
+    by one doubling of half of m and one product of half-size ints.  An odd m
+    first folds one phi into the pair: (a*phi + b)*phi = (a + b)*phi + a.  For
+    m = 2k, phi^k has trace L(k) = 2F(k+1) - F(k) and norm (-1)^k, so by
+    Cayley-Hamilton phi^(2k) = L(k)*phi^k - (-1)^k, and the value is
+    L(k)*(a*F(k+1) + b*F(k)) - (-1)^k*a."""
+    if m % 2:
+        a, b, m = a + b, a, m - 1
+    k = m // 2
+    f_k, f_k1 = fib_pair(k)
+    return (2 * f_k1 - f_k) * (a * f_k1 + b * f_k) + (a if k % 2 else -a)
 
 
 def _phi_sum(parts: list) -> int:
@@ -320,8 +342,8 @@ def _phi_sum(parts: list) -> int:
     down from the highest m, the pair summed so far is carried onto the next
     lower index m' when 4*(m - m') <= m', by one product with phi^(m-m'): a
     doubling of m - m' and products by F(m - m') then cost less than a doubling
-    of m.  Each group so carried is read by one ``fib_pair`` at its lowest index
-    and two products."""
+    of m.  Each group so carried is read at its lowest index by ``_phi_read``:
+    one doubling of half that index and one product."""
     ordered = sorted((part for part in parts if part[1] or part[2]), reverse=True)
     ordered.append((-1, 0, 0))  # which reads the last group
     total, (top, a, b) = 0, ordered[0]
@@ -329,8 +351,7 @@ def _phi_sum(parts: list) -> int:
         if 4 * (top - m) <= m:
             a, b = _times((a, b), _phi_power(top - m))
         else:
-            f_m, f_m1 = fib_pair(top)
-            total, a, b = total + a * f_m1 + b * f_m, 0, 0
+            total, a, b = total + _phi_read(top, a, b), 0, 0
         top, a, b = m, a + p, b + q
     return total
 
@@ -340,7 +361,7 @@ def _pair_low(a: int, b: int, k: int) -> float:
     The value is sqrt(5)^-1 * (phi^k*alpha - psi^k*alpha'), where alpha = a*phi + b
     in Z[phi] has |alpha'| <= s = |a|/phi + |b| and the norm N = b^2 + ab - a^2,
     nonzero unless a = b = 0, so it is at least (phi^k*|N|/s - s/phi^k)/sqrt(5)."""
-    norm = abs(b * b + a * b - a * a)  # 0 only when a = b = 0
+    norm = abs(_norm((a, b)))
     log_s = _log10_above(max(abs(a), abs(b))) + 0.209  # s <= phi*max(|a|, |b|), phi < 10^0.209
     low = 0.2089 * k + (norm.bit_length() - 1) * math.log10(2) - log_s  # 0.2089 < log10(phi)
     # with s/phi^k a digit below, it and sqrt(5) take less than 0.4 digits

@@ -37,7 +37,8 @@ from fibrec import (
     parse,
     shift_coeffs,
 )
-from fibrec.seqform import _PACKED_BITS, ShiftTerm, _near, _numerators, _runs, _sums
+from fibrec.fib import fib_pair
+from fibrec.seqform import _PACKED_BITS, ShiftTerm, _near, _numerators, _phi_read, _runs, _sums
 
 
 def test_evaluate_examples():
@@ -850,10 +851,11 @@ def _fold_exprs(rng, count):
 
 def _fold_reads(e: FibExpr, n: int) -> list[int]:
     """The fib_pair indices that the fold rule reads for e at n: walking down the
-    reflected indices, phi^(m-m') when 4*(m - m') <= m', else the group's F(m)."""
+    reflected indices, phi^(m-m') when 4*(m - m') <= m', else m // 2 for the
+    group's lowest index m, which ``_phi_read`` doubles to read the group."""
     ms = sorted((_reflected_index(n, base) for base, r0, r1 in e._scaled[1]
                  if r0(n) or r1(n)), reverse=True) + [-1]
-    return [top - m - 1 if 4 * (top - m) <= m else top for top, m in zip(ms, ms[1:])]
+    return [top - m - 1 if 4 * (top - m) <= m else top // 2 for top, m in zip(ms, ms[1:])]
 
 
 def test_at_folds_runs_by_the_gap_rule_and_matches_the_reference(monkeypatch):
@@ -878,3 +880,31 @@ def test_at_folds_runs_by_the_gap_rule_and_matches_the_reference(monkeypatch):
         carried += any(4 * (b - a) <= a for a, b in zip(ms, ms[1:]))
         apart += any(4 * (b - a) > a for a, b in zip(ms, ms[1:]))
     assert carried > 100 and apart > 100
+
+
+def test_phi_read_is_a_times_f_m_plus_1_plus_b_times_f_m():
+    rng = random.Random(3701)
+    ms = list(range(301)) + [rng.randint(0, 200_000) for _ in range(200)]
+    assert {m % 4 for m in ms[301:]} == {0, 1, 2, 3}  # both parities of m and of k = m//2
+    signed = lambda bits: rng.choice((-1, 1)) * rng.getrandbits(bits)
+    for m in ms:
+        f_m, f_m1 = fib_pair(m)
+        pairs = [(0, 0), (1, -1), (signed(2000), 0), (0, signed(2000)),
+                 (signed(2000), signed(2000)), (signed(rng.randint(1, 2000)), signed(30))]
+        for a, b in pairs:
+            assert _phi_read(m, a, b) == a * f_m1 + b * f_m, (m, a, b)
+
+
+@pytest.mark.parametrize("text", [
+    "(n+1)/2*F(n+1000) - n/2*F(n-1000) + (n^2+5)/3*F(n-7) + 1/3",
+    "n^3/5*F(n-20000) + (2n-1)/3*F(n+15000) + 1/2*(-1)^n",
+    "(n^2+n)/6*F(n+20000) + n*F(n-19999) + F(n) - 2/7",
+    "F(n-1000) + F(n+1000) - n*F(n-1001)",  # one group at 10^5, both reflected at -10^5
+    "F(n) + n*F(n-200005) - 3/2*F(n+200003) + 1/2 - (-1)^n",  # F(n) and a reflected run
+])
+def test_at_far_out_matches_the_binet_oracle(text):
+    e = parse(text)
+    split = binet(e)
+    for n in (sign * (10**5 + i) for sign in (1, -1) for i in range(4)):
+        fib_part = e.at(n) - e.const_e - (e.alt_f if n % 2 == 0 else -e.alt_f)
+        assert fib_part_at(split, n) == QuadRat(fib_part, 0), (text, n)
