@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the benchmark in two checkouts, in alternating pairs, and apply the gain rule.
+"""Run the benchmark in two checkouts, in alternating pairs, and apply the gain and
+no-regression rules.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload synth_solve --pairs 10 --seed 101
 
@@ -14,9 +15,14 @@ first run and its later runs import what it holds.  Each run's figures, and
 whether its answers were correct, are printed as it ends.  Then, for each
 end-to-end metric of CHANGE's BENCHMARK.json that the runs report, it prints
 both medians, how far the change's median moved, the parent's quartiles, how
-many pairs the change won (a tie counts for neither side) and whether the gain
+many pairs the change won (a tie counts for neither side), whether the gain
 rule holds: the change wins at least nine tenths of the pairs, and its median
-beats the parent's by more than the distance between the parent's quartiles.
+beats the parent's by more than the distance between the parent's quartiles,
+and the no-regression verdict, by the metric's relative `bound`: `unresolved`
+when the parent's quartiles lie more than `bound` times its median apart, so
+the runs spread too widely to tell, unless every run of the change is better
+than every run of the parent; else `worse` when the change's median is worse
+than the parent's by more than `bound` times the parent's; else `ok`.
 """
 
 from __future__ import annotations
@@ -63,15 +69,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summary(name: str, better: str, parent: list[float], change: list[float]) -> dict:
-    """Medians, the parent's quartiles, pairs won and the gain rule for one metric."""
+def summary(name: str, better: str, bound: float, parent: list[float],
+            change: list[float]) -> dict:
+    """Medians, the parent's quartiles, pairs won, the gain rule and the
+    no-regression verdict for one metric."""
     sign = 1 if better == "higher" else -1
     q1, median_p, q3 = quartiles(parent)
     median_c = statistics.median(change)
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    allowed = bound * abs(median_p)
+    clear = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > allowed and not clear:
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if sign * (median_p - median_c) > allowed else "ok"
     return {
         "metric": name, "parent": median_p, "change": median_c, "q1": q1, "q3": q3, "won": won,
         "gain": 10 * won >= 9 * len(parent) and sign * (median_c - median_p) > q3 - q1,
+        "regression": verdict,
     }
 
 
@@ -104,18 +119,18 @@ def main(argv: list[str] | None = None, run=run_bench) -> int:
           + ", ".join(f"{side} failed {sum(got['failed'] for got in runs[side])} ops"
                       for side in sides))
     print(f"{'metric':14s} {'unit':8s} {'parent':>10s} {'change':>10s} {'moved':>7s} "
-          f"{'parent Q1..Q3':>21s} {'won':>7s}  gain rule")
+          f"{'parent Q1..Q3':>21s} {'won':>7s}  gain rule  regression")
     for metric in metrics:
         name = metric["name"]
         if not all(name in got["metrics"] for side in runs.values() for got in side):
             continue
         values = {side: [got["metrics"][name]["value"] for got in runs[side]] for side in sides}
-        row = summary(name, metric["better"], values["parent"], values["change"])
+        row = summary(name, metric["better"], metric["bound"], values["parent"], values["change"])
         moved = row["change"] / row["parent"] - 1 if row["parent"] else 0.0
         print(f"{name:14s} {metric['unit']:8s} {row['parent']:10.4g} {row['change']:10.4g} "
               f"{moved:+7.1%} {row['q1']:10.4g}..{row['q3']:<9.4g} "
               f"{row['won']:3d}/{args.pairs:<3d}  "
-              f"{'holds' if row['gain'] else 'fails'}")
+              f"{'holds' if row['gain'] else 'fails':9s}  {row['regression']}")
     return 0
 
 

@@ -31,8 +31,8 @@ The clusters are scaled to ints once (``_scale``): each run's R0 and R1 are
 summed as ints over the terms' common denominator, and the common factor of
 that denominator and every sum is divided out.  Every window comes from one
 loop, ``_numerators``: its first values combine the pairs (F(n-J), F(n-J-1)),
-one per cluster, each stepping from its own ``fib_pair`` seed, with R0 and R1
-read in one Horner pass when they pack into one int, and the rest follow by
+one per cluster, each stepping from its own ``fib_pair`` seed, with each
+nonzero R0 and R1 read by one Horner pass per index, and the rest follow by
 additions from the recurrence that the paper's (E^2-E-1)^(D+1)*(E-1)*(E+1)
 gives, over what its seeds leave of the denominator.  ``CanonForm.values`` runs
 it on ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no
@@ -69,11 +69,6 @@ from .fib import fib_pair, shift_coeffs
 # The offsets j - J at which F(J-j+1) and F(J-j) are both below 2**30 in
 # magnitude, so that each fits in one int digit: a cluster's terms lie here.
 _FOLD = range(-43, 45)
-
-# The widest B at which ``_stepped`` reads two polynomials in one packed Horner
-# pass: each step then carries B more bits, which cost more than the pass saves
-# in the interpreter from about 1,800 bits on (CPython 3.11, degree 200).
-_PACKED_BITS = 1500
 
 
 class ShiftTerm(Value):
@@ -309,13 +304,6 @@ def _times(x: tuple, y: tuple) -> tuple:
     return ac + a * d + b * c, ac + b * d
 
 
-def _norm(x: tuple) -> int:
-    """The norm (a*phi + b)*(a*psi + b) = b^2 + ab - a^2 of x = (a, b) in Z[phi],
-    where psi = -1/phi; it is 0 only at x = 0."""
-    a, b = x
-    return b * b + a * b - a * a
-
-
 def _phi_power(g: int) -> tuple[int, int]:
     """phi^g = F(g)*phi + F(g-1), for any integer g, as the pair (F(g), F(g-1))."""
     low, high = fib_pair(g - 1)
@@ -361,7 +349,7 @@ def _pair_low(a: int, b: int, k: int) -> float:
     The value is sqrt(5)^-1 * (phi^k*alpha - psi^k*alpha'), where alpha = a*phi + b
     in Z[phi] has |alpha'| <= s = |a|/phi + |b| and the norm N = b^2 + ab - a^2,
     nonzero unless a = b = 0, so it is at least (phi^k*|N|/s - s/phi^k)/sqrt(5)."""
-    norm = abs(_norm((a, b)))
+    norm = abs(b * b + a * b - a * a)
     log_s = _log10_above(max(abs(a), abs(b))) + 0.209  # s <= phi*max(|a|, |b|), phi < 10^0.209
     low = 0.2089 * k + (norm.bit_length() - 1) * math.log10(2) - log_s  # 0.2089 < log10(phi)
     # with s/phi^k a digit below, it and sqrt(5) take less than 0.4 digits
@@ -459,25 +447,11 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
 
 def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> Iterator:
     """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) plus the next item of column, for
-    n in ns, from seed = (F(n-J-1), F(n-J)) at the first n.  A zero polynomial
-    is never read.  When both are nonzero with int coefficients, one Horner pass
-    per n reads the packed R0 + R1*2^B, as ``char_poly`` packs digits, where
-    |R0(n)| <= sum|R0 coefficients| * max(|n|, 1)^deg R0 < 2^(B-1) over ns, so a
-    mask and a shift split it, unless B passes _PACKED_BITS; otherwise each
-    polynomial has its own pass."""
+    n in ns, from seed = (F(n-J-1), F(n-J)) at the first n.  Each nonzero
+    polynomial is read by one Horner pass per n, and a zero one is never read."""
     fn1, fn = seed
-    ints = bool(r0 and r1) and all(type(c) is int for c in r0.coeffs + r1.coeffs)
-    top = max(abs(ns.start), abs(ns.stop), 1)
-    width = (sum(map(abs, r0.coeffs)) * top**r0.degree if ints else 0).bit_length() + 1
-    if ints and width <= _PACKED_BITS:
-        half, mask = 1 << (width - 1), (1 << width) - 1
-        packed = Poly(tuple(a + (b << width)
-                            for a, b in zip_longest(r0.coeffs, r1.coeffs, fillvalue=0)))
-        values = ((((v + half) & mask) - half, (v + half) >> width) for v in map(packed, ns))
-    else:
-        read = lambda p: map(p, ns) if p else repeat(0)
-        values = zip(read(r0), read(r1))
-    for (a, b), c in zip(values, column):
+    read = lambda p: map(p, ns) if p else repeat(0)
+    for a, b, c in zip(read(r0), read(r1), column):
         yield a * fn + b * fn1 + c
         fn, fn1 = fn + fn1, fn
 

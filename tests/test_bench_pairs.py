@@ -55,8 +55,8 @@ def test_pairs_alternate_and_a_clear_gain_holds(tmp_path, capsys):
     assert calls == [(side, "w", 40 + i) for i in range(10)
                      for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
     assert rows["ops_per_s"] == ["ops_per_s", "ops/s", "104.5", "124.5", "+19.1%",
-                                 "101.8..107.2", "10/10", "holds"]
-    assert rows["op_p50_ms"][-2:] == ["10/10", "holds"]
+                                 "101.8..107.2", "10/10", "holds", "ok"]
+    assert rows["op_p50_ms"][-3:] == ["10/10", "holds", "ok"]
     assert "values_per_s" not in rows  # not reported by the runs
 
 
@@ -66,11 +66,36 @@ def test_the_gain_rule_needs_nine_tenths_and_a_gap_past_the_quartiles(tmp_path, 
     # p50: wins every pair, and any gap is wider than the parent's spread of 0
     change = [(200, 0.99)] * 8 + [(50, 0.99)] * 2
     _, rows = run_pairs(tmp_path, capsys, {"parent": parent, "change": change})
-    assert rows["ops_per_s"][-2:] == ["8/10", "fails"]
-    assert rows["op_p50_ms"][-2:] == ["10/10", "holds"]
-    assert bench_pairs.summary("x", "higher", [1, 2, 3, 4], [1, 2, 3, 4])["won"] == 0  # ties
-    wide = bench_pairs.summary("x", "lower", [1.0, 1.1, 1.5, 2.0], [0.9, 1.0, 1.4, 1.9])
+    assert rows["ops_per_s"][-3:] == ["8/10", "fails", "ok"]
+    assert rows["op_p50_ms"][-3:] == ["10/10", "holds", "ok"]
+    assert bench_pairs.summary("x", "higher", 1, [1, 2, 3, 4], [1, 2, 3, 4])["won"] == 0  # ties
+    wide = bench_pairs.summary("x", "lower", 1, [1.0, 1.1, 1.5, 2.0], [0.9, 1.0, 1.4, 1.9])
     assert (wide["won"], wide["gain"]) == (4, False)  # the medians differ by 0.1, the IQR is 0.75
+
+
+
+def test_the_no_regression_verdict_reads_each_metric_s_bound(tmp_path, capsys):
+    parent = [(100 + i, 1.0) for i in range(10)]  # ops: median 104.5, quartiles 5.5 apart
+    # ops: a median of 70 is 33% below the parent's, past the bound of 0.25;
+    # p50: a median of 1.2 is 20% above the parent's, inside it
+    change = [(70, 1.2)] * 10
+    _, rows = run_pairs(tmp_path, capsys, {"parent": parent, "change": change})
+    assert rows["ops_per_s"][-3:] == ["0/10", "fails", "worse"]
+    assert rows["op_p50_ms"][-3:] == ["0/10", "fails", "ok"]
+    verdict = lambda better, bound, parent, change: bench_pairs.summary(
+        "x", better, bound, parent, change)["regression"]
+    assert verdict("higher", 0.25, [100] * 4, [75] * 4) == "ok"  # worse by the bound exactly
+    assert verdict("higher", 0.25, [100] * 4, [74.9] * 4) == "worse"
+    assert verdict("lower", 0.1, [100] * 4, [110] * 4) == "ok"
+    assert verdict("lower", 0.1, [100] * 4, [110.1] * 4) == "worse"
+    # quartiles 0.625..1.875 lie 1.25 apart, past 0.25 times the median of 1.25: the
+    # parent's own runs cannot tell a move of the bound, unless every run of the
+    # change beats every run of the parent
+    wide = [0.5, 1.0, 1.5, 2.0]
+    for change in ([9.0] * 4, [0.4, 0.4, 0.4, 0.5], [0.1, 0.1, 0.1, 1.9]):
+        assert verdict("lower", 0.25, wide, change) == "unresolved"
+    assert verdict("lower", 0.25, wide, [0.1, 0.2, 0.3, 0.4]) == "ok"
+    assert verdict("higher", 0.25, wide, [2.1] * 4) == "ok"
 
 
 def test_failed_runs_are_printed(tmp_path, capsys):

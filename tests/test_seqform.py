@@ -38,7 +38,7 @@ from fibrec import (
     shift_coeffs,
 )
 from fibrec.fib import fib_pair
-from fibrec.seqform import _PACKED_BITS, ShiftTerm, _near, _numerators, _phi_read, _runs, _sums
+from fibrec.seqform import ShiftTerm, _near, _numerators, _phi_read, _runs, _sums
 
 
 def test_evaluate_examples():
@@ -694,6 +694,16 @@ def test_long_windows_match_reference():
         assert len(bases) == 1 or i % 4  # shifts in -43..44 make one run
         lo = rng.randint(-700, 300)
         _values_match_reference(e, lo, lo + rng.randint(99, 399))
+    # shaped like the benchmark's derive_check: degree 120 and Fraction coefficients
+    # at two shifts of one run, so that R0 and R1 are both nonzero and wide
+    poly = lambda deg: Poly(tuple(rand_fraction(rng, 9, (1, 2, 3, 5, 7, 11))
+                                  for _ in range(deg)) + (_nonzero_fraction(rng),))
+    shifts = rng.sample(range(-6, 7), 2)
+    e = FibExpr.of([(shifts[0], poly(120)), (shifts[1], poly(60))], _nonzero_fraction(rng))
+    (_, r0, r1), = e._scaled[1]
+    assert r0 and r1 and max(r0.degree, r1.degree) == 120
+    lo = rng.randint(-200, 0)
+    _values_match_reference(e, lo, lo + 299)
 
 
 @pytest.fixture
@@ -735,9 +745,9 @@ def test_a_single_value_evaluates_each_polynomial_once(horner_calls):
 
 
 def test_a_window_reads_each_run_once_per_head_index(horner_calls):
-    # (n^3+1)/7*F(n) + n/3*F(n-1) make one run with two nonzero int polynomials,
-    # which one Horner pass per index reads packed as R0 + R1*2^B; n^5*F(n-100)
-    # makes a run whose R1 is 0, which is never read
+    # (n^3+1)/7*F(n) + n/3*F(n-1) make one run with two nonzero polynomials, each
+    # read by one Horner pass per head index; n^5*F(n-100) makes a run whose R1 is
+    # 0, which is never read; past the head, the recurrence reads none
     e = parse("(n^3+1)/7*F(n) + n/3*F(n-1) + n^5*F(n-100) + 1/2 - 1/5*(-1)^n")
     form = e.canon()
     _, ((_, r0, r1), (_, lone, zero)), _, _ = form._scaled
@@ -747,30 +757,11 @@ def test_a_window_reads_each_run_once_per_head_index(horner_calls):
         expected = [(n, ref_at(e, n)) for n in range(lo, lo + count)]
         horner_calls.clear()  # the parser and ref_at read polynomials too
         assert list(form.values(lo, lo + count - 1)) == expected
-        read = list(range(lo, lo + min(count, head)))  # past the head, the recurrence
-        assert [n for p, n in horner_calls if p is lone] == read
-        packed = [(p, n) for p, n in horner_calls if p is not lone]
-        assert [n for _, n in packed] == read
-        assert all(p is packed[0][0] and p not in (r0, r1) for p, _ in packed)
-        if packed:
-            assert any(packed[0][0] == r0 + r1 * 2**b for b in range(1, 200))
-    # past _PACKED_BITS, and where the CLI turns a long coefficient into a Decimal,
-    # each polynomial has its own pass
-    high = parse("n^300*F(n) + (n^299 - 1)*F(n-1)")
-    form = high.canon()
-    _, ((_, h0, h1),), _, _ = form._scaled
-    read = list(range(_head(300)))
-    assert (604 ** 300).bit_length() + 1 > _PACKED_BITS >= (12 ** 300).bit_length() + 1  # B
-    for count in (len(read) + 1, 12):
-        expected = [(n, ref_at(high, n)) for n in range(count)]
-        horner_calls.clear()
-        assert list(form.values(0, count - 1)) == expected
-        if count > 12:
-            assert [n for p, n in horner_calls if p is h0] == read
-            assert [n for p, n in horner_calls if p is h1] == read
-            assert len(horner_calls) == 2 * len(read)
-        else:
-            assert [n for _, n in horner_calls] == list(range(12))  # one packed pass
+        read = list(range(lo, lo + min(count, head)))
+        for p in (r0, r1, lone):
+            assert [n for q, n in horner_calls if q is p] == read
+        assert len(horner_calls) == 3 * len(read)
+    # the same where the CLI turns a long coefficient into a Decimal
     wide = FibExpr.of([(0, [10**400, 0, 3]), (1, [0, 5])])
     expected = [(n, str(ref_at(wide, n))) for n in range(-3, 4)]
     with localcontext(cli._EXACT):
