@@ -23,6 +23,10 @@ when the parent's quartiles lie more than `bound` times its median apart, so
 the runs spread too widely to tell, unless every run of the change is better
 than every run of the parent; else `worse` when the change's median is worse
 than the parent's by more than `bound` times the parent's; else `ok`.
+
+It exits with 1, and says why, when a run printed no result line (at once,
+naming the side and the seed), when a run reported incorrect answers, or when
+the change failed a larger share of its operations than the parent; else 0.
 """
 
 from __future__ import annotations
@@ -58,9 +62,14 @@ def run_bench(checkout: str, workload: str, seed: int) -> str:
     return proc.stdout
 
 
-def result(stdout: str) -> dict:
-    """The result object that a benchmark run prints as its last line."""
-    return json.loads(stdout.strip().splitlines()[-1])
+def result(stdout: str) -> dict | None:
+    """The result object that a benchmark run prints as its last line, or None
+    when its last line is not one."""
+    lines = stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -109,6 +118,9 @@ def main(argv: list[str] | None = None, run=run_bench) -> int:
         seed = args.seed + i
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             got = result(run(sides[side], args.workload, seed))
+            if got is None:
+                print(f"seed {seed} {side}: the run printed no result line", flush=True)
+                return 1
             runs[side].append(got)
             print(f"seed {seed} {side}: correct {got['correct']}, failed {got['failed']} of "
                   f"{got['attempted']}, " + ", ".join(f"{name} {m['value']:.6g}"
@@ -131,7 +143,20 @@ def main(argv: list[str] | None = None, run=run_bench) -> int:
               f"{moved:+7.1%} {row['q1']:10.4g}..{row['q3']:<9.4g} "
               f"{row['won']:3d}/{args.pairs:<3d}  "
               f"{'holds' if row['gain'] else 'fails':9s}  {row['regression']}")
-    return 0
+
+    status = 0
+    wrong = [f"seed {args.seed + i} {side}" for side in sides
+             for i, got in enumerate(runs[side]) if not got["correct"]]
+    if wrong:
+        print("incorrect answers: " + ", ".join(wrong))
+        status = 1
+    share = {side: sum(got["failed"] for got in runs[side])
+             / max(sum(got["attempted"] for got in runs[side]), 1) for side in sides}
+    if share["change"] > share["parent"]:
+        print(f"the change failed {share['change']:.2%} of its operations, "
+              f"the parent {share['parent']:.2%}")
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -180,9 +180,8 @@ def _cmd_canon(args) -> _Output:
     form = _parse_bounded(args.expr, "up to {} coefficients of the canonical form").canon()
     payload = {
         "expression": args.expr,
-        # a coefficient may be an int, which JSON must still write as "1"
-        "p0": [Fraction(c) for c in form.p0.coeffs],
-        "p1": [Fraction(c) for c in form.p1.coeffs],
+        "p0": form.p0.coeffs,
+        "p1": form.p1.coeffs,
         "e": form.const_e,
         "f": form.alt_f,
     }

@@ -24,24 +24,26 @@ would carry through every step at every index.  So values are read from
 to the terms whose offsets j - J lie in -43..44, where F(J-j+1) and F(J-j)
 are below 2**30 in magnitude, so R0 and R1 keep short coefficients.  One rule
 makes every cluster: the shifts, in increasing order, fall into runs at most
-87 wide, and each run is based at its midpoint.  P0 and P1 still sum every
-term.
+87 wide, and each run is based at its midpoint.
 
 The clusters are scaled to ints once (``_scale``): each run's R0 and R1 are
 summed as ints over the terms' common denominator, and the common factor of
-that denominator and every sum is divided out.  Every window comes from one
-loop, ``_numerators``: its first values combine the pairs (F(n-J), F(n-J-1)),
-one per cluster, each stepping from its own ``fib_pair`` seed, with each
-nonzero R0 and R1 read by one Horner pass per index, and the rest follow by
-additions from the recurrence that the paper's (E^2-E-1)^(D+1)*(E-1)*(E+1)
-gives, over what its seeds leave of the denominator.  ``CanonForm.values`` runs
-it on ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no
-window: each cluster adds a*F(k+1) + b*F(k) at its reflected index k >= 0, an
-element of Z[phi] times phi^k, and clusters near enough to each other are
-carried onto the lowest of them by one product with a short power of phi, so
-that they share one read (``_phi_read``): a group costs one doubling of half
-its lowest index and one product, by the trace and norm of a power of phi.
-``_surely_longer`` moves clusters by the same product (``_times``).
+that denominator and every sum is divided out, which leaves L.  The canonical
+form is read off them (``_canon``): each coefficient of L*P0 and L*P1 sums one
+product in Z[phi] per cluster, so a run whose terms cancel costs it nothing.
+Every window comes from one loop, ``_numerators``: its first values combine
+the pairs (F(n-J), F(n-J-1)), one per cluster, each stepping from its own
+``fib_pair`` seed, with each nonzero R0 and R1 read by one Horner pass per
+index, and the rest follow by additions from the recurrence that the paper's
+(E^2-E-1)^(D+1)*(E-1)*(E+1) gives, over what its seeds leave of the
+denominator.  ``CanonForm.values`` runs it on ints, and the CLI on Decimals.
+A single value, ``FibExpr.at``, runs no window: each cluster adds a*F(k+1) +
+b*F(k) at its reflected index k >= 0, an element of Z[phi] times phi^k, and
+clusters near enough to each other are carried onto the lowest of them by one
+product with a short power of phi, so that they share one read
+(``_phi_read``): a group costs one doubling of half its lowest index and one
+product, by the trace and norm of a power of phi.  ``_surely_longer`` moves
+clusters by the same product (``_times``).
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -171,12 +173,20 @@ class FibExpr(Value):
 
     @cached_property
     def _canon(self) -> "CanonForm":
-        """``canon``'s form, which holds this expression's ``_scaled`` as its own:
-        each term's phi^(1-j) = F(1-j)*phi + F(-j) as the product of its short
-        phi^(J-j+1) and its run's phi^-J, from the one pair (F(-J), F(1-J))."""
-        p0, p1 = _sums((t.poly, *_times(_near(t.shift - base), (v, u - v)))
-                       for base, run in _runs(self.terms) for v, u in [fib_pair(-base)]
-                       for t in run)
+        """``canon``'s form, read off this expression's ``_scaled``, which it holds
+        as its own.  A cluster (J, L*R0, L*R1) adds R0(n)*F(n-J) + R1(n)*F(n-J-1),
+        the phi coefficient of (R0*phi + R1)*phi^-J*phi^(n-1), and P0*F(n) +
+        P1*F(n-1) is that of (P0*phi + P1)*phi^(n-1): so each coefficient pair of
+        (L*P0, L*P1) sums one product (``_times``) per cluster with its phi^-J,
+        and every coefficient is a Fraction over L."""
+        den, clusters, _, _ = self._scaled
+        sums = []
+        for base, r0, r1 in clusters:
+            power = _phi_power(-base)
+            parts = map(_times, zip_longest(r0.coeffs, r1.coeffs, fillvalue=0), repeat(power))
+            sums = [(a + c, b + d)
+                    for (a, b), (c, d) in zip_longest(sums, parts, fillvalue=(0, 0))]
+        p0, p1 = (Poly(tuple(Fraction(pair[i], den) for pair in sums)) for i in (0, 1))
         form = CanonForm(p0, p1, self.const_e, self.alt_f)
         form.__dict__["_scaled"] = self._scaled
         return form
@@ -198,17 +208,6 @@ def _near(k: int) -> tuple[int, int]:
     """(F(1-k), F(-k)) for an offset k in ``_FOLD``; at k = 0 without a Fibonacci
     number, so a lone term, the base of its own run, has none."""
     return shift_coeffs(k) if k else (1, 0)
-
-
-def _sums(parts: Iterable[tuple]) -> tuple[Poly, Poly]:
-    """(sum c0*p, sum c1*p) over the parts (p, c0, c1), in order; a product
-    by 1 is p itself.  Where a top coefficient cancels midway, both decide
-    whether it comes back as an int or a Fraction, which repr shows."""
-    r0 = r1 = Poly(())
-    for p, c0, c1 in parts:
-        r0 = r0 + (p if c0 == 1 else p * c0) if c0 else r0
-        r1 = r1 + (p if c1 == 1 else p * c1) if c1 else r1
-    return r0, r1
 
 
 def _abs_sum(lo: int, hi: int) -> int:

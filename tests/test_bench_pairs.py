@@ -98,17 +98,46 @@ def test_the_no_regression_verdict_reads_each_metric_s_bound(tmp_path, capsys):
     assert verdict("higher", 0.25, wide, [2.1] * 4) == "ok"
 
 
-def test_failed_runs_are_printed(tmp_path, capsys):
-    figures = {"parent": [(100, 1.0, 0)] * 2, "change": [(100, 1.0, 3), (100, 1.0, 0)]}
+def run_canned(tmp_path, figures):
+    """bench_pairs.main's exit status over two pairs, seeds 0 and 1, whose runs print
+    canned(*figures[side][seed]), or figures[side][seed] itself where it is text."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
             "--pairs", "2", "--seed", "0"]
-    bench_pairs.main(argv, run=lambda path, _, seed: canned(*figures[pathlib.Path(path).name][seed]))
+
+    def run(checkout, workload, seed):
+        got = figures[pathlib.Path(checkout).name][seed]
+        return got if isinstance(got, str) else canned(*got)
+
+    return bench_pairs.main(argv, run=run)
+
+
+def test_failed_runs_are_printed(tmp_path, capsys):
+    figures = {"parent": [(100, 1.0, 0)] * 2, "change": [(100, 1.0, 3), (100, 1.0, 0)]}
+    assert run_canned(tmp_path, figures) == 1
     out = capsys.readouterr().out
     assert "seed 0 change: correct False, failed 3 of 100" in out
     assert "w: 2 pairs, seeds 0..1; parent failed 0 ops, change failed 3 ops" in out
+    assert "incorrect answers: seed 0 change\n" in out
+    assert "the change failed 1.50% of its operations, the parent 0.00%" in out
+
+
+def test_a_parent_that_fails_more_fails_only_for_its_incorrect_runs(tmp_path, capsys):
+    figures = {"parent": [(100, 1.0, 0), (100, 1.0, 4)], "change": [(100, 1.0, 2)] * 2}
+    assert run_canned(tmp_path, figures) == 1
+    out = capsys.readouterr().out
+    assert "incorrect answers: seed 1 parent, seed 0 change, seed 1 change" in out
+    assert "of its operations" not in out  # 2% against the parent's 2%
+
+
+def test_a_run_without_a_result_line_is_named(tmp_path, capsys):
+    figures = {"parent": [(100, 1.0, 0)] * 2, "change": [(100, 1.0, 0), ""]}
+    assert run_canned(tmp_path, figures) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "seed 1 change: the run printed no result line"
+    assert bench_pairs.result("workload w: attempted 100\nTraceback\n") is None
 
 
 def test_one_pair_is_refused(tmp_path):

@@ -38,7 +38,7 @@ from fibrec import (
     shift_coeffs,
 )
 from fibrec.fib import fib_pair
-from fibrec.seqform import ShiftTerm, _near, _numerators, _phi_read, _runs, _sums
+from fibrec.seqform import ShiftTerm, _near, _numerators, _phi_read, _runs
 
 
 def test_evaluate_examples():
@@ -75,28 +75,6 @@ def test_canonicalize_examples():
     canonical = FibExpr.of([(0, [1, 2]), (1, [3])], const=5, alt=7)
     c = canonical.canon()
     assert (c.p0, c.p1, c.const_e, c.alt_f) == (Poly((1, 2)), Poly((3,)), 5, 7)
-
-
-def _multiplied_canon(e: FibExpr) -> CanonForm:
-    """The canonical form with every shift coefficient multiplied in, in shift order."""
-    p0 = p1 = Poly(())
-    for t in e.terms:
-        c_f, c_f1 = shift_coeffs(t.shift)
-        p0, p1 = p0 + t.poly * c_f, p1 + t.poly * c_f1
-    return CanonForm(p0, p1, e.const_e, e.alt_f)
-
-
-@pytest.mark.parametrize("shifts", [(0,), (1,), (0, 1), (1, 0), (0, 2), (1, 2), (-1, 0, 1, 2)])
-def test_canon_keeps_values_and_types_where_it_skips_products_by_0_and_1(shifts):
-    # shift 0 has coefficients (1, 0) and shift 1 has (0, 1); int and Fraction
-    # coefficients show in repr, and so does a top power that cancels
-    polys = (
-        Poly((1, F(1, 2), 0, -3, F(5, 7))),
-        Poly((F(2), -1, 4, 0, F(-5, 7))),
-        Poly((0, 3, F(-1, 3))),
-    )
-    e = FibExpr.of(list(zip(shifts, polys * 2)))
-    assert repr(e.canon()) == repr(_multiplied_canon(e))
 
 
 def _from_canon(c: CanonForm) -> FibExpr:
@@ -564,7 +542,7 @@ def test_canon_reads_one_fibonacci_pair_per_run(monkeypatch):
     monkeypatch.setattr(seqform, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
     e = parse(text)
     form = e.canon()
-    assert asked == [0, -100, -1030]
+    assert asked == [-1, -101, -1031]
     assert len(set(_bases_before(e.terms))) == 4
     assert _run_bases(e) == [0, 100, 1030]
     assert (form.p0, form.p1) == _shift_order_sums(e)
@@ -572,7 +550,8 @@ def test_canon_reads_one_fibonacci_pair_per_run(monkeypatch):
 
 
 def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
-    """P0 and P1 as every term's parts added in shift order, in whatever cluster."""
+    """P0 and P1 with every term's shift coefficients multiplied in, in shift
+    order, in whatever cluster."""
     p0 = p1 = Poly(())
     for t in e.terms:
         c, d = shift_coeffs(t.shift)
@@ -580,9 +559,31 @@ def _shift_order_sums(e: FibExpr) -> tuple[Poly, Poly]:
     return p0, p1
 
 
+def _is_shift_order_sums_in_fractions(e: FibExpr) -> bool:
+    """The form of e has P0 and P1 equal to the shift-order sums and every
+    coefficient a Fraction."""
+    form = e.canon()
+    return ((form.p0, form.p1) == _shift_order_sums(e)
+            and all(type(c) is F for c in form.p0.coeffs + form.p1.coeffs))
+
+
+@pytest.mark.parametrize("shifts", [(0,), (1,), (0, 1), (1, 0), (0, 2), (1, 2), (-1, 0, 1, 2)])
+def test_canon_keeps_values_and_types_where_it_skips_products_by_0_and_1(shifts):
+    # shift 0 has coefficients (1, 0) and shift 1 has (0, 1); int and Fraction
+    # input coefficients, and a top power that cancels, all come out as Fractions
+    polys = (
+        Poly((1, F(1, 2), 0, -3, F(5, 7))),
+        Poly((F(2), -1, 4, 0, F(-5, 7))),
+        Poly((0, 3, F(-1, 3))),
+    )
+    e = FibExpr.of(list(zip(shifts, polys * 2)))
+    assert _is_shift_order_sums_in_fractions(e)
+    assert (e.canon().const_e, e.canon().alt_f) == (e.const_e, e.alt_f)
+
+
 def test_canon_keeps_the_coefficient_types_of_the_shift_order_sums():
     # n*F(n+50) comes first; the parts of the shifts 0 and 2 after it cancel in P0,
-    # and adding them up before it would leave an int 0 where P0 holds Fraction(0, 1)
+    # which still holds Fractions only
     exprs = [parse("n*F(n+50) + n/2*F(n) - n/2*F(n-2)"), parse("F(n) + F(n-50)")]
     rng = random.Random(83)
     coeff = lambda: rng.choice([0, 1, -2, F(1, 2), F(-1, 2), F(3)])
@@ -591,8 +592,21 @@ def test_canon_keeps_the_coefficient_types_of_the_shift_order_sums():
         exprs.append(FibExpr.of([(j, [coeff() for _ in range(rng.randint(1, 3))])
                                  for j in shifts]))
     for e in exprs:
-        form = e.canon()
-        assert repr((form.p0, form.p1)) == repr(_shift_order_sums(e)), format_expr(e)
+        assert _is_shift_order_sums_in_fractions(e), format_expr(e)
+
+
+def test_a_run_that_cancels_costs_its_form_no_long_doubling(monkeypatch):
+    # n^3*(F(n-j) - F(n-j-1) - F(n-j-2)) = 0: its run leaves no cluster, so the
+    # form reads no Fibonacci number near F(3000000)
+    fib_pair = importlib.import_module("fibrec.fib").fib_pair
+
+    def guarded(k, one=1):
+        assert abs(k) <= 10**6, f"fib_pair({k}) was called"
+        return fib_pair(k, one)
+
+    monkeypatch.setattr(importlib.import_module("fibrec.seqform"), "fib_pair", guarded)
+    e = parse("n^3*F(n-3000000) - n^3*F(n-3000001) - n^3*F(n-3000002) + F(n)")
+    assert e.canon() == parse("F(n)").canon()
 
 
 def _head(deg):
@@ -768,6 +782,14 @@ def test_a_window_reads_each_run_once_per_head_index(horner_calls):
         horner_calls.clear()
         assert list(cli._rendered(wide, -3, 3)) == expected
     assert sorted(n for _, n in horner_calls) == sorted(2 * list(range(-3, 4)))
+
+
+def _sums(parts) -> tuple[Poly, Poly]:
+    """(sum c0*p, sum c1*p) over the parts (p, c0, c1), in Fractions."""
+    r0 = r1 = Poly(())
+    for p, c0, c1 in parts:
+        r0, r1 = r0 + p * c0, r1 + p * c1
+    return r0, r1
 
 
 def _scale_by_fractions(clusters, e, f) -> tuple:
