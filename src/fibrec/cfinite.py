@@ -6,13 +6,10 @@ and the integrality verdict (``decide``) both read it through
 ``_initial_window``, which keeps the finished window on the form and computes
 ``char_poly`` only for a finished window: a verdict may stop at its witness.
 
-``char_poly`` is one integer power (Kronecker substitution): it evaluates
-x^2-x-1 at x = 2^B, raises that int to the power k = D+1, multiplies in
-x-1 and x+1 at the same point, and reads the coefficients back as signed
-base-2^B digits.  Every coefficient of the product is at most the product of
-the factors' absolute coefficient sums, 3^k * 2^([e!=0] + [f!=0]) <= 3^k * 4,
-so B >= bit_length(3^k) + 3 (about 1.585k + 3 bits), rounded up to whole
-bytes, leaves a sign bit to spare and no digit overflows into the next.
+``char_poly`` reads the coefficients p_m of P = (x^2-x-1)^k, k = D+1, off
+(x^2-x-1)*P' = k*(2x-1)*P: at x^m, (m+1)*p_{m+1} = (m-1-2k)*p_{m-1} +
+(k-m)*p_m, from p_0 = (-1)^k and p_{-1} = 0, each division exact (Kauers and
+Paule, The Concrete Tetrahedron, ch. 7).
 """
 
 from __future__ import annotations
@@ -32,20 +29,12 @@ def char_poly(form: CanonForm) -> Poly:
     times x-1 when e != 0 and x+1 when f != 0.  The zero sequence gets 1.
     """
     k, e, f = _exponents(form)
-    # digits of B bits, whole bytes, hold any |c| <= 3^k * 2^(e+f) with a sign bit
-    size = ((3**k).bit_length() + 10) // 8
-    width = 8 * size
-    x = 1 << width
-    value = pow(x * x - x - 1, k) * (x - 1 if e else 1) * (x + 1 if f else 1)
-    count = 2 * k + e + f + 1
-    # the bias 2^(B-1) on every digit leaves each one in [0, 2^B): no borrows
-    bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * count, "little")
-    packed = (value + bias).to_bytes(size * count, "little")
-    half = 1 << (width - 1)
-    return Poly(tuple(
-        int.from_bytes(packed[i:i + size], "little") - half
-        for i in range(0, size * count, size)
-    ))
+    p = [-1 if k % 2 else 1]
+    for m in range(2 * k):
+        p.append(((m - 1 - 2 * k) * (p[m - 1] if m else 0) + (k - m) * p[m]) // (m + 1))
+    for sign in (-1,) * e + (1,) * f:  # times x - 1, then x + 1: a shifted difference, a sum
+        p = [a + sign * b for a, b in zip([0] + p, p + [0])]
+    return Poly(tuple(p))
 
 
 def _exponents(form: CanonForm) -> tuple[int, bool, bool]:

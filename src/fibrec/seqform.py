@@ -305,7 +305,7 @@ def _times(x: tuple, y: tuple) -> tuple:
 
 def _phi_power(g: int) -> tuple[int, int]:
     """phi^g = F(g)*phi + F(g-1), for any integer g, as the pair (F(g), F(g-1))."""
-    low, high = fib_pair(g - 1)
+    low, high = fib_pair(g - 1, 1)  # as an int window's seed asks: one cache entry
     return high, low
 
 

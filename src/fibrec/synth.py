@@ -88,7 +88,7 @@ families 1-3 give them as w_0 and z_i = w_i - F_{i-1}*w_0.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial, lcm
@@ -98,6 +98,9 @@ from ._value import Value
 from .exact import Poly
 from .fib import fib, fib_pair
 from .seqform import FibExpr, ShiftTerm
+
+# det has about 0.29*k^2 bits: k = 302 took 5 s, 402 took 17 s, 2,002 ran out of memory
+MAX_UNKNOWNS = 300
 
 
 class DegenerateTemplateError(ValueError):
@@ -341,7 +344,7 @@ def _column(part: int, p: int) -> tuple[tuple[int, int], ...]:
 
 
 def _system(slots: tuple[tuple[int, int], ...],
-            rhs: list[list[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
+            rhs: Iterable[Sequence[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """(cols, aug): the binomial system of the slots, differenced, in elimination order.
 
     cols holds the slots (part, p) in column order: the F(n) and F(n-1)
@@ -370,9 +373,12 @@ def _system(slots: tuple[tuple[int, int], ...],
 
 
 def _solve(template: Template,
-           rhs: list[list[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
+           rhs: Iterable[Sequence[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
     """(det, ys) for the system against rhs[n], the right-hand sides of row n:
-    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order."""
+    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order.
+    A template past MAX_UNKNOWNS is refused before rhs is read."""
+    if template.unknowns > MAX_UNKNOWNS:
+        raise ValueError(f"template has {template.unknowns} unknowns, more than {MAX_UNKNOWNS}")
     cols, aug = _system(template.slots, rhs)
     det, xs = _eliminate(aug, len(cols))
     solved = dict(zip(cols, xs))
@@ -394,7 +400,7 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
 def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     """Exact inverse of build_system: maps (w_0..w_{k-1}) to the slot vector."""
     k = template.unknowns
-    identity = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+    identity = ([0] * i + [1] + [0] * (k - 1 - i) for i in range(k))  # lazy: unbuilt past the cap
     det, ys = _solve(template, identity)
     return [[Fraction(x, scale * det) for x in row] for row, scale in ys]
 

@@ -32,6 +32,7 @@ from fibrec import (
     parse,
     to_recurrence,
 )
+from fibrec.parser import MAX_EXPONENT
 
 FIB_CHAR = Poly((-1, -1, 1))  # x^2 - x - 1, the minimal polynomial of alpha
 QUARTIC = Poly((1, 2, -1, -2, 1))  # (x^2-x-1)^2
@@ -48,10 +49,16 @@ def test_char_poly_examples():
     assert full == QUARTIC * Poly((-1, 1)) * Poly((1, 1))
 
 
+def _char_poly_at(d, e, f):
+    """char_poly of a form of degree d (None: no F term), with e != 0 and f != 0 as given."""
+    p0 = Poly(()) if d is None else Poly((0,) * d + (F(1, 3),))
+    return char_poly(CanonForm(p0, Poly(()), F(e, 7), F(-f, 2)))
+
+
 def test_char_poly_matches_schoolbook_power():
-    # char_poly packs the power into one int; the reference is Poly.__mul__,
+    # char_poly steps a coefficient recurrence; the reference is Poly.__mul__,
     # stepped by one factor x^2-x-1 per degree and checked against Poly.__pow__
-    # at a few degrees.  Its digit width crosses every byte boundary up to D = 300.
+    # at a few degrees, with x-1 and x+1 multiplied in for every e and f
     factors = {
         (e, f): Poly((-1, 1) if e else (1,)) * Poly((1, 1) if f else (1,))
         for e in (0, 1) for f in (0, 1)
@@ -62,11 +69,22 @@ def test_char_poly_matches_schoolbook_power():
             power = power * FIB_CHAR
             if d in (0, 1, 2, 7, 63, 64, 127, 300):
                 assert power == FIB_CHAR ** (d + 1)
-        p0 = Poly(()) if d is None else Poly((0,) * d + (F(1, 3),))
         for (e, f), factor in factors.items():
-            got = char_poly(CanonForm(p0, Poly(()), F(e, 7), F(-f, 2)))
+            got = _char_poly_at(d, e, f)
             assert got == power * factor, (d, e, f)
             assert all(type(c) is int for c in got.coeffs)
+
+
+def test_char_poly_steps_by_one_factor_up_to_max_exponent():
+    # past the schoolbook test's D = 300, up to MAX_EXPONENT: one more degree
+    # is one more factor x^2-x-1
+    for d in (300, 511, 512, MAX_EXPONENT - 1, MAX_EXPONENT):
+        for e in (0, 1):
+            for f in (0, 1):
+                got = _char_poly_at(d, e, f)
+                assert got == _char_poly_at(d - 1, e, f) * FIB_CHAR, (d, e, f)
+                assert got.degree == 2 * (d + 1) + e + f
+                assert all(type(c) is int for c in got.coeffs)
 
 
 def test_char_poly_minimality_at_spectral_level():

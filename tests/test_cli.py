@@ -150,6 +150,16 @@ def test_huge_template_is_rejected_before_any_work(capsys, no_fib):
     assert "template needs 1000000000001 values, got 1" in err
 
 
+def test_a_template_past_the_unknowns_cap_is_refused_before_solving(capsys, monkeypatch):
+    # 600 unknowns ran past 60 s before the cap; 2,002 ran out of memory
+    synth = importlib.import_module("fibrec.synth")
+    monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    values = ",".join(["1"] * 600)
+    code, out, err = run_cli(capsys, "synth", "--deg0", "299", "--deg1", "299", "--values", values)
+    assert (code, out) == (2, "")
+    assert err == f"error: template has 600 unknowns, more than {synth.MAX_UNKNOWNS}\n"
+
+
 def test_the_no_fib_fixture_catches_work(capsys, no_fib):
     # F(0) at the index bound: F(n) there is refused before any work
     code, _, _ = run_cli(capsys, "eval", "F(n+10000000)", "--from", "-10000000", "--to", "-10000000")

@@ -190,6 +190,24 @@ def test_a_verdict_at_its_witness_raises_no_characteristic_polynomial(monkeypatc
             assert to_recurrence(e) == to_recurrence(parse(text))
 
 
+def test_a_far_verdict_doubles_once(monkeypatch):
+    # canon's phi^-J and the window's seed at n = 0 ask fib_pair for one pair
+    fib_pair, missed = seqform.fib_pair, []
+
+    def spy(*args):
+        before = fib_pair.cache_info().misses
+        out = fib_pair(*args)
+        if fib_pair.cache_info().misses > before:
+            missed.append(args[0])
+        return out
+
+    fib_pair.cache_clear()
+    monkeypatch.setattr(seqform, "fib_pair", spy)
+    verdict = is_integer_sequence(parse("n*F(n-100000) + 1/2"))
+    assert verdict == NonIntegral(0, F(1, 2))
+    assert missed.count(-100001) == 1
+
+
 def _reference_recurrence(text: str):
     """The recurrence of a fresh parse, from values computed one index at a time."""
     fresh = parse(text)

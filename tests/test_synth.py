@@ -24,7 +24,8 @@ from fibrec import (
     symbolic_inverse,
     theorem_solution,
 )
-from fibrec.synth import _column, _eliminate, _system, _to_monomial
+from fibrec import synth
+from fibrec.synth import MAX_UNKNOWNS, _column, _eliminate, _system, _to_monomial
 
 
 def _matmul(a, b):
@@ -617,6 +618,19 @@ def test_solve_rejects_wrong_value_count():
     assert huge.unknowns == 2 * 10**12 + 3
     with pytest.raises(ValueError, match="template needs 2000000000003 values, got 1"):
         solve_template(huge, [1])
+
+
+def test_a_template_past_the_cap_is_refused_before_solving(monkeypatch):
+    monkeypatch.setattr(synth, "_system", lambda *args: pytest.fail("the system was built"))
+    t = Template(MAX_UNKNOWNS // 2, MAX_UNKNOWNS // 2)
+    assert t.unknowns == MAX_UNKNOWNS + 2
+    message = f"^template has {MAX_UNKNOWNS + 2} unknowns, more than {MAX_UNKNOWNS}$"
+    for call in (lambda: solve_template(t, [1] * t.unknowns), lambda: symbolic_inverse(t)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the value count is checked first
+    with pytest.raises(ValueError, match=f"template needs {MAX_UNKNOWNS + 2} values, got 1"):
+        solve_template(t, [1])
 
 
 def test_degenerate_template_is_reported():
