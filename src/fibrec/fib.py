@@ -23,8 +23,9 @@ from functools import lru_cache
 @lru_cache(maxsize=4, typed=True)  # typed: Decimal(1) == 1, and the two hash alike
 def fib_pair(n: int, one=1) -> tuple:
     """(F(n), F(n+1)) for any integer n, in the type of `one`: the one
-    fast-doubling loop, and the one place a negative index is mapped, by
-    F(-m) = (-1)^(m+1) * F(m).  A Decimal `one` needs an exact context.
+    fast-doubling loop.  A negative index is mapped by F(-m) = (-1)^(m+1) * F(m),
+    as ``seqform._reflected`` maps a combination of two Fibonacci numbers.
+    A Decimal `one` needs an exact context.
     The last four answers are kept: ``canon`` and a window ask for one far pair."""
     m = n if n >= 0 else -n - 1
     a, b, sign = one, one - one, 2  # (F(k-1), F(k)) and 2*(-1)^k, from k = 0

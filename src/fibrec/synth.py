@@ -64,16 +64,26 @@ it up to date with one exact division when it is next used (``_eliminate``
 says why that division is exact), so the zero blocks cost nothing: a
 balanced system takes about one row update per column, where plain Bareiss
 updates every row below the pivot.  The solution goes back to slot order,
-then to monomial coefficients by an integer Horner pass over falling
-factorials, run once per part and right-hand column on a flat list of ints,
-and each coefficient becomes one ``Fraction``.
+then to monomial coefficients by one integer Horner loop over the falling
+factorials n(n-1)..(n-d+1), whose last factor n is a shift, run once per
+part and right-hand column on a flat list of ints, and each coefficient
+becomes one ``Fraction``.
+
+Three refusals come before elimination.  A template past MAX_UNKNOWNS is
+refused before its system is built.  A zero row 0 or 1 of the differenced
+system means a singular one, since differencing is unit lower triangular:
+row 0 is zero for a lone F(n) part and row 1 for a lone F(n-1) part of
+degree >= 1, and no later row is ever zero.  And a template whose degrees
+differ keeps a dense trailing block, whose elimination dominates: one whose
+``_work`` passes that of MAX_UNKNOWNS unknowns in equal degrees is refused.
 
 Slot order is defined once, by ``Template.slots``: the reading order of the
 written-out expression, that is F(n) coefficients by descending degree, then
 F(n-1) coefficients by descending degree, then the constant, then the
-alternating coefficient.  Slots are named a, b, c, ... in that order, and
-``unknowns``, ``build_system`` and ``expr_from`` all read it; the solver's
-elimination order is a permutation of it, undone before ``_to_monomial``.
+alternating coefficient.  ``Template.slot_names`` names them a, b, c, ...
+in that order, and ``unknowns``, ``build_system`` and ``expr_from`` all read
+it; the solver's elimination order is a permutation of it, undone before
+``_to_monomial``.
 
 ``theorem_solution`` builds the four guaranteed-integer families:
 
@@ -91,7 +101,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, factorial, lcm
+from math import ceil, comb, factorial, lcm, log2
 from operator import itemgetter, mul
 
 from ._value import Value
@@ -147,7 +157,7 @@ class Template(Value):
 
     @property
     def slot_names(self) -> tuple[str, ...]:
-        return _names(self.unknowns)
+        return tuple(map(chr, range(ord("a"), ord("a") + self.unknowns)))
 
     def expr_from(self, coeffs: Sequence) -> FibExpr:
         """Assemble the expression whose slots carry the given coefficients."""
@@ -155,11 +165,6 @@ class Template(Value):
         if len(vals) != self.unknowns:
             raise ValueError(f"expected {self.unknowns} coefficients, got {len(vals)}")
         return _assemble(self.slots, vals)
-
-
-def _names(k: int) -> tuple[str, ...]:
-    """Names of the first k slots."""
-    return tuple(map(chr, range(ord("a"), ord("a") + k)))
 
 
 def _assemble(slots: tuple[tuple[int, int], ...], vals: list[Fraction]) -> FibExpr:
@@ -279,20 +284,17 @@ def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]
     for d in template._degrees:
         if d is None:
             continue
-        if d < 2:  # n and 1 are C(n, 1) and C(n, 0): the rows stand as they are
-            out += [(next(rows), 1) for _ in range(d + 1)]
-            continue
         scaled = []
         for y in zip(*(next(rows) for _ in range(d + 1))):  # one column, powers descend
             acc, scale = [y[0]], 1
-            for i in range(d - 1, 0, -1):
+            for i in range(d - 1, -1, -1):
                 scale *= i + 1  # d!/i!
                 # acc*(n - i) + scale*y_i: the leading coefficient stays, each
-                # other one loses i times the one above it
+                # other one loses i times the one above it (at i = 0, a shift)
                 acc.append(scale * y[d - i] - i * acc[-1])
-                for q in range(len(acc) - 2, 0, -1):
-                    acc[q] -= i * acc[q - 1]
-            acc.append(scale * y[d])  # the last factor is n itself: a shift, then d!*y_0
+                if i:
+                    for q in range(len(acc) - 2, 0, -1):
+                        acc[q] -= i * acc[q - 1]
             scaled.append(acc)
         fact = factorial(d)
         out += [(row, fact) for row in zip(*scaled)]
@@ -372,15 +374,47 @@ def _system(slots: tuple[tuple[int, int], ...],
     return cols, aug
 
 
+# a product of two b-bit ints costs about b^log2(3) steps (Karatsuba), so one of
+# two numbers of k^2 bits costs about k^(_POWER - 2)
+_POWER = 2 + 2 * log2(3)
+
+
+def _work(template: Template) -> float:
+    """Estimated cost of ``_eliminate`` on the template's system: k^_POWER for
+    k unknowns in equal degrees.
+
+    Back substitution takes about k^2 products of numbers of det's length,
+    some k^2 bits.  When the degrees of the two F parts differ by g, forward
+    elimination also meets a dense trailing block of g columns, the powers
+    past the lower degree m (-1 for an absent part): about g(g-1)(g-2)/8
+    entry updates, none for g < 3, on entries of some (3m + 3 + g/2)^2 bits,
+    their size midway through the block.  The weight 16 of an update against
+    a product is fitted to timings of shapes with k = 62..300.
+    """
+    d0, d1 = (-1 if d is None else d for d in template._degrees[:2])
+    g, m = abs(d0 - d1), min(d0, d1)
+    dense = g * (g - 1) * (g - 2) * (3 * m + 3 + g / 2) ** (_POWER - 2)
+    return template.unknowns**_POWER + 2 * dense
+
+
 def _solve(template: Template,
            rhs: Iterable[Sequence[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
     """(det, ys) for the system against rhs[n], the right-hand sides of row n:
     det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order.
-    A template past MAX_UNKNOWNS is refused before rhs is read."""
-    if template.unknowns > MAX_UNKNOWNS:
-        raise ValueError(f"template has {template.unknowns} unknowns, more than {MAX_UNKNOWNS}")
+    A template past MAX_UNKNOWNS is refused before rhs is read; one with a
+    zero row, or with more ``_work`` than MAX_UNKNOWNS unknowns in equal
+    degrees, before elimination."""
+    k = template.unknowns
+    if k > MAX_UNKNOWNS:
+        raise ValueError(f"template has {k} unknowns, more than {MAX_UNKNOWNS}")
     cols, aug = _system(template.slots, rhs)
-    det, xs = _eliminate(aug, len(cols))
+    if not all(any(row[:k]) for row in aug[:2]):  # only rows 0 and 1 can be zero
+        raise DegenerateTemplateError("the template's linear system is singular")
+    work = _work(template)
+    if work > MAX_UNKNOWNS**_POWER:
+        raise ValueError(f"template has {k} unknowns whose unequal degrees cost as much as "
+                         f"{ceil(work ** (1 / _POWER))}, more than {MAX_UNKNOWNS}")
+    det, xs = _eliminate(aug, k)
     solved = dict(zip(cols, xs))
     return det, _to_monomial(template, [solved[s] for s in template.slots])
 
@@ -394,7 +428,7 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
     den = lcm(*(v.denominator for v in vals))
     det, ys = _solve(template, [[v.numerator * (den // v.denominator)] for v in vals])
     coeffs = [Fraction(x, scale * det * den) for (x,), scale in ys]
-    return SynthSolution(_assemble(template.slots, coeffs), dict(zip(_names(k), coeffs)))
+    return SynthSolution(_assemble(template.slots, coeffs), dict(zip(template.slot_names, coeffs)))
 
 
 def symbolic_inverse(template: Template) -> list[list[Fraction]]:

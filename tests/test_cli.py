@@ -160,6 +160,23 @@ def test_a_template_past_the_unknowns_cap_is_refused_before_solving(capsys, monk
     assert err == f"error: template has 600 unknowns, more than {synth.MAX_UNKNOWNS}\n"
 
 
+@pytest.mark.parametrize("argv, k, message", [
+    # a lone F(n) part: row 0 is zero; --deg0 255 ran past 100 s
+    (("--deg0", "255"), 256, "the template's linear system is singular"),
+    # 35 s under the cap on unknowns
+    (("--deg0", "150", "--deg1", "50"), 202,
+     "template has 202 unknowns whose unequal degrees cost as much as 430, more than 300"),
+])
+def test_a_singular_or_lopsided_template_is_refused_before_elimination(
+        capsys, monkeypatch, argv, k, message):
+    synth = importlib.import_module("fibrec.synth")
+    monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    values = ",".join(map(str, range(k)))
+    code, out, err = run_cli(capsys, "synth", *argv, "--values", values)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_the_no_fib_fixture_catches_work(capsys, no_fib):
     # F(0) at the index bound: F(n) there is refused before any work
     code, _, _ = run_cli(capsys, "eval", "F(n+10000000)", "--from", "-10000000", "--to", "-10000000")

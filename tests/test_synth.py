@@ -633,6 +633,75 @@ def test_a_template_past_the_cap_is_refused_before_solving(monkeypatch):
         solve_template(t, [1])
 
 
+class _Eliminated(Exception):
+    """Raised in place of ``_eliminate``: the template got past every refusal."""
+
+
+def _no_elimination(*args):
+    raise _Eliminated
+
+
+@pytest.mark.parametrize("template", [Template(255), Template(None, 150)])
+def test_a_zero_row_template_is_refused_before_elimination(monkeypatch, template):
+    # row 0 of a lone F(n) part is n^p*F(0) = 0, row 1 of a lone F(n-1) part
+    # of degree >= 1 likewise; eliminating Template(150) took 3.6 s
+    monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    values = [i % 7 for i in range(template.unknowns)]
+    for call in (lambda: solve_template(template, values), lambda: symbolic_inverse(template)):
+        with pytest.raises(DegenerateTemplateError, match="^the template's linear system is singular$"):
+            call()
+
+
+def test_only_a_zero_row_0_or_1_stops_a_small_template_before_elimination(monkeypatch):
+    # differencing is unit lower triangular, so a zero row is a singular system,
+    # and _solve looks at rows 0 and 1 alone; every other shape of degree <= 20,
+    # synth_solve's and the families' among them, is within the work budget
+    monkeypatch.setattr(synth, "_eliminate", _no_elimination)
+    degrees = (None,) + tuple(range(21))
+    zero_row_shapes = set()
+    for shape in itertools.product(degrees, degrees, (False, True), (False, True)):
+        if shape == (None, None, False, False):
+            continue
+        t = Template(*shape)
+        k = t.unknowns
+        _, aug = _system(t.slots, [[0]] * k)
+        zero = [i for i, row in enumerate(aug) if not any(row[:k])]
+        assert all(i < 2 for i in zero), shape
+        if zero:
+            zero_row_shapes.add(shape)
+        with pytest.raises(DegenerateTemplateError if zero else _Eliminated):
+            solve_template(t, [0] * k)
+    assert zero_row_shapes == {(d, None, False, False) for d in range(21)} | {
+        (None, d, False, False) for d in range(1, 21)
+    }
+
+
+@pytest.mark.parametrize("shape, cost", [((150, 50), 430), ((200, 0), 425), ((None, 200, True), 420)])
+def test_a_lopsided_template_is_refused_before_elimination(monkeypatch, shape, cost):
+    # 35, 27 and 26 s to solve, under the cap on unknowns; (100, 100) took 0.5 s
+    monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    t = Template(*shape)
+    message = (f"^template has 202 unknowns whose unequal degrees cost as much as {cost}, "
+               f"more than {MAX_UNKNOWNS}$")
+    values = [i % 7 for i in range(t.unknowns)]
+    for call in (lambda: solve_template(t, values), lambda: symbolic_inverse(t)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("shape", [
+    (149, 149), (148, 148, True, True), (149, 148, True),  # at the cap on unknowns
+    (100, 100, True, True), (100, 80),  # CI's installed-script runs
+    # lopsided, each solved in under 3.6 s
+    (130, 0), (0, 130), (None, 130, True), (140, 0), (120, 80), (112, 28), (126, 14),
+])
+def test_templates_within_the_work_budget_reach_elimination(monkeypatch, shape):
+    monkeypatch.setattr(synth, "_eliminate", _no_elimination)
+    t = Template(*shape)
+    with pytest.raises(_Eliminated):
+        solve_template(t, [i % 7 for i in range(t.unknowns)])
+
+
 def test_degenerate_template_is_reported():
     # a lone constant coefficient on F(n) is invisible at n = 0 since F_0 = 0
     with pytest.raises(DegenerateTemplateError):
