@@ -64,6 +64,7 @@ _MAX_TIMEOUT = 86_400
 # coefficients, may print), and `eval` its first value, or with --json also its
 # last, so `rec "n*F(n-10000000)"` is refused at once.
 MAX_DIGITS = 500_000
+_TOO_LONG = "a value has more than {} digits"  # the refusal past MAX_DIGITS, formatted when raised
 
 # The decimal exponent of a rational written as Fraction reads it, such as
 # "-1.5e+3".  Fraction builds 10**exponent before anything can refuse the
@@ -92,10 +93,12 @@ def _number_list(text: str, kind=int) -> list:
             exponent = _EXPONENT.match(part)
             digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
             if len(digits) > len(str(MAX_DIGITS)) or int(digits or 0) > MAX_DIGITS:
-                raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+                raise ValueError(_TOO_LONG.format(MAX_DIGITS))
     try:
         return [kind(part) for part in parts]
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as exc:
+        if "for integer string conversion" in str(exc):
+            raise  # past main's digit limit: main refuses it as every long value
         what = "integer list" if kind is int else "list of rationals"
         raise ValueError(f"expected a comma-separated {what}, got {text!r}") from None
 
@@ -118,7 +121,7 @@ def _parse_bounded(text: str, holding: str, printed=all) -> FibExpr:
     _refuse_past_budget(expr, 0, order - 1,
                         holding.format(order) + " would hold about {} digits, more than {}")
     if _surely_longer(expr, MAX_DIGITS, range(order), printed):
-        raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+        raise ValueError(_TOO_LONG.format(MAX_DIGITS))
     return expr
 
 
@@ -148,7 +151,7 @@ def _rendered(expr: FibExpr, lo: int, hi: int) -> Iterator[tuple[int, str]]:
         if g > 1:
             num, d = num // g, d // g
         if num.adjusted() >= MAX_DIGITS:
-            raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+            raise ValueError(_TOO_LONG.format(MAX_DIGITS))
         yield n, str(num) if d == 1 else f"{num!s}/{d}"
 
 
@@ -164,7 +167,7 @@ def _cmd_eval(args) -> _Output:
     # text streams up to the first value that fails, and --json prints every value or none
     ends = (args.start, args.stop) if args.json else (args.start,)
     if _surely_longer(expr, MAX_DIGITS, ends, any):
-        raise ValueError(f"a value has more than {MAX_DIGITS} digits")
+        raise ValueError(_TOO_LONG.format(MAX_DIGITS))
     values = _rendered(expr, args.start, args.stop)
     payload = {
         "expression": args.expr,
@@ -433,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NETWORK
     except ValueError as exc:
         if "for integer string conversion" in str(exc):
-            exc = f"a value has more than {MAX_DIGITS} digits"
+            exc = _TOO_LONG.format(MAX_DIGITS)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive catch-all

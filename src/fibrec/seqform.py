@@ -59,7 +59,7 @@ clusters before any long Fibonacci number is computed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, cycle, islice, repeat, zip_longest
@@ -455,12 +455,20 @@ def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> It
         fn, fn1 = fn + fn1, fn
 
 
+def _levels(col: Sequence) -> Iterator[Sequence]:
+    """Yield col, then each level of T's difference triangle over it, T = E^2 - E - 1:
+    c - b - a for each three consecutive items a, b, c of the level before."""
+    while col:
+        yield col
+        col = [c - b - a for a, b, c in zip(col, col[1:], col[2:])]
+
+
 def _recurred(head: Iterator, den: int, k: int, top: tuple, rest: int) -> Iterator:
     """Yield (u, L) for the items u = L*w_n of head, then (u/d, L/d) for `rest`
     more n.  T = E^2 - E - 1 maps e + f*(-1)^n to -e + f*(-1)^n, and
     T^k annihilates p(n)*F(n-j) for deg p < k, so T^k u cycles through top.  Each
     level z_i(m) = (T^i u)(m - 2i), i < k, starts from its last two values in the
-    head, by the differences c - b - a, and steps by z_i(m) = z_i(m-1) + z_i(m-2)
+    head, read off ``_levels``, and steps by z_i(m) = z_i(m-1) + z_i(m-2)
     + z_{i+1}(m), two additions: so the common factor d of L, top and the seeds
     divides every later u.  One loop steps the levels over blocks of values, where
     a generator per level would nest k <= 1001 frames."""
@@ -468,10 +476,7 @@ def _recurred(head: Iterator, den: int, k: int, top: tuple, rest: int) -> Iterat
     for u in head:
         seen.append(u)
         yield u, den
-    levels = []
-    for _ in range(k):
-        levels.append(seen[-2:])
-        seen = [c - b - a for a, b, c in zip(seen, seen[1:], seen[2:])]
+    levels = [level[-2:] for level in islice(_levels(seen), k)]
     d = math.gcd(den, *(int(v % den) for v in chain(top, *levels)))
     levels, top = [[a // d, b // d] for a, b in levels], islice(cycle([v // d for v in top]), rest)
     while block := list(islice(top, 64)):

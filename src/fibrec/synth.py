@@ -69,11 +69,11 @@ factorials n(n-1)..(n-d+1), whose last factor n is a shift, run once per
 part and right-hand column on a flat list of ints, and each coefficient
 becomes one ``Fraction``.
 
-Three refusals come before elimination.  A template past MAX_UNKNOWNS is
-refused before its system is built.  A zero row 0 or 1 of the differenced
-system means a singular one, since differencing is unit lower triangular:
-row 0 is zero for a lone F(n) part and row 1 for a lone F(n-1) part of
-degree >= 1, and no later row is ever zero.  And a template whose degrees
+Three refusals come before the system is built, and read the template
+alone.  A template past MAX_UNKNOWNS is refused.  A lone F(n) part, or a
+lone F(n-1) part of degree >= 1, is singular: row 0 or row 1 of its
+differenced system is zero, and differencing is unit lower triangular; no
+other shape of degree <= 20 has a zero row.  And a template whose degrees
 differ keeps a dense trailing block, whose elimination dominates: one whose
 ``_work`` passes that of MAX_UNKNOWNS unknowns in equal degrees is refused.
 
@@ -107,7 +107,7 @@ from operator import itemgetter, mul
 from ._value import Value
 from .exact import Poly
 from .fib import fib, fib_pair
-from .seqform import FibExpr, ShiftTerm
+from .seqform import FibExpr, ShiftTerm, _levels
 
 # det has about 0.29*k^2 bits: k = 302 took 5 s, 402 took 17 s, 2,002 ran out of memory
 MAX_UNKNOWNS = 300
@@ -301,15 +301,6 @@ def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]
     return out
 
 
-def _differenced(col: Sequence[int]) -> list[int]:
-    """(S^(t//2) b)(t mod 2) for t = 0..len(col)-1, with b(n) = col[n]."""
-    out = []
-    while col:  # one difference level per row pair
-        out += col[:2]
-        col = [c - b - a for a, b, c in zip(col, col[1:], col[2:])]
-    return out
-
-
 @cache
 def _column(part: int, p: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (row, entry) pairs, by ascending row, of the differenced
@@ -353,14 +344,15 @@ def _system(slots: tuple[tuple[int, int], ...],
     slots by ascending power, F(n)'s first at each power, then the constant
     and the alternating slot.  With R(n) the system's row n followed by
     rhs[n], row t = 2j + r of aug is (S^j R)(r), where S = E^2 - E - 1, E
-    steps n and r is 0 or 1.  The right-hand sides are differenced column by
-    column.  Each F column's entries are ``_column``'s, those in rows below
-    the system's size; the constant column holds (-1)^j and the alternating
-    column (-1)^r.  Every entry is an int.
+    steps n and r is 0 or 1.  Each right-hand column takes the first two
+    items of each of its ``_levels``.  Each F column's entries are
+    ``_column``'s, those in rows below the system's size; the constant column
+    holds (-1)^j and the alternating column (-1)^r.  Every entry is an int.
     """
     cols = sorted(slots, key=lambda s: (s[0] > 1, s[1], s[0]))
     k = len(cols)
-    aug = [[0] * k + list(b) for b in zip(*map(_differenced, zip(*rhs)))]
+    diffs = ([v for level in _levels(b) for v in level[:2]] for b in zip(*rhs))
+    aug = [[0] * k + list(b) for b in zip(*diffs)]
     for c, (part, p) in enumerate(cols):
         if part > 1:
             bit = 2 if part == 2 else 1  # (-1)^j for the constant, (-1)^r for (-1)^n
@@ -401,19 +393,18 @@ def _solve(template: Template,
            rhs: Iterable[Sequence[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
     """(det, ys) for the system against rhs[n], the right-hand sides of row n:
     det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order.
-    A template past MAX_UNKNOWNS is refused before rhs is read; one with a
-    zero row, or with more ``_work`` than MAX_UNKNOWNS unknowns in equal
-    degrees, before elimination."""
+    The module docstring's three refusals come first, read off the template alone."""
     k = template.unknowns
     if k > MAX_UNKNOWNS:
         raise ValueError(f"template has {k} unknowns, more than {MAX_UNKNOWNS}")
-    cols, aug = _system(template.slots, rhs)
-    if not all(any(row[:k]) for row in aug[:2]):  # only rows 0 and 1 can be zero
+    parts = [part for part, d in enumerate(template._degrees) if d is not None]
+    if parts == [0] or parts == [1] and k > 1:  # differenced row 0, or row 1, is zero
         raise DegenerateTemplateError("the template's linear system is singular")
     work = _work(template)
     if work > MAX_UNKNOWNS**_POWER:
         raise ValueError(f"template has {k} unknowns whose unequal degrees cost as much as "
                          f"{ceil(work ** (1 / _POWER))}, more than {MAX_UNKNOWNS}")
+    cols, aug = _system(template.slots, rhs)
     det, xs = _eliminate(aug, k)
     solved = dict(zip(cols, xs))
     return det, _to_monomial(template, [solved[s] for s in template.slots])

@@ -599,6 +599,15 @@ def test_list_options_keep_their_error_texts(capsys):
     assert "expected a comma-separated integer list, got '0,1,x'" in err
 
 
+def test_an_over_long_number_in_a_list_option_is_refused_as_every_long_value(capsys):
+    # in-process, since one argv string may hold at most 128 KiB on Linux; the list
+    # is not echoed back, and every other malformed list keeps its text (above)
+    big = "7" * (MAX_DIGITS + 100_001)
+    for argv in (("oeis", f"1,1,1,{big}"), ("synth", "--deg0", "0", "--values", big),
+                 ("theorem", "4", "--w", f"1,1,1,1,1,{big}")):
+        assert run_cli(capsys, *argv) == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
+
+
 @pytest.mark.parametrize(
     "argv, code, first_line",
     [

@@ -689,6 +689,27 @@ def test_a_lopsided_template_is_refused_before_elimination(monkeypatch, shape, c
             call()
 
 
+@pytest.mark.parametrize("shape, cost", [
+    ((255,), None), ((None, 150), None),  # singular
+    ((150, 50), 430), ((200, 0), 425), ((None, 200, True), 420),  # lopsided
+])
+def test_every_refusal_reads_the_template_alone(monkeypatch, shape, cost):
+    # the singular and work refusals come before the system is built; Template(255)
+    # is also 25 times over the work budget, and its singular message comes first
+    monkeypatch.setattr(synth, "_system", lambda *args: pytest.fail("the system was built"))
+    assert synth._work(Template(255)) > 25 * MAX_UNKNOWNS**synth._POWER
+    t = Template(*shape)
+    kind, message = DegenerateTemplateError, "the template's linear system is singular"
+    if cost:
+        kind, message = ValueError, (f"template has 202 unknowns whose unequal degrees cost "
+                                     f"as much as {cost}, more than {MAX_UNKNOWNS}")
+    values = [i % 7 for i in range(t.unknowns)]
+    for call in (lambda: solve_template(t, values), lambda: symbolic_inverse(t)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert (type(refused.value), str(refused.value)) == (kind, message)
+
+
 @pytest.mark.parametrize("shape", [
     (149, 149), (148, 148, True, True), (149, 148, True),  # at the cap on unknowns
     (100, 100, True, True), (100, 80),  # CI's installed-script runs
