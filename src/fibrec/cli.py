@@ -103,24 +103,23 @@ def _number_list(text: str, kind=int) -> list:
         raise ValueError(f"expected a comma-separated {what}, got {text!r}") from None
 
 
-def _refuse_past_budget(expr: FibExpr, lo: int, hi: int, message: str) -> None:
-    """Raise ValueError(message.format(estimate, limit)) past MAX_JSON_DIGITS."""
-    digits = _estimated_digits(expr, lo, hi)
-    if digits > MAX_JSON_DIGITS:
-        raise ValueError(message.format(digits, MAX_JSON_DIGITS))
-
-
-def _parse_bounded(text: str, holding: str, printed=all) -> FibExpr:
-    """Parse an expression, refusing it before any Fibonacci work when its initial
-    values, which bound its canonical form too, would pass MAX_JSON_DIGITS, or when
-    `printed` (all, or any for a command that prints every one) of them would
-    surely pass MAX_DIGITS.  `holding` names what the command would hold, with {}
-    for their count."""
+def _parse_bounded(text: str, holding: str, printed=all, window: range | None = None,
+                   ends=None) -> FibExpr:
+    """Parse an expression, refusing it before any Fibonacci work when its values
+    w_n, n in `window` (by default its initial values, which bound its canonical
+    form too), would pass MAX_JSON_DIGITS, or when `printed` (all, or any for a
+    command that prints every one) of those at `ends` (by default all of them)
+    would surely pass MAX_DIGITS.  `holding` names what the initial values would
+    fill, with {} for their count; with a window, it is the whole message, with {}
+    for the estimate and the limit, or empty for no MAX_JSON_DIGITS refusal."""
     expr = parse(text)
-    order = _order_bound(expr)
-    _refuse_past_budget(expr, 0, order - 1,
-                        holding.format(order) + " would hold about {} digits, more than {}")
-    if _surely_longer(expr, MAX_DIGITS, range(order), printed):
+    if window is None:
+        window = range(_order_bound(expr))
+        holding = holding.format(len(window)) + " would hold about {} digits, more than {}"
+    digits = _estimated_digits(expr, window.start, window.stop - 1) if holding else 0
+    if digits > MAX_JSON_DIGITS:
+        raise ValueError(holding.format(digits, MAX_JSON_DIGITS))
+    if _surely_longer(expr, MAX_DIGITS, window if ends is None else ends, printed):
         raise ValueError(_TOO_LONG.format(MAX_DIGITS))
     return expr
 
@@ -160,14 +159,11 @@ def _cmd_eval(args) -> _Output:
         raise ValueError("--from must be <= --to")
     if max(abs(args.start), abs(args.stop)) > MAX_INDEX:
         raise ValueError(f"--from and --to must lie within +-{MAX_INDEX}")
-    expr = parse(args.expr)
-    if args.json:
-        _refuse_past_budget(expr, args.start, args.stop, "--json would hold about {} digits "
-                            "at once, more than {}; the text output streams")
+    holding = "--json would hold about {} digits at once, more than {}; the text output streams"
     # text streams up to the first value that fails, and --json prints every value or none
-    ends = (args.start, args.stop) if args.json else (args.start,)
-    if _surely_longer(expr, MAX_DIGITS, ends, any):
-        raise ValueError(_TOO_LONG.format(MAX_DIGITS))
+    expr = _parse_bounded(args.expr, holding if args.json else "", any,
+                          range(args.start, args.stop + 1),
+                          (args.start, args.stop) if args.json else (args.start,))
     values = _rendered(expr, args.start, args.stop)
     payload = {
         "expression": args.expr,

@@ -63,11 +63,11 @@ elimination leaves a row whose pivot-column entry is 0 as it is and brings
 it up to date with one exact division when it is next used (``_eliminate``
 says why that division is exact), so the zero blocks cost nothing: a
 balanced system takes about one row update per column, where plain Bareiss
-updates every row below the pivot.  The solution goes back to slot order,
-then to monomial coefficients by one integer Horner loop over the falling
-factorials n(n-1)..(n-d+1), whose last factor n is a shift, run once per
-part and right-hand column on a flat list of ints, and each coefficient
-becomes one ``Fraction``.
+updates every row below the pivot.  Each right-hand side is one column
+from the caller to the coefficients, which ``symbolic_inverse`` transposes
+into rows.  A solved column goes back to slot order, then to monomial
+coefficients by one integer Horner pass per part over the falling factorials
+n(n-1)..(n-d+1), whose last factor n is a shift; each becomes a ``Fraction``.
 
 Three refusals come before the system is built, and read the template
 alone.  A template past MAX_UNKNOWNS is refused.  A lone F(n) part, or a
@@ -101,7 +101,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, comb, factorial, lcm, log2
+from math import ceil, comb, lcm, log2
 from operator import itemgetter, mul
 
 from ._value import Value
@@ -207,13 +207,13 @@ def build_system(template: Template) -> list[list[int]]:
     return rows
 
 
-def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[tuple[int, ...]]]:
+def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[list[int]]]:
     """Solve the left width x width block of aug against each later column.
 
     Fraction-free forward elimination (Bareiss 1968), then fraction-free back
     substitution (Nakos, Turner and Williams 1997), all in integers.  Returns
-    (det, xs): det is the block's determinant up to sign, and xs has one row
-    per unknown i holding det*x_i for each right-hand column, an integer by
+    (det, xs): det is the block's determinant up to sign, and xs has one list
+    per right-hand column holding det*x_i for each unknown i, an integer by
     Cramer's rule.  Consumes aug.
 
     Step c of plain Bareiss turns each row v below the pivot row w into
@@ -266,38 +266,33 @@ def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[tuple[int, .
         u = row[width - 1 - i:0:-1]  # U[i][k-1], ..., U[i][i+1]
         for x, b in zip(xs, row[width - i:]):
             x.append((det * b - sum(map(mul, u, x))) // row[0])
-    return det, list(zip(*xs))[::-1]
+    return det, [x[::-1] for x in xs]
 
 
-def _to_monomial(template: Template, ys: list) -> list[tuple[Sequence[int], int]]:
-    """Take solved rows from the C(n, p) basis to the n^p basis.
+def _to_monomial(template: Template, y: Iterable[int]) -> list[tuple[int, int]]:
+    """Take one solved column from the C(n, p) basis to the n^p basis.
 
-    ys has one row per slot, its C(n, p) coefficient for each right-hand
-    column.  Returns (row, s) per slot, where row/s holds the slot's n^p
-    coefficients and s = d! for the slot's part of degree d.  Each part of
-    each right-hand column takes one integer Horner pass over the falling
-    factorials n(n-1)..(n-p+1) = p!*C(n, p), with coefficient p scaled by
-    d!/p!.
+    y holds each slot's C(n, p) coefficient, in slot order.  Returns (x, s)
+    per slot, where x/s is the slot's n^p coefficient and s = d! for the
+    slot's part of degree d.  Each part takes one integer Horner pass over
+    the falling factorials n(n-1)..(n-p+1) = p!*C(n, p), with coefficient p
+    scaled by d!/p!.
     """
     out = []
-    rows = iter(ys)
+    ys = iter(y)
     for d in template._degrees:
         if d is None:
             continue
-        scaled = []
-        for y in zip(*(next(rows) for _ in range(d + 1))):  # one column, powers descend
-            acc, scale = [y[0]], 1
-            for i in range(d - 1, -1, -1):
-                scale *= i + 1  # d!/i!
-                # acc*(n - i) + scale*y_i: the leading coefficient stays, each
-                # other one loses i times the one above it (at i = 0, a shift)
-                acc.append(scale * y[d - i] - i * acc[-1])
-                if i:
-                    for q in range(len(acc) - 2, 0, -1):
-                        acc[q] -= i * acc[q - 1]
-            scaled.append(acc)
-        fact = factorial(d)
-        out += [(row, fact) for row in zip(*scaled)]
+        acc, scale = [next(ys)], 1  # powers descend
+        for i in range(d - 1, -1, -1):
+            scale *= i + 1  # d!/i!
+            # acc*(n - i) + scale*y_i: the leading coefficient stays, each
+            # other one loses i times the one above it (at i = 0, a shift)
+            acc.append(scale * next(ys) - i * acc[-1])
+            if i:
+                for q in range(len(acc) - 2, 0, -1):
+                    acc[q] -= i * acc[q - 1]
+        out += [(x, scale) for x in acc]  # scale is d! now
     return out
 
 
@@ -337,22 +332,25 @@ def _column(part: int, p: int) -> tuple[tuple[int, int], ...]:
 
 
 def _system(slots: tuple[tuple[int, int], ...],
-            rhs: Iterable[Sequence[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
+            columns: Iterable[Sequence[int]]) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """(cols, aug): the binomial system of the slots, differenced, in elimination order.
 
     cols holds the slots (part, p) in column order: the F(n) and F(n-1)
     slots by ascending power, F(n)'s first at each power, then the constant
-    and the alternating slot.  With R(n) the system's row n followed by
-    rhs[n], row t = 2j + r of aug is (S^j R)(r), where S = E^2 - E - 1, E
-    steps n and r is 0 or 1.  Each right-hand column takes the first two
-    items of each of its ``_levels``.  Each F column's entries are
-    ``_column``'s, those in rows below the system's size; the constant column
-    holds (-1)^j and the alternating column (-1)^r.  Every entry is an int.
+    and the alternating slot.  With R(n) the system's row n followed by the
+    nth item of each right-hand column, row t = 2j + r of aug is (S^j R)(r),
+    where S = E^2 - E - 1, E steps n and r is 0 or 1.  Each right-hand
+    column takes the first two items of each of its ``_levels``.  Each F
+    column's entries are ``_column``'s, those in rows below the system's
+    size; the constant column holds (-1)^j and the alternating column
+    (-1)^r.  Every entry is an int.
     """
     cols = sorted(slots, key=lambda s: (s[0] > 1, s[1], s[0]))
     k = len(cols)
-    diffs = ([v for level in _levels(b) for v in level[:2]] for b in zip(*rhs))
-    aug = [[0] * k + list(b) for b in zip(*diffs)]
+    aug = [[0] * k for _ in cols]
+    for b in columns:
+        for row, v in zip(aug, [d for level in _levels(b) for d in level[:2]]):
+            row.append(v)
     for c, (part, p) in enumerate(cols):
         if part > 1:
             bit = 2 if part == 2 else 1  # (-1)^j for the constant, (-1)^r for (-1)^n
@@ -390,9 +388,9 @@ def _work(template: Template) -> float:
 
 
 def _solve(template: Template,
-           rhs: Iterable[Sequence[int]]) -> tuple[int, list[tuple[Sequence[int], int]]]:
-    """(det, ys) for the system against rhs[n], the right-hand sides of row n:
-    det as ``_eliminate`` gives it, ys as ``_to_monomial`` does, in slot order.
+           columns: Iterable[Sequence[int]]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(det, ys) for the system against each right-hand column, one item per
+    row: det as ``_eliminate`` gives it, and per column ``_to_monomial``'s list.
     The module docstring's three refusals come first, read off the template alone."""
     k = template.unknowns
     if k > MAX_UNKNOWNS:
@@ -404,21 +402,21 @@ def _solve(template: Template,
     if work > MAX_UNKNOWNS**_POWER:
         raise ValueError(f"template has {k} unknowns whose unequal degrees cost as much as "
                          f"{ceil(work ** (1 / _POWER))}, more than {MAX_UNKNOWNS}")
-    cols, aug = _system(template.slots, rhs)
+    cols, aug = _system(template.slots, columns)
     det, xs = _eliminate(aug, k)
-    solved = dict(zip(cols, xs))
-    return det, _to_monomial(template, [solved[s] for s in template.slots])
+    where = sorted(range(k), key=lambda c: (cols[c][0], -cols[c][1]))  # column of each slot
+    return det, [_to_monomial(template, map(x.__getitem__, where)) for x in xs]
 
 
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
     """Unique exact coefficients reproducing w_0..w_{k-1} = values."""
-    vals = [Fraction(v) for v in values]
+    vals = [v if isinstance(v, int) else Fraction(v) for v in values]
     k = template.unknowns
     if len(vals) != k:
         raise ValueError(f"template needs {k} values, got {len(vals)}")
     den = lcm(*(v.denominator for v in vals))
-    det, ys = _solve(template, [[v.numerator * (den // v.denominator)] for v in vals])
-    coeffs = [Fraction(x, scale * det * den) for (x,), scale in ys]
+    det, (column,) = _solve(template, [[v.numerator * (den // v.denominator) for v in vals]])
+    coeffs = [Fraction(x, scale * det * den) for x, scale in column]
     return SynthSolution(_assemble(template.slots, coeffs), dict(zip(template.slot_names, coeffs)))
 
 
@@ -427,7 +425,7 @@ def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     k = template.unknowns
     identity = ([0] * i + [1] + [0] * (k - 1 - i) for i in range(k))  # lazy: unbuilt past the cap
     det, ys = _solve(template, identity)
-    return [[Fraction(x, scale * det) for x in row] for row, scale in ys]
+    return [[Fraction(x, scale * det) for x, scale in row] for row in zip(*ys)]
 
 
 def _int_params(name: str, vals: Sequence, want: int) -> list[int]:

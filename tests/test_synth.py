@@ -239,12 +239,23 @@ def test_symbolic_inverse_inverts_monomial_system_on_larger_shapes():
             ]
 
 
+def _monomial_rows(t, ys):
+    """``_to_monomial`` on each column of ys, which has one row per slot: the
+    solved rows as (row, scale), row holding the slot's value in each column."""
+    out = []
+    for slot in zip(*(_to_monomial(t, y) for y in zip(*ys))):
+        row, scales = zip(*slot)
+        (scale,) = set(scales)  # one scale per slot, whatever the column
+        out.append((row, scale))
+    return out
+
+
 def test_binomial_to_monomial_conversion():
     # one part of degree d; the rows are the unit vectors e_p, so column p
     # must come back as the n^q coefficients of C(n, p), times d!
     for d in range(21):
         unit = [[int(q == p) for p in range(d + 1)] for q in range(d, -1, -1)]
-        out = _to_monomial(Template(d), unit)
+        out = _monomial_rows(Template(d), unit)
         fact = math.factorial(d)
         assert {scale for _, scale in out} == {fact}
         for p in range(d + 1):
@@ -269,7 +280,8 @@ def test_eliminate_divides_exactly_on_small_shapes():
             with pytest.raises(DegenerateTemplateError, match=f"^{exc}$"):
                 _eliminate(aug, k)
             continue
-        det, xs = _eliminate(aug, k)
+        det, columns = _eliminate(aug, k)
+        xs = list(zip(*columns))
         assert [[F(row[c], det) for row in xs] for c in range(2)] == want
 
 
@@ -295,7 +307,7 @@ def _plain_bareiss(aug, width):
         u = row[width - 1 - i:0:-1]
         for x, b in zip(xs, row[width - i:]):
             x.append((prev * b - sum(map(operator.mul, u, x))) // row[0])
-    return prev, list(zip(*xs))[::-1]
+    return prev, [x[::-1] for x in xs]
 
 
 def _eliminated(solver, aug, width):
@@ -345,7 +357,8 @@ def test_eliminate_matches_plain_bareiss_on_differenced_systems():
     for shape in _SMALL_SHAPES + [(12, 12, True, True), (12, 5, False, True), (None, 14, True, False)]:
         t = Template(*shape)
         k = t.unknowns
-        _, aug = _system(t.slots, [[rng.randint(-40, 40) for _ in range(2)] for _ in range(k)])
+        rhs = [[rng.randint(-40, 40) for _ in range(2)] for _ in range(k)]
+        _, aug = _system(t.slots, zip(*rhs))
         assert _eliminated(_eliminate, aug, k) == _eliminated(_plain_bareiss, aug, k)
 
 
@@ -395,10 +408,10 @@ def test_system_matches_difference_triangle():
         t = Template(*shape)
         k = t.unknowns
         rhs = [[rng.randint(-99, 99)] for _ in range(k)]
-        assert repr(_system(t.slots, rhs)) == repr(_reference_system(t, rhs))
+        assert repr(_system(t.slots, zip(*rhs))) == repr(_reference_system(t, rhs))
         if k <= 12:
             identity = [[int(i == j) for j in range(k)] for i in range(k)]
-            assert repr(_system(t.slots, identity)) == repr(_reference_system(t, identity))
+            assert repr(_system(t.slots, zip(*identity))) == repr(_reference_system(t, identity))
         shapes += 1
     assert shapes == 1443
 
@@ -435,7 +448,7 @@ def test_to_monomial_matches_nested_reference():
         if k <= 12:
             inputs.append([tuple(int(i == j) for j in range(k)) for i in range(k)])
         for ys in inputs:
-            out = _to_monomial(t, ys)
+            out = _monomial_rows(t, ys)
             assert all(type(v) is int for row, _ in out for v in row)
             listed = lambda rows: [(list(row), scale) for row, scale in rows]
             assert listed(out) == listed(_reference_to_monomial(t, ys))
@@ -481,7 +494,7 @@ def test_installed_script_templates(shape):
     k = t.unknowns
     values = list(range(k))
     rhs = [[v] for v in values]
-    assert repr(_system(t.slots, rhs)) == repr(_reference_system(t, rhs))
+    assert repr(_system(t.slots, [values])) == repr(_reference_system(t, rhs))
     coeffs = list(solve_template(t, values).coefficients.values())
     ((ints, den),) = _integer_rows([coeffs])
     assert [F(sum(map(operator.mul, row, ints)), den) for row in build_system(t)] == values
@@ -504,7 +517,7 @@ def test_differenced_rows_are_block_triangular(const, alt):
         t = Template(d0, d1, const, alt)
         k = t.unknowns
         rhs = [[rng.randint(-9, 9)] for _ in range(k)]
-        cols, aug = _system(t.slots, rhs)
+        cols, aug = _system(t.slots, zip(*rhs))
         assert all(type(v) is int for row in aug for v in row)
         # F slots by ascending power, F(n)'s first, then the constant and alternating slots
         degrees = (-1 if d0 is None else d0, -1 if d1 is None else d1)
@@ -563,6 +576,25 @@ def test_solve_with_mixed_denominators():
     assert solve_template(FAMILY_TEMPLATES[1], ["1/2", "-1/3", F(-1, 7), -10]) == solve_template(
         FAMILY_TEMPLATES[1], [F(1, 2), F(-1, 3), F(-1, 7), -10]
     )
+
+
+def test_solve_reads_ints_fractions_and_strings_alike():
+    # an int value is read as it is, any other through Fraction: the same
+    # solution either way, with every coefficient a Fraction
+    rng = random.Random(103)
+    for t in [*FAMILY_TEMPLATES.values(), Template(5, 4, True, True), Template(None, 3, True)]:
+        whole = [rng.randint(-99, 99) for _ in range(t.unknowns)]
+        mixed = [F(rng.randint(-99, 99), rng.choice((1, 1, 2, 3))) for _ in range(t.unknowns)]
+        for values in (whole, mixed):
+            given = [
+                [int(v) if F(v).denominator == 1 else v for v in values],
+                [F(v) for v in values],
+                [str(v) for v in values],  # "3/2", "-7"
+            ]
+            solutions = [solve_template(t, g) for g in given]
+            assert solutions[0] == solutions[1] == solutions[2]
+            assert len({repr(s) for s in solutions}) == 1
+            assert all(type(c) is F for s in solutions for c in s.coefficients.values())
 
 
 def test_solve_reproduces_linear_example():
@@ -664,7 +696,7 @@ def test_only_a_zero_row_0_or_1_stops_a_small_template_before_elimination(monkey
             continue
         t = Template(*shape)
         k = t.unknowns
-        _, aug = _system(t.slots, [[0]] * k)
+        _, aug = _system(t.slots, [[0] * k])
         zero = [i for i, row in enumerate(aug) if not any(row[:k])]
         assert all(i < 2 for i in zero), shape
         if zero:
