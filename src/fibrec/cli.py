@@ -192,6 +192,11 @@ def _cmd_canon(args) -> _Output:
     ]
 
 
+def _listed(label: str, values) -> str:
+    """The line "label: v, w, ...", or "label:" with no trailing space for no values."""
+    return f"{label}: {', '.join(map(_text, values))}".rstrip()
+
+
 def _cmd_rec(args) -> _Output:
     rec = to_recurrence(_parse_bounded(args.expr, "up to {} initial values", any))
     payload = {
@@ -204,8 +209,8 @@ def _cmd_rec(args) -> _Output:
     return EXIT_OK, payload, lambda: [
         f"order: {rec.order}",
         f"characteristic polynomial: {format_poly(rec.char_poly, var='x')}",
-        f"coefficients: {', '.join(map(_text, rec.coeffs))}",
-        f"initial values: {', '.join(map(_text, rec.initial))}",
+        _listed("coefficients", rec.coeffs),
+        _listed("initial values", rec.initial),
     ]
 
 
@@ -222,9 +227,7 @@ def _cmd_check(args) -> _Output:
             f"NON-INTEGER witness: n={verdict.witness_n} value={_text(verdict.value)}"
         ]
     payload = {"expression": args.expr, "integral": True, "certificate": verdict.certificate}
-    return EXIT_OK, payload, lambda: [
-        f"INTEGER certificate: {', '.join(map(_text, verdict.certificate))}"
-    ]
+    return EXIT_OK, payload, lambda: [_listed("INTEGER certificate", verdict.certificate)]
 
 
 def _solution_output(extra: dict, solution) -> _Output:

@@ -31,9 +31,9 @@ summed as ints over the terms' common denominator, and the common factor of
 that denominator and every sum is divided out, which leaves L.  The canonical
 form is read off them (``_canon``): each coefficient of L*P0 and L*P1 sums one
 product in Z[phi] per cluster, so a run whose terms cancel costs it nothing.
-Every window comes from one loop, ``_numerators``: its first values combine
-the pairs (F(n-J), F(n-J-1)), one per cluster, each stepping from its own
-``fib_pair`` seed, with each nonzero R0 and R1 read by one Horner pass per
+Every window comes from one loop, ``_numerators``: its first values sum,
+side by side, one reader per cluster, which steps (F(n-J), F(n-J-1)) from its
+own ``fib_pair`` seed and reads each nonzero R0 and R1 by one Horner pass per
 index, and the rest follow by additions from the recurrence that the paper's
 (E^2-E-1)^(D+1)*(E-1)*(E+1) gives, over what its seeds leave of the
 denominator.  ``CanonForm.values`` runs it on ints, and the CLI on Decimals.
@@ -424,9 +424,9 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
 
     (L, clusters, e, f) = scaled is a form scaled by L (``_scale``), of degree D.
     The first min(count, 2(D+1) + 2) values come lazily from the clusters
-    (J, r0, r1), so a scan that stops early computes no more than it reads: each
-    adds r0(n)*F(n-J) + r1(n)*F(n-J-1) to e + f*(-1)^n, its pair stepped from its
-    own ``fib_pair(lo-J-1, one)`` and its polynomials read by ``_stepped``.
+    (J, r0, r1), so a scan that stops early computes no more than it reads: one
+    reader per cluster (``_stepped``, seeded by ``fib_pair(lo-J-1, one)``), all
+    summed side by side with e + f*(-1)^n, none nested in another's frame.
     The rest follow by the recurrence (``_recurred``), all in the type of `one`:
     ints for ``CanonForm.values``, and Decimals in the CLI's exact context.
     """
@@ -437,21 +437,22 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
     head = range(lo, lo + min(count, 2 * k + 2))
     # x + f*(-1)^n at n = lo, lo + 1, or at lo + 2k + 2, where any value after the head is
     pair = lambda x: (x - f, x + f) if lo % 2 else (x + f, x - f)
-    column = islice(cycle(pair(e)), len(head))
-    for base, r0, r1 in clusters:
-        column = _stepped(r0, r1, fib_pair(lo - base - 1, one), head, column)
+    readers = [_stepped(r0, r1, fib_pair(lo - base - 1, one), head) for base, r0, r1 in clusters]
+    # summed side by side: a generator wrapped around each cluster's would resume
+    # one frame per cluster for each value, past the recursion limit at ~1,000
+    column = map(sum, zip(islice(cycle(pair(e)), len(head)), *readers))
     top = pair(-e if k % 2 else e)
     return zip(range(lo, hi + 1), _recurred(column, den, k, top, count - len(head)))
 
 
-def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range, column: Iterator) -> Iterator:
-    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) plus the next item of column, for
-    n in ns, from seed = (F(n-J-1), F(n-J)) at the first n.  Each nonzero
-    polynomial is read by one Horner pass per n, and a zero one is never read."""
+def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range) -> Iterator:
+    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) for n in ns, from seed =
+    (F(n-J-1), F(n-J)) at the first n.  Each nonzero polynomial is read by one
+    Horner pass per n, and a zero one is never read."""
     fn1, fn = seed
     read = lambda p: map(p, ns) if p else repeat(0)
-    for a, b, c in zip(read(r0), read(r1), column):
-        yield a * fn + b * fn1 + c
+    for a, b in zip(read(r0), read(r1)):
+        yield a * fn + b * fn1
         fn, fn1 = fn + fn1, fn
 
 

@@ -133,9 +133,10 @@ def _bfile(name: str) -> list[int]:
 # --- the corpus -------------------------------------------------------------
 
 # Cheap at any version, each one a named bound: the window and shift limits,
-# the exponent limit, the oracle caps, the --json window budget, and three
+# the exponent limit, the oracle caps, the --json window budget, three
 # canonically-zero expressions (F(n) - F(n-1) - F(n-2) = 0) whose parsed
-# degrees and shifts alone put them past the digit budget.
+# degrees and shifts alone put them past the digit budget, and the zero
+# sequence, whose order-0 recurrence prints empty lists.
 _ZERO_HIGH_DEGREE = "n^1000*F(n) - n^1000*F(n-1) - n^1000*F(n-2)"
 _ZERO_FAR_SHIFT = "n^1000*F(n-50000) - n^1000*F(n-50001) - n^1000*F(n-50002)"
 FIXED = [
@@ -152,6 +153,7 @@ FIXED = [
     ["eval", _ZERO_HIGH_DEGREE, "--from", "0", "--to", "5000", "--json"],
     ["rec", _ZERO_FAR_SHIFT],
     ["check", _ZERO_FAR_SHIFT, "--json"],
+    ["rec", "0"],
     ["eval", "F(n-1000)", "--from", "-1000", "--to", "-990", "--json"],
     ["eval", "F(n+2000)", "--from", "-2000", "--to", "-1990"],
     ["rec", "F(n-2000) + F(n+2000)", "--json"],

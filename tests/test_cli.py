@@ -391,7 +391,7 @@ def test_what_the_lone_term_bound_cannot_refuse_still_prints(capsys, monkeypatch
         3, "NON-INTEGER witness: n=0 value=1/2\n", "")
     # a cluster whose terms cancel is 0 at every index
     cancelling = "n^3*F(n-300000) - n^3*F(n-300001) - n^3*F(n-300002)"
-    assert run_cli(capsys, "check", cancelling) == (0, "INTEGER certificate: \n", "")
+    assert run_cli(capsys, "check", cancelling) == (0, "INTEGER certificate:\n", "")
     assert run_cli(capsys, "eval", cancelling, "--to", "3") == (0, "0 0\n1 0\n2 0\n3 0\n", "")
     # eval prints only its window, so it asks the bound about nothing else
     asked = []
@@ -676,6 +676,28 @@ def test_check_integer(capsys):
     code, out, _ = run_cli(capsys, "check", "(2n+3)/5*F(n) - n/5*F(n-1)")
     assert code == 0
     assert "INTEGER certificate: 0, 1, 1, 3" in out
+
+
+def test_an_order_0_recurrence_prints_its_empty_lists_without_a_trailing_space(capsys):
+    rec = "order: 0\ncharacteristic polynomial: 1\ncoefficients:\ninitial values:\n"
+    assert run_cli(capsys, "rec", "0") == (0, rec, "")
+    assert run_cli(capsys, "check", "0") == (0, "INTEGER certificate:\n", "")
+
+
+def test_every_command_reads_1200_clusters(capsys):
+    # shifts 88 apart, so each starts its own run: a window that nested one
+    # generator per cluster passed the recursion limit at about 1,000
+    text = " + ".join(f"F(n-{88 * i})" for i in range(1200))
+    for command in ("rec", "check", "canon"):
+        assert run_cli(capsys, command, text)[0] == 0
+    values = parse(text).canon().values(0, 3)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # each value has about 22,000 digits
+    try:
+        expected = "".join(f"{n} {v}\n" for n, v in values)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert run_cli(capsys, "eval", text, "--to", "3") == (0, expected, "")
 
 
 def test_check_non_integer_exit_code(capsys):

@@ -44,10 +44,11 @@ def _printed(command, text, lo, hi):
         rec = to_recurrence(expr)
         doc = {"order": rec.order, "char_poly": list(rec.char_poly.coeffs),
                "coefficients": list(rec.coeffs), "initial": [str(v) for v in rec.initial]}
+        # an empty list, at order 0, leaves "label:" alone
         lines = [f"order: {rec.order}",
                  f"characteristic polynomial: {format_poly(rec.char_poly, var='x')}",
-                 f"coefficients: {', '.join(map(str, rec.coeffs))}",
-                 f"initial values: {', '.join(map(str, rec.initial))}"]
+                 f"coefficients: {', '.join(map(str, rec.coeffs))}".rstrip(),
+                 f"initial values: {', '.join(map(str, rec.initial))}".rstrip()]
         return [*rec.char_poly.coeffs, *rec.initial], lines, doc
     verdict = is_integer_sequence(expr)
     if isinstance(verdict, NonIntegral):
@@ -56,7 +57,7 @@ def _printed(command, text, lo, hi):
             f"NON-INTEGER witness: n={verdict.witness_n} value={verdict.value}"], doc
     doc = {"integral": True, "certificate": list(verdict.certificate)}
     return list(verdict.certificate), [
-        f"INTEGER certificate: {', '.join(map(str, verdict.certificate))}"], doc
+        f"INTEGER certificate: {', '.join(map(str, verdict.certificate))}".rstrip()], doc
 
 
 def _run(capsys, *argv):

@@ -29,6 +29,7 @@ import fibrec.cli as cli
 from fibrec import (
     CanonForm,
     FibExpr,
+    Integral,
     NonIntegral,
     Poly,
     fib,
@@ -36,6 +37,7 @@ from fibrec import (
     is_integer_sequence,
     parse,
     shift_coeffs,
+    to_recurrence,
 )
 from fibrec.fib import fib_pair
 from fibrec.seqform import ShiftTerm, _near, _numerators, _phi_read, _runs
@@ -782,6 +784,18 @@ def test_a_window_reads_each_run_once_per_head_index(horner_calls):
         horner_calls.clear()
         assert list(cli._rendered(wide, -3, 3)) == expected
     assert sorted(n for _, n in horner_calls) == sorted(2 * list(range(-3, 4)))
+
+
+def test_a_window_sums_1200_clusters_side_by_side():
+    # shifts 88 apart, so each starts its own run: a window that nested one
+    # generator per cluster passed the recursion limit at about 1,000
+    e = parse(" + ".join(f"F(n-{88 * i})" for i in range(1200)))
+    assert len(e._scaled[1]) == 1200
+    assert to_recurrence(e).order == 2
+    assert isinstance(is_integer_sequence(e), Integral)
+    for lo in (-2, 105510):  # about the lowest and the highest shift
+        assert list(e.canon().values(lo, lo + 3)) == [(n, e.at(n)) for n in range(lo, lo + 4)]
+    assert e.at(1) == ref_at(e, 1)
 
 
 def _sums(parts) -> tuple[Poly, Poly]:
