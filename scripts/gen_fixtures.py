@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the bundled OEIS fixture b-files from fibrec's own formulas.
 
+The Leonardo numbers, read off their formula, are checked against the plain
+recurrence in ``tests/enumerators.py`` before they are written.
+
 Run from the repository root:  python3 scripts/gen_fixtures.py
 """
 
@@ -9,10 +12,13 @@ from __future__ import annotations
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))  # the checkout's fibrec, installed or not
+sys.path.insert(1, str(ROOT / "tests"))
 
-from fibrec import OeisEntry, fib, leonardo, render_bfile, theorem_solution  # noqa: E402
+from enumerators import leonardo  # noqa: E402
+from fibrec import OeisEntry, fib, parse, render_bfile, theorem_solution  # noqa: E402
 
 LAST = 40
 FIXTURES = SRC / "fibrec" / "fixtures"
@@ -26,6 +32,9 @@ def main() -> None:
     a010049 = theorem_solution(1, d=0, z=(1, 1, 3)).expr
     a129707 = theorem_solution(2, f=0, z=(0, 1, 4, 12, 31)).expr
     a054454 = theorem_solution(4, w=(0, 1, 2, 6, 12, 26)).expr.shifted(1)
+    a001595 = tuple(int(parse("2*F(n) + 2*F(n-1) - 1").at(n)) for n in range(LAST + 1))
+    if a001595 != tuple(leonardo(n) for n in range(LAST + 1)):
+        raise SystemExit("the Leonardo formula disagrees with its recurrence")
 
     entries = [
         (
@@ -33,8 +42,12 @@ def main() -> None:
             ["A000045: Fibonacci numbers, generated by fibrec.fib(n)"],
         ),
         (
-            OeisEntry("A001595", 0, tuple(leonardo(n) for n in range(LAST + 1))),
-            ["A001595: Leonardo numbers, generated by fibrec.oracles.leonardo(n)"],
+            OeisEntry("A001595", 0, a001595),
+            [
+                "A001595: Leonardo numbers, generated by fibrec from the formula",
+                "  fibrec eval '2*F(n) + 2*F(n-1) - 1' --from 0 --to 40",
+                "cross-checked against the recurrence L(n) = L(n-1) + L(n-2) + 1",
+            ],
         ),
         (
             OeisEntry("A010049", 0, first_terms(a010049)),

@@ -7,8 +7,9 @@ The central object is a sequence of the form
 with rational polynomial coefficients.  The package canonicalizes such
 expressions, derives their integer recurrences, decides whether they are
 integer-valued over all of Z, recovers coefficients from initial values,
-parses/prints a small text language for them, and cross-checks everything
-against brute-force enumerators and bundled OEIS b-files.
+parses/prints a small text language for them, and matches prefixes against
+bundled OEIS b-files.  The brute-force enumerators that cross-check the
+paper's worked examples live with the tests, in ``tests/enumerators.py``.
 """
 
 from .cfinite import Recurrence, char_poly, to_recurrence
@@ -29,7 +30,6 @@ from .oeis import (
     search_local,
     search_remote,
 )
-from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import ParseError, format_expr, format_poly, parse
 from .seqform import CanonForm, FibExpr, ShiftTerm
 from .synth import (
@@ -67,14 +67,11 @@ __all__ = [
     "Verdict",
     "build_system",
     "char_poly",
-    "compositions_parts_count",
     "entry_from_bfile",
     "fib",
-    "fibonacci_word_inversions",
     "format_expr",
     "format_poly",
     "is_integer_sequence",
-    "leonardo",
     "load_fixtures",
     "parse",
     "parse_bfile",

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: eval, canon, rec, check, synth, theorem, oeis, oracle.  Every
+Subcommands: eval, canon, rec, check, synth, theorem, oeis.  Every
 subcommand accepts --json for a single machine-readable document on stdout.
 Each command returns its answer values, not their text; main renders only
 the view it prints, so each printed value becomes text once, in time near
@@ -32,7 +32,6 @@ from .cfinite import to_recurrence
 from .decide import NonIntegral, is_integer_sequence
 from .exact import Poly
 from .oeis import OeisLookupError, search_local, search_remote
-from .oracles import compositions_parts_count, fibonacci_word_inversions, leonardo
 from .parser import (_EXACT, _SPLIT_BITS, MAX_INDEX, _text, _to_decimal, format_expr,
                      format_poly, parse)
 from .seqform import FibExpr, _estimated_digits, _numerators, _order_bound, _surely_longer
@@ -79,6 +78,18 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)
 # 20 million digits, F(0)..F(13800), take about 1 s and 75 MB.
 MAX_JSON_DIGITS = 20_000_000
 
+# Most Fibonacci work a command may start, in Fibonacci numbers at MAX_INDEX.
+# Each cluster about a base J (seqform) is seeded by one doubling at k =
+# lo-J-1, lo the window's first n, or 0 for the initial values and for canon's
+# phi^-J, the same pair; a doubling costs about (0.7*|k| bits)^log2(3) steps,
+# as in synth._work.  The digit budgets pass far clusters whose values stay
+# short, such as 200 shifts 2,000 apart near 2*10^6, which `rec` would seed for
+# about 40 s.  Calibrated on timed cases (CHANGES.md): `check "n*F(n-10000000)
+# + 1/2"` costs 1, and a `rec` that costs 2 takes about 6 s on a 2-core VM.
+MAX_FIB_WORK = 2
+_TOO_MUCH_WORK = (f"its shifts would take more work than {MAX_FIB_WORK} Fibonacci numbers "
+                  f"at index {MAX_INDEX}")
+
 # argparse reads a word that starts with "-" as an option unless it matches
 # this pattern.  Every option here but -h is "--name", so a list such as
 # "-1,2,3" or an expression such as "-F(n)" can be read as a value.
@@ -109,9 +120,11 @@ def _parse_bounded(text: str, holding: str, printed=all, window: range | None = 
     w_n, n in `window` (by default its initial values, which bound its canonical
     form too), would pass MAX_JSON_DIGITS, or when `printed` (all, or any for a
     command that prints every one) of those at `ends` (by default all of them)
-    would surely pass MAX_DIGITS.  `holding` names what the initial values would
-    fill, with {} for their count; with a window, it is the whole message, with {}
-    for the estimate and the limit, or empty for no MAX_JSON_DIGITS refusal."""
+    would surely pass MAX_DIGITS, or when seeding its clusters at the window's
+    first n would pass MAX_FIB_WORK.  `holding` names what the initial values
+    would fill, with {} for their count; with a window, it is the whole message,
+    with {} for the estimate and the limit, or empty for no MAX_JSON_DIGITS
+    refusal."""
     expr = parse(text)
     if window is None:
         window = range(_order_bound(expr))
@@ -121,6 +134,9 @@ def _parse_bounded(text: str, holding: str, printed=all, window: range | None = 
         raise ValueError(holding.format(digits, MAX_JSON_DIGITS))
     if _surely_longer(expr, MAX_DIGITS, window if ends is None else ends, printed):
         raise ValueError(_TOO_LONG.format(MAX_DIGITS))
+    seeds = (abs(window.start - base - 1) / MAX_INDEX for base, _, _ in expr._scaled[1])
+    if sum(k ** math.log2(3) for k in seeds) > MAX_FIB_WORK:
+        raise ValueError(_TOO_MUCH_WORK)
     return expr
 
 
@@ -292,19 +308,6 @@ def _cmd_oeis(args) -> _Output:
     ] or ["no matches"]
 
 
-_ORACLES = {
-    "compositions": compositions_parts_count,
-    "inversions": fibonacci_word_inversions,
-    "leonardo": leonardo,
-}
-
-
-def _cmd_oracle(args) -> _Output:
-    value = _ORACLES[args.kind](args.n)
-    payload = {"kind": args.kind, "n": args.n, "value": value}
-    return EXIT_OK, payload, lambda: [_text(value)]
-
-
 # json.dumps writes an int with str, in time quadratic in its length, so
 # _held swaps each int longer than _SPLIT_BITS bits for the string "\0<i>",
 # which JSON writes as "\u0000<i>", and main puts the int's digits from _text
@@ -377,10 +380,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--remote", action="store_true",
                    help=f"query oeis.org (also needs {REMOTE_ENV}=1)")
     p.add_argument("--timeout", type=float, default=10.0)
-
-    p = command("oracle", "run a brute-force enumerator", _cmd_oracle)
-    p.add_argument("kind", choices=sorted(_ORACLES))
-    p.add_argument("n", type=int)
 
     return top
 

@@ -1,12 +1,12 @@
 """Golden CLI corpus: seeded argv lists, and each run's exit code and output hashes.
 
 ``cases()`` draws about a thousand argv lists from a fixed seed.  They cover
-all eight subcommands in both views, exit codes 0, 2 and 3, values that
+all seven subcommands in both views, exit codes 0, 2 and 3, values that
 start with "-", negative windows, shifts up to +-2000, singular ``synth``
-templates and the refusals at MAX_INDEX, MAX_EXPONENT, the oracle caps and
-the digit budgets.  ``run(argv)`` calls ``cli.main`` in process and returns
-one row: argv, exit code, sha256 of stdout and of stderr, and for a
-``--json`` run the sorted key paths of its document.
+templates and the refusals at MAX_INDEX, MAX_EXPONENT and the digit
+budgets.  ``run(argv)`` calls ``cli.main`` in process and returns one row:
+argv, exit code, sha256 of stdout and of stderr, and for a ``--json`` run
+the sorted key paths of its document.
 
 Every argv is one that argparse accepts, and every failure is a message of
 fibrec's own ("error: ..."), so no row depends on argparse's wording, which
@@ -133,10 +133,10 @@ def _bfile(name: str) -> list[int]:
 # --- the corpus -------------------------------------------------------------
 
 # Cheap at any version, each one a named bound: the window and shift limits,
-# the exponent limit, the oracle caps, the --json window budget, three
-# canonically-zero expressions (F(n) - F(n-1) - F(n-2) = 0) whose parsed
-# degrees and shifts alone put them past the digit budget, and the zero
-# sequence, whose order-0 recurrence prints empty lists.
+# the exponent limit, the --json window budget, three canonically-zero
+# expressions (F(n) - F(n-1) - F(n-2) = 0) whose parsed degrees and shifts
+# alone put them past the digit budget, and the zero sequence, whose order-0
+# recurrence prints empty lists.
 _ZERO_HIGH_DEGREE = "n^1000*F(n) - n^1000*F(n-1) - n^1000*F(n-2)"
 _ZERO_FAR_SHIFT = "n^1000*F(n-50000) - n^1000*F(n-50001) - n^1000*F(n-50002)"
 FIXED = [
@@ -174,10 +174,6 @@ FIXED = [
     ["theorem", "2", "--f", "1", "--z", "1,2", "--json"],
     ["theorem", "3", "--d", "1", "--z", "1,1,1,2"],
     ["theorem", "1", "--d", "1", "--z", "1,1/2,3"],
-    ["oracle", "compositions", "26"],
-    ["oracle", "inversions", "26", "--json"],
-    ["oracle", "leonardo", "100001"],
-    ["oracle", "compositions", "-1"],
     ["oeis", "1,1,2"],
     ["oeis", "0,1,x"],
     ["oeis", "0,1,1,2,3,5", "--timeout", "0"],
@@ -240,12 +236,6 @@ def _oeis(rng: random.Random, sequences: list[list[int]]) -> list[str]:
     return _view(rng, argv)
 
 
-def _oracle(rng: random.Random) -> list[str]:
-    kind = rng.choice(("compositions", "inversions", "leonardo"))
-    n = rng.randint(0, 3000) if kind == "leonardo" else rng.randint(0, 16)
-    return _view(rng, ["oracle", kind, str(n)])
-
-
 def cases() -> list[list[str]]:
     rng = random.Random(SEED)
     sequences = [_bfile(p.name) for p in sorted(FIXTURES.glob("b*.txt"))]
@@ -257,7 +247,6 @@ def cases() -> list[list[str]]:
         + [_synth(rng) for _ in range(120)]
         + [_theorem(rng) for _ in range(80)]
         + [_oeis(rng, sequences) for _ in range(60)]
-        + [_oracle(rng) for _ in range(50)]
     )
     return FIXED + drawn
 

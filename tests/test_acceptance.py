@@ -24,18 +24,16 @@ from conftest import (
     rand_family_instance,
     rand_perturbed_instance,
 )
+from enumerators import compositions_parts_count, fibonacci_word_inversions, leonardo
 
 from fibrec import (
     FAMILY_TEMPLATES,
     Integral,
     Poly,
     build_system,
-    compositions_parts_count,
     fib,
-    fibonacci_word_inversions,
     format_expr,
     is_integer_sequence,
-    leonardo,
     load_fixtures,
     parse,
     render_bfile,

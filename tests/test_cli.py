@@ -13,7 +13,8 @@ import pytest
 from conftest import rand_fraction
 
 from fibrec import FibExpr, Poly, format_expr, format_poly, parse, to_recurrence
-from fibrec.cli import MAX_DIGITS, _number_list, main
+from fibrec.cli import MAX_DIGITS, MAX_FIB_WORK, _number_list, _parse_bounded, main
+from fibrec.parser import MAX_INDEX
 from fibrec.seqform import _estimated_digits, _order_bound, _surely_longer
 
 
@@ -292,6 +293,45 @@ def test_rec_refuses_two_far_clusters_of_one_length_before_any_far_work(capsys, 
         monkeypatch.setattr(importlib.import_module(module), "fib_pair", guarded)
     got = run_cli(capsys, "rec", "F(n-10000000) + F(n+10000000)")
     assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
+
+
+# 200 clusters 2,000 apart near 2*10^6: each value has about 418,000 digits,
+# so no digit budget refuses them, but their seeds cost 13 Fibonacci numbers at
+# MAX_INDEX, which `rec` would run for about 40 s
+_FAR_CLUSTERS = " + ".join(f"F(n-{2000000 - 2000 * i})" for i in range(200))
+_TOO_MUCH_WORK = (f"error: its shifts would take more work than {MAX_FIB_WORK} Fibonacci "
+                  f"numbers at index {MAX_INDEX}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rec", _FAR_CLUSTERS),
+    ("check", _FAR_CLUSTERS, "--json"),
+    ("canon", _FAR_CLUSTERS),
+    ("eval", _FAR_CLUSTERS, "--to", "0"),
+])
+def test_far_clusters_are_refused_by_their_fibonacci_work(capsys, no_fib, argv):
+    start = time.perf_counter()
+    got = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert got == (2, "", _TOO_MUCH_WORK)
+
+
+def test_the_work_bound_accepts_1200_near_clusters_and_far_shifts(capsys):
+    # the bound canon, rec and check apply, which computes no long Fibonacci number;
+    # test_every_command_reads_1200_clusters runs the first case end to end
+    near = " + ".join(f"F(n-{88 * i})" for i in range(1200))
+    for text in (near, "n*F(n-10000000) + 1/2", "F(n-5000000) + F(n+5000000) + 1/3"):
+        assert _parse_bounded(text, "up to {} initial values") == parse(text)
+    # eval seeds each cluster at its first n, within 200,001 of every shift here
+    n = 1800000
+    code, out, err = run_cli(capsys, "eval", _FAR_CLUSTERS, "--from", str(n), "--to", str(n))
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the value has about 42,000 digits
+    try:
+        assert out == f"{n} {parse(_FAR_CLUSTERS).at(n)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_the_order_bound_counts_the_constant_and_the_alternating_part(capsys, no_fib):
@@ -849,19 +889,10 @@ def test_oeis_timeout_out_of_range_is_usage_error(capsys, monkeypatch, timeout):
     assert "--timeout must be more than 0 and at most 86400 seconds" in err
 
 
-def test_oracle_commands(capsys):
-    assert run_cli(capsys, "oracle", "leonardo", "5")[1].strip() == "15"
-    assert run_cli(capsys, "oracle", "compositions", "5")[1].strip() == "10"
-    assert run_cli(capsys, "oracle", "inversions", "4")[1].strip() == "12"
-
-
-def test_oracle_cap_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "oracle", "inversions", "26")
-    assert code == 2
-    assert "capped" in err
-    code, out, err = run_cli(capsys, "oracle", "leonardo", "100001")
+def test_there_is_no_oracle_command(capsys):
+    # the enumerators are test oracles (tests/enumerators.py), not subcommands
+    code, out, _ = run_cli(capsys, "oracle", "leonardo", "5")
     assert (code, out) == (2, "")
-    assert "capped at n <= 100000" in err
 
 
 def test_eval_json_schema(capsys):
@@ -973,11 +1004,6 @@ _WORKED = "(2n+3)/5*F(n) - n/5*F(n-1)"
                 ],
             },
             id="eval",
-        ),
-        pytest.param(
-            ("oracle", "leonardo", "5"),
-            {"command": "oracle", "kind": "leonardo", "n": 5, "value": 15},
-            id="oracle",
         ),
         pytest.param(
             ("oeis", "0,1,1,2"),

@@ -1,5 +1,6 @@
 """Fibonacci indexing, shift-identity coefficients, and fib against alpha powers."""
 
+import random
 from decimal import Decimal, Inexact, Rounded, localcontext
 
 from binet_oracle import ALPHA, BETA, QuadRat, root_pow
@@ -100,9 +101,11 @@ def test_shift_coeffs_examples():
 
 
 def test_shift_identity_property():
-    for j in range(-15, 16):
+    rng = random.Random(20261020)
+    far = [rng.choice((-1, 1)) * rng.randint(16, 10**5) for _ in range(6)] + [10**5, -(10**5)]
+    for j in [*range(-15, 16), *far]:
         c_f, c_f1 = shift_coeffs(j)
-        for n in range(-15, 16):
+        for n in [*range(-15, 16), j - 1, j, j + 1]:
             assert fib(n - j) == c_f * fib(n) + c_f1 * fib(n - 1)
 
 

@@ -16,6 +16,7 @@ import fibrec
 from conftest import A010049 as A010049_EXPR
 from conftest import A054454 as A054454_EXPR
 from conftest import A129707 as A129707_EXPR
+from enumerators import compositions_parts_count, fibonacci_word_inversions, leonardo
 
 from fibrec import (
     OeisEntry,
@@ -23,11 +24,8 @@ from fibrec import (
     OeisHit,
     OeisTimeoutError,
     OeisTransportError,
-    compositions_parts_count,
     entry_from_bfile,
     fib,
-    fibonacci_word_inversions,
-    leonardo,
     load_fixtures,
     parse_bfile,
     render_bfile,
