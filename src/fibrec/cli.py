@@ -78,14 +78,13 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?([\d_]+)
 # 20 million digits, F(0)..F(13800), take about 1 s and 75 MB.
 MAX_JSON_DIGITS = 20_000_000
 
-# Most Fibonacci work a command may start, in Fibonacci numbers at MAX_INDEX.
-# Each cluster about a base J (seqform) is seeded by one doubling at k =
-# lo-J-1, lo the window's first n, or 0 for the initial values and for canon's
-# phi^-J, the same pair; a doubling costs about (0.7*|k| bits)^log2(3) steps,
-# as in synth._work.  The digit budgets pass far clusters whose values stay
-# short, such as 200 shifts 2,000 apart near 2*10^6, which `rec` would seed for
-# about 40 s.  Calibrated on timed cases (CHANGES.md): `check "n*F(n-10000000)
-# + 1/2"` costs 1, and a `rec` that costs 2 takes about 6 s on a 2-core VM.
+# Most Fibonacci work a command may start, in Fibonacci numbers at MAX_INDEX,
+# counted as one doubling of about (0.7*|k| bits)^log2(3) steps (synth._work) per
+# cluster about a base J (seqform), at k = lo-J-1, lo the window's first n, or 0
+# for the initial values and canon.  seqform._powers carries a near cluster's pair
+# from its neighbour's instead, so the count is an upper bound.  The digit budgets
+# pass far clusters with short values, such as 200 shifts 2,000 apart near 2*10^6.
+# Calibrated on timed cases (CHANGES.md): `check "n*F(n-10000000) + 1/2"` costs 1.
 MAX_FIB_WORK = 2
 _TOO_MUCH_WORK = (f"its shifts would take more work than {MAX_FIB_WORK} Fibonacci numbers "
                   f"at index {MAX_INDEX}")

@@ -26,7 +26,7 @@ def fib_pair(n: int, one=1) -> tuple:
     fast-doubling loop.  A negative index is mapped by F(-m) = (-1)^(m+1) * F(m),
     as ``seqform._reflected`` maps a combination of two Fibonacci numbers.
     A Decimal `one` needs an exact context.
-    The last four answers are kept: ``canon`` and a window ask for one far pair."""
+    The last four are kept: ``canon`` and an int window at lo = 0 ask for the same."""
     m = n if n >= 0 else -n - 1
     a, b, sign = one, one - one, 2  # (F(k-1), F(k)) and 2*(-1)^k, from k = 0
     for bit in bin(m)[2:]:

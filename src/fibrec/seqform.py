@@ -31,19 +31,18 @@ summed as ints over the terms' common denominator, and the common factor of
 that denominator and every sum is divided out, which leaves L.  The canonical
 form is read off them (``_canon``): each coefficient of L*P0 and L*P1 sums one
 product in Z[phi] per cluster, so a run whose terms cancel costs it nothing.
-Every window comes from one loop, ``_numerators``: its first values sum,
-side by side, one reader per cluster, which steps (F(n-J), F(n-J-1)) from its
-own ``fib_pair`` seed and reads each nonzero R0 and R1 by one Horner pass per
-index, and the rest follow by additions from the recurrence that the paper's
-(E^2-E-1)^(D+1)*(E-1)*(E+1) gives, over what its seeds leave of the
-denominator.  ``CanonForm.values`` runs it on ints, and the CLI on Decimals.
-A single value, ``FibExpr.at``, runs no window: each cluster adds a*F(k+1) +
-b*F(k) at its reflected index k >= 0, an element of Z[phi] times phi^k, and
-clusters near enough to each other are carried onto the lowest of them by one
-product with a short power of phi, so that they share one read
-(``_phi_read``): a group costs one doubling of half its lowest index and one
+Every window comes from one loop, ``_numerators``: its first values sum, side by
+side, one reader per cluster, which steps (F(n-J), F(n-J-1)) from phi^(lo-J) and
+reads each nonzero R0 and R1 by one Horner pass per index, and the rest follow by
+additions from the recurrence that the paper's (E^2-E-1)^(D+1)*(E-1)*(E+1) gives,
+over what its seeds leave of the denominator.  ``CanonForm.values`` runs it on
+ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no window:
+each cluster adds a*F(k+1) + b*F(k) at its reflected index k >= 0, an element of
+Z[phi] times phi^k, and clusters near enough to each other are carried onto the
+lowest of them by one product with a short power of phi, so that they share one
+read (``_phi_read``): a group costs one doubling of half its lowest index and one
 product, by the trace and norm of a power of phi.  ``_surely_longer`` moves
-clusters by the same product (``_times``).
+clusters by the same product, and ``_powers`` a near cluster's phi^-J or seed.
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -177,12 +176,11 @@ class FibExpr(Value):
         as its own.  A cluster (J, L*R0, L*R1) adds R0(n)*F(n-J) + R1(n)*F(n-J-1),
         the phi coefficient of (R0*phi + R1)*phi^-J*phi^(n-1), and P0*F(n) +
         P1*F(n-1) is that of (P0*phi + P1)*phi^(n-1): so each coefficient pair of
-        (L*P0, L*P1) sums one product (``_times``) per cluster with its phi^-J,
-        and every coefficient is a Fraction over L."""
+        (L*P0, L*P1) sums one product (``_times``) per cluster with its phi^-J
+        (``_powers``), and every coefficient is a Fraction over L."""
         den, clusters, _, _ = self._scaled
         sums = []
-        for base, r0, r1 in clusters:
-            power = _phi_power(-base)
+        for (_, r0, r1), power in zip(clusters, _powers([-base for base, _, _ in clusters])):
             parts = map(_times, zip_longest(r0.coeffs, r1.coeffs, fillvalue=0), repeat(power))
             sums = [(a + c, b + d)
                     for (a, b), (c, d) in zip_longest(sums, parts, fillvalue=(0, 0))]
@@ -303,10 +301,9 @@ def _times(x: tuple, y: tuple) -> tuple:
     return ac + a * d + b * c, ac + b * d
 
 
-def _phi_power(g: int) -> tuple[int, int]:
-    """phi^g = F(g)*phi + F(g-1), for any integer g, as the pair (F(g), F(g-1))."""
-    low, high = fib_pair(g - 1, 1)  # as an int window's seed asks: one cache entry
-    return high, low
+def _phi_power(g: int, one=1) -> tuple:
+    """phi^g = F(g)*phi + F(g-1), for any integer g, as (F(g), F(g-1)) in the type of `one`."""
+    return fib_pair(g - 1, one)[::-1]
 
 
 def _phi_read(m: int, a: int, b: int) -> int:
@@ -341,6 +338,20 @@ def _phi_sum(parts: list) -> int:
             total, a, b = total + _phi_read(top, a, b), 0, 0
         top, a, b = m, a + p, b + q
     return total
+
+
+# _powers carries phi^k, as long as itself, where _phi_sum carries a sum as long as its
+# span: so its factor 4 is too loose here, and 16 is timed in CHANGES.md.
+_CARRY = 16
+
+
+def _powers(ks: list, one=1) -> list:
+    """``_phi_power`` of each k of ks: times phi^g from the one before when _CARRY*|g| <= |k|."""
+    powers = [(0 * one, one)]  # phi^0, from which only k = 0 is carried
+    for k0, k in zip([0, *ks], ks):
+        near = _CARRY * abs(k - k0) <= abs(k)
+        powers.append(_times(powers[-1], _phi_power(k - k0, one)) if near else _phi_power(k, one))
+    return powers[1:]
 
 
 def _pair_low(a: int, b: int, k: int) -> float:
@@ -425,7 +436,7 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
     (L, clusters, e, f) = scaled is a form scaled by L (``_scale``), of degree D.
     The first min(count, 2(D+1) + 2) values come lazily from the clusters
     (J, r0, r1), so a scan that stops early computes no more than it reads: one
-    reader per cluster (``_stepped``, seeded by ``fib_pair(lo-J-1, one)``), all
+    reader per cluster (``_stepped``, seeded by phi^(lo-J) from ``_powers``), all
     summed side by side with e + f*(-1)^n, none nested in another's frame.
     The rest follow by the recurrence (``_recurred``), all in the type of `one`:
     ints for ``CanonForm.values``, and Decimals in the CLI's exact context.
@@ -437,7 +448,8 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
     head = range(lo, lo + min(count, 2 * k + 2))
     # x + f*(-1)^n at n = lo, lo + 1, or at lo + 2k + 2, where any value after the head is
     pair = lambda x: (x - f, x + f) if lo % 2 else (x + f, x - f)
-    readers = [_stepped(r0, r1, fib_pair(lo - base - 1, one), head) for base, r0, r1 in clusters]
+    seeds = _powers([lo - base for base, _, _ in clusters], one)
+    readers = [_stepped(r0, r1, seed, head) for (_, r0, r1), seed in zip(clusters, seeds)]
     # summed side by side: a generator wrapped around each cluster's would resume
     # one frame per cluster for each value, past the recursion limit at ~1,000
     column = map(sum, zip(islice(cycle(pair(e)), len(head)), *readers))
@@ -446,10 +458,10 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
 
 
 def _stepped(r0: Poly, r1: Poly, seed: tuple, ns: range) -> Iterator:
-    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) for n in ns, from seed =
-    (F(n-J-1), F(n-J)) at the first n.  Each nonzero polynomial is read by one
-    Horner pass per n, and a zero one is never read."""
-    fn1, fn = seed
+    """Yield r0(n)*F(n-J) + r1(n)*F(n-J-1) for n in ns, from seed = phi^(n-J) =
+    (F(n-J), F(n-J-1)) at the first n (``_powers``).  Each nonzero polynomial is
+    read by one Horner pass per n, and a zero one is never read."""
+    fn, fn1 = seed
     read = lambda p: map(p, ns) if p else repeat(0)
     for a, b in zip(read(r0), read(r1)):
         yield a * fn + b * fn1

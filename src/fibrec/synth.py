@@ -103,6 +103,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import ceil, comb, lcm, log2
 from operator import itemgetter, mul
+from types import MappingProxyType
 
 from ._value import Value
 from .exact import Poly
@@ -186,13 +187,16 @@ FAMILY_TEMPLATES = {
 
 
 class SynthSolution(Value):
-    """Solved expression plus the named slot coefficients that built it."""
+    """Solved expression plus the named slot coefficients that built it, read-only."""
 
     expr: FibExpr
-    coefficients: dict[str, Fraction]
+    coefficients: MappingProxyType[str, Fraction]
 
     def __init__(self, expr: FibExpr, coefficients: dict[str, Fraction]) -> None:
-        self.__dict__.update(expr=expr, coefficients=coefficients)
+        self.__dict__.update(expr=expr, coefficients=MappingProxyType(dict(coefficients)))
+
+    def __hash__(self) -> int:
+        return hash((self.expr, tuple(self.coefficients.items())))
 
 
 def build_system(template: Template) -> list[list[int]]:

@@ -798,6 +798,69 @@ def test_a_window_sums_1200_clusters_side_by_side():
     assert e.at(1) == ref_at(e, 1)
 
 
+def _power_reads(ks: list[int]) -> list[int]:
+    """The fib_pair indices that the carry rule reads for phi^k, k in ks in order:
+    phi^g, g = k - k' for the k' before (0 before the first), when 16*|g| <= |k|,
+    else phi^k itself, where phi^g = (F(g), F(g-1)) is read off fib_pair(g - 1)."""
+    return [(k - k0 if 16 * abs(k - k0) <= abs(k) else k) - 1 for k0, k in zip([0, *ks], ks)]
+
+
+_CARRIED_CASES = [
+    # 88 apart: canon carries from k = -1,408 on, the window at 10^5 all but the nearest
+    ([88 * i for i in range(1200)], 100_000),
+    # 2,000 apart near 2*10^6: canon carries all but the first, the window those at
+    # k >= 32,000, where F(n - j) itself stays short
+    ([2_000_000 - 2000 * i for i in range(25)], 1_999_990),
+    # 100,000 apart: 16 gaps pass 10^6, so nothing is carried
+    ([100_000 * i for i in range(1, 11)], 1_000_000),
+]
+
+
+@pytest.mark.parametrize("shifts, lo", _CARRIED_CASES)
+def test_canon_and_windows_carry_powers_by_the_gap_rule(monkeypatch, shifts, lo):
+    seqform = importlib.import_module("fibrec.seqform")
+    fib_pair, asked = seqform.fib_pair, []
+    monkeypatch.setattr(seqform, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
+    e = parse(" + ".join(f"F(n-{j})" for j in shifts))
+    bases = [base for base, _, _ in e._scaled[1]]
+    assert bases == sorted(shifts)
+    form = e.canon()
+    to_recurrence(e)  # its initial values read the int window at lo = 0
+    assert asked == 2 * _power_reads([-base for base in bases])
+    asked.clear()
+    window = list(form.values(lo, lo + 1))
+    assert asked == _power_reads([lo - base for base in bases])
+    assert window == [(lo, ref_at(e, lo)), (lo + 1, e.at(lo + 1))]
+    built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)
+    assert list(built.values(lo, lo)) == window[:1]
+    assert to_recurrence(e).initial == (e.at(0), e.at(1))
+
+
+def test_the_carry_cases_cover_both_sides_of_the_rule():
+    sides = set()
+    for shifts, lo in _CARRIED_CASES:
+        for ks in ([-j for j in sorted(shifts)], [lo - j for j in sorted(shifts)]):
+            reads = _power_reads(ks)
+            sides |= {read == k - 1 for read, k in zip(reads[1:], ks[1:])}
+    assert sides == {True, False}
+
+
+def test_carried_windows_match_binet_far_from_zero():
+    # 41 clusters, 150 apart and one 3,000 below them: the windows near +-10^5
+    # carry every seed but the first, canon only those past 2,400
+    terms = [(150 * i, [i, -1]) for i in range(40)] + [(-3000, [F(1, 3), 0, 2])]
+    e = FibExpr.of(terms, F(1, 2), -1)
+    assert len(e._scaled[1]) == 41
+    split, form = binet(e), e.canon()
+    built = CanonForm(form.p0, form.p1, form.const_e, form.alt_f)
+    for lo in (100_000, -100_003):
+        values = list(form.values(lo, lo + 3))
+        assert values == list(built.values(lo, lo + 3))
+        for n, v in values:
+            fib_part = v - e.const_e - (e.alt_f if n % 2 == 0 else -e.alt_f)
+            assert fib_part_at(split, n) == QuadRat(fib_part, 0), n
+
+
 def _sums(parts) -> tuple[Poly, Poly]:
     """(sum c0*p, sum c1*p) over the parts (p, c0, c1), in Fractions."""
     r0 = r1 = Poly(())

@@ -141,13 +141,22 @@ def test_match_args_and_signature_match_the_twin():
 def test_repr_and_hash_match_the_twin():
     for value in SAMPLES:
         assert repr(value) == repr(twin(value))
-        try:
-            expected = hash(twin(value))
-        except TypeError:  # SynthSolution holds a dict
-            with pytest.raises(TypeError):
-                hash(value)
+        if isinstance(value, SynthSolution):  # the twin's mapping proxy is unhashable
+            expected = hash((value.expr, tuple(value.coefficients.items())))
         else:
-            assert hash(value) == expected
+            expected = hash(twin(value))
+        assert hash(value) == expected
+
+
+def test_synth_solution_is_frozen_in_its_coefficients():
+    given = {"a": Fraction(2, 5), "b": Fraction(3, 5), "c": Fraction(-1, 5), "d": Fraction(0)}
+    sol = solve_template(FAMILY_TEMPLATES[1], [0, 1, 1, 3])
+    with pytest.raises(TypeError):
+        sol.coefficients["a"] = 0
+    assert sol.coefficients == given and list(sol.coefficients) == list(given)
+    built = SynthSolution(sol.expr, given)
+    given["a"] = Fraction(0)  # the solution keeps its own copy
+    assert built == sol and hash(built) == hash(sol) and len({built, sol}) == 1
 
 
 def test_equality_matches_the_twin_across_classes():
