@@ -81,7 +81,7 @@ MAX_JSON_DIGITS = 20_000_000
 # Most Fibonacci work a command may start, in Fibonacci numbers at MAX_INDEX,
 # counted as one doubling of about (0.7*|k| bits)^log2(3) steps (synth._work) per
 # cluster about a base J (seqform), at k = lo-J-1, lo the window's first n, or 0
-# for the initial values and canon.  seqform._powers carries a near cluster's pair
+# for the initial values and canon.  fib._powers carries a near cluster's pair
 # from its neighbour's instead, so the count is an upper bound.  The digit budgets
 # pass far clusters with short values, such as 200 shifts 2,000 apart near 2*10^6.
 # Calibrated on timed cases (CHANGES.md): `check "n*F(n-10000000) + 1/2"` costs 1.

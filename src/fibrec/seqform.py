@@ -38,11 +38,9 @@ additions from the recurrence that the paper's (E^2-E-1)^(D+1)*(E-1)*(E+1) gives
 over what its seeds leave of the denominator.  ``CanonForm.values`` runs it on
 ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no window:
 each cluster adds a*F(k+1) + b*F(k) at its reflected index k >= 0, an element of
-Z[phi] times phi^k, and clusters near enough to each other are carried onto the
-lowest of them by one product with a short power of phi, so that they share one
-read (``_phi_read``): a group costs one doubling of half its lowest index and one
-product, by the trace and norm of a power of phi.  ``_surely_longer`` moves
-clusters by the same product, and ``_powers`` a near cluster's phi^-J or seed.
+Z[phi] times phi^k, and ``fib._phi_sum`` carries near ones onto one read.  That
+arithmetic of Z[phi] is all in ``fib``: ``_surely_longer`` moves clusters by its
+product, and ``_powers`` gives each cluster's phi^-J or seed.
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -65,7 +63,7 @@ from itertools import chain, cycle, islice, repeat, zip_longest
 
 from ._value import Value
 from .exact import Poly
-from .fib import fib_pair, shift_coeffs
+from .fib import _phi_sum, _powers, _reflected, _times, fib_pair, shift_coeffs
 
 # The offsets j - J at which F(J-j+1) and F(J-j) are both below 2**30 in
 # magnitude, so that each fits in one int digit: a cluster's terms lie here.
@@ -277,81 +275,11 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all
             J, r0, r1, _, _ = sized[i]
             m, p, q = _reflected(n - J - 1, r0(n), r1(n))
             if m != at[top]:  # so a lone cluster computes no Fibonacci number
-                p, q = _times((p, q), _phi_power(m - at[top]))
+                p, q = _times((p, q), fib_pair(m - at[top]))
             a, b = a + p, b + q
         return _pair_low(a, b, at[top]) > bar
 
     return bool(sized) and every(map(longer_at, indices))
-
-
-def _reflected(k: int, a: int, b: int) -> tuple[int, int, int]:
-    """(m, p, q) with m >= 0 and p*F(m+1) + q*F(m) = a*F(k+1) + b*F(k): k itself,
-    or m = -k-1 for k < 0, where F(-m) = (-1)^(m+1)*F(m) makes it (-1)^m*(b, -a)."""
-    if k >= 0:
-        return k, a, b
-    m = -k - 1
-    return (m, -b, a) if m % 2 else (m, b, -a)
-
-
-def _times(x: tuple, y: tuple) -> tuple:
-    """The product of x = (a, b) and y = (c, d), read as a*phi + b and c*phi + d
-    in Z[phi], where phi^2 = phi + 1."""
-    (a, b), (c, d) = x, y
-    ac = a * c
-    return ac + a * d + b * c, ac + b * d
-
-
-def _phi_power(g: int, one=1) -> tuple:
-    """phi^g = F(g)*phi + F(g-1), for any integer g, as (F(g), F(g-1)) in the type of `one`."""
-    return fib_pair(g - 1, one)[::-1]
-
-
-def _phi_read(m: int, a: int, b: int) -> int:
-    """a*F(m+1) + b*F(m) for m >= 0, the phi coefficient of (a*phi + b)*phi^m,
-    by one doubling of half of m and one product of half-size ints.  An odd m
-    first folds one phi into the pair: (a*phi + b)*phi = (a + b)*phi + a.  For
-    m = 2k, phi^k has trace L(k) = 2F(k+1) - F(k) and norm (-1)^k, so by
-    Cayley-Hamilton phi^(2k) = L(k)*phi^k - (-1)^k, and the value is
-    L(k)*(a*F(k+1) + b*F(k)) - (-1)^k*a."""
-    if m % 2:
-        a, b, m = a + b, a, m - 1
-    k = m // 2
-    f_k, f_k1 = fib_pair(k)
-    return (2 * f_k1 - f_k) * (a * f_k1 + b * f_k) + (a if k % 2 else -a)
-
-
-def _phi_sum(parts: list) -> int:
-    """The sum of p*F(m+1) + q*F(m), the phi coefficient of (p*phi + q)*phi^m,
-    over the (m, p, q), each m >= 0, where p = q = 0 costs nothing.  Walking
-    down from the highest m, the pair summed so far is carried onto the next
-    lower index m' when 4*(m - m') <= m', by one product with phi^(m-m'): a
-    doubling of m - m' and products by F(m - m') then cost less than a doubling
-    of m.  Each group so carried is read at its lowest index by ``_phi_read``:
-    one doubling of half that index and one product."""
-    ordered = sorted((part for part in parts if part[1] or part[2]), reverse=True)
-    ordered.append((-1, 0, 0))  # which reads the last group
-    total, (top, a, b) = 0, ordered[0]
-    for m, p, q in ordered[1:]:
-        if 4 * (top - m) <= m:
-            a, b = _times((a, b), _phi_power(top - m))
-        else:
-            total, a, b = total + _phi_read(top, a, b), 0, 0
-        top, a, b = m, a + p, b + q
-    return total
-
-
-# _powers carries phi^k, as long as itself, where _phi_sum carries a sum as long as its
-# span: so its factor 4 is too loose here, and 16 is timed in CHANGES.md.
-_CARRY = 16
-
-
-def _powers(ks: list, one=1) -> list:
-    """``_phi_power`` of each k of ks: times phi^g from the one before when _CARRY*|g| <= |k|."""
-    powers = [(0 * one, one)]  # phi^0, from which only k = 0 is carried
-    for k0, k in zip([0, *ks], ks):
-        near = _CARRY * abs(k - k0) <= abs(k)
-        powers.append(_times(powers[-1], _phi_power(k - k0, one)) if near else _phi_power(k, one))
-    return powers[1:]
 
 
 def _pair_low(a: int, b: int, k: int) -> float:

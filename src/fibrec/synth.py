@@ -54,7 +54,7 @@ builds it once per process over all of its rows 0..2p+1, and a system
 takes the entries in its rows.  That memo holds the columns that solves
 asked for: at most (P+1)(P+4) int pairs, P the highest power asked for,
 which a balanced template of degree P holds in its own system anyway.  A
-column reads its two Fibonacci numbers from one ``fib_pair``.
+column reads its Fibonacci and Lucas numbers off one ``fib_pair``.
 
 With the values' common denominator cleared, the system is solved in
 integers by fraction-free forward elimination (Bareiss 1968) and
@@ -107,7 +107,7 @@ from types import MappingProxyType
 
 from ._value import Value
 from .exact import Poly
-from .fib import fib, fib_pair
+from .fib import _times, _trace, fib, fib_pair
 from .seqform import FibExpr, ShiftTerm, _levels
 
 # det has about 0.29*k^2 bits: k = 302 took 5 s, 402 took 17 s, 2,002 ran out of memory
@@ -317,8 +317,8 @@ def _column(part: int, p: int) -> tuple[tuple[int, int], ...]:
     the entry is 0 unless j <= p <= 2j + 1.  A column depends on (part, p)
     alone, so each is built once per process.
     """
-    f0, f1 = fib_pair(p - part)  # F(q), F(q+1) at q = p - part
-    l0, l1 = 2 * f1 - f0, 2 * f0 + f1  # L(q), L(q+1), by L(m) = F(m-1) + F(m+1)
+    power = fib_pair(p - part)  # phi^q, q = p - part, and phi^(q+1) give F and L at q and q+1
+    (f0, l0), (f1, l1) = ((x[0], _trace(x)) for x in (power, _times(power, (1, 0))))
     # d = 2j - p has the parity of p: X_d is one sequence all down the column
     # and X_(d+1) the other, and 5^((d+1)//2) is 5^(d//2) times 5 for odd d.
     # 5^(d//2) is 1 at j = ceil(p/2) and grows by 5 per j.

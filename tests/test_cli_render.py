@@ -5,6 +5,7 @@ Each printed window is checked against ``CanonForm.values`` written with
 conversion is checked against ``Decimal(int)``.
 """
 
+import importlib
 import itertools
 import json
 import random
@@ -16,7 +17,6 @@ import pytest
 from conftest import rand_expr, rand_int_expr, ref_at
 
 import fibrec.cli as cli
-import fibrec.seqform as seqform
 from fibrec import fib, format_expr, parse
 from fibrec.parser import _power
 
@@ -190,14 +190,15 @@ def test_an_operand_past_max_digits_is_never_converted(capsys, max_digits_1000, 
 def test_carried_seeds_step_as_decimals(monkeypatch, conversions):
     # 1,200 clusters 88 apart, read at 10^5: every seed but the nearest is carried
     # from its neighbour's by a product with phi^-88, all Decimals, none converted
-    asked, fib_pair = [], seqform.fib_pair
+    kernel = importlib.import_module("fibrec.fib")
+    asked, fib_pair = [], kernel.fib_pair
     spy = lambda k, one=1: asked.append((k, type(one))) or fib_pair(k, one)
-    monkeypatch.setattr(seqform, "fib_pair", spy)
+    monkeypatch.setattr(kernel, "fib_pair", spy)
     e = parse(" + ".join(f"F(n-{88 * i})" for i in range(1200)))
     with localcontext(cli._EXACT):
         got = list(cli._rendered(e, 100_000, 100_010))
     assert conversions == [] and {one for _, one in asked} == {Decimal}
-    assert len(asked) == 1200 and sum(k == -89 for k, _ in asked) > 1000
+    assert len(asked) == 1200 and sum(k == -88 for k, _ in asked) > 1000
     # the values pass the int-to-str limit: compared as Decimals, which read ints whole
     ints = [(n, Decimal(v.numerator)) for n, v in e.canon().values(100_000, 100_010)]
     assert [(n, Decimal(text)) for n, text in got] == ints

@@ -7,7 +7,7 @@ from binet_oracle import ALPHA, BETA, QuadRat, root_pow
 
 import fibrec.cli as cli
 from fibrec import fib, shift_coeffs
-from fibrec.fib import fib_pair
+from fibrec.fib import _CARRY, _powers, _times, _trace, fib_pair
 
 
 def naive_fib_table(lo: int, hi: int) -> dict[int, int]:
@@ -36,8 +36,8 @@ def test_fib_matches_naive_recurrence():
 
 def test_fib_pair_matches_naive_recurrence():
     table = naive_fib_table(-300, 301)
-    for n in range(-300, 301):
-        assert fib_pair(n) == (table[n], table[n + 1])
+    for n in range(-299, 302):
+        assert fib_pair(n) == (table[n], table[n - 1])
 
 
 def _bit_boundary_indices():
@@ -50,17 +50,58 @@ def _bit_boundary_indices():
         yield from (alternating, -alternating, alternating >> 1, -(alternating >> 1))
 
 
+# both sides of 0 and of 10^5, where the doubling loop runs 17 bits
+_FAR = [sign * (10**5 + i) for sign in (1, -1) for i in range(4)]
+
+
 def test_fib_pair_matches_alpha_powers():
-    # alpha^n = (L(n) + F(n)*sqrt(5))/2, by square-and-multiply, not fast doubling
-    for n in {-4097, -1001, -1000, 1000, 1001, 4097, *_bit_boundary_indices()}:
-        assert fib_pair(n) == (2 * root_pow(ALPHA, n).s, 2 * root_pow(ALPHA, n + 1).s), n
+    # alpha^n = (L(n) + F(n)*sqrt(5))/2, by square-and-multiply, not fast doubling;
+    # the pair (a, b) of phi^n is a*alpha + b
+    for n in {-4097, -1001, -1000, 1000, 1001, 4097, *_FAR, *_bit_boundary_indices()}:
+        (a, b), power = fib_pair(n), root_pow(ALPHA, n)
+        assert (a, b) == (2 * power.s, 2 * root_pow(ALPHA, n - 1).s), n
+        assert a * ALPHA + b == power, n
 
 
 def test_fib_pair_cassini_at_far_indices():
     for n in (-200_000, -199_999, 199_999, 200_000):
-        prev, now = fib_pair(n - 1)
-        assert fib_pair(n)[0] == now
-        assert prev * fib_pair(n)[1] - now * now == (-1) ** (n % 2), n
+        now, prev = fib_pair(n)
+        assert fib_pair(n + 1)[1] == now
+        assert prev * fib_pair(n + 1)[0] - now * now == (-1) ** (n % 2), n
+
+
+def test_powers_are_alpha_powers_in_ints_and_decimals():
+    # 1 apart near +-10^5 are carried, the jumps across 0 and near it doubled
+    ks = [-7, -1, 0, 3, 40, 41, 2000, 2100, *_FAR, 4097, 4096, -4097]
+    assert {_CARRY * abs(k - k0) <= abs(k) for k0, k in zip([0, *ks], ks)} == {True, False}
+    expected = [root_pow(ALPHA, k) for k in ks]
+    for k, (a, b), power in zip(ks, _powers(ks), expected):
+        assert a * ALPHA + b == power, k
+    with localcontext(cli._EXACT) as exact:
+        decimals = _powers(ks, Decimal(1))
+        assert not (exact.flags[Inexact] or exact.flags[Rounded])
+    for k, pair, power in zip(ks, decimals, expected):
+        assert {type(x) for x in pair} == {Decimal}, k
+        a, b = map(int, pair)
+        assert a * ALPHA + b == power, k
+
+
+def test_times_is_the_product_in_q_sqrt5():
+    rng = random.Random(4801)
+    signed = lambda bits: rng.choice((-1, 1)) * rng.getrandbits(bits)
+    pairs = [(0, 0), (1, 0), (0, 1), (1, -1), fib_pair(10**5), fib_pair(-(10**5 + 3))]
+    pairs += [(signed(bits), signed(bits)) for bits in (3, 30, 300, 3000) for _ in range(4)]
+    for x in pairs:
+        for y in pairs:
+            c, d = _times(x, y)
+            assert c * ALPHA + d == (x[0] * ALPHA + x[1]) * (y[0] * ALPHA + y[1]), (x, y)
+    assert _times(fib_pair(10**5), fib_pair(-(10**5 + 3))) == fib_pair(-3)
+
+
+def test_trace_of_phi_n_is_the_lucas_number():
+    # alpha^n + beta^n = L(n) is twice the rational part of alpha^n
+    for n in {*range(-300, 301), *_FAR, *_bit_boundary_indices()}:
+        assert _trace(fib_pair(n)) == 2 * root_pow(ALPHA, n).r, n
 
 
 def test_fib_pair_doubles_exactly_in_decimals():

@@ -12,7 +12,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
-from binet_oracle import QuadRat, binet, conj_poly, degree, fib_part_at
+from binet_oracle import ALPHA, QuadRat, binet, conj_poly, degree, fib_part_at, root_pow
 from conftest import (
     A010049,
     DENOMS,
@@ -39,8 +39,8 @@ from fibrec import (
     shift_coeffs,
     to_recurrence,
 )
-from fibrec.fib import fib_pair
-from fibrec.seqform import ShiftTerm, _near, _numerators, _phi_read, _runs
+from fibrec.fib import _phi_read
+from fibrec.seqform import ShiftTerm, _near, _numerators, _runs
 
 
 def test_evaluate_examples():
@@ -539,12 +539,13 @@ def test_runs_keep_offsets_short_and_make_no_more_clusters_than_the_rule_they_re
 def test_canon_reads_one_fibonacci_pair_per_run(monkeypatch):
     # runs {-43, 30, 44}, {100} and {1000, 1060}; the old rule made four clusters
     text = "F(n+43) - n*F(n-44) + (n^2+1)/3*F(n-30) - F(n-100) + n*F(n-1000) - F(n-1060)"
-    seqform = importlib.import_module("fibrec.seqform")
-    fib_pair, asked = seqform.fib_pair, []
-    monkeypatch.setattr(seqform, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
+    kernel = importlib.import_module("fibrec.fib")
+    fib_pair, asked = kernel.fib_pair, []
     e = parse(text)
+    e._scaled  # its shift coefficients read fib, which reads fib_pair too
+    monkeypatch.setattr(kernel, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
     form = e.canon()
-    assert asked == [-1, -101, -1031]
+    assert asked == [0, -100, -1030]
     assert len(set(_bases_before(e.terms))) == 4
     assert _run_bases(e) == [0, 100, 1030]
     assert (form.p0, form.p1) == _shift_order_sums(e)
@@ -606,7 +607,8 @@ def test_a_run_that_cancels_costs_its_form_no_long_doubling(monkeypatch):
         assert abs(k) <= 10**6, f"fib_pair({k}) was called"
         return fib_pair(k, one)
 
-    monkeypatch.setattr(importlib.import_module("fibrec.seqform"), "fib_pair", guarded)
+    for module in ("fibrec.fib", "fibrec.seqform"):
+        monkeypatch.setattr(importlib.import_module(module), "fib_pair", guarded)
     e = parse("n^3*F(n-3000000) - n^3*F(n-3000001) - n^3*F(n-3000002) + F(n)")
     assert e.canon() == parse("F(n)").canon()
 
@@ -801,8 +803,8 @@ def test_a_window_sums_1200_clusters_side_by_side():
 def _power_reads(ks: list[int]) -> list[int]:
     """The fib_pair indices that the carry rule reads for phi^k, k in ks in order:
     phi^g, g = k - k' for the k' before (0 before the first), when 16*|g| <= |k|,
-    else phi^k itself, where phi^g = (F(g), F(g-1)) is read off fib_pair(g - 1)."""
-    return [(k - k0 if 16 * abs(k - k0) <= abs(k) else k) - 1 for k0, k in zip([0, *ks], ks)]
+    else phi^k itself, where phi^g = (F(g), F(g-1)) is fib_pair(g)."""
+    return [k - k0 if 16 * abs(k - k0) <= abs(k) else k for k0, k in zip([0, *ks], ks)]
 
 
 _CARRIED_CASES = [
@@ -818,11 +820,11 @@ _CARRIED_CASES = [
 
 @pytest.mark.parametrize("shifts, lo", _CARRIED_CASES)
 def test_canon_and_windows_carry_powers_by_the_gap_rule(monkeypatch, shifts, lo):
-    seqform = importlib.import_module("fibrec.seqform")
-    fib_pair, asked = seqform.fib_pair, []
-    monkeypatch.setattr(seqform, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
+    kernel = importlib.import_module("fibrec.fib")
+    fib_pair, asked = kernel.fib_pair, []
     e = parse(" + ".join(f"F(n-{j})" for j in shifts))
     bases = [base for base, _, _ in e._scaled[1]]
+    monkeypatch.setattr(kernel, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
     assert bases == sorted(shifts)
     form = e.canon()
     to_recurrence(e)  # its initial values read the int window at lo = 0
@@ -841,7 +843,7 @@ def test_the_carry_cases_cover_both_sides_of_the_rule():
     for shifts, lo in _CARRIED_CASES:
         for ks in ([-j for j in sorted(shifts)], [lo - j for j in sorted(shifts)]):
             reads = _power_reads(ks)
-            sides |= {read == k - 1 for read, k in zip(reads[1:], ks[1:])}
+            sides |= {read == k for read, k in zip(reads[1:], ks[1:])}
     assert sides == {True, False}
 
 
@@ -945,13 +947,10 @@ def _fold_reads(e: FibExpr, n: int) -> list[int]:
     group's lowest index m, which ``_phi_read`` doubles to read the group."""
     ms = sorted((_reflected_index(n, base) for base, r0, r1 in e._scaled[1]
                  if r0(n) or r1(n)), reverse=True) + [-1]
-    return [top - m - 1 if 4 * (top - m) <= m else top // 2 for top, m in zip(ms, ms[1:])]
+    return [top - m if 4 * (top - m) <= m else top // 2 for top, m in zip(ms, ms[1:])]
 
 
 def test_at_folds_runs_by_the_gap_rule_and_matches_the_reference(monkeypatch):
-    seqform = importlib.import_module("fibrec.seqform")
-    fib_pair, asked = seqform.fib_pair, []
-    monkeypatch.setattr(seqform, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
     rng = random.Random(3602)
     cases = list(_fold_exprs(rng, 40))
     for j in (1, 2, 44, 45, 1000, 20_000):  # F(n-J) + F(n+J) and F(n-J) - F(n+J)
@@ -961,11 +960,17 @@ def test_at_folds_runs_by_the_gap_rule_and_matches_the_reference(monkeypatch):
     for text, _ in _FAR_CASES:
         cases += [(parse(text), n)
                   for n in (-123_457, -20_000, -45, -1, 0, 1, 44, 19_999, 200_000)]
+    for e, _ in cases:
+        e._scaled  # its shift coefficients read fib, which reads fib_pair too
+    kernel = importlib.import_module("fibrec.fib")
+    fib_pair, asked = kernel.fib_pair, []
+    monkeypatch.setattr(kernel, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
     carried = apart = 0
     for e, n in cases:
         asked.clear()
-        assert e.at(n) == ref_at(e, n), (format_expr(e), n)
-        assert asked == _fold_reads(e, n), (format_expr(e), n)
+        got = e.at(n)
+        assert asked == _fold_reads(e, n), (format_expr(e), n)  # before ref_at's fib reads
+        assert got == ref_at(e, n), (format_expr(e), n)
         ms = sorted(_reflected_index(n, base) for base, _, _ in e._scaled[1])
         carried += any(4 * (b - a) <= a for a, b in zip(ms, ms[1:]))
         apart += any(4 * (b - a) > a for a, b in zip(ms, ms[1:]))
@@ -978,11 +983,12 @@ def test_phi_read_is_a_times_f_m_plus_1_plus_b_times_f_m():
     assert {m % 4 for m in ms[301:]} == {0, 1, 2, 3}  # both parities of m and of k = m//2
     signed = lambda bits: rng.choice((-1, 1)) * rng.getrandbits(bits)
     for m in ms:
-        f_m, f_m1 = fib_pair(m)
+        power = root_pow(ALPHA, m)  # phi^m in Q(sqrt(5)), by square-and-multiply
         pairs = [(0, 0), (1, -1), (signed(2000), 0), (0, signed(2000)),
                  (signed(2000), signed(2000)), (signed(rng.randint(1, 2000)), signed(30))]
         for a, b in pairs:
-            assert _phi_read(m, a, b) == a * f_m1 + b * f_m, (m, a, b)
+            # a*F(m+1) + b*F(m) is the phi coefficient of (a*phi + b)*phi^m: twice its sqrt(5) part
+            assert _phi_read(m, a, b) == 2 * ((a * ALPHA + b) * power).s, (m, a, b)
 
 
 @pytest.mark.parametrize("text", [
