@@ -23,13 +23,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-@lru_cache(maxsize=4, typed=True)  # typed: Decimal(1) == 1, and the two hash alike
 def fib_pair(n: int, one=1) -> tuple:
     """phi^n = F(n)*phi + F(n-1) as (F(n), F(n-1)), for any integer n, in the
     type of `one`: the one fast-doubling loop.  A negative n doubles m = 1-n,
     whose (F(m-1), F(m)) = (F(-n), F(1-n)) gives it by F(-k) = (-1)^(k+1)*F(k).
-    A Decimal `one` needs an exact context.
-    The last four are kept: ``canon`` and an int window at lo = 0 ask for the same."""
+    A Decimal `one` needs an exact context."""
     m = n if n >= 0 else 1 - n
     a, b, sign = one, one - one, 2  # (F(k-1), F(k)) and 2*(-1)^k, from k = 0
     for bit in bin(m)[2:]:
@@ -116,11 +114,13 @@ def _phi_sum(parts: list) -> int:
 _CARRY = 16
 
 
-def _powers(ks: list, one=1) -> list:
+@lru_cache(maxsize=1, typed=True)  # typed: Decimal(1) == 1, and the two hash alike
+def _powers(ks: tuple, one=1) -> tuple:
     """phi^k (``fib_pair``) for each k of ks, in the type of `one`: times phi^g
-    from the one before when _CARRY*|g| <= |k|."""
+    from the one before when _CARRY*|g| <= |k|.  ``canon`` and an int window at
+    lo = 0 share its last answer, a tuple: each passes ks and `one` by position."""
     powers = [(0 * one, one)]  # phi^0, from which only k = 0 is carried
     for k0, k in zip([0, *ks], ks):
         near = _CARRY * abs(k - k0) <= abs(k)
         powers.append(_times(powers[-1], fib_pair(k - k0, one)) if near else fib_pair(k, one))
-    return powers[1:]
+    return tuple(powers[1:])

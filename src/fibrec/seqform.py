@@ -56,6 +56,7 @@ clusters before any long Fibonacci number is computed.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -96,14 +97,17 @@ class FibExpr(Value):
         """Build a normalized expression from (shift, poly) pairs.
 
         Polynomials may be given as Poly instances, coefficient sequences in
-        ascending degree, or bare scalars; duplicate shifts are merged and
-        zero terms dropped.
+        ascending degree, or bare scalars, each coefficient an int or a Fraction;
+        a shift must be an integer (``operator.index``).  Duplicate shifts are
+        merged and zero terms dropped.
         """
         acc: dict[int, Poly] = {}
         for shift, p in terms:
             if not isinstance(p, Poly):
                 p = Poly(tuple(p)) if isinstance(p, (list, tuple)) else Poly((p,))
-            shift = int(shift)
+            if bad := [c for c in p.coeffs if not isinstance(c, (int, Fraction))]:
+                raise TypeError(f"a coefficient must be an int or a Fraction, not {bad[0]!r}")
+            shift = operator.index(shift)
             acc[shift] = acc[shift] + p if shift in acc else p
         kept = tuple(ShiftTerm(s, q) for s, q in sorted(acc.items()) if q)
         return FibExpr(kept, Fraction(const), Fraction(alt))
@@ -178,7 +182,7 @@ class FibExpr(Value):
         (``_powers``), and every coefficient is a Fraction over L."""
         den, clusters, _, _ = self._scaled
         sums = []
-        for (_, r0, r1), power in zip(clusters, _powers([-base for base, _, _ in clusters])):
+        for (_, r0, r1), power in zip(clusters, _powers(tuple(-J for J, _, _ in clusters), 1)):
             parts = map(_times, zip_longest(r0.coeffs, r1.coeffs, fillvalue=0), repeat(power))
             sums = [(a + c, b + d)
                     for (a, b), (c, d) in zip_longest(sums, parts, fillvalue=(0, 0))]
@@ -311,12 +315,7 @@ class CanonForm(Value):
     @property
     def fib_degree(self) -> int | None:
         """max(deg P0, deg P1), or None when the Fibonacci part vanishes."""
-        d0, d1 = self.p0.degree, self.p1.degree
-        if d0 is None:
-            return d1
-        if d1 is None:
-            return d0
-        return max(d0, d1)
+        return max((d for d in (self.p0.degree, self.p1.degree) if d is not None), default=None)
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -376,7 +375,7 @@ def _numerators(scaled: tuple, lo: int, hi: int, one=1) -> Iterator[tuple]:
     head = range(lo, lo + min(count, 2 * k + 2))
     # x + f*(-1)^n at n = lo, lo + 1, or at lo + 2k + 2, where any value after the head is
     pair = lambda x: (x - f, x + f) if lo % 2 else (x + f, x - f)
-    seeds = _powers([lo - base for base, _, _ in clusters], one)
+    seeds = _powers(tuple(lo - base for base, _, _ in clusters), one)
     readers = [_stepped(r0, r1, seed, head) for (_, r0, r1), seed in zip(clusters, seeds)]
     # summed side by side: a generator wrapped around each cluster's would resume
     # one frame per cluster for each value, past the recursion limit at ~1,000

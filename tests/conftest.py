@@ -5,9 +5,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from fibrec import FAMILY_TEMPLATES, FibExpr, Poly, fib, solve_template, theorem_solution
+from fibrec.fib import _powers
 
 F = Fraction
+
+
+@pytest.fixture(autouse=True)
+def cold_powers():
+    """Empty ``fib._powers``' memo of its last answer before each test, as in a
+    fresh process, so that a spy on ``fib_pair`` sees every power asked for."""
+    _powers.cache_clear()
 
 
 def ref_at(expr: FibExpr, n: int) -> Fraction:

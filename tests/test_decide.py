@@ -192,22 +192,13 @@ def test_a_verdict_at_its_witness_raises_no_characteristic_polynomial(monkeypatc
 
 
 def test_a_far_verdict_doubles_once(monkeypatch):
-    # canon's phi^-J and the window's seed at n = 0 ask fib_pair for one pair
+    # canon's phi^-J and the window's seed at n = 0 are one answer of _powers
     kernel = importlib.import_module("fibrec.fib")
-    fib_pair, missed = kernel.fib_pair, []
-
-    def spy(*args):
-        before = fib_pair.cache_info().misses
-        out = fib_pair(*args)
-        if fib_pair.cache_info().misses > before:
-            missed.append(args[0])
-        return out
-
-    fib_pair.cache_clear()
-    monkeypatch.setattr(kernel, "fib_pair", spy)
+    fib_pair, asked = kernel.fib_pair, []
+    monkeypatch.setattr(kernel, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
     verdict = is_integer_sequence(parse("n*F(n-100000) + 1/2"))
     assert verdict == NonIntegral(0, F(1, 2))
-    assert missed.count(-100000) == 1
+    assert asked.count(-100000) == 1
 
 
 def _reference_recurrence(text: str):

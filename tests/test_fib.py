@@ -75,10 +75,12 @@ def test_powers_are_alpha_powers_in_ints_and_decimals():
     ks = [-7, -1, 0, 3, 40, 41, 2000, 2100, *_FAR, 4097, 4096, -4097]
     assert {_CARRY * abs(k - k0) <= abs(k) for k0, k in zip([0, *ks], ks)} == {True, False}
     expected = [root_pow(ALPHA, k) for k in ks]
-    for k, (a, b), power in zip(ks, _powers(ks), expected):
+    ints = _powers(tuple(ks))
+    assert type(ints) is tuple and len(ints) == len(ks)
+    for k, (a, b), power in zip(ks, ints, expected):
         assert a * ALPHA + b == power, k
-    with localcontext(cli._EXACT) as exact:
-        decimals = _powers(ks, Decimal(1))
+    with localcontext(cli._EXACT) as exact:  # the same ks, so typed=True keeps them apart
+        decimals = _powers(tuple(ks), Decimal(1))
         assert not (exact.flags[Inexact] or exact.flags[Rounded])
     for k, pair, power in zip(ks, decimals, expected):
         assert {type(x) for x in pair} == {Decimal}, k

@@ -64,6 +64,20 @@ def test_normalization_merges_and_drops():
     assert cancel == FibExpr()
 
 
+def test_of_refuses_a_shift_or_coefficient_it_would_change():
+    # int(shift) would read 1.9 and 3/2 as F(n-1), and at and canon fail on a float coefficient
+    for shift in (1.9, F(3, 2), F(1), 1.0, "1"):
+        with pytest.raises(TypeError):
+            FibExpr.of([(shift, [1])])
+    for poly in ([0.5], 0.5, [1, Decimal(2)], Poly((1, 0.5)), [F(1, 2), 1.0, 3]):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            FibExpr.of([(0, poly)])
+    # an integer shift of any index type, and int or Fraction coefficients however given
+    e = FibExpr.of([(True, [2, F(1, 3)]), (-1, Poly((F(-1, 2),))), (0, 7)])
+    assert e == FibExpr.of([(1, Poly((2, F(1, 3)))), (-1, [F(-1, 2)]), (0, [7])])
+    assert e.at(3) == ref_at(e, 3) == 3 * 1 - F(1, 2) * 3 + 7 * 2
+
+
 def test_canonicalize_examples():
     c = FibExpr.of([(2, [1])]).canon()
     assert c == CanonForm(Poly((1,)), Poly((-1,)), F(0), F(0))
@@ -827,8 +841,8 @@ def test_canon_and_windows_carry_powers_by_the_gap_rule(monkeypatch, shifts, lo)
     monkeypatch.setattr(kernel, "fib_pair", lambda k, one=1: asked.append(k) or fib_pair(k, one))
     assert bases == sorted(shifts)
     form = e.canon()
-    to_recurrence(e)  # its initial values read the int window at lo = 0
-    assert asked == 2 * _power_reads([-base for base in bases])
+    to_recurrence(e)  # its initial values read the int window at lo = 0, canon's powers
+    assert asked == _power_reads([-base for base in bases])
     asked.clear()
     window = list(form.values(lo, lo + 1))
     assert asked == _power_reads([lo - base for base in bases])
