@@ -25,9 +25,10 @@ class Poly(Value):
 
     def __init__(self, coeffs: tuple = ()) -> None:
         c = tuple(coeffs)
-        while c and not c[-1]:
-            c = c[:-1]
-        self.__dict__["coeffs"] = c
+        end = len(c)
+        while end and not c[end - 1]:  # one slice: stripping one zero at a time is quadratic
+            end -= 1
+        self.__dict__["coeffs"] = c[:end]
 
     @property
     def degree(self) -> int | None:

@@ -3,7 +3,7 @@
 A pair (a, b) is a*phi + b, phi^2 = phi + 1, and ``fib_pair(n)`` is phi^n =
 F(n)*phi + F(n-1), so a*F(m+1) + b*F(m) is the phi coefficient of
 (a*phi + b)*phi^m.  ``_times`` multiplies pairs, ``_trace`` reads a Lucas number
-off one, and ``_powers``, ``_phi_read`` and ``_phi_sum`` carry and read them.
+off one, ``_powers`` carries them, and ``_phi_sum`` reads one value off a sum.
 ``fib`` and ``shift_coeffs`` return ints, which callers scale by ``Poly``
 coefficients (``int`` or ``Fraction``), so the library never leaves the
 rationals.  ``fib_pair`` and ``_powers`` work in the type of their ``one``: the
@@ -75,36 +75,31 @@ def _reflected(k: int, a: int, b: int) -> tuple[int, int, int]:
     return (m, -b, a) if m % 2 else (m, b, -a)
 
 
-def _phi_read(m: int, a: int, b: int) -> int:
-    """a*F(m+1) + b*F(m) for m >= 0, the phi coefficient of (a*phi + b)*phi^m,
-    by one doubling of half of m and one product of half-size ints.  An odd m
-    first folds one phi into the pair: (a*phi + b)*phi = (a + b)*phi + a.  For
-    m = 2k, phi^k has trace L(k) (``_trace``) and norm (-1)^k, so by
-    Cayley-Hamilton phi^(2k) = L(k)*phi^k - (-1)^k, and the value is
-    L(k)*(a*F(k+1) + b*F(k)) - (-1)^k*a."""
-    if m % 2:
-        a, b, m = a + b, a, m - 1
-    k = m // 2
-    f_k, f_down = power = fib_pair(k)  # F(k), F(k-1)
-    return _trace(power) * ((a + b) * f_k + a * f_down) + (a if k % 2 else -a)
-
-
 def _phi_sum(parts: list) -> int:
-    """The sum of p*F(m+1) + q*F(m), the phi coefficient of (p*phi + q)*phi^m,
-    over the (m, p, q), each m >= 0, where p = q = 0 costs nothing.  Walking
-    down from the highest m, the pair summed so far is carried onto the next
-    lower index m' when 4*(m - m') <= m', by one product with phi^(m-m'): a
-    doubling of m - m' and products by F(m - m') then cost less than a doubling
-    of m.  Each group so carried is read at its lowest index by ``_phi_read``:
-    one doubling of half that index and one product."""
-    ordered = sorted((part for part in parts if part[1] or part[2]), reverse=True)
+    """The one reader of a single value: the sum of a*F(k+1) + b*F(k) over the
+    (k, a, b), k any integer, where a = b = 0 costs nothing.  Each part moves to
+    an index m >= 0 (``_reflected``).  Walking down from the highest m, the pair
+    summed so far is carried onto the next lower index m' when 4*(m - m') <= m',
+    by one product with phi^(m-m'): a doubling of m - m' and products by
+    F(m - m') then cost less than a doubling of m.  Each group so carried is read
+    at its lowest index m by one doubling of half of m and one product of
+    half-size ints.  An odd m first folds one phi into the pair: (a*phi + b)*phi
+    = (a + b)*phi + a.  For m = 2k, phi^k has trace L(k) (``_trace``) and norm
+    (-1)^k, so by Cayley-Hamilton phi^(2k) = L(k)*phi^k - (-1)^k, and the group
+    adds L(k)*(a*F(k+1) + b*F(k)) - (-1)^k*a."""
+    ordered = sorted((_reflected(*part) for part in parts if part[1] or part[2]), reverse=True)
     ordered.append((-1, 0, 0))  # which reads the last group
     total, (top, a, b) = 0, ordered[0]
     for m, p, q in ordered[1:]:
         if 4 * (top - m) <= m:
             a, b = _times((a, b), fib_pair(top - m))
         else:
-            total, a, b = total + _phi_read(top, a, b), 0, 0
+            if top % 2:
+                a, b, top = a + b, a, top - 1
+            k = top // 2
+            f_k, f_down = power = fib_pair(k)  # F(k), F(k-1)
+            total += _trace(power) * ((a + b) * f_k + a * f_down) + (a if k % 2 else -a)
+            a = b = 0
         top, a, b = m, a + p, b + q
     return total
 

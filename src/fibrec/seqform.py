@@ -37,8 +37,8 @@ reads each nonzero R0 and R1 by one Horner pass per index, and the rest follow b
 additions from the recurrence that the paper's (E^2-E-1)^(D+1)*(E-1)*(E+1) gives,
 over what its seeds leave of the denominator.  ``CanonForm.values`` runs it on
 ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no window:
-each cluster adds a*F(k+1) + b*F(k) at its reflected index k >= 0, an element of
-Z[phi] times phi^k, and ``fib._phi_sum`` carries near ones onto one read.  That
+each cluster adds a*F(k+1) + b*F(k), an element of Z[phi] times phi^k, and
+``fib._phi_sum`` reflects each k < 0 and carries near ones onto one read.  That
 arithmetic of Z[phi] is all in ``fib``: ``_surely_longer`` moves clusters by its
 product, and ``_powers`` gives each cluster's phi^-J or seed.
 
@@ -97,9 +97,9 @@ class FibExpr(Value):
         """Build a normalized expression from (shift, poly) pairs.
 
         Polynomials may be given as Poly instances, coefficient sequences in
-        ascending degree, or bare scalars, each coefficient an int or a Fraction;
-        a shift must be an integer (``operator.index``).  Duplicate shifts are
-        merged and zero terms dropped.
+        ascending degree, or bare scalars, each coefficient an int or a Fraction,
+        as are const and alt; a shift must be an integer (``operator.index``).
+        Duplicate shifts are merged and zero terms dropped.
         """
         acc: dict[int, Poly] = {}
         for shift, p in terms:
@@ -109,17 +109,18 @@ class FibExpr(Value):
                 raise TypeError(f"a coefficient must be an int or a Fraction, not {bad[0]!r}")
             shift = operator.index(shift)
             acc[shift] = acc[shift] + p if shift in acc else p
+        if bad := [c for c in (const, alt) if not isinstance(c, (int, Fraction))]:
+            raise TypeError(f"a constant must be an int or a Fraction, not {bad[0]!r}")
         kept = tuple(ShiftTerm(s, q) for s, q in sorted(acc.items()) if q)
         return FibExpr(kept, Fraction(const), Fraction(alt))
 
     def at(self, n: int) -> Fraction:
         """Exact value of the sequence at index n (any integer), from the scaled
         clusters alone, without the canonical form or a window: each cluster
-        adds a*F(k+1) + b*F(k), k = n-J-1, read at its reflected index
-        (``_reflected``), and ``_phi_sum`` adds them up, carrying near ones onto
-        one read."""
+        adds a*F(k+1) + b*F(k), k = n-J-1, and ``_phi_sum`` adds them up,
+        carrying near ones onto one read."""
         den, clusters, e, f = self._scaled
-        parts = [_reflected(n - base - 1, r0(n) if r0 else 0, r1(n) if r1 else 0)
+        parts = [(n - base - 1, r0(n) if r0 else 0, r1(n) if r1 else 0)
                  for base, r0, r1 in clusters]
         return Fraction(_phi_sum(parts) + e + (-f if n % 2 else f), den)
 

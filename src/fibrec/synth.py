@@ -413,7 +413,10 @@ def _solve(template: Template,
 
 
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
-    """Unique exact coefficients reproducing w_0..w_{k-1} = values."""
+    """Unique exact coefficients reproducing w_0..w_{k-1} = values, none a float."""
+    values = list(values)
+    if floats := [v for v in values if isinstance(v, float)]:
+        raise TypeError(f"a value must be exact, not the float {floats[0]!r}")
     vals = [v if isinstance(v, int) else Fraction(v) for v in values]
     k = template.unknowns
     if len(vals) != k:

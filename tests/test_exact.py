@@ -15,6 +15,11 @@ def test_normalization_strips_trailing_zeros():
     assert Poly((0, 0)).coeffs == ()
     assert Poly(()) == Poly((0, 0, 0))
     assert Poly([F(0), F(1)]).coeffs == (0, F(1))
+    assert Poly((0, 3, 0, F(0), 0)).coeffs == (0, 3)
+    assert Poly(x for x in (2, 0, 1, 0)).coeffs == (2, 0, 1)
+    # one slice, not one per zero: 10^6 zeros take about 0.1 s, not half an hour
+    assert Poly((1,) + (0,) * 10**6).coeffs == (1,)
+    assert Poly((0,) * 10**6) == Poly(())
 
 
 def test_zero_poly_degree_is_absent():

@@ -8,6 +8,7 @@ Binet split of ``binet_oracle`` (powers of alpha and beta in Q(sqrt(5))).
 import importlib
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -39,7 +40,7 @@ from fibrec import (
     shift_coeffs,
     to_recurrence,
 )
-from fibrec.fib import _phi_read
+from fibrec.fib import _phi_sum
 from fibrec.seqform import ShiftTerm, _near, _numerators, _runs
 
 
@@ -72,10 +73,15 @@ def test_of_refuses_a_shift_or_coefficient_it_would_change():
     for poly in ([0.5], 0.5, [1, Decimal(2)], Poly((1, 0.5)), [F(1, 2), 1.0, 3]):
         with pytest.raises(TypeError, match="int or a Fraction"):
             FibExpr.of([(0, poly)])
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and Fraction(inf) overflows
+    for const in (0.1, float("inf"), float("nan"), Decimal("0.1"), "1/2", 1j):
+        for given in ({"const": const}, {"alt": const}):
+            with pytest.raises(TypeError, match=re.escape(f"int or a Fraction, not {const!r}")):
+                FibExpr.of([(0, [1])], **given)
     # an integer shift of any index type, and int or Fraction coefficients however given
-    e = FibExpr.of([(True, [2, F(1, 3)]), (-1, Poly((F(-1, 2),))), (0, 7)])
-    assert e == FibExpr.of([(1, Poly((2, F(1, 3)))), (-1, [F(-1, 2)]), (0, [7])])
-    assert e.at(3) == ref_at(e, 3) == 3 * 1 - F(1, 2) * 3 + 7 * 2
+    e = FibExpr.of([(True, [2, F(1, 3)]), (-1, Poly((F(-1, 2),))), (0, 7)], True, F(1, 2))
+    assert e == FibExpr.of([(1, Poly((2, F(1, 3)))), (-1, [F(-1, 2)]), (0, [7])], 1, F(1, 2))
+    assert e.at(3) == ref_at(e, 3) == 3 * 1 - F(1, 2) * 3 + 7 * 2 + 1 - F(1, 2)
 
 
 def test_canonicalize_examples():
@@ -958,7 +964,7 @@ def _fold_exprs(rng, count):
 def _fold_reads(e: FibExpr, n: int) -> list[int]:
     """The fib_pair indices that the fold rule reads for e at n: walking down the
     reflected indices, phi^(m-m') when 4*(m - m') <= m', else m // 2 for the
-    group's lowest index m, which ``_phi_read`` doubles to read the group."""
+    group's lowest index m, which ``_phi_sum`` doubles to read the group."""
     ms = sorted((_reflected_index(n, base) for base, r0, r1 in e._scaled[1]
                  if r0(n) or r1(n)), reverse=True) + [-1]
     return [top - m if 4 * (top - m) <= m else top // 2 for top, m in zip(ms, ms[1:])]
@@ -993,8 +999,9 @@ def test_at_folds_runs_by_the_gap_rule_and_matches_the_reference(monkeypatch):
 
 def test_phi_read_is_a_times_f_m_plus_1_plus_b_times_f_m():
     rng = random.Random(3701)
-    ms = list(range(301)) + [rng.randint(0, 200_000) for _ in range(200)]
-    assert {m % 4 for m in ms[301:]} == {0, 1, 2, 3}  # both parities of m and of k = m//2
+    far = [rng.randint(-200_001, 200_000) for _ in range(200)] + [-200_001, 200_000]
+    assert {m % 4 for m in far if m >= 0} == {m % 4 for m in far if m < 0} == {0, 1, 2, 3}
+    ms = list(range(-301, 301)) + far  # a negative m is read at its reflected -m-1
     signed = lambda bits: rng.choice((-1, 1)) * rng.getrandbits(bits)
     for m in ms:
         power = root_pow(ALPHA, m)  # phi^m in Q(sqrt(5)), by square-and-multiply
@@ -1002,7 +1009,7 @@ def test_phi_read_is_a_times_f_m_plus_1_plus_b_times_f_m():
                  (signed(2000), signed(2000)), (signed(rng.randint(1, 2000)), signed(30))]
         for a, b in pairs:
             # a*F(m+1) + b*F(m) is the phi coefficient of (a*phi + b)*phi^m: twice its sqrt(5) part
-            assert _phi_read(m, a, b) == 2 * ((a * ALPHA + b) * power).s, (m, a, b)
+            assert _phi_sum([(m, a, b)]) == 2 * ((a * ALPHA + b) * power).s, (m, a, b)
 
 
 @pytest.mark.parametrize("text", [

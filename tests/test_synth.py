@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -595,6 +596,23 @@ def test_solve_reads_ints_fractions_and_strings_alike():
             assert solutions[0] == solutions[1] == solutions[2]
             assert len({repr(s) for s in solutions}) == 1
             assert all(type(c) is F for s in solutions for c in s.coefficients.values())
+
+
+def test_solve_refuses_a_float_value():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for bad in (0.1, 1.0, float("inf"), float("nan")):
+        for i in range(4):
+            values = [0, 1, 2, 3]
+            values[i] = bad
+            with pytest.raises(TypeError, match="float"):
+                solve_template(Template(1, 1), values)
+            with pytest.raises(TypeError, match="float"):
+                solve_template(Template(1, 1), iter(values))
+    # a Decimal is read exactly, as its text is
+    given = (Decimal("0.1"), "1/10", F(1, 10))
+    solutions = [solve_template(Template(1, 1), [v, 1, 2, 3]) for v in given]
+    assert solutions[0] == solutions[1] == solutions[2]
+    assert solve_template(Template(1, 1), iter([F(1, 10), 1, 2, 3])) == solutions[0]
 
 
 def test_solve_reproduces_linear_example():
