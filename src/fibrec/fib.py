@@ -2,13 +2,24 @@
 
 A pair (a, b) is a*phi + b, phi^2 = phi + 1, and ``fib_pair(n)`` is phi^n =
 F(n)*phi + F(n-1), so a*F(m+1) + b*F(m) is the phi coefficient of
-(a*phi + b)*phi^m.  ``_times`` multiplies pairs, ``_trace`` reads a Lucas number
-off one, ``_powers`` carries them, and ``_phi_sum`` reads one value off a sum.
-``fib`` and ``shift_coeffs`` return ints, which callers scale by ``Poly``
-coefficients (``int`` or ``Fraction``), so the library never leaves the
-rationals.  ``fib_pair`` and ``_powers`` work in the type of their ``one``: the
-CLI passes ``Decimal(1)`` under an exact context, so the numbers it prints are
-never long ints, which CPython turns into text in quadratic time.
+(a*phi + b)*phi^m.  ``_times`` multiplies pairs and ``_trace`` reads a Lucas
+number off one.  ``fib`` and ``shift_coeffs`` return ints, which callers scale
+by ``Poly`` coefficients (``int`` or ``Fraction``), so the library never leaves
+the rationals.  ``fib_pair`` and ``_powers`` work in the type of their ``one``:
+the CLI passes ``Decimal(1)`` under an exact context, so the numbers it prints
+are never long ints, which CPython turns into text in quadratic time.
+
+Which clusters share work is decided here: ``_split`` cuts a sequence into runs
+by a rule, and ``_gathered`` sums a run of parts (m, a, b), by decreasing m,
+onto its lowest index, by one product with phi^gap a step.  The rules, and why:
+- the fold width, len(``seqform._FOLD``) = 88: ``seqform._runs`` keeps a shift
+  less than it above its run's first, so each F(J-j+1) and F(J-j) about the
+  run's midpoint J is below 2**30, one int digit, and ``_surely_longer`` gathers
+  the reflected indices within it of the longest, so their pair stays short;
+- 4*(m - m') <= m' (``_phi_sum``): a sum carried from m onto m', a doubling of
+  m - m' and products by F(m - m'), costs less than a read, a doubling of m/2;
+- _CARRY*|g| <= |k| (``_powers``): phi^k is carried the same way, but it is as
+  long as k, not as a span, so 4 is too loose: 16 is timed in CHANGES.md.
 
 ``fib_pair`` doubles with two squarings per bit of the index (Takahashi 2000;
 GMP's ``mpz_fib2_ui``), walking (F(k-1), F(k)) over the prefixes k of its bits:
@@ -21,6 +32,9 @@ GMP's ``mpz_fib2_ui``), walking (F(k-1), F(k)) over the prefixes k of its bits:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+
+_CARRY = 16  # the factor of _powers' rule
 
 
 def fib_pair(n: int, one=1) -> tuple:
@@ -75,47 +89,51 @@ def _reflected(k: int, a: int, b: int) -> tuple[int, int, int]:
     return (m, -b, a) if m % 2 else (m, b, -a)
 
 
+def _split(items, joins) -> list:
+    """The runs of items, in order: an item joins the one before it when joins(run, item)."""
+    runs = []
+    for item in items:
+        if not (runs and joins(runs[-1], item)):
+            runs.append([])
+        runs[-1].append(item)
+    return runs
+
+
+def _gathered(run: list) -> tuple:
+    """The run of parts (m, a, b), by decreasing m, as one part at its lowest
+    index: each pair summed so far is moved down by one product with phi^gap."""
+    (top, a, b), *rest = run
+    for m, p, q in rest:
+        a, b = _times((a, b), fib_pair(top - m))
+        top, a, b = m, a + p, b + q
+    return top, a, b
+
+
 def _phi_sum(parts: list) -> int:
     """The one reader of a single value: the sum of a*F(k+1) + b*F(k) over the
     (k, a, b), k any integer, where a = b = 0 costs nothing.  Each part moves to
-    an index m >= 0 (``_reflected``).  Walking down from the highest m, the pair
-    summed so far is carried onto the next lower index m' when 4*(m - m') <= m',
-    by one product with phi^(m-m'): a doubling of m - m' and products by
-    F(m - m') then cost less than a doubling of m.  Each group so carried is read
-    at its lowest index m by one doubling of half of m and one product of
-    half-size ints.  An odd m first folds one phi into the pair: (a*phi + b)*phi
-    = (a + b)*phi + a.  For m = 2k, phi^k has trace L(k) (``_trace``) and norm
-    (-1)^k, so by Cayley-Hamilton phi^(2k) = L(k)*phi^k - (-1)^k, and the group
-    adds L(k)*(a*F(k+1) + b*F(k)) - (-1)^k*a."""
+    m >= 0 (``_reflected``), and each run of the 4*gap rule is gathered and read
+    at its lowest m, an odd m first folding one phi into the pair, (a + b, a).
+    For m = 2k, phi^k has trace L(k) (``_trace``) and norm (-1)^k, so phi^(2k) =
+    L(k)*phi^k - (-1)^k, and the run adds L(k)*(a*F(k+1) + b*F(k)) - (-1)^k*a."""
     ordered = sorted((_reflected(*part) for part in parts if part[1] or part[2]), reverse=True)
-    ordered.append((-1, 0, 0))  # which reads the last group
-    total, (top, a, b) = 0, ordered[0]
-    for m, p, q in ordered[1:]:
-        if 4 * (top - m) <= m:
-            a, b = _times((a, b), fib_pair(top - m))
-        else:
-            if top % 2:
-                a, b, top = a + b, a, top - 1
-            k = top // 2
-            f_k, f_down = power = fib_pair(k)  # F(k), F(k-1)
-            total += _trace(power) * ((a + b) * f_k + a * f_down) + (a if k % 2 else -a)
-            a = b = 0
-        top, a, b = m, a + p, b + q
+    total = 0
+    for run in _split(ordered, lambda run, part: 4 * (run[-1][0] - part[0]) <= part[0]):
+        m, a, b = _gathered(run)
+        if m % 2:
+            a, b, m = a + b, a, m - 1
+        f_k, f_down = power = fib_pair(k := m // 2)  # F(k), F(k-1)
+        total += _trace(power) * ((a + b) * f_k + a * f_down) + (a if k % 2 else -a)
     return total
-
-
-# _powers carries phi^k, as long as itself, where _phi_sum carries a sum as long as its
-# span: so its factor 4 is too loose here, and 16 is timed in CHANGES.md.
-_CARRY = 16
 
 
 @lru_cache(maxsize=1, typed=True)  # typed: Decimal(1) == 1, and the two hash alike
 def _powers(ks: tuple, one=1) -> tuple:
-    """phi^k (``fib_pair``) for each k of ks, in the type of `one`: times phi^g
-    from the one before when _CARRY*|g| <= |k|.  ``canon`` and an int window at
-    lo = 0 share its last answer, a tuple: each passes ks and `one` by position."""
-    powers = [(0 * one, one)]  # phi^0, from which only k = 0 is carried
-    for k0, k in zip([0, *ks], ks):
-        near = _CARRY * abs(k - k0) <= abs(k)
-        powers.append(_times(powers[-1], fib_pair(k - k0, one)) if near else fib_pair(k, one))
-    return tuple(powers[1:])
+    """phi^k (``fib_pair``) for each k of ks, in the type of `one`, carried along
+    each run of the _CARRY rule.  ``canon`` and an int window at lo = 0 share its
+    last answer, a tuple: each passes ks and `one` by position."""
+    powers = []
+    for run in _split(ks, lambda run, k: _CARRY * abs(k - run[-1]) <= abs(k)):
+        steps = [fib_pair(run[0], one)] + [fib_pair(k - k0, one) for k0, k in zip(run, run[1:])]
+        powers += accumulate(steps, _times)
+    return tuple(powers)

@@ -21,10 +21,8 @@ would carry through every step at every index.  So values are read from
 
     F(n-j) = F(J-j+1) * F(n-J) + F(J-j) * F(n-J-1),
 
-to the terms whose offsets j - J lie in -43..44, where F(J-j+1) and F(J-j)
-are below 2**30 in magnitude, so R0 and R1 keep short coefficients.  One rule
-makes every cluster: the shifts, in increasing order, fall into runs at most
-87 wide, and each run is based at its midpoint.
+to each run of shifts narrower than the fold width (``fib``), based at its
+midpoint, so R0 and R1 keep short coefficients.
 
 The clusters are scaled to ints once (``_scale``): each run's R0 and R1 are
 summed as ints over the terms' common denominator, and the common factor of
@@ -37,10 +35,8 @@ reads each nonzero R0 and R1 by one Horner pass per index, and the rest follow b
 additions from the recurrence that the paper's (E^2-E-1)^(D+1)*(E-1)*(E+1) gives,
 over what its seeds leave of the denominator.  ``CanonForm.values`` runs it on
 ints, and the CLI on Decimals.  A single value, ``FibExpr.at``, runs no window:
-each cluster adds a*F(k+1) + b*F(k), an element of Z[phi] times phi^k, and
-``fib._phi_sum`` reflects each k < 0 and carries near ones onto one read.  That
-arithmetic of Z[phi] is all in ``fib``: ``_surely_longer`` moves clusters by its
-product, and ``_powers`` gives each cluster's phi^-J or seed.
+``fib._phi_sum`` sums each cluster's a*F(k+1) + b*F(k).  That arithmetic of
+Z[phi], and which clusters share work, is all in ``fib``.
 
 Each derived value is a ``functools.cached_property``: an expression's scaled
 clusters ``_scaled`` and its form ``_canon``, and a form's ``_scaled``, which
@@ -60,14 +56,13 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, islice, repeat, zip_longest
+from itertools import chain, compress, cycle, islice, repeat, zip_longest
 
 from ._value import Value
 from .exact import Poly
-from .fib import _phi_sum, _powers, _reflected, _times, fib_pair, shift_coeffs
+from .fib import _gathered, _phi_sum, _powers, _reflected, _split, _times, shift_coeffs
 
-# The offsets j - J at which F(J-j+1) and F(J-j) are both below 2**30 in
-# magnitude, so that each fits in one int digit: a cluster's terms lie here.
+# A cluster's offsets j - J, at which F(J-j+1) and F(J-j) are below 2**30 (``fib``)
 _FOLD = range(-43, 45)
 
 
@@ -116,9 +111,8 @@ class FibExpr(Value):
 
     def at(self, n: int) -> Fraction:
         """Exact value of the sequence at index n (any integer), from the scaled
-        clusters alone, without the canonical form or a window: each cluster
-        adds a*F(k+1) + b*F(k), k = n-J-1, and ``_phi_sum`` adds them up,
-        carrying near ones onto one read."""
+        clusters alone, without the canonical form or a window: ``_phi_sum`` of
+        each cluster's a*F(k+1) + b*F(k), k = n-J-1."""
         den, clusters, e, f = self._scaled
         parts = [(n - base - 1, r0(n) if r0 else 0, r1(n) if r1 else 0)
                  for base, r0, r1 in clusters]
@@ -193,16 +187,11 @@ class FibExpr(Value):
         return form
 
 
-def _runs(terms: tuple[ShiftTerm, ...]) -> Iterator[tuple[int, tuple[ShiftTerm, ...]]]:
-    """Yield (J, terms) for each cluster: walking the terms by increasing shift,
-    a shift more than 87 above the first shift of its run starts the next run,
-    and each run is based at its midpoint J = (first + last) // 2, so that its
-    offsets j - J lie in ``_FOLD``."""
-    first = 0
-    for i in range(1, len(terms) + 1):
-        if i == len(terms) or terms[i].shift - terms[first].shift > _FOLD[-1] - _FOLD[0]:
-            yield (terms[first].shift + terms[i - 1].shift) // 2, terms[first:i]
-            first = i
+def _runs(terms: tuple[ShiftTerm, ...]) -> Iterator[tuple[int, list[ShiftTerm]]]:
+    """Yield (J, terms) for each run of the fold width (``fib``), based at its
+    midpoint J = (first + last) // 2, so that its offsets j - J lie in ``_FOLD``."""
+    for run in _split(terms, lambda run, t: t.shift - run[0].shift < len(_FOLD)):
+        yield (run[0].shift + run[-1].shift) // 2, run
 
 
 def _near(k: int) -> tuple[int, int]:
@@ -254,12 +243,11 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all
     0..``_order_bound(expr)``-1, every initial value and, as P1(0) = w_0 - e - f,
     a canonical coefficient).  A cluster adds a*F(k+1) + b*F(k) to L*w_n, with
     (a, b) = (L*R0(n), L*R1(n)) and k = n-J-1, at most sum|coefficients| *
-    max(|n|, 1)^deg * phi^(|k|+1) (``_scale``).  If the largest could pass, the
-    clusters whose reflected index (``_reflected``) lies within 87 of its own are
-    moved onto that index, each by one product (``_times``) with the power of
-    phi between them, and summed there, so F(n-J) + F(n+J) is one pair, and w_n
-    is refused when its ``_pair_low``, less log10(L), passes `digits` and the
-    others' bounds plus |L*e| + |L*f|, each by one digit in hand."""
+    max(|n|, 1)^deg * phi^(|k|+1) (``_scale``).  If the largest could pass, it
+    is gathered with those of the fold width about its reflected index (``fib``),
+    so F(n-J) + F(n+J) is one pair, and w_n is refused when that pair's
+    ``_pair_low``, less log10(L), passes `digits` and the others' bounds plus
+    |L*e| + |L*f|, each by one digit in hand."""
     den, clusters, e, f = expr._scaled
     e_f = [_log10_above(max(abs(e) + abs(f), 1))]
     sized = [(base, r0, r1, _log10_above(max(sum(map(abs, r0.coeffs + r1.coeffs)), 1)),
@@ -268,21 +256,15 @@ def _surely_longer(expr: FibExpr, digits: int, indices: Iterable[int], every=all
     def longer_at(n: int) -> bool:
         log_n = math.log10(max(abs(n), 1))
         highs = [mag + deg * log_n + 0.209 * (abs(n - J - 1) + 1) for J, _, _, mag, deg in sized]
-        at = [max(n - J - 1, J - n) for J, *_ in sized]  # the index k, or -k-1 for k < 0
+        parts = [_reflected(n - J - 1, r0, r1) for J, r0, r1, _, _ in sized]  # read if gathered
         top = highs.index(max(highs))
-        near = [i for i, m in enumerate(at) if abs(m - at[top]) <= 87]
-        rest = e_f + [high for i, high in enumerate(highs) if i not in near]
+        near = [abs(m - parts[top][0]) < len(_FOLD) for m, _, _ in parts]
+        rest = e_f + [high for high, close in zip(highs, near) if not close]
         bar = max(max(rest) + math.log10(len(rest)), digits + _log10_above(den)) + 1
-        if highs[top] + math.log10(len(near)) <= bar:
+        if highs[top] + math.log10(sum(near)) <= bar:
             return False
-        a = b = 0
-        for i in near:  # p*F(m+1) + q*F(m) is (p*phi + q)*phi^m, read at K = at[top]
-            J, r0, r1, _, _ = sized[i]
-            m, p, q = _reflected(n - J - 1, r0(n), r1(n))
-            if m != at[top]:  # so a lone cluster computes no Fibonacci number
-                p, q = _times((p, q), fib_pair(m - at[top]))
-            a, b = a + p, b + q
-        return _pair_low(a, b, at[top]) > bar
+        m, a, b = _gathered(sorted((m, p(n), q(n)) for m, p, q in compress(parts, near))[::-1])
+        return _pair_low(a, b, m) > bar
 
     return bool(sized) and every(map(longer_at, indices))
 

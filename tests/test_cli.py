@@ -120,8 +120,7 @@ def no_fib(monkeypatch):
         raise AssertionError(f"fib_pair({n}) was called")
 
     # the package re-exports the function fib, which hides the module fibrec.fib
-    for module in ("fibrec.fib", "fibrec.seqform"):
-        monkeypatch.setattr(importlib.import_module(module), "fib_pair", boom)
+    monkeypatch.setattr(importlib.import_module("fibrec.fib"), "fib_pair", boom)
 
 
 def test_huge_shift_is_rejected_before_any_work(capsys, no_fib):
@@ -289,8 +288,7 @@ def test_rec_refuses_two_far_clusters_of_one_length_before_any_far_work(capsys, 
         assert abs(k) <= 10**6, f"fib_pair({k}) was called"
         return fib_pair(k, one)
 
-    for module in ("fibrec.fib", "fibrec.seqform"):
-        monkeypatch.setattr(importlib.import_module(module), "fib_pair", guarded)
+    monkeypatch.setattr(importlib.import_module("fibrec.fib"), "fib_pair", guarded)
     got = run_cli(capsys, "rec", "F(n-10000000) + F(n+10000000)")
     assert got == (2, "", f"error: a value has more than {MAX_DIGITS} digits\n")
 
@@ -507,6 +505,14 @@ def test_reflected_clusters_are_refused_only_where_their_values_are_long():
             if rng.random() < 0.3:  # a third cluster, short or far
                 terms.append((rng.choice((rng.randint(-6, 6), -base - 400, base + 300)),
                               rand_poly(rng)))
+            yield FibExpr.of(terms, constant(), constant())
+        for _ in range(60):
+            # a chain of 3-5 clusters on one side, 40-130 apart: the gathered set is
+            # those within the fold width of the longest, summed at its lowest index
+            side, shift, terms = rng.choice((1, -1)), rng.randint(1250, 1450), []
+            for _ in range(rng.randint(3, 5)):
+                terms.append((side * shift, rand_poly(rng)))
+                shift += rng.randint(40, 130)
             yield FibExpr.of(terms, constant(), constant())
 
     runs = {(every.__name__, outcome): 0 for every in (all, any)

@@ -7,7 +7,7 @@ from binet_oracle import ALPHA, BETA, QuadRat, root_pow
 
 import fibrec.cli as cli
 from fibrec import fib, shift_coeffs
-from fibrec.fib import _CARRY, _powers, _times, _trace, fib_pair
+from fibrec.fib import _CARRY, _gathered, _powers, _times, _trace, fib_pair
 
 
 def naive_fib_table(lo: int, hi: int) -> dict[int, int]:
@@ -86,6 +86,26 @@ def test_powers_are_alpha_powers_in_ints_and_decimals():
         assert {type(x) for x in pair} == {Decimal}, k
         a, b = map(int, pair)
         assert a * ALPHA + b == power, k
+
+
+def test_gathered_sums_a_run_onto_its_lowest_index():
+    # a*F(m+1) + b*F(m) is the phi coefficient of (a*phi + b)*phi^m: twice its sqrt(5) part
+    value = lambda m, a, b: 2 * ((a * ALPHA + b) * root_pow(ALPHA, m)).s
+    rng = random.Random(5101)
+    signed = lambda bits: rng.choice((-1, 1)) * rng.getrandbits(bits)
+    gaps = set()
+    for size in range(1, 7):
+        for _ in range(12):
+            m, run = rng.choice((0, 1, rng.randint(2, 10**4))), []
+            for _ in range(size):
+                run.append((m, signed(rng.randint(1, 64)), signed(rng.randint(1, 64))))
+                gap = rng.choice((0, 1, rng.randint(2, 10**4)))
+                m, gaps = m + gap, gaps | {gap}
+            run.reverse()  # by decreasing m
+            low, a, b = _gathered(run)
+            assert low == run[-1][0], run
+            assert value(low, a, b) == sum(value(*part) for part in run), run
+    assert {0, 1} < gaps and max(gaps) > 5000
 
 
 def test_times_is_the_product_in_q_sqrt5():
