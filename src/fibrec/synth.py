@@ -57,17 +57,19 @@ which a balanced template of degree P holds in its own system anyway.  A
 column reads its Fibonacci and Lucas numbers off one ``fib_pair``.
 
 With the values' common denominator cleared, the system is solved in
-integers by fraction-free forward elimination (Bareiss 1968) and
-fraction-free back substitution (Nakos, Turner and Williams 1997).  The
-elimination leaves a row whose pivot-column entry is 0 as it is and brings
-it up to date with one exact division when it is next used (``_eliminate``
-says why that division is exact), so the zero blocks cost nothing: a
-balanced system takes about one row update per column, where plain Bareiss
-updates every row below the pivot.  Each right-hand side is one column
-from the caller to the coefficients, which ``symbolic_inverse`` transposes
-into rows.  A solved column goes back to slot order, then to monomial
-coefficients by one integer Horner pass per part over the falling factorials
-n(n-1)..(n-d+1), whose last factor n is a shift; each becomes a ``Fraction``.
+integers by ``_solve_blocks``.  Its 2 x 2 pair blocks, of determinant
++-5^p, need no elimination: only the trailing block is eliminated, by
+fraction-free forward elimination (Bareiss 1968) and fraction-free back
+substitution (Nakos, Turner and Williams 1997), and each pair block is then
+back-substituted by one 2 x 2 Cramer step.  The elimination leaves a row
+whose pivot-column entry is 0 as it is and brings it up to date with one
+exact division when it is next used (``_eliminate`` says why that division
+is exact), so its zero entries cost nothing.  Each right-hand side is one
+column from the caller to the coefficients, which ``symbolic_inverse``
+transposes into rows.  A solved column goes back to slot order, then to
+monomial coefficients by one integer Horner pass per part over the falling
+factorials n(n-1)..(n-d+1), whose last factor n is a shift; each becomes a
+``Fraction``.
 
 Three refusals come before the system is built, and read the template
 alone.  A template past MAX_UNKNOWNS is refused.  A lone F(n) part, or a
@@ -101,8 +103,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, comb, lcm, log2
-from operator import itemgetter, mul
+from math import ceil, comb, lcm, log2, prod
+from operator import index, itemgetter, mul
 from types import MappingProxyType
 
 from ._value import Value
@@ -110,7 +112,8 @@ from .exact import Poly
 from .fib import _times, _trace, fib, fib_pair
 from .seqform import FibExpr, ShiftTerm, _levels
 
-# det has about 0.29*k^2 bits: k = 302 took 5 s, 402 took 17 s, 2,002 ran out of memory
+# det has about 0.29*k^2 bits.  In equal degrees k = 302 takes 0.24 s, 402 0.8 s and 602
+# 5 s (2-core x86-64 VM); the cap dates from a back substitution that took 5 s at 302
 MAX_UNKNOWNS = 300
 
 
@@ -128,6 +131,8 @@ class Template(Value):
 
     def __init__(self, deg_p0: int | None = None, deg_p1: int | None = None,
                  has_const: bool = False, has_alt: bool = False) -> None:
+        # a degree must be an integer (``operator.index``), as a shift is in FibExpr.of
+        deg_p0, deg_p1 = (None if d is None else index(d) for d in (deg_p0, deg_p1))
         self.__dict__.update(deg_p0=deg_p0, deg_p1=deg_p1, has_const=has_const, has_alt=has_alt)
         for d in (deg_p0, deg_p1):
             if d is not None and d < 0:
@@ -368,22 +373,65 @@ def _system(slots: tuple[tuple[int, int], ...],
     return cols, aug
 
 
+def _solve_blocks(aug: list[list[int]], k: int, pairs: int) -> tuple[int, list[list[int]]]:
+    """Solve the left k x k block of ``_system``'s aug against each later
+    column, as ``_eliminate`` does: (det, xs) with det the determinant up to
+    sign and xs holding det*x_i for each unknown i, per right-hand column.
+
+    pairs is the number of powers that both F parts have, min(deg P0, deg P1)
+    + 1 (0 when a part is absent).  Row t = 2j + r of aug is zero in every F
+    column of power below j, so the first h = 2*pairs rows and columns are
+    block upper triangular and the rows past h are zero in those columns.
+    Diagonal block p, rows 2p and 2p+1 against the columns of power p, is
+    5^(p//2)*[[X(p), X(p-1)], [X(p+1), X(p)]], X the Fibonacci numbers for
+    even p and the Lucas numbers for odd p, so its determinant is +-5^p by
+    Cassini's identity and its Lucas analogue L(p)^2 - L(p-1)*L(p+1) = +-5.
+    Only the trailing block, rows and columns h.., goes to ``_eliminate``.
+    The pair blocks are then back-substituted from the last, one 2 x 2 Cramer
+    step each on the closed-form entries: each product is a short entry times
+    a det-sized x'_j, and each division, by +-5^p, is exact because x'_i is
+    an integer.  aug is left as it is.
+    """
+    h = 2 * pairs
+    dets = [aug[i][i] * aug[i + 1][i + 1] - aug[i][i + 1] * aug[i + 1][i] for i in range(0, h, 2)]
+    lead = prod(dets)
+    if h < k:
+        det, xs = _eliminate([row[h:] for row in aug[h:]], k - h)
+        xs = [[lead * v for v in reversed(x)] for x in xs]  # x'_{k-1} first
+    else:
+        det, xs = 1, [[] for _ in aug[0][k:]]
+    det *= lead
+    for i in range(h - 2, -1, -2):
+        top, bottom = aug[i], aug[i + 1]
+        (a, b), (c, d), q = top[i:i + 2], bottom[i:i + 2], dets[i // 2]
+        ut, ub = top[k - 1:i + 1:-1], bottom[k - 1:i + 1:-1]  # columns k-1, ..., i+2
+        for x, bt, bb in zip(xs, top[k:], bottom[k:]):
+            r0 = det * bt - sum(map(mul, ut, x))
+            r1 = det * bb - sum(map(mul, ub, x))
+            x += (a * r1 - c * r0) // q, (d * r0 - b * r1) // q
+    return det, [x[::-1] for x in xs]
+
+
 # a product of two b-bit ints costs about b^log2(3) steps (Karatsuba), so one of
 # two numbers of k^2 bits costs about k^(_POWER - 2)
 _POWER = 2 + 2 * log2(3)
 
 
 def _work(template: Template) -> float:
-    """Estimated cost of ``_eliminate`` on the template's system: k^_POWER for
-    k unknowns in equal degrees.
+    """Estimated cost of solving the template's system: k^_POWER for k
+    unknowns in equal degrees.
 
-    Back substitution takes about k^2 products of numbers of det's length,
-    some k^2 bits.  When the degrees of the two F parts differ by g, forward
-    elimination also meets a dense trailing block of g columns, the powers
-    past the lower degree m (-1 for an absent part): about g(g-1)(g-2)/8
-    entry updates, none for g < 3, on entries of some (3m + 3 + g/2)^2 bits,
-    their size midway through the block.  The weight 16 of an update against
-    a product is fitted to timings of shapes with k = 62..300.
+    The k^_POWER term is a back substitution of about k^2 products of two
+    numbers of det's length, some k^2 bits, as ``_eliminate`` makes over a
+    whole system.  ``_solve_blocks`` gives each pair-block product one short
+    factor, so the term overstates a solve in equal degrees; it stays as the
+    scale in which the refusal is stated.  When the degrees of the two F
+    parts differ by g, forward elimination also meets a dense trailing block
+    of g columns, the powers past the lower degree m (-1 for an absent part):
+    about g(g-1)(g-2)/8 entry updates, none for g < 3, on entries of some
+    (3m + 3 + g/2)^2 bits, their size midway through the block.  The weight
+    16 of an update against a product is fitted to timings of shapes with
+    k = 62..300.
     """
     d0, d1 = (-1 if d is None else d for d in template._degrees[:2])
     g, m = abs(d0 - d1), min(d0, d1)
@@ -394,7 +442,7 @@ def _work(template: Template) -> float:
 def _solve(template: Template,
            columns: Iterable[Sequence[int]]) -> tuple[int, list[list[tuple[int, int]]]]:
     """(det, ys) for the system against each right-hand column, one item per
-    row: det as ``_eliminate`` gives it, and per column ``_to_monomial``'s list.
+    row: det as ``_solve_blocks`` gives it, and per column ``_to_monomial``'s list.
     The module docstring's three refusals come first, read off the template alone."""
     k = template.unknowns
     if k > MAX_UNKNOWNS:
@@ -407,7 +455,8 @@ def _solve(template: Template,
         raise ValueError(f"template has {k} unknowns whose unequal degrees cost as much as "
                          f"{ceil(work ** (1 / _POWER))}, more than {MAX_UNKNOWNS}")
     cols, aug = _system(template.slots, columns)
-    det, xs = _eliminate(aug, k)
+    pairs = 1 + min(-1 if d is None else d for d in template._degrees[:2])
+    det, xs = _solve_blocks(aug, k, pairs)
     where = sorted(range(k), key=lambda c: (cols[c][0], -cols[c][1]))  # column of each slot
     return det, [_to_monomial(template, map(x.__getitem__, where)) for x in xs]
 

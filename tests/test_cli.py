@@ -154,6 +154,7 @@ def test_a_template_past_the_unknowns_cap_is_refused_before_solving(capsys, monk
     # 600 unknowns ran past 60 s before the cap; 2,002 ran out of memory
     synth = importlib.import_module("fibrec.synth")
     monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    monkeypatch.setattr(synth, "_solve_blocks", lambda *args: pytest.fail("_solve_blocks was called"))
     values = ",".join(["1"] * 600)
     code, out, err = run_cli(capsys, "synth", "--deg0", "299", "--deg1", "299", "--values", values)
     assert (code, out) == (2, "")
@@ -171,6 +172,7 @@ def test_a_singular_or_lopsided_template_is_refused_before_elimination(
         capsys, monkeypatch, argv, k, message):
     synth = importlib.import_module("fibrec.synth")
     monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    monkeypatch.setattr(synth, "_solve_blocks", lambda *args: pytest.fail("_solve_blocks was called"))
     values = ",".join(map(str, range(k)))
     code, out, err = run_cli(capsys, "synth", *argv, "--values", values)
     assert (code, out) == (2, "")

@@ -26,7 +26,7 @@ from fibrec import (
     theorem_solution,
 )
 from fibrec import synth
-from fibrec.synth import MAX_UNKNOWNS, _column, _eliminate, _system, _to_monomial
+from fibrec.synth import MAX_UNKNOWNS, _column, _eliminate, _solve_blocks, _system, _to_monomial
 
 
 def _matmul(a, b):
@@ -71,6 +71,13 @@ def test_template_slot_bookkeeping():
     assert format_expr(Template(0, 2, True).expr_from([F(3, 7), 0, 0, 0, 0])) == "3/7*F(n)"
     with pytest.raises(ValueError, match="expected 4 coefficients, got 3"):
         FAMILY_TEMPLATES[1].expr_from([1, 2, 3])
+
+
+@pytest.mark.parametrize("degrees", [(1.5,), (2.0, 2.0), (None, F(3)), (Decimal(1),)])
+def test_a_degree_must_be_an_integer(degrees):
+    # Template(1.5) once counted 2.5 unknowns, and Template(2.0, 2.0) failed in slots' range
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Template(*degrees)
 
 
 # renaming the slots waits for a benchmark change: bench/workloads.py::check_synth
@@ -361,6 +368,56 @@ def test_eliminate_matches_plain_bareiss_on_differenced_systems():
         rhs = [[rng.randint(-40, 40) for _ in range(2)] for _ in range(k)]
         _, aug = _system(t.slots, zip(*rhs))
         assert _eliminated(_eliminate, aug, k) == _eliminated(_plain_bareiss, aug, k)
+
+
+def _pairs(shape):
+    """min(deg P0, deg P1) + 1, the pair blocks of the shape's system; 0 when a part is absent."""
+    return 0 if None in shape[:2] else min(shape[:2]) + 1
+
+
+def _as_fractions(solved):
+    """Each right-hand column of a solver's (det, xs) as Fractions x'/det, or
+    the singular error's text."""
+    if isinstance(solved, str):
+        return solved
+    det, xs = solved
+    return [[F(x, det) for x in column] for column in xs]
+
+
+def test_solve_blocks_matches_plain_bareiss_on_every_shape_up_to_degree_20():
+    # plain Bareiss eliminates the whole differenced system; _solve_blocks
+    # eliminates its trailing block alone and back-substitutes the pair blocks
+    rng = random.Random(89)
+    degrees = (None,) + tuple(range(21))
+    outcomes = {"solved": 0, "singular": 0}
+    for shape in itertools.product(degrees, degrees, (False, True), (False, True)):
+        if shape == (None, None, False, False):
+            continue
+        t = Template(*shape)
+        k = t.unknowns
+        rhs = [[rng.randint(-40, 40) for _ in range(k)] for _ in range(2)]
+        _, aug = _system(t.slots, rhs)
+        want = _as_fractions(_eliminated(_plain_bareiss, aug, k))
+        got = _eliminated(lambda aug, k: _solve_blocks(aug, k, _pairs(shape)), aug, k)
+        assert _as_fractions(got) == want, shape
+        outcomes["singular" if isinstance(want, str) else "solved"] += 1
+    assert min(outcomes.values()) > 40
+
+
+def test_pair_block_p_has_determinant_plus_or_minus_5_to_the_p():
+    # rows 2p and 2p+1 against the columns C(n, p)*F(n) and C(n, p)*F(n-1)
+    for p in range(151):
+        (a, c), (b, d) = ([dict(_column(part, p)).get(t, 0) for t in (2 * p, 2 * p + 1)]
+                          for part in (0, 1))
+        assert abs(a * d - b * c) == 5**p, p
+
+
+def test_a_balanced_solution_of_202_unknowns_reproduces_its_values():
+    rng = random.Random(97)
+    t = Template(99, 99, has_const=True, has_alt=True)
+    values = _mixed_values(rng, t.unknowns)
+    expr = solve_template(t, values).expr
+    assert [ref_at(expr, n) for n in range(t.unknowns)] == values
 
 
 def _base(part, n):
@@ -684,7 +741,7 @@ def test_a_template_past_the_cap_is_refused_before_solving(monkeypatch):
 
 
 class _Eliminated(Exception):
-    """Raised in place of ``_eliminate``: the template got past every refusal."""
+    """Raised in place of ``_solve_blocks``: the template got past every refusal."""
 
 
 def _no_elimination(*args):
@@ -696,6 +753,7 @@ def test_a_zero_row_template_is_refused_before_elimination(monkeypatch, template
     # row 0 of a lone F(n) part is n^p*F(0) = 0, row 1 of a lone F(n-1) part
     # of degree >= 1 likewise; eliminating Template(150) took 3.6 s
     monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    monkeypatch.setattr(synth, "_solve_blocks", lambda *args: pytest.fail("_solve_blocks was called"))
     values = [i % 7 for i in range(template.unknowns)]
     for call in (lambda: solve_template(template, values), lambda: symbolic_inverse(template)):
         with pytest.raises(DegenerateTemplateError, match="^the template's linear system is singular$"):
@@ -706,7 +764,7 @@ def test_only_a_zero_row_0_or_1_stops_a_small_template_before_elimination(monkey
     # differencing is unit lower triangular, so a zero row is a singular system,
     # and _solve looks at rows 0 and 1 alone; every other shape of degree <= 20,
     # synth_solve's and the families' among them, is within the work budget
-    monkeypatch.setattr(synth, "_eliminate", _no_elimination)
+    monkeypatch.setattr(synth, "_solve_blocks", _no_elimination)
     degrees = (None,) + tuple(range(21))
     zero_row_shapes = set()
     for shape in itertools.product(degrees, degrees, (False, True), (False, True)):
@@ -730,6 +788,7 @@ def test_only_a_zero_row_0_or_1_stops_a_small_template_before_elimination(monkey
 def test_a_lopsided_template_is_refused_before_elimination(monkeypatch, shape, cost):
     # 35, 27 and 26 s to solve, under the cap on unknowns; (100, 100) took 0.5 s
     monkeypatch.setattr(synth, "_eliminate", lambda *args: pytest.fail("_eliminate was called"))
+    monkeypatch.setattr(synth, "_solve_blocks", lambda *args: pytest.fail("_solve_blocks was called"))
     t = Template(*shape)
     message = (f"^template has 202 unknowns whose unequal degrees cost as much as {cost}, "
                f"more than {MAX_UNKNOWNS}$")
@@ -767,7 +826,7 @@ def test_every_refusal_reads_the_template_alone(monkeypatch, shape, cost):
     (130, 0), (0, 130), (None, 130, True), (140, 0), (120, 80), (112, 28), (126, 14),
 ])
 def test_templates_within_the_work_budget_reach_elimination(monkeypatch, shape):
-    monkeypatch.setattr(synth, "_eliminate", _no_elimination)
+    monkeypatch.setattr(synth, "_solve_blocks", _no_elimination)
     t = Template(*shape)
     with pytest.raises(_Eliminated):
         solve_template(t, [i % 7 for i in range(t.unknowns)])
