@@ -56,20 +56,19 @@ asked for: at most (P+1)(P+4) int pairs, P the highest power asked for,
 which a balanced template of degree P holds in its own system anyway.  A
 column reads its Fibonacci and Lucas numbers off one ``fib_pair``.
 
-With the values' common denominator cleared, the system is solved in
-integers by ``_solve_blocks``.  Its 2 x 2 pair blocks, of determinant
-+-5^p, need no elimination: only the trailing block is eliminated, by
-fraction-free forward elimination (Bareiss 1968) and fraction-free back
-substitution (Nakos, Turner and Williams 1997), and each pair block is then
-back-substituted by one 2 x 2 Cramer step.  The elimination leaves a row
-whose pivot-column entry is 0 as it is and brings it up to date with one
-exact division when it is next used (``_eliminate`` says why that division
-is exact), so its zero entries cost nothing.  Each right-hand side is one
-column from the caller to the coefficients, which ``symbolic_inverse``
-transposes into rows.  A solved column goes back to slot order, then to
-monomial coefficients by one integer Horner pass per part over the falling
-factorials n(n-1)..(n-d+1), whose last factor n is a shift; each becomes a
-``Fraction``.
+With the values' common denominator cleared, ``_solve_blocks`` solves the
+system in integers.  Its 2 x 2 pair blocks, of determinant +-5^p, need no
+elimination; only the trailing block goes through fraction-free forward
+elimination (Bareiss 1968, ``_eliminate``), whose rows with a zero in the
+pivot column wait, for one exact division, until they are next used.  One
+back substitution (Nakos, Turner and Williams 1997) then walks the trailing
+rows and the pair blocks, carrying each right-hand column as the integers
+D*x over a denominator D of its own that grows only as its solution needs,
+not to the determinant's 0.29*k^2 bits.  A solved column goes back to slot
+order, then to monomial coefficients by one integer Horner pass per part
+over the falling factorials n(n-1)..(n-d+1), whose last factor n is a
+shift; each becomes a ``Fraction``.  ``symbolic_inverse`` transposes the
+solved columns of the identity into rows.
 
 Three refusals come before the system is built, and read the template
 alone.  A template past MAX_UNKNOWNS is refused.  A lone F(n) part, or a
@@ -103,7 +102,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, comb, lcm, log2, prod
+from math import ceil, comb, gcd, lcm, log2
 from operator import index, itemgetter, mul
 from types import MappingProxyType
 
@@ -112,8 +111,8 @@ from .exact import Poly
 from .fib import _times, _trace, fib, fib_pair
 from .seqform import FibExpr, ShiftTerm, _levels
 
-# det has about 0.29*k^2 bits.  In equal degrees k = 302 takes 0.24 s, 402 0.8 s and 602
-# 5 s (2-core x86-64 VM); the cap dates from a back substitution that took 5 s at 302
+# in equal degrees k = 302 takes 0.02-0.03 s, 402 0.03-0.05 s and 602 0.11-0.18 s (2-core
+# x86-64 VM); the cap dates from a back substitution of det-sized numbers that took 5 s at 302
 MAX_UNKNOWNS = 300
 
 
@@ -133,6 +132,8 @@ class Template(Value):
                  has_const: bool = False, has_alt: bool = False) -> None:
         # a degree must be an integer (``operator.index``), as a shift is in FibExpr.of
         deg_p0, deg_p1 = (None if d is None else index(d) for d in (deg_p0, deg_p1))
+        if not (isinstance(has_const, bool) and isinstance(has_alt, bool)):
+            raise TypeError(f"has_const and has_alt must be bools, not {has_const!r}, {has_alt!r}")
         self.__dict__.update(deg_p0=deg_p0, deg_p1=deg_p1, has_const=has_const, has_alt=has_alt)
         for d in (deg_p0, deg_p1):
             if d is not None and d < 0:
@@ -217,13 +218,11 @@ def build_system(template: Template) -> list[list[int]]:
 
 
 def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[list[int]]]:
-    """Solve the left width x width block of aug against each later column.
-
-    Fraction-free forward elimination (Bareiss 1968), then fraction-free back
-    substitution (Nakos, Turner and Williams 1997), all in integers.  Returns
-    (det, xs): det is the block's determinant up to sign, and xs has one list
-    per right-hand column holding det*x_i for each unknown i, an integer by
-    Cramer's rule.  Consumes aug.
+    """Fraction-free forward elimination (Bareiss 1968) of the left width x
+    width block of aug, in integers.  Returns (det, aug): det, the last pivot,
+    is the block's determinant up to sign, and row i of aug holds U[i][i:]
+    followed by its right-hand sides, U the upper triangular factor.  The
+    caller back-substitutes.  Consumes aug.
 
     Step c of plain Bareiss turns each row v below the pivot row w into
     (p*v - f*w) / p', where p is the pivot, f the row's entry in column c and
@@ -234,7 +233,7 @@ def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[list[int]]]:
     used it catches up in the same pass: as the pivot row it becomes v*p'/q,
     and with f != 0 it becomes (p*v - f*w)/q.  Both are the rows plain
     Bareiss reaches, whose entries are minors of aug (Sylvester's identity)
-    and so integers; every division is exact, and (det, xs) are the ones
+    and so integers; every division is exact, and (det, U) are the ones
     plain Bareiss returns.  A row whose entries in the next columns are zero
     therefore costs nothing until its first nonzero column.
     """
@@ -265,17 +264,7 @@ def _eliminate(aug: list[list[int]], width: int) -> tuple[int, list[list[int]]]:
                 aug[r] = [(p * v - f * w) // q for v, w in zip(row[col - s + 1:], head)]
                 since[r] = col + 1
         divisors.append(p)
-    # Fraction-free back substitution: with x'_j = det*x_j,
-    # x'_i = (det*b_i - sum_{j>i} U[i][j]*x'_j) / U[i][i], and the division is
-    # exact because x'_i is an integer.
-    det = divisors[-1]
-    xs = [[] for _ in range(len(aug[-1]) - 1)]  # one per column, x'_{k-1} first
-    for i in range(width - 1, -1, -1):
-        row = aug[i]
-        u = row[width - 1 - i:0:-1]  # U[i][k-1], ..., U[i][i+1]
-        for x, b in zip(xs, row[width - i:]):
-            x.append((det * b - sum(map(mul, u, x))) // row[0])
-    return det, [x[::-1] for x in xs]
+    return divisors[-1], aug
 
 
 def _to_monomial(template: Template, y: Iterable[int]) -> list[tuple[int, int]]:
@@ -373,10 +362,10 @@ def _system(slots: tuple[tuple[int, int], ...],
     return cols, aug
 
 
-def _solve_blocks(aug: list[list[int]], k: int, pairs: int) -> tuple[int, list[list[int]]]:
+def _solve_blocks(aug: list[list[int]], k: int, pairs: int) -> list[tuple[int, list[int]]]:
     """Solve the left k x k block of ``_system``'s aug against each later
-    column, as ``_eliminate`` does: (det, xs) with det the determinant up to
-    sign and xs holding det*x_i for each unknown i, per right-hand column.
+    column: per column (D, y), D a common denominator of its solution x and
+    y the integers D*x_i.  aug is left as it is.
 
     pairs is the number of powers that both F parts have, min(deg P0, deg P1)
     + 1 (0 when a part is absent).  Row t = 2j + r of aug is zero in every F
@@ -384,32 +373,41 @@ def _solve_blocks(aug: list[list[int]], k: int, pairs: int) -> tuple[int, list[l
     block upper triangular and the rows past h are zero in those columns.
     Diagonal block p, rows 2p and 2p+1 against the columns of power p, is
     5^(p//2)*[[X(p), X(p-1)], [X(p+1), X(p)]], X the Fibonacci numbers for
-    even p and the Lucas numbers for odd p, so its determinant is +-5^p by
+    even p and the Lucas numbers for odd p, so its determinant q is +-5^p by
     Cassini's identity and its Lucas analogue L(p)^2 - L(p-1)*L(p+1) = +-5.
     Only the trailing block, rows and columns h.., goes to ``_eliminate``.
-    The pair blocks are then back-substituted from the last, one 2 x 2 Cramer
-    step each on the closed-form entries: each product is a short entry times
-    a det-sized x'_j, and each division, by +-5^p, is exact because x'_i is
-    an integer.  aug is left as it is.
+
+    The one back substitution walks the trailing rows from the last with D
+    ``_eliminate``'s det, so each division by U[i][i] is exact by Cramer's
+    rule, and then divides D and y by their gcd.  Each pair block, from the last,
+    is one 2 x 2 Cramer step: with g the gcd of q and its numerators q*D*x_i
+    and q*D*x_(i+1), D and the earlier y are multiplied by q/g alone.  So a
+    product is a short entry times a number of the answer's length.
     """
-    h = 2 * pairs
-    dets = [aug[i][i] * aug[i + 1][i + 1] - aug[i][i + 1] * aug[i + 1][i] for i in range(0, h, 2)]
-    lead = prod(dets)
-    if h < k:
-        det, xs = _eliminate([row[h:] for row in aug[h:]], k - h)
-        xs = [[lead * v for v in reversed(x)] for x in xs]  # x'_{k-1} first
-    else:
-        det, xs = 1, [[] for _ in aug[0][k:]]
-    det *= lead
+    h, w = 2 * pairs, k - 2 * pairs
+    det, rows = _eliminate([row[h:] for row in aug[h:]], w)
+    ys = [[] for _ in aug[0][k:]]  # per column, D*x_j from j = k-1 down
+    for i in range(w - 1, -1, -1):
+        row = rows[i]
+        u = row[w - 1 - i:0:-1]  # U[i][w-1], ..., U[i][i+1]
+        for y, b in zip(ys, row[w - i:]):
+            y.append((det * b - sum(map(mul, u, y))) // row[0])
+    gs = [gcd(det, *y) for y in ys]
+    dens, ys = [det // g for g in gs], [[v // g for v in y] for g, y in zip(gs, ys)]
     for i in range(h - 2, -1, -2):
         top, bottom = aug[i], aug[i + 1]
-        (a, b), (c, d), q = top[i:i + 2], bottom[i:i + 2], dets[i // 2]
+        (a, b), (c, d) = top[i:i + 2], bottom[i:i + 2]
+        q = a * d - b * c
         ut, ub = top[k - 1:i + 1:-1], bottom[k - 1:i + 1:-1]  # columns k-1, ..., i+2
-        for x, bt, bb in zip(xs, top[k:], bottom[k:]):
-            r0 = det * bt - sum(map(mul, ut, x))
-            r1 = det * bb - sum(map(mul, ub, x))
-            x += (a * r1 - c * r0) // q, (d * r0 - b * r1) // q
-    return det, [x[::-1] for x in xs]
+        for n, (den, y, bt, bb) in enumerate(zip(dens, ys, top[k:], bottom[k:])):
+            r0 = den * bt - sum(map(mul, ut, y))
+            r1 = den * bb - sum(map(mul, ub, y))
+            x0, x1 = d * r0 - b * r1, a * r1 - c * r0
+            g = gcd(x0, x1, q)
+            if (s := q // g) != 1:
+                dens[n], y[:] = den * s, [s * v for v in y]
+            y += x1 // g, x0 // g
+    return [(den, y[::-1]) for den, y in zip(dens, ys)]
 
 
 # a product of two b-bit ints costs about b^log2(3) steps (Karatsuba), so one of
@@ -422,16 +420,15 @@ def _work(template: Template) -> float:
     unknowns in equal degrees.
 
     The k^_POWER term is a back substitution of about k^2 products of two
-    numbers of det's length, some k^2 bits, as ``_eliminate`` makes over a
-    whole system.  ``_solve_blocks`` gives each pair-block product one short
-    factor, so the term overstates a solve in equal degrees; it stays as the
-    scale in which the refusal is stated.  When the degrees of the two F
-    parts differ by g, forward elimination also meets a dense trailing block
-    of g columns, the powers past the lower degree m (-1 for an absent part):
-    about g(g-1)(g-2)/8 entry updates, none for g < 3, on entries of some
-    (3m + 3 + g/2)^2 bits, their size midway through the block.  The weight
-    16 of an update against a product is fitted to timings of shapes with
-    k = 62..300.
+    numbers of det's length, some k^2 bits.  ``_solve_blocks`` carries short
+    numbers instead, so the term overstates a solve in equal degrees many
+    times over; it stays as the scale in which the refusal is stated.  When
+    the degrees of the two F parts differ by g, forward elimination also
+    meets a dense trailing block of g columns, the powers past the lower
+    degree m (-1 for an absent part): about g(g-1)(g-2)/8 entry updates,
+    none for g < 3, on entries of some (3m + 3 + g/2)^2 bits, their size
+    midway through the block.  The weight 16 of an update against a product
+    is fitted to timings of shapes with k = 62..300.
     """
     d0, d1 = (-1 if d is None else d for d in template._degrees[:2])
     g, m = abs(d0 - d1), min(d0, d1)
@@ -440,10 +437,10 @@ def _work(template: Template) -> float:
 
 
 def _solve(template: Template,
-           columns: Iterable[Sequence[int]]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(det, ys) for the system against each right-hand column, one item per
-    row: det as ``_solve_blocks`` gives it, and per column ``_to_monomial``'s list.
-    The module docstring's three refusals come first, read off the template alone."""
+           columns: Iterable[Sequence[int]]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(D, ys) per right-hand column, one item per row: ``_solve_blocks``'s D and
+    its column taken to ``_to_monomial``'s list.  The module docstring's three
+    refusals come first, read off the template alone."""
     k = template.unknowns
     if k > MAX_UNKNOWNS:
         raise ValueError(f"template has {k} unknowns, more than {MAX_UNKNOWNS}")
@@ -456,9 +453,9 @@ def _solve(template: Template,
                          f"{ceil(work ** (1 / _POWER))}, more than {MAX_UNKNOWNS}")
     cols, aug = _system(template.slots, columns)
     pairs = 1 + min(-1 if d is None else d for d in template._degrees[:2])
-    det, xs = _solve_blocks(aug, k, pairs)
     where = sorted(range(k), key=lambda c: (cols[c][0], -cols[c][1]))  # column of each slot
-    return det, [_to_monomial(template, map(x.__getitem__, where)) for x in xs]
+    return [(den, _to_monomial(template, map(y.__getitem__, where)))
+            for den, y in _solve_blocks(aug, k, pairs)]
 
 
 def solve_template(template: Template, values: Sequence) -> SynthSolution:
@@ -471,8 +468,8 @@ def solve_template(template: Template, values: Sequence) -> SynthSolution:
     if len(vals) != k:
         raise ValueError(f"template needs {k} values, got {len(vals)}")
     den = lcm(*(v.denominator for v in vals))
-    det, (column,) = _solve(template, [[v.numerator * (den // v.denominator) for v in vals]])
-    coeffs = [Fraction(x, scale * det * den) for x, scale in column]
+    ((d, column),) = _solve(template, [[v.numerator * (den // v.denominator) for v in vals]])
+    coeffs = [Fraction(x, scale * d * den) for x, scale in column]
     return SynthSolution(_assemble(template.slots, coeffs), dict(zip(template.slot_names, coeffs)))
 
 
@@ -480,8 +477,8 @@ def symbolic_inverse(template: Template) -> list[list[Fraction]]:
     """Exact inverse of build_system: maps (w_0..w_{k-1}) to the slot vector."""
     k = template.unknowns
     identity = ([0] * i + [1] + [0] * (k - 1 - i) for i in range(k))  # lazy: unbuilt past the cap
-    det, ys = _solve(template, identity)
-    return [[Fraction(x, scale * det) for x, scale in row] for row in zip(*ys)]
+    columns = [[Fraction(x, scale * d) for x, scale in y] for d, y in _solve(template, identity)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _int_params(name: str, vals: Sequence, want: int) -> list[int]:

@@ -80,6 +80,14 @@ def test_a_degree_must_be_an_integer(degrees):
         Template(*degrees)
 
 
+@pytest.mark.parametrize("flags", [("False", False), (2, False), (False, 1), (None, False), (0, 0)])
+def test_a_flag_must_be_a_bool(flags):
+    # Template(1, 1, "False") once added a constant slot, and Template(1, 1, 2)
+    # was unequal to Template(1, 1, True), the same shape
+    with pytest.raises(TypeError, match="^has_const and has_alt must be bools, not "):
+        Template(1, 1, *flags)
+
+
 # renaming the slots waits for a benchmark change: bench/workloads.py::check_synth
 # requires these names for up to 34 unknowns
 @pytest.mark.xfail(
@@ -274,8 +282,8 @@ def test_binomial_to_monomial_conversion():
 
 def test_eliminate_divides_exactly_on_small_shapes():
     # forward elimination and back substitution on the monomial system, two
-    # right-hand columns at once; a floor division that was not exact would
-    # show as a wrong solution
+    # right-hand columns at once, with no pair blocks; a floor division that
+    # was not exact would show as a wrong solution
     rng = random.Random(61)
     for shape in _SMALL_SHAPES:
         t = Template(*shape)
@@ -286,18 +294,16 @@ def test_eliminate_divides_exactly_on_small_shapes():
             want = [_reference_solve(t, b) for b in rhs]
         except DegenerateTemplateError as exc:
             with pytest.raises(DegenerateTemplateError, match=f"^{exc}$"):
-                _eliminate(aug, k)
+                _solve_blocks(aug, k, 0)
             continue
-        det, columns = _eliminate(aug, k)
-        xs = list(zip(*columns))
-        assert [[F(row[c], det) for row in xs] for c in range(2)] == want
+        assert _as_fractions(_solve_blocks(aug, k, 0)) == want
 
 
-def _plain_bareiss(aug, width):
-    """Bareiss elimination that updates every row below the pivot at every
-    step, rescaling a row by p/prev when its pivot-column entry is 0, then
-    fraction-free back substitution: the reference for ``_eliminate``, which
-    defers those rescalings."""
+def _plain_forward(aug, width):
+    """Bareiss forward elimination that updates every row below the pivot at
+    every step, rescaling a row by p/prev when its pivot-column entry is 0:
+    the reference for ``_eliminate``, which defers those rescalings.  Returns
+    (det, aug), row i of aug holding U[i][i:] and its right-hand sides."""
     prev = 1
     for col in range(width):
         piv = next((r for r in range(col, width) if aug[r][0]), None)
@@ -309,17 +315,24 @@ def _plain_bareiss(aug, width):
             f, *row = aug[r]
             aug[r] = [(p * v - f * w) // prev for v, w in zip(row, head)]
         prev = p
+    return prev, aug
+
+
+def _plain_bareiss(aug, width):
+    """``_plain_forward``, then fraction-free back substitution with D = det:
+    (det, det*x) per right-hand column, the reference for ``_solve_blocks``."""
+    det, aug = _plain_forward(aug, width)
     xs = [[] for _ in range(len(aug[-1]) - 1)]
     for i in range(width - 1, -1, -1):
         row = aug[i]
         u = row[width - 1 - i:0:-1]
         for x, b in zip(xs, row[width - i:]):
-            x.append((prev * b - sum(map(operator.mul, u, x))) // row[0])
-    return prev, [x[::-1] for x in xs]
+            x.append((det * b - sum(map(operator.mul, u, x))) // row[0])
+    return [(det, x[::-1]) for x in xs]
 
 
 def _eliminated(solver, aug, width):
-    """(det, xs) from solver on a copy of aug, or the singular error's text."""
+    """What solver returns on a copy of aug, or the singular error's text."""
     try:
         return solver([list(row) for row in aug], width)
     except DegenerateTemplateError as exc:
@@ -353,7 +366,7 @@ def test_eliminate_matches_plain_bareiss_on_random_systems():
     outcomes = {"solved": 0, "singular": 0}
     for _ in range(1500):
         aug, width = _random_system(rng)
-        want = _eliminated(_plain_bareiss, aug, width)
+        want = _eliminated(_plain_forward, aug, width)
         assert _eliminated(_eliminate, aug, width) == want
         outcomes["singular" if isinstance(want, str) else "solved"] += 1
     assert min(outcomes.values()) > 300
@@ -367,7 +380,7 @@ def test_eliminate_matches_plain_bareiss_on_differenced_systems():
         k = t.unknowns
         rhs = [[rng.randint(-40, 40) for _ in range(2)] for _ in range(k)]
         _, aug = _system(t.slots, zip(*rhs))
-        assert _eliminated(_eliminate, aug, k) == _eliminated(_plain_bareiss, aug, k)
+        assert _eliminated(_eliminate, aug, k) == _eliminated(_plain_forward, aug, k)
 
 
 def _pairs(shape):
@@ -376,12 +389,11 @@ def _pairs(shape):
 
 
 def _as_fractions(solved):
-    """Each right-hand column of a solver's (det, xs) as Fractions x'/det, or
-    the singular error's text."""
+    """Each right-hand column (D, y) of a solver's list as the Fractions y/D,
+    or the singular error's text."""
     if isinstance(solved, str):
         return solved
-    det, xs = solved
-    return [[F(x, det) for x in column] for column in xs]
+    return [[F(x, d) for x in column] for d, column in solved]
 
 
 def test_solve_blocks_matches_plain_bareiss_on_every_shape_up_to_degree_20():
@@ -418,6 +430,18 @@ def test_a_balanced_solution_of_202_unknowns_reproduces_its_values():
     values = _mixed_values(rng, t.unknowns)
     expr = solve_template(t, values).expr
     assert [ref_at(expr, n) for n in range(t.unknowns)] == values
+
+
+def test_an_integer_answer_is_carried_over_a_unit_denominator():
+    # the system's determinant has about 0.29*202^2 bits, and an answer with
+    # integer coefficients needs none of them
+    rng = random.Random(101)
+    t = Template(99, 99, has_const=True, has_alt=True)
+    coeffs = [rng.randint(-9, 9) for _ in range(t.unknowns)]
+    values = [sum(map(operator.mul, row, coeffs)) for row in build_system(t)]
+    ((d, column),) = synth._solve(t, [values])
+    assert d in (1, -1)
+    assert [F(x, scale * d) for x, scale in column] == coeffs
 
 
 def _base(part, n):
